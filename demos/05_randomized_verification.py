@@ -2,10 +2,10 @@
 
 Every trial draws a random source state and a random calibration, then checks
 the whole pipeline end to end: counts-based reconstruction against operator
-expectations, the dispersion identity of the optimal estimate, all four
-relation inequalities plus their operator-chain derivation, and the
-disturbance identity for the second observable.  A small trial count keeps
-the demo quick; the test suite runs the same battery at 10_000 trials.
+expectations, the dispersion identity of the optimal estimate, and all four
+relation inequalities plus their operator-chain derivation.  A small trial
+count keeps the demo quick; the test suite runs the same battery at 10_000
+trials.
 """
 
 from jointmeas import run_verification

@@ -189,7 +189,7 @@ def _emit(config: RunConfig, text: str) -> None:
 
 def _load_scenario_state(config: RunConfig) -> DensityMatrix:
     if config.state_file is not None:
-        return load_density_matrix(config.state_file)
+        return load_density_matrix(config.state_file, tolerances=config.tolerances)
     from .scenario import epr_state
 
     return epr_state(math.radians(config.gamma_deg))
@@ -213,8 +213,8 @@ def _run_simulate(config: RunConfig) -> int:
 def _run_analyze(config: RunConfig) -> int:
     dist = load_distribution(config.dist_file, provenance="measured",
                              tolerances=config.tolerances)
-    rho = (load_density_matrix(config.state_file) if config.state_file
-           else bundled_state())
+    rho = (load_density_matrix(config.state_file, tolerances=config.tolerances)
+           if config.state_file else bundled_state())
     reports = [analyze_measured(dist, rho, estimator=kind)
                for kind in config.estimator_kinds]
     _emit(config, emit_report(reports[0] if len(reports) == 1 else reports,

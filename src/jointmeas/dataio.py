@@ -1,9 +1,9 @@
 """File formats: outcome tables, density matrices, and result reports.
 
-Outcome tables are CSV with header ``m,y,w,p,sigma`` and optional
-``# key=value`` metadata lines before the header.  Outcomes are the integers
-+1/-1; ``sigma`` may be empty.  Density matrices are CSV rows
-``row,col,re,im`` (16 lines for two qubits).  All floats are written with
+Outcome tables are CSV with header ``m,y,w,p,sigma`` (or ``m,y,w,p`` with
+no uncertainties) and optional ``# key=value`` metadata lines before the
+header.  Outcomes are the integers +1/-1; ``sigma`` may be empty.  Density
+matrices are CSV rows ``row,col,re,im`` (16 lines for two qubits).  All floats are written with
 ``%.12g`` so that parse(emit(x)) == x at 12 significant digits.
 """
 
@@ -77,19 +77,18 @@ def parse_distribution(text: str, provenance: str = "measured",
     if not data_lines:
         raise DataValidationError("no header row found")
     header_no, header = data_lines[0]
-    expected = ["m", "y", "w", "p", "sigma"]
     cols = [c.strip() for c in header.split(",")]
-    if cols != expected:
+    if cols not in (["m", "y", "w", "p"], ["m", "y", "w", "p", "sigma"]):
         raise DataValidationError(
-            f"line {header_no}: header must be {','.join(expected)!r}, got {header!r}"
+            f"line {header_no}: header must be 'm,y,w,p' or 'm,y,w,p,sigma', got {header!r}"
         )
     entries: dict[tuple[int, int, int], float] = {}
     sigmas: dict[tuple[int, int, int], float] = {}
     for line_no, row in data_lines[1:]:
         parts = [c.strip() for c in row.split(",")]
-        if len(parts) != 5:
+        if len(parts) != len(cols):
             raise DataValidationError(
-                f"line {line_no}: expected 5 columns, got {len(parts)}"
+                f"line {line_no}: expected {len(cols)} columns, got {len(parts)}"
             )
         m = _parse_outcome(parts[0], "m", line_no)
         y = _parse_outcome(parts[1], "y", line_no)
@@ -106,7 +105,7 @@ def parse_distribution(text: str, provenance: str = "measured",
         if key in entries:
             raise DataValidationError(f"line {line_no}: duplicate outcome triple {key}")
         entries[key] = p
-        if parts[4]:
+        if len(parts) == 5 and parts[4]:
             try:
                 sigmas[key] = float(parts[4])
             except ValueError as exc:
@@ -157,13 +156,15 @@ def save_distribution(dist: JointDistribution, path: str | os.PathLike) -> None:
         fh.write(emit_distribution(dist))
 
 
-def parse_density_matrix(text: str, dim: int = 4) -> DensityMatrix:
+def parse_density_matrix(text: str, dim: int = 4,
+                         tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> DensityMatrix:
     """Parse ``row,col,re,im`` CSV into a validated DensityMatrix.
 
     Tomographic reconstructions are noisy, so the gates here are looser than
     the exact-arithmetic ones: Hermiticity within 1e-6 (then symmetrised),
-    trace within 1e-3 of one (then renormalised), eigenvalues above -1e-3
-    (slightly negative ones are kept and flagged with a warning).
+    trace within 1e-3 of one (then renormalised), eigenvalues down to
+    ``-tolerances.tomographic_psd`` (those below ``-tolerances.psd`` are kept
+    and flagged with a warning).
     """
     mat = np.zeros((dim, dim), dtype=complex)
     seen: set[tuple[int, int]] = set()
@@ -208,22 +209,23 @@ def parse_density_matrix(text: str, dim: int = 4) -> DensityMatrix:
         raise DataValidationError(f"trace is {trace:.6f}, expected 1")
     mat = mat / trace
     eigs = np.linalg.eigvalsh(mat)
-    if eigs.min() < -1e-3:
+    if eigs.min() < -tolerances.tomographic_psd:
         raise DataValidationError(
             f"matrix has eigenvalue {eigs.min():.3e}; not a state"
         )
-    if eigs.min() < -1e-10:
+    if eigs.min() < -tolerances.psd:
         warnings.warn(
             f"state has a slightly negative eigenvalue ({eigs.min():.3e}); "
             "keeping it as-is",
             DataQualityWarning,
         )
-    return DensityMatrix(mat, psd_floor=1e-3)
+    return DensityMatrix(mat, psd_floor=tolerances.tomographic_psd, tolerances=tolerances)
 
 
-def load_density_matrix(path: str | os.PathLike, dim: int = 4) -> DensityMatrix:
+def load_density_matrix(path: str | os.PathLike, dim: int = 4,
+                        tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> DensityMatrix:
     with open(path, encoding="utf-8") as fh:
-        return parse_density_matrix(fh.read(), dim=dim)
+        return parse_density_matrix(fh.read(), dim=dim, tolerances=tolerances)
 
 
 def emit_density_matrix(rho: DensityMatrix) -> str:

@@ -28,22 +28,37 @@ import numpy as np
 
 from .qcore import (
     BlochObservable,
+    Check,
     DataQualityWarning,
     DensityMatrix,
     HermitianOperator,
     NumericalCorruptionError,
+    correlations,
+    failing,
     pauli,
     projector_pair,
+    run_checks,
+    submit_checks,
     tensor,
-    expectation,
 )
 from .scenario import (
     OUTCOMES,
+    REFLECTED,
+    SIGNS,
+    TRANSMITTED,
+    TRIPLES,
     JointDistribution,
     SemiweakSlide,
     effective_povm,
     joint_distribution,
 )
+
+
+# The (m, y, w) outcomes of the entries of a flattened table p[N, 8], and the
+# 0/1 matrices whose products with p sum it onto the y or the w axis
+_KEYS = np.array(TRIPLES)
+_ONTO_Y = (_KEYS[:, 1:2] == SIGNS).astype(float)
+_ONTO_W = (_KEYS[:, 2:3] == SIGNS).astype(float)
 
 
 class UndefinedEstimateError(ValueError):
@@ -74,6 +89,11 @@ class Estimator:
     def value(self, w: int) -> float:
         return self.values[w]
 
+    @property
+    def array(self) -> np.ndarray:
+        """The values ``f[w]`` in OUTCOMES order."""
+        return np.array([self.values[w] for w in OUTCOMES], dtype=float)
+
     @classmethod
     def simple(cls) -> "Estimator":
         return cls({+1: 1.0, -1: -1.0}, kind="simple")
@@ -97,9 +117,7 @@ class QuasiDistribution:
     atol: float = 1e-9
 
     def __post_init__(self):
-        total = self.total()
-        if abs(total - 1.0) > self.atol:
-            raise ValueError(f"quasi-probabilities sum to {total:.6f}, not 1")
+        run_checks(_quasi_mass_checks(np.array([self.total()]), self.atol))
 
     def total(self) -> float:
         return float(sum(self.entries.values()))
@@ -111,24 +129,98 @@ class QuasiDistribution:
         return out
 
 
+def _quasi_mass_checks(total: np.ndarray, atol: float) -> list[Check]:
+    return [(np.abs(total - 1.0) > atol, failing(
+        ValueError, lambda i: f"quasi-probabilities sum to {total[i]:.6f}, not 1"))]
+
+
+def optimal_values(rho: DensityMatrix, n: np.ndarray,
+                   checks: list[Check] | None = None) -> np.ndarray:
+    """Least-squares X estimates ``f[N, w]`` for N directions ``n[N, 3]``.
+
+    ``f(w) = <X (x) W_w> / <1 (x) W_w>``, read off the state's correlation
+    tensor.  An outcome with probability <= 1e-12 raises
+    ``UndefinedEstimateError`` (its estimate is NaN when the checks go to
+    ``checks``, else they run here).
+    """
+    t = correlations(rho)
+    den = 0.5 * (t[0, 0] + np.outer(n @ t[0, 1:], SIGNS))
+    num = 0.5 * (t[1, 0] + np.outer(n @ t[1, 1:], SIGNS))
+    undefined = den <= 1e-12
+    submit_checks(checks, [
+        (undefined[:, k], failing(
+            UndefinedEstimateError,
+            lambda i, k=k, s=s: f"W outcome {s:+d} has probability {den[i, k]:.3e}"))
+        for k, s in enumerate(OUTCOMES)])
+    return np.divide(num, den, out=np.full_like(num, np.nan), where=~undefined)
+
+
 def optimal_estimator(rho: DensityMatrix, w: BlochObservable) -> Estimator:
     """Least-squares optimal estimate of X (qubit 1) from the W outcome.
 
     ``f_opt(w) = <X (x) W_w> / <1 (x) W_w>`` -- the conditional mean of X
-    given the W outcome, computed from the state.  Raises
-    ``UndefinedEstimateError`` if an outcome has no probability mass.
+    given the W outcome, computed from the state (:func:`optimal_values`
+    for one direction).  Raises ``UndefinedEstimateError`` if an outcome has
+    no probability mass.
     """
-    x1 = tensor(pauli("X"), pauli("I"))
-    w_projs = dict(zip(OUTCOMES, projector_pair(w.as_operator())))
-    values = {}
-    for s in OUTCOMES:
-        proj = tensor(pauli("I"), w_projs[s])
-        den = expectation(proj, rho)
-        if den <= 1e-12:
-            raise UndefinedEstimateError(f"W outcome {s:+d} has probability {den:.3e}")
-        num = expectation(HermitianOperator(x1.matrix @ proj.matrix), rho)
-        values[s] = num / den
-    return Estimator(values, kind="optimal")
+    f = optimal_values(rho, w.vector[None])[0]
+    return Estimator(dict(zip(OUTCOMES, f.tolist())), kind="optimal")
+
+
+def mh_tables(p: np.ndarray, slide: SemiweakSlide) -> np.ndarray:
+    """Margenau-Hill quasi-tables ``p_MH[N, x, w]`` of tables ``p[N, m, y, w]``:
+    ``p_MH(x, w) = sum_{m,y} (1 + x xi_m)/2 p(m, y, w)``."""
+    xi = np.where(_KEYS[:, 0] == TRANSMITTED, slide.xi(TRANSMITTED), slide.xi(REFLECTED))
+    weights = 0.5 * (1.0 + xi[:, None] * SIGNS)  # [entry, x]
+    to_mh = (weights[:, :, None] * _ONTO_W[:, None, :]).reshape(8, 4)
+    return (p.reshape(-1, 8) @ to_mh).reshape(-1, 2, 2)
+
+
+def x_inaccuracies(p: np.ndarray, slide: SemiweakSlide, f: np.ndarray, atol: float,
+                   checks: list[Check] | None = None) -> np.ndarray:
+    """RMS inaccuracies ``eps[N]`` of the X estimates ``f[N, w]``,
+    reconstructed from tables ``p[N, m, y, w]``.
+
+    ``eps^2 = sum_{x,w} (x - f(w))^2 p_MH(x, w)``.  Each quasi-table's mass
+    must lie within ``atol`` of 1.  A square in [-1e-9, 0) is clamped to
+    zero with a data-quality warning carrying the raw value; anything more
+    negative marks the input data as inconsistent.  The checks go to
+    ``checks`` when given, else they run here.
+    """
+    mh = mh_tables(p, slide).reshape(-1, 4)
+    eps_sq = (((SIGNS[:, None] - f[:, None, :]) ** 2).reshape(-1, 4) * mh).sum(axis=1)
+    submit_checks(checks, _quasi_mass_checks(mh.sum(axis=1), atol) + [
+        (eps_sq < -1e-9, failing(
+            NumericalCorruptionError,
+            lambda i: f"reconstructed eps^2 = {eps_sq[i]:.3e}: input data is inconsistent")),
+        ((eps_sq < 0.0) & (eps_sq >= -1e-9), lambda i: warnings.warn(DataQualityWarning(
+            f"clamping reconstructed eps^2 = {eps_sq[i]:.3e} to 0"))),
+    ])
+    return np.sqrt(np.maximum(eps_sq, 0.0))
+
+
+def estimate_spreads(p: np.ndarray, f: np.ndarray,
+                     checks: list[Check] | None = None) -> np.ndarray:
+    """Standard deviations ``[N]`` of the estimates ``f[N, w]`` under the w
+    marginals of tables ``p[N, m, y, w]``, normalised by each table's mass."""
+    pw = p.reshape(-1, 8) @ _ONTO_W
+    total = pw[:, 0] + pw[:, 1]
+    mean = (f * pw).sum(axis=1) / total
+    var = (f ** 2 * pw).sum(axis=1) / total - mean * mean
+    submit_checks(checks, [(var < -1e-12, failing(
+        NumericalCorruptionError, lambda i: f"estimator variance {var[i]:.3e} negative"))])
+    return np.sqrt(np.maximum(var, 0.0))
+
+
+def y_spreads(p: np.ndarray, checks: list[Check] | None = None) -> np.ndarray:
+    """Standard deviations ``[N]`` of the +-1-valued y outcome under tables
+    ``p[N, m, y, w]``, normalised by each table's mass."""
+    py = p.reshape(-1, 8) @ _ONTO_Y
+    mean = (py[:, 0] - py[:, 1]) / (py[:, 0] + py[:, 1])
+    var = 1.0 - mean * mean
+    submit_checks(checks, [(var < -1e-12, failing(
+        NumericalCorruptionError, lambda i: f"y-outcome variance {var[i]:.3e} negative"))])
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 def mh_from_counts(dist: JointDistribution, slide: SemiweakSlide) -> QuasiDistribution:
@@ -139,41 +231,23 @@ def mh_from_counts(dist: JointDistribution, slide: SemiweakSlide) -> QuasiDistri
     the source table's total mass, so the sum check follows the source
     provenance.
     """
-    entries: dict[tuple[float, float], float] = {}
-    for x in OUTCOMES:
-        for w in OUTCOMES:
-            acc = 0.0
-            for m in OUTCOMES:
-                weight = 0.5 * (1.0 + x * slide.xi(m))
-                for y in OUTCOMES:
-                    acc += weight * dist.prob(m, y, w)
-            entries[(float(x), float(w))] = acc
-    atol = (dist.tolerances.simulated_norm if dist.provenance == "simulated"
-            else dist.tolerances.measured_norm)
-    return QuasiDistribution(entries, atol=atol + 1e-12)
+    mh = mh_tables(dist.table[None], slide)[0]
+    keys = [(float(x), float(w)) for x in OUTCOMES for w in OUTCOMES]
+    return QuasiDistribution(dict(zip(keys, mh.ravel().tolist())),
+                             atol=dist.mass_tolerance + 1e-12)
 
 
 def inaccuracy_x(dist: JointDistribution, slide: SemiweakSlide,
                  est: Estimator) -> float:
-    """RMS inaccuracy of the X estimate, reconstructed from the joint table.
+    """RMS inaccuracy of the X estimate, reconstructed from the joint table
+    (:func:`x_inaccuracies` for one table).
 
     A squared value in [-1e-9, 0) is clamped to zero with a data-quality
     warning carrying the raw value; anything more negative marks the input
     data as inconsistent.
     """
-    mh = mh_from_counts(dist, slide)
-    eps_sq = 0.0
-    for (x, w), p in mh.entries.items():
-        diff = x - est.value(int(w))
-        eps_sq += diff * diff * p
-    if eps_sq < -1e-9:
-        raise NumericalCorruptionError(
-            f"reconstructed eps^2 = {eps_sq:.3e}: input data is inconsistent")
-    if eps_sq < 0.0:
-        warnings.warn(DataQualityWarning(
-            f"clamping reconstructed eps^2 = {eps_sq:.3e} to 0"))
-        eps_sq = 0.0
-    return math.sqrt(eps_sq)
+    return float(x_inaccuracies(dist.table[None], slide, est.array[None],
+                                dist.mass_tolerance + 1e-12)[0])
 
 
 def inaccuracy_y(slide: SemiweakSlide) -> float:
@@ -201,25 +275,12 @@ def inaccuracy_y(slide: SemiweakSlide) -> float:
 
 def estimator_spread(dist: JointDistribution, est: Estimator) -> float:
     """Standard deviation of the estimate f(W) under the table's w marginal."""
-    marg = dist.marginal("w")
-    total = sum(marg.values())
-    mean = sum(est.value(w) * p for w, p in marg.items()) / total
-    second = sum(est.value(w) ** 2 * p for w, p in marg.items()) / total
-    var = second - mean * mean
-    if var < -1e-12:
-        raise NumericalCorruptionError(f"estimator variance {var:.3e} negative")
-    return math.sqrt(max(var, 0.0))
+    return float(estimate_spreads(dist.table[None], est.array[None])[0])
 
 
 def y_estimator_spread(dist: JointDistribution) -> float:
     """Standard deviation of the +-1-valued y outcome under the table."""
-    marg = dist.marginal("y")
-    total = sum(marg.values())
-    mean = sum(y * p for y, p in marg.items()) / total
-    var = 1.0 - mean * mean
-    if var < -1e-12:
-        raise NumericalCorruptionError(f"y-outcome variance {var:.3e} negative")
-    return math.sqrt(max(var, 0.0))
+    return float(y_spreads(dist.table[None])[0])
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,44 @@ class NumericalCorruptionError(ArithmeticError):
 
 class DataQualityWarning(UserWarning):
     """Measured data forced a clamp or floor; carries the raw value."""
+
+
+# A per-index check of the array kernels: ``bad`` flags the offending indices
+# of a length-N batch and ``fire(i)`` raises (or warns) for index ``i`` with
+# the exception a single-item call would give.
+Check = tuple[np.ndarray, Callable[[int], None]]
+
+
+def failing(exc_type: type[Exception], message: Callable[[int], str]) -> Callable[[int], None]:
+    """A check action raising ``exc_type(message(i))`` for index ``i``."""
+    def fire(i: int) -> None:
+        raise exc_type(message(i))
+    return fire
+
+
+def run_checks(checks: Sequence[Check]) -> None:
+    """Run batch checks in the order a loop over the indices would.
+
+    Index by index, from the lowest flagged one, every check flagging that
+    index fires in sequence order: the first raising check stops the run,
+    and warnings before it are emitted as a loop would emit them.
+    """
+    if not checks:
+        return
+    flagged = np.logical_or.reduce([bad for bad, _ in checks])
+    for i in np.flatnonzero(flagged).tolist():
+        for bad, fire in checks:
+            if bad[i]:
+                fire(i)
+
+
+def submit_checks(checks: list[Check] | None, new: Sequence[Check]) -> None:
+    """Queue ``new`` on ``checks`` for the caller to run in its own order, or
+    run them now when no queue is given."""
+    if checks is None:
+        run_checks(new)
+    else:
+        checks.extend(new)
 
 
 @dataclass(frozen=True)
@@ -150,6 +189,10 @@ _PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# s_0..s_3 = 1, X, Y, Z and the two-qubit products s_j (x) s_k
+SIGMAS = np.stack([_PAULI[k] for k in "IXYZ"])
+SIGMAS.setflags(write=False)
+_SIGMA_PAIRS = np.einsum("jab,kcd->jkacbd", SIGMAS, SIGMAS).reshape(4, 4, 4, 4)
 
 
 def pauli(which: str) -> HermitianOperator:
@@ -260,12 +303,29 @@ class BlochObservable:
     def phi_deg(self) -> float:
         return math.degrees(self.phi)
 
+    @property
+    def vector(self) -> np.ndarray:
+        """The unit Bloch vector ``(sin t cos p, sin t sin p, cos t)``."""
+        return bloch_vectors(self.theta, self.phi)[0]
+
     def as_operator(self) -> HermitianOperator:
-        st, ct = math.sin(self.theta), math.cos(self.theta)
-        mat = (st * math.cos(self.phi) * _PAULI["X"]
-               + st * math.sin(self.phi) * _PAULI["Y"]
-               + ct * _PAULI["Z"])
-        return HermitianOperator(mat)
+        return HermitianOperator(np.tensordot(self.vector, SIGMAS[1:], axes=1))
+
+
+def bloch_vectors(theta, phi) -> np.ndarray:
+    """Unit Bloch vectors, shape (N, 3), for radian angles broadcast to N."""
+    theta, phi = np.broadcast_arrays(np.atleast_1d(np.asarray(theta, dtype=float)),
+                                     np.atleast_1d(np.asarray(phi, dtype=float)))
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+
+
+def correlations(rho: DensityMatrix) -> np.ndarray:
+    """Correlation tensor ``T[j, k] = Tr(rho s_j (x) s_k)`` of a two-qubit
+    state, ``s = (1, X, Y, Z)``; real because rho is Hermitian."""
+    if rho.dim != 4:
+        raise DimensionMismatchError(f"correlations need a two-qubit state, got dim {rho.dim}")
+    return np.einsum("jkab,ba->jk", _SIGMA_PAIRS, rho.matrix).real
 
 
 def expectation(op: HermitianOperator, rho: DensityMatrix) -> float:

@@ -27,7 +27,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DensityMatrix, pauli, spread, tensor, commutator_bound
+from .qcore import (
+    Check,
+    DensityMatrix,
+    commutator_bound,
+    failing,
+    pauli,
+    run_checks,
+    spread,
+    tensor,
+)
 from .scenario import SemiweakSlide, disturbed_observable, joint_distribution
 from .estimate import Estimator, estimator_spread, inaccuracy_x, y_estimator_spread
 from .qcore import BlochObservable
@@ -39,7 +48,7 @@ class RelationViolationError(ValueError):
 
 MARGIN_TOL = 1e-9
 
-_RELATION_NAMES = ("arthurs_kelly", "hall", "ozawa", "new")
+RELATION_NAMES = ("arthurs_kelly", "hall", "ozawa", "new")
 
 
 @dataclass(frozen=True)
@@ -65,9 +74,9 @@ class RelationReport:
 
     @property
     def satisfied(self) -> dict[str, bool]:
-        lhs = dict(zip(_RELATION_NAMES,
+        lhs = dict(zip(RELATION_NAMES,
                        (self.lhs_ak, self.lhs_hall, self.lhs_ozawa, self.lhs_new)))
-        return {name: lhs[name] >= self.bound - MARGIN_TOL for name in _RELATION_NAMES}
+        return {name: lhs[name] >= self.bound - MARGIN_TOL for name in RELATION_NAMES}
 
     def margins(self) -> dict[str, float]:
         return {"arthurs_kelly": self.lhs_ak - self.bound,
@@ -89,25 +98,44 @@ class RelationReport:
         }
 
 
+def relation_input_checks(**values) -> list[Check]:
+    """Checks that every relation input is finite and non-negative; the
+    values are floats or arrays of one common length N."""
+    inputs = list(values.items())
+    stacked = np.empty((len(inputs), max(np.size(v) for _, v in inputs)))
+    for row, (_, val) in zip(stacked, inputs):
+        row[:] = val
+    bad = ~(np.isfinite(stacked) & (stacked >= 0.0))
+    return [(bad[k], failing(
+                ValueError,
+                lambda i, name=name, val=val: f"{name} must be finite and non-negative, "
+                                              f"got {val if np.ndim(val) == 0 else val[i]}"))
+            for k, (name, val) in enumerate(inputs)]
+
+
+def relation_lhs(eps_a, eps_b, delta_a, delta_b, delta_a_est, delta_b_est):
+    """The four left-hand sides ``(arthurs_kelly, hall, ozawa, new)``, for
+    floats or arrays alike."""
+    lhs_ak = eps_a * eps_b
+    return (lhs_ak,
+            lhs_ak + eps_a * delta_b_est + delta_a_est * eps_b,
+            lhs_ak + eps_a * delta_b + delta_a * eps_b,
+            eps_a * (delta_b_est + delta_b) / 2.0 + eps_b * (delta_a_est + delta_a) / 2.0)
+
+
 def evaluate_relations(eps_a: float, eps_b: float, delta_a: float, delta_b: float,
                        delta_a_est: float, delta_b_est: float, c: float,
                        scenario: dict | None = None) -> RelationReport:
     """Evaluate the four relations from scalar summary statistics."""
-    values = {"eps_a": eps_a, "eps_b": eps_b, "delta_a": delta_a,
-              "delta_b": delta_b, "delta_a_est": delta_a_est,
-              "delta_b_est": delta_b_est, "c": c}
-    for name, val in values.items():
-        if not math.isfinite(val) or val < 0.0:
-            raise ValueError(f"{name} must be finite and non-negative, got {val}")
-    lhs_ak = eps_a * eps_b
+    run_checks(relation_input_checks(
+        eps_a=eps_a, eps_b=eps_b, delta_a=delta_a, delta_b=delta_b,
+        delta_a_est=delta_a_est, delta_b_est=delta_b_est, c=c))
+    lhs_ak, lhs_hall, lhs_ozawa, lhs_new = relation_lhs(
+        eps_a, eps_b, delta_a, delta_b, delta_a_est, delta_b_est)
     return RelationReport(
         eps_a=eps_a, eps_b=eps_b, delta_a=delta_a, delta_b=delta_b,
         delta_a_est=delta_a_est, delta_b_est=delta_b_est, c=c,
-        lhs_ak=lhs_ak,
-        lhs_hall=lhs_ak + eps_a * delta_b_est + delta_a_est * eps_b,
-        lhs_ozawa=lhs_ak + eps_a * delta_b + delta_a * eps_b,
-        lhs_new=eps_a * (delta_b_est + delta_b) / 2.0
-                + eps_b * (delta_a_est + delta_a) / 2.0,
+        lhs_ak=lhs_ak, lhs_hall=lhs_hall, lhs_ozawa=lhs_ozawa, lhs_new=lhs_new,
         scenario=dict(scenario or {}),
     )
 

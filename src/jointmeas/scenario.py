@@ -24,6 +24,7 @@ The slide admits *contextual values* ``xi_m``: state-independent weights with
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,20 +32,30 @@ import numpy as np
 
 from .qcore import (
     DEFAULT_TOLERANCES,
+    SIGMAS,
     BlochObservable,
+    Check,
     DensityMatrix,
     DimensionMismatchError,
     HermitianOperator,
     ToleranceProfile,
+    correlations,
+    failing,
     matrices_close,
     pauli,
     projector_pair,
+    run_checks,
+    submit_checks,
 )
 
 TRANSMITTED = +1
 REFLECTED = -1
 
 OUTCOMES = (+1, -1)
+# Array kernels index every +-1 outcome axis in OUTCOMES order: SIGNS holds
+# the outcome values, TRIPLES the (m, y, w) keys of a flattened p[m, y, w].
+SIGNS = np.array(OUTCOMES, dtype=float)
+TRIPLES = tuple(itertools.product(OUTCOMES, repeat=3))
 
 
 class DegenerateMeasurementError(ValueError):
@@ -178,7 +189,8 @@ class JointDistribution:
     ``provenance`` is ``"simulated"`` (mass 1 within 1e-10) or ``"measured"``
     (mass within the measured tolerance, entries kept verbatim).  ``sigmas``
     optionally carries one-standard-deviation uncertainties per entry; they
-    are stored and re-emitted but never propagated.
+    are stored and re-emitted but never propagated.  ``table`` holds the
+    entries as a read-only array ``p[m, y, w]`` in OUTCOMES order.
     """
 
     entries: dict[tuple[int, int, int], float]
@@ -191,33 +203,70 @@ class JointDistribution:
     def __post_init__(self):
         if self.provenance not in ("simulated", "measured"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        expected = {(m, y, w) for m in OUTCOMES for y in OUTCOMES for w in OUTCOMES}
-        if set(self.entries) != expected:
+        if set(self.entries) != set(TRIPLES):
             raise ValueError("distribution must cover exactly the 8 outcome triples")
-        low = min(self.entries.values())
-        if low < -1e-9:
-            raise ValueError(f"negative probability {low:.3e} in distribution")
-        tol = (self.tolerances.simulated_norm if self.provenance == "simulated"
-               else self.tolerances.measured_norm)
-        total = self.total()
-        if abs(total - 1.0) > tol:
-            raise ValueError(
-                f"probabilities sum to {total:.4f}, outside 1 +- {tol:g} "
-                f"for {self.provenance} data")
+        table = np.array([self.entries[key] for key in TRIPLES], dtype=float).reshape(2, 2, 2)
+        table.setflags(write=False)
+        run_checks(table_checks(table[None], self.mass_tolerance, self.provenance))
+        object.__setattr__(self, "table", table)
+
+    @property
+    def mass_tolerance(self) -> float:
+        """How far the total mass may sit from 1 for this provenance."""
+        return (self.tolerances.simulated_norm if self.provenance == "simulated"
+                else self.tolerances.measured_norm)
 
     def prob(self, m: int, y: int, w: int) -> float:
         return self.entries[(m, y, w)]
 
     def total(self) -> float:
-        return float(sum(self.entries.values()))
+        return float(self.table.sum())
 
     def marginal(self, axis: str) -> dict[int, float]:
         """Marginal over one outcome label, ``axis`` in {"m", "y", "w"}."""
         idx = {"m": 0, "y": 1, "w": 2}[axis]
-        out = {+1: 0.0, -1: 0.0}
-        for key, p in self.entries.items():
-            out[key[idx]] += p
-        return out
+        sums = self.table.sum(axis=tuple(a for a in range(3) if a != idx))
+        return dict(zip(OUTCOMES, sums.tolist()))
+
+
+def table_checks(p: np.ndarray, tol: float, provenance: str = "simulated") -> list[Check]:
+    """Checks of tables ``p[N, m, y, w]``: no entry below -1e-9 and a total
+    mass within ``tol`` of 1."""
+    flat = p.reshape(-1, 8)
+    low = flat.min(axis=1)
+    total = flat.sum(axis=1)
+    return [
+        (low < -1e-9, failing(
+            ValueError, lambda i: f"negative probability {low[i]:.3e} in distribution")),
+        (np.abs(total - 1.0) > tol, failing(
+            ValueError, lambda i: f"probabilities sum to {total[i]:.4f}, outside 1 +- "
+                                  f"{tol:g} for {provenance} data")),
+    ]
+
+
+def joint_tables(rho: DensityMatrix, slide: SemiweakSlide, n: np.ndarray,
+                 checks: list[Check] | None = None) -> np.ndarray:
+    """Joint tables ``p[N, m, y, w]`` for N analyser directions ``n[N, 3]``.
+
+    ``p(m, y, w) = Tr(rho (M_m Y_y M_m (x) W_w))`` with
+    ``W_w = (s_0 + w n.s)/2``, so every table is linear in
+    ``A[m, y, k] = Tr(rho (M_m Y_y M_m (x) s_k))``, built once from the
+    slide's Kraus operators.  Each table is normalised exactly and then
+    checked like a simulated JointDistribution; the checks go to ``checks``
+    when given, else they run here.
+    """
+    kraus = np.stack([slide.kraus(m).matrix for m in OUTCOMES])
+    y_projs = (SIGMAS[0] + SIGNS[:, None, None] * SIGMAS[2]) / 2
+    probes = kraus[:, None] @ y_projs[None] @ kraus[:, None]
+    # Pauli components of each probe M_m Y_y M_m, then A = c T
+    coef = np.einsum("myab,jba->myj", probes, SIGMAS).real / 2
+    a = coef @ correlations(rho)
+    # p(m, y, w) = (A[m, y, 0] + w n.A[m, y, 1:]) / 2, with (m, y) flattened
+    along = n @ a[..., 1:].reshape(4, 3).T
+    p = ((a[..., 0].reshape(1, 4, 1) + along[:, :, None] * SIGNS) / 2).reshape(-1, 8)
+    p = (p / p.sum(axis=1, keepdims=True)).reshape(-1, 2, 2, 2)
+    submit_checks(checks, table_checks(p, DEFAULT_TOLERANCES.simulated_norm))
+    return p
 
 
 def joint_distribution(rho: DensityMatrix, slide: SemiweakSlide,
@@ -225,27 +274,14 @@ def joint_distribution(rho: DensityMatrix, slide: SemiweakSlide,
     """Simulate ``p(m, y, w) = <M_m Y_y M_m (x) W_w>`` and normalise exactly.
 
     The slide acts on qubit 1, then Y is measured on the disturbed qubit 1
-    while W is measured on qubit 2.
+    while W is measured on qubit 2.  This is :func:`joint_tables` for one
+    direction.
     """
-    if rho.dim != 4:
-        raise DimensionMismatchError("joint_distribution needs a two-qubit state")
-    y_projs = dict(zip(OUTCOMES, projector_pair(pauli("Y"))))
-    w_projs = dict(zip(OUTCOMES, projector_pair(w.as_operator())))
-    entries: dict[tuple[int, int, int], float] = {}
-    for m in OUTCOMES:
-        km = slide.kraus(m).matrix
-        for y in OUTCOMES:
-            probe = km @ y_projs[y].matrix @ km
-            for ww in OUTCOMES:
-                op = np.kron(probe, w_projs[ww].matrix)
-                val = complex(np.trace(rho.matrix @ op))
-                entries[(m, y, ww)] = val.real
-    total = sum(entries.values())
-    entries = {k: v / total for k, v in entries.items()}
+    p = joint_tables(rho, slide, w.vector[None])[0]
     meta = {"theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
             "r_h": slide.r_h, "r_v": slide.r_v}
-    return JointDistribution(entries=entries, provenance="simulated",
-                             w_observable=w, metadata=meta)
+    return JointDistribution(entries=dict(zip(TRIPLES, p.ravel().tolist())),
+                             provenance="simulated", w_observable=w, metadata=meta)
 
 
 def effective_povm(slide: SemiweakSlide) -> tuple[HermitianOperator, HermitianOperator]:

@@ -18,38 +18,50 @@ import numpy as np
 from .estimate import (
     DispersionCheck,
     Estimator,
+    estimate_spreads,
     estimator_spread,
     inaccuracy_x,
     inaccuracy_y,
     mh_from_counts,
     optimal_estimator,
+    optimal_values,
+    x_inaccuracies,
     y_estimator_spread,
+    y_spreads,
 )
 from .oracle import DilatedSystem, direct_inaccuracy, direct_margenau_hill
 from .qcore import (
+    DEFAULT_TOLERANCES,
     BlochObservable,
+    Check,
     DensityMatrix,
+    bloch_vectors,
     commutator_bound,
     pauli,
     projector_pair,
+    run_checks,
     spread,
     tensor,
 )
 from .relations import (
     MARGIN_TOL,
+    RELATION_NAMES,
     RelationReport,
     RelationViolationError,
     evaluate_relations,
+    relation_input_checks,
+    relation_lhs,
     strength_comparison,
     verify_relation_chain,
 )
 from .scenario import (
-    OUTCOMES,
+    SIGNS,
     JointDistribution,
     SemiweakSlide,
     effective_povm,
     epr_state,
     joint_distribution,
+    joint_tables,
     slide_model,
 )
 
@@ -70,15 +82,19 @@ def reference_scenario() -> tuple[DensityMatrix, SemiweakSlide, BlochObservable]
             BlochObservable.from_degrees(90.0, 180.0))
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ESTIMATOR_KINDS:
+        raise ValueError(f"unknown estimator kind {kind!r} (use 'simple' or 'optimal')")
+
+
 def build_estimator(kind: str, rho: DensityMatrix | None = None,
                     w: BlochObservable | None = None) -> Estimator:
+    _check_kind(kind)
     if kind == "simple":
         return Estimator.simple()
-    if kind == "optimal":
-        if rho is None or w is None:
-            raise ValueError("the optimal estimator needs a state and a W observable")
-        return optimal_estimator(rho, w)
-    raise ValueError(f"unknown estimator kind {kind!r} (use 'simple' or 'optimal')")
+    if rho is None or w is None:
+        raise ValueError("the optimal estimator needs a state and a W observable")
+    return optimal_estimator(rho, w)
 
 
 @dataclass(frozen=True)
@@ -159,34 +175,45 @@ def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
     delta_y_est.  Per estimator kind: eps_x_<kind>, delta_x_est_<kind>,
     dispersion_rss_<kind> (= sqrt(eps^2 + spread^2), which matches delta_x
     for the optimal estimator), and the four lhs_*_<kind> columns.
+
+    All angles go through the array kernels in one pass, so a dense grid
+    (thousands of angles) costs milliseconds.  The checks of the
+    single-scenario path still apply to every angle, and the error raised
+    is the one the first offending angle gives, with the same type and
+    message.
     """
+    phis = np.array([float(phi) for phi in phi_degs])
+    if phis.size == 0:
+        return []
+    n = bloch_vectors(math.radians(theta_deg), np.radians(phis))
+    checks: list[Check] = []
+    p = joint_tables(rho, slide, n, checks)
     eps_b = inaccuracy_y(slide)
     delta_x = spread(_X1, rho)
     delta_y = spread(_Y1, rho)
     c = commutator_bound(_X1, _Y1, rho)
-    rows = []
-    for phi_deg in phi_degs:
-        w = BlochObservable.from_degrees(theta_deg, float(phi_deg))
-        dist = joint_distribution(rho, slide, w)
-        row = {"phi_deg": float(phi_deg), "theta_deg": float(theta_deg),
-               "c": c, "bound": c / 2.0, "delta_x": delta_x, "delta_y": delta_y,
-               "eps_y": eps_b, "delta_y_est": y_estimator_spread(dist)}
-        for kind in estimators:
-            est = build_estimator(kind, rho, w)
-            eps_a = inaccuracy_x(dist, slide, est)
-            d_est = estimator_spread(dist, est)
-            report = evaluate_relations(
-                eps_a=eps_a, eps_b=eps_b, delta_a=delta_x, delta_b=delta_y,
-                delta_a_est=d_est, delta_b_est=row["delta_y_est"], c=c)
-            row[f"eps_x_{kind}"] = eps_a
-            row[f"delta_x_est_{kind}"] = d_est
-            row[f"dispersion_rss_{kind}"] = math.sqrt(eps_a ** 2 + d_est ** 2)
-            row[f"lhs_arthurs_kelly_{kind}"] = report.lhs_ak
-            row[f"lhs_hall_{kind}"] = report.lhs_hall
-            row[f"lhs_ozawa_{kind}"] = report.lhs_ozawa
-            row[f"lhs_new_{kind}"] = report.lhs_new
-        rows.append(row)
-    return rows
+    delta_y_est = y_spreads(p, checks)
+    columns = {"phi_deg": phis, "theta_deg": float(theta_deg), "c": c, "bound": c / 2.0,
+               "delta_x": delta_x, "delta_y": delta_y, "eps_y": eps_b,
+               "delta_y_est": delta_y_est}
+    for kind in estimators:
+        _check_kind(kind)
+        f = (np.tile(SIGNS, (phis.size, 1)) if kind == "simple"
+             else optimal_values(rho, n, checks))
+        eps_a = x_inaccuracies(p, slide, f, DEFAULT_TOLERANCES.simulated_norm + 1e-12,
+                               checks)
+        d_est = estimate_spreads(p, f, checks)
+        checks += relation_input_checks(
+            eps_a=eps_a, eps_b=eps_b, delta_a=delta_x, delta_b=delta_y,
+            delta_a_est=d_est, delta_b_est=delta_y_est, c=c)
+        lhs = relation_lhs(eps_a, eps_b, delta_x, delta_y, d_est, delta_y_est)
+        columns.update({
+            f"eps_x_{kind}": eps_a, f"delta_x_est_{kind}": d_est,
+            f"dispersion_rss_{kind}": np.sqrt(eps_a ** 2 + d_est ** 2),
+            **{f"lhs_{name}_{kind}": val for name, val in zip(RELATION_NAMES, lhs)}})
+    run_checks(checks)
+    values = [np.broadcast_to(col, phis.shape).tolist() for col in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from jointmeas import RelationViolationError, parse_distribution
+from jointmeas import DataQualityWarning, RelationViolationError, parse_distribution
 from jointmeas.cli import main
 
 
@@ -101,6 +101,36 @@ def test_analyze_bundled_measured_table(tmp_path, capsys):
     assert payload["inputs"]["eps_a"] == pytest.approx(0.745316822414, abs=1e-12)
     assert payload["satisfied"]["arthurs_kelly"] is False
     assert payload["satisfied"]["hall"] is True
+
+
+def test_analyze_four_column_table(tmp_path, capsys):
+    """The documented ``m,y,w,p`` header works like the 5-column one."""
+    text = measured_table("measured_phi180.csv")
+    five, four = tmp_path / "five.csv", tmp_path / "four.csv"
+    five.write_text(text)
+    four.write_text("\n".join(line if line.startswith("#") else line.rsplit(",", 1)[0]
+                              for line in text.splitlines()) + "\n")
+    assert "m,y,w,p\n" in four.read_text()
+    reports = []
+    for path in (five, four):
+        assert main(["analyze", "--dist-file", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def test_tolerance_profile_sets_state_floor(tmp_path, capsys):
+    """An eigenvalue of -1e-5 is within the default tomographic floor (1e-3)
+    but not within the strict one (1e-10)."""
+    diag = [0.6, 0.40001, 0.0, -0.00001]
+    rows = [f"{i},{j},{diag[i] if i == j else 0.0},0.0" for i in range(4) for j in range(4)]
+    state_file = tmp_path / "state.csv"
+    state_file.write_text("\n".join(["row,col,re,im", *rows]) + "\n")
+    argv = ["simulate", "--state-file", str(state_file), "--phi", "0"]
+    with pytest.warns(DataQualityWarning, match="slightly negative"):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--tolerance-profile", "strict"]) == 3
+    assert "not a state" in capsys.readouterr().err
 
 
 def test_analyze_rejects_inconsistent_table(tmp_path, capsys):

@@ -58,7 +58,7 @@ def test_parse_distribution_errors():
     with pytest.raises(DataValidationError, match="no header row"):
         parse_distribution("# only=metadata\n")
     with pytest.raises(DataValidationError, match="header must be"):
-        parse_distribution("m,y,w,p\n")
+        parse_distribution("m,y,w,prob\n")
     bad_outcome = GOOD_TABLE.replace("1,1,1,0.282", "2,1,1,0.282")
     with pytest.raises(DataValidationError, match=r"column 'm' must be \+1 or -1, got 2"):
         parse_distribution(bad_outcome)
@@ -157,6 +157,17 @@ def test_parse_density_matrix_gates():
         rho = parse_density_matrix(slightly)
     assert rho.min_eigenvalue == pytest.approx(-0.0005, abs=1e-12)
     assert rho.psd_warning
+
+
+def test_parse_distribution_four_columns():
+    four = "\n".join(line.rsplit(",", 1)[0] for line in GOOD_TABLE.splitlines()
+                     if not line.startswith("#")) + "\n"
+    assert four.splitlines()[0] == "m,y,w,p"
+    dist = parse_distribution(four)
+    assert dist.entries == parse_distribution(GOOD_TABLE).entries
+    assert dist.sigmas is None
+    with pytest.raises(DataValidationError, match="expected 4 columns, got 5"):
+        parse_distribution(four.replace("1,1,1,0.282", "1,1,1,0.282,0.002"))
 
 
 def test_parse_density_matrix_structure_errors():

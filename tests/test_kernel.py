@@ -1,0 +1,144 @@
+"""The batched statistics kernel against a per-angle loop reference.
+
+The reference below evaluates every quantity one angle at a time from
+operator traces ``Tr(rho (M_m Y_y M_m (x) W_w))`` built from the slide's
+Kraus operators, the way the single-scenario path did before the kernel.
+Summation order differs from the kernel's, so values agree to 1e-12, not
+bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from jointmeas import (
+    OUTCOMES,
+    BlochObservable,
+    DensityMatrix,
+    UndefinedEstimateError,
+    epr_state,
+    optimal_estimator,
+    pauli,
+    projector_pair,
+    random_slide,
+    random_state,
+    reference_scenario,
+    sweep_phi,
+)
+from jointmeas.estimate import optimal_values
+from jointmeas.qcore import bloch_vectors, failing, run_checks
+from jointmeas.scenario import joint_tables
+
+TOL = 1e-12
+PHIS = np.arange(90.0, 271.0, 15.0)
+
+
+def loop_tables(rho, slide, w):
+    """p[m, y, w] by explicit traces, normalised, and the optimal f[w]."""
+    y_projs = projector_pair(pauli("Y"))
+    w_projs = projector_pair(w.as_operator())
+    x1 = np.kron(pauli("X").matrix, np.eye(2))
+    p = np.zeros((2, 2, 2))
+    f = np.zeros(2)
+    for i, m in enumerate(OUTCOMES):
+        km = slide.kraus(m).matrix
+        for j in range(2):
+            probe = km @ y_projs[j].matrix @ km
+            for k in range(2):
+                p[i, j, k] = np.trace(rho.matrix @ np.kron(probe, w_projs[k].matrix)).real
+    for k in range(2):
+        proj = np.kron(np.eye(2), w_projs[k].matrix)
+        f[k] = (np.trace(rho.matrix @ x1 @ proj) / np.trace(rho.matrix @ proj)).real
+    return p / p.sum(), f
+
+
+def loop_row(rho, slide, theta_deg, phi_deg, row):
+    """The estimator columns of one sweep row, angle by angle."""
+    w = BlochObservable.from_degrees(theta_deg, phi_deg)
+    p, f_opt = loop_tables(rho, slide, w)
+    d_y = math.sqrt(1.0 - (p[:, 0].sum() - p[:, 1].sum()) ** 2)
+    want = {"delta_y_est": d_y}
+    for kind, f in (("simple", np.array([1.0, -1.0])), ("optimal", f_opt)):
+        eps_sq = 0.0
+        for x in OUTCOMES:
+            for k in range(2):
+                mh = sum((1.0 + x * slide.xi(m)) / 2.0 * p[i, :, k].sum()
+                         for i, m in enumerate(OUTCOMES))
+                eps_sq += (x - f[k]) ** 2 * mh
+        eps = math.sqrt(max(eps_sq, 0.0))
+        pw = p.sum(axis=(0, 1))
+        d_est = math.sqrt(max(pw @ f ** 2 - (pw @ f) ** 2, 0.0))
+        eps_b, d_x, d_y0 = row["eps_y"], row["delta_x"], row["delta_y"]
+        want.update({
+            f"eps_x_{kind}": eps, f"delta_x_est_{kind}": d_est,
+            f"dispersion_rss_{kind}": math.sqrt(eps ** 2 + d_est ** 2),
+            f"lhs_arthurs_kelly_{kind}": eps * eps_b,
+            f"lhs_hall_{kind}": eps * eps_b + eps * d_y + d_est * eps_b,
+            f"lhs_ozawa_{kind}": eps * eps_b + eps * d_y0 + d_x * eps_b,
+            f"lhs_new_{kind}": eps * (d_y + d_y0) / 2 + eps_b * (d_est + d_x) / 2})
+    return p, f_opt, want
+
+
+@pytest.mark.parametrize("theta_deg", [90.0, 37.0])
+@pytest.mark.parametrize("seed", [3, 8])
+def test_kernel_matches_loop_reference(seed, theta_deg):
+    rng = np.random.default_rng(seed)
+    rho, slide = random_state(rng), random_slide(rng)
+    n = bloch_vectors(math.radians(theta_deg), np.radians(PHIS))
+    tables = joint_tables(rho, slide, n)
+    values = optimal_values(rho, n)
+    rows = sweep_phi(rho, slide, PHIS, theta_deg=theta_deg)
+    assert [row["phi_deg"] for row in rows] == PHIS.tolist()
+    for idx, (phi, row) in enumerate(zip(PHIS, rows)):
+        p, f_opt, want = loop_row(rho, slide, theta_deg, phi, row)
+        np.testing.assert_allclose(tables[idx], p, rtol=0, atol=TOL)
+        np.testing.assert_allclose(values[idx], f_opt, rtol=0, atol=TOL)
+        for name, val in want.items():
+            assert row[name] == pytest.approx(val, abs=TOL), (phi, name)
+
+
+def test_sweep_empty_grid():
+    rho, slide, _ = reference_scenario()
+    assert sweep_phi(rho, slide, []) == []
+    assert sweep_phi(rho, slide, np.array([])) == []
+
+
+def test_sweep_undefined_estimate_raises():
+    _, slide, _ = reference_scenario()
+    with pytest.raises(UndefinedEstimateError, match=r"W outcome \+1"):
+        sweep_phi(epr_state(0.0), slide, [0, 90], theta_deg=0)
+
+
+@pytest.mark.parametrize("grid, bad_phi", [([90.0, 180.0, 0.0], 180.0),
+                                           ([90.0, 0.0, 180.0], 0.0)])
+def test_sweep_raises_for_first_offending_angle(grid, bad_phi):
+    """Qubit 2 in |+>: W = +-X leaves one outcome without probability."""
+    plus = np.array([1.0, 1.0]) / math.sqrt(2)
+    rho = DensityMatrix.from_pure(np.kron(np.array([1.0, 0.0]), plus))
+    _, slide, _ = reference_scenario()
+    with pytest.raises(UndefinedEstimateError) as scalar:
+        optimal_estimator(rho, BlochObservable.from_degrees(90.0, bad_phi))
+    with pytest.raises(UndefinedEstimateError) as swept:
+        sweep_phi(rho, slide, grid)
+    assert str(swept.value) == str(scalar.value)
+    # the simple estimator alone is defined everywhere
+    assert len(sweep_phi(rho, slide, grid, estimators=("simple",))) == 3
+
+
+def test_sweep_unknown_estimator_kind():
+    rho, slide, _ = reference_scenario()
+    with pytest.raises(ValueError, match="unknown estimator kind 'best'"):
+        sweep_phi(rho, slide, [180.0], estimators=("simple", "best"))
+
+
+def test_run_checks_fires_in_loop_order():
+    """Lowest flagged index first; within it, checks in list order until one
+    raises."""
+    fired = []
+    checks = [(np.array([False, True, True]), lambda i: fired.append(("a", i))),
+              (np.array([False, False, True]), failing(ValueError, lambda i: f"bad {i}")),
+              (np.array([True, False, True]), lambda i: fired.append(("c", i)))]
+    with pytest.raises(ValueError, match="bad 2"):
+        run_checks(checks)
+    assert fired == [("c", 0), ("a", 1), ("a", 2)]
