@@ -6,6 +6,10 @@ expectations, the dispersion identity of the optimal estimate, and all four
 relation inequalities plus their operator-chain derivation.  A small trial
 count keeps the demo quick; the test suite runs the same battery at 10_000
 trials.
+
+Trials run in array blocks.  Each block draws its trials' random numbers one
+trial after another, so the same seed still draws the same scenarios, and a
+failing check raises the error the first offending trial gives on its own.
 """
 
 from jointmeas import run_verification

@@ -45,12 +45,14 @@ from .scenario import (
     OUTCOMES,
     REFLECTED,
     SIGNS,
-    TRANSMITTED,
     TRIPLES,
+    Y_PROJECTORS,
+    DegenerateMeasurementError,
     JointDistribution,
     SemiweakSlide,
-    effective_povm,
+    as_slide_arrays,
     joint_distribution,
+    povm_elements,
 )
 
 
@@ -59,6 +61,8 @@ from .scenario import (
 _KEYS = np.array(TRIPLES)
 _ONTO_Y = (_KEYS[:, 1:2] == SIGNS).astype(float)
 _ONTO_W = (_KEYS[:, 2:3] == SIGNS).astype(float)
+# the index of each entry's m outcome in OUTCOMES order
+_M_INDEX = (_KEYS[:, 0] == REFLECTED).astype(int)
 
 
 class UndefinedEstimateError(ValueError):
@@ -117,7 +121,7 @@ class QuasiDistribution:
     atol: float = 1e-9
 
     def __post_init__(self):
-        run_checks(_quasi_mass_checks(np.array([self.total()]), self.atol))
+        run_checks(quasi_mass_checks(np.array([self.total()]), self.atol))
 
     def total(self) -> float:
         return float(sum(self.entries.values()))
@@ -129,23 +133,32 @@ class QuasiDistribution:
         return out
 
 
-def _quasi_mass_checks(total: np.ndarray, atol: float) -> list[Check]:
+def quasi_mass_checks(total: np.ndarray, atol: float) -> list[Check]:
+    """Checks that quasi-tables of total masses ``total[N]`` sum to 1 within
+    ``atol``, as a QuasiDistribution requires."""
     return [(np.abs(total - 1.0) > atol, failing(
         ValueError, lambda i: f"quasi-probabilities sum to {total[i]:.6f}, not 1"))]
 
 
-def optimal_values(rho: DensityMatrix, n: np.ndarray,
+def optimal_values(rho, n: np.ndarray,
                    checks: list[Check] | None = None) -> np.ndarray:
     """Least-squares X estimates ``f[N, w]`` for N directions ``n[N, 3]``.
 
-    ``f(w) = <X (x) W_w> / <1 (x) W_w>``, read off the state's correlation
-    tensor.  An outcome with probability <= 1e-12 raises
-    ``UndefinedEstimateError`` (its estimate is NaN when the checks go to
-    ``checks``, else they run here).
+    ``f(w) = <X (x) W_w> / <1 (x) W_w>``, read off the correlation tensor of
+    ``rho``: one DensityMatrix shared by all directions, or N states
+    ``[N, 4, 4]``, one per direction.  An outcome with probability
+    <= 1e-12 raises ``UndefinedEstimateError`` (its estimate is NaN when the
+    checks go to ``checks``, else they run here).
     """
-    t = correlations(rho)
-    den = 0.5 * (t[0, 0] + np.outer(n @ t[0, 1:], SIGNS))
-    num = 0.5 * (t[1, 0] + np.outer(n @ t[1, 1:], SIGNS))
+    t = correlations(rho).reshape(-1, 4, 4)
+    # directions grouped by their state: all N under one, or one under each
+    groups = n.reshape(len(t), -1, 3)
+
+    def half_moments(j: int) -> np.ndarray:
+        # <s_j (x) W_w> = (T[j, 0] + w n.T[j, 1:]) / 2
+        return (0.5 * (t[:, j, :1, None] + (groups @ t[:, j, 1:, None]) * SIGNS)).reshape(-1, 2)
+
+    den, num = half_moments(0), half_moments(1)
     undefined = den <= 1e-12
     submit_checks(checks, [
         (undefined[:, k], failing(
@@ -167,19 +180,24 @@ def optimal_estimator(rho: DensityMatrix, w: BlochObservable) -> Estimator:
     return Estimator(dict(zip(OUTCOMES, f.tolist())), kind="optimal")
 
 
-def mh_tables(p: np.ndarray, slide: SemiweakSlide) -> np.ndarray:
+def mh_tables(p: np.ndarray, slide) -> np.ndarray:
     """Margenau-Hill quasi-tables ``p_MH[N, x, w]`` of tables ``p[N, m, y, w]``:
-    ``p_MH(x, w) = sum_{m,y} (1 + x xi_m)/2 p(m, y, w)``."""
-    xi = np.where(_KEYS[:, 0] == TRANSMITTED, slide.xi(TRANSMITTED), slide.xi(REFLECTED))
-    weights = 0.5 * (1.0 + xi[:, None] * SIGNS)  # [entry, x]
-    to_mh = (weights[:, :, None] * _ONTO_W[:, None, :]).reshape(8, 4)
-    return (p.reshape(-1, 8) @ to_mh).reshape(-1, 2, 2)
+    ``p_MH(x, w) = sum_{m,y} (1 + x xi_m)/2 p(m, y, w)``, for one
+    SemiweakSlide shared by all tables or N slides (:class:`SlideArrays`)."""
+    xi = as_slide_arrays(slide).xi
+    if xi is None:
+        raise DegenerateMeasurementError(
+            "slide has r_h == r_v; contextual values are undefined")
+    weights = 0.5 * (1.0 + xi[:, _M_INDEX, None] * SIGNS)  # [N, entry, x]
+    to_mh = (weights[..., None] * _ONTO_W[:, None, :]).reshape(-1, 8, 4)
+    return (p.reshape(len(to_mh), -1, 8) @ to_mh).reshape(-1, 2, 2)
 
 
-def x_inaccuracies(p: np.ndarray, slide: SemiweakSlide, f: np.ndarray, atol: float,
+def x_inaccuracies(p: np.ndarray, slide, f: np.ndarray, atol: float,
                    checks: list[Check] | None = None) -> np.ndarray:
     """RMS inaccuracies ``eps[N]`` of the X estimates ``f[N, w]``,
-    reconstructed from tables ``p[N, m, y, w]``.
+    reconstructed from tables ``p[N, m, y, w]`` behind one SemiweakSlide or
+    N slides (:class:`SlideArrays`).
 
     ``eps^2 = sum_{x,w} (x - f(w))^2 p_MH(x, w)``.  Each quasi-table's mass
     must lie within ``atol`` of 1.  A square in [-1e-9, 0) is clamped to
@@ -189,7 +207,7 @@ def x_inaccuracies(p: np.ndarray, slide: SemiweakSlide, f: np.ndarray, atol: flo
     """
     mh = mh_tables(p, slide).reshape(-1, 4)
     eps_sq = (((SIGNS[:, None] - f[:, None, :]) ** 2).reshape(-1, 4) * mh).sum(axis=1)
-    submit_checks(checks, _quasi_mass_checks(mh.sum(axis=1), atol) + [
+    submit_checks(checks, quasi_mass_checks(mh.sum(axis=1), atol) + [
         (eps_sq < -1e-9, failing(
             NumericalCorruptionError,
             lambda i: f"reconstructed eps^2 = {eps_sq[i]:.3e}: input data is inconsistent")),
@@ -250,27 +268,32 @@ def inaccuracy_x(dist: JointDistribution, slide: SemiweakSlide,
                                 dist.mass_tolerance + 1e-12)[0])
 
 
-def inaccuracy_y(slide: SemiweakSlide) -> float:
-    """RMS inaccuracy of the semiweak Y measurement: sqrt(2 kappa).
+def y_inaccuracies(slide, checks: list[Check] | None = None) -> np.ndarray:
+    """RMS inaccuracies ``[N]`` of the semiweak Y measurement behind N slides
+    (a SemiweakSlide or :class:`SlideArrays`): sqrt(2 kappa).
 
     Evaluated as the MH mean-square difference between the target Y and the
     effective POVM behind the slide, ``sum (y - y')^2 p_MH(y, y')``, and
-    checked against 2 kappa.  The value is state independent, so a reference
-    state drops out of the sum.
+    checked against 2 kappa to 1e-12.  The value is state independent, so
+    the reference state 1/2 drops out of the sum.  The checks go to
+    ``checks`` when given, else they run here.
     """
-    upsilon = dict(zip(OUTCOMES, effective_povm(slide)))
-    y_projs = dict(zip(OUTCOMES, projector_pair(pauli("Y"))))
-    tau = np.eye(2) / 2.0
-    eps_sq = 0.0
-    for y in OUTCOMES:
-        for yp in OUTCOMES:
-            anti = y_projs[y].matrix @ upsilon[yp].matrix + upsilon[yp].matrix @ y_projs[y].matrix
-            p_mh = 0.5 * float(np.real(np.trace(tau @ anti)))
-            eps_sq += (y - yp) ** 2 * p_mh
-    if abs(eps_sq - 2.0 * slide.kappa) > 1e-12:
-        raise NumericalCorruptionError(
-            f"MH sum {eps_sq:.15f} deviates from 2 kappa = {2 * slide.kappa:.15f}")
-    return math.sqrt(max(eps_sq, 0.0))
+    kappa = as_slide_arrays(slide).kappa
+    upsilon = povm_elements(slide, checks)[:, None]
+    y_projs = Y_PROJECTORS[:, None]
+    anti = y_projs @ upsilon + upsilon @ y_projs  # [N, y, y']
+    p_mh = 0.25 * np.trace(anti, axis1=-2, axis2=-1).real
+    eps_sq = ((SIGNS[:, None] - SIGNS) ** 2 * p_mh).reshape(-1, 4).sum(axis=1)
+    submit_checks(checks, [(np.abs(eps_sq - 2.0 * kappa) > 1e-12, failing(
+        NumericalCorruptionError,
+        lambda i: f"MH sum {eps_sq[i]:.15f} deviates from 2 kappa = {2 * kappa[i]:.15f}"))])
+    return np.sqrt(np.maximum(eps_sq, 0.0))
+
+
+def inaccuracy_y(slide: SemiweakSlide) -> float:
+    """RMS inaccuracy of the semiweak Y measurement: sqrt(2 kappa)
+    (:func:`y_inaccuracies` for one slide)."""
+    return float(y_inaccuracies(slide)[0])
 
 
 def estimator_spread(dist: JointDistribution, est: Estimator) -> float:

@@ -20,12 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimate import QuasiDistribution
-from .qcore import DensityMatrix, HermitianOperator, _psd_sqrt
-
-
-def _as_array(op) -> np.ndarray:
-    return np.asarray(getattr(op, "matrix", op), dtype=complex)
+from .estimate import QuasiDistribution, quasi_mass_checks
+from .qcore import (
+    SIGMAS,
+    Check,
+    DensityMatrix,
+    _psd_sqrt,
+    as_operator_array,
+    failing,
+    submit_checks,
+)
 
 
 def embed(op: np.ndarray, slots: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
@@ -61,45 +65,145 @@ def embed(op: np.ndarray, slots: tuple[int, ...], dims: tuple[int, ...]) -> np.n
     return full.reshape(dim, dim)
 
 
-def naimark_unitary(povm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Dilation unitary for a binary POVM on one qubit.
+def _kron(*ops: np.ndarray) -> np.ndarray:
+    """Kronecker product of operators ``[d, d]`` or stacks ``[N, d, d]``,
+    stacks taken entry by entry."""
+    out = ops[0]
+    for op in ops[1:]:
+        prod = out[..., :, None, :, None] * op[..., None, :, None, :]
+        size = prod.shape[-4] * prod.shape[-3]
+        out = prod.reshape(*prod.shape[:-4], size, size)
+    return out
+
+
+_EYE2 = np.eye(2, dtype=complex)
+_VALUES = np.array([1.0, -1.0])  # +-1 outcome values, +1 first
+_X_PROJS = (SIGMAS[0] + _VALUES[:, None, None] * SIGMAS[1]) / 2
+_ANC0 = np.diag([1.0, 0.0]).astype(complex)
+# 1 (x) |i><i| on (system, ancilla) for ancilla states i = 0, 1
+_ANC_PROJS = _kron(_EYE2, np.stack([_ANC0, np.diag([0.0, 1.0]).astype(complex)]))
+
+
+def naimark_unitaries(povms, checks: list[Check] | None = None) -> np.ndarray:
+    """Dilation unitaries ``[N, 4, 4]`` for N binary POVMs ``povms[N, i]`` on
+    one qubit.
 
     With Hermitian PSD Kraus operators ``M_i = sqrt(E_i)``, the isometry
     ``|s> -> sum_i (M_i |s>) (x) |i>_anc`` is completed to a unitary on
     (system tensor ancilla); measuring the ancilla in its basis then realises
-    the POVM when the ancilla starts in ``|0>``.
+    the POVM when the ancilla starts in ``|0>``.  The elements must sum to
+    the identity, and the completion must be unitary; the checks go to
+    ``checks`` when given, else they run here.
     """
-    e_plus, e_minus = (np.asarray(e, dtype=complex) for e in povm)
-    total = e_plus + e_minus
-    if not np.allclose(total, np.eye(2), atol=1e-10):
-        raise ValueError("POVM elements must sum to the identity")
-    kraus = [_psd_sqrt(e_plus), _psd_sqrt(e_minus)]
-    iso = np.zeros((4, 2), dtype=complex)
-    for anc, km in enumerate(kraus):
-        for s in range(2):
-            for sp in range(2):
-                iso[s * 2 + anc, sp] = km[s, sp]
-    unitary = np.zeros((4, 4), dtype=complex)
-    unitary[:, 0] = iso[:, 0]
-    unitary[:, 2] = iso[:, 1]
-    # complete the remaining columns by Gram-Schmidt over a fixed basis
+    elements = as_operator_array(povms)
+    count = len(elements)
+    incomplete = ~np.isclose(elements[:, 0] + elements[:, 1], _EYE2,
+                             atol=1e-10).all(axis=(-2, -1))
+    # isometry rows (s, anc), columns s': M_anc[s, s']
+    iso = _psd_sqrt(elements).transpose(0, 2, 1, 3).reshape(count, 4, 2)
+    unitary = np.zeros((count, 4, 4), dtype=complex)
+    unitary[:, :, 0] = iso[:, :, 0]
+    unitary[:, :, 2] = iso[:, :, 1]
+    # complete the remaining columns by Gram-Schmidt over a fixed basis,
+    # taking for each unitary the first basis vector that stays independent
     filled = [0, 2]
+    failed = np.zeros(count, dtype=bool)
     for col in (1, 3):
+        done = np.zeros(count, dtype=bool)
         for seed in range(4):
-            vec = np.zeros(4, dtype=complex)
-            vec[seed] = 1.0
+            vec = np.zeros((count, 4), dtype=complex)
+            vec[:, seed] = 1.0
             for prev in filled:
-                vec -= unitary[:, prev] * (unitary[:, prev].conj() @ vec)
-            norm = np.linalg.norm(vec)
-            if norm > 1e-7:
-                unitary[:, col] = vec / norm
-                filled.append(col)
-                break
-        else:
-            raise ValueError("failed to complete dilation unitary")
-    if not np.allclose(unitary.conj().T @ unitary, np.eye(4), atol=1e-12):
-        raise ValueError("dilation completion is not unitary")
+                overlap = np.einsum("na,na->n", unitary[:, :, prev].conj(), vec)
+                vec -= unitary[:, :, prev] * overlap[:, None]
+            norm = np.linalg.norm(vec, axis=1)
+            take = ~done & (norm > 1e-7)
+            unitary[take, :, col] = vec[take] / norm[take, None]
+            done |= take
+        failed |= ~done
+        filled.append(col)
+    gram = unitary.conj().swapaxes(-1, -2) @ unitary
+    submit_checks(checks, [
+        (incomplete, failing(ValueError, lambda i: "POVM elements must sum to the identity")),
+        (failed, failing(ValueError, lambda i: "failed to complete dilation unitary")),
+        (~np.isclose(gram, np.eye(4), atol=1e-12).all(axis=(-2, -1)),
+         failing(ValueError, lambda i: "dilation completion is not unitary")),
+    ])
     return unitary
+
+
+def naimark_unitary(povm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Dilation unitary for a binary POVM on one qubit
+    (:func:`naimark_unitaries` for one POVM)."""
+    return naimark_unitaries(np.asarray(povm, dtype=complex)[None])[0]
+
+
+def naimark_projectors(povms, checks: list[Check] | None = None) -> np.ndarray:
+    """Projective families ``[N, i, 4, 4]`` on (system, ancilla) realising N
+    binary POVMs ``povms[N, i]``: the ancilla projectors ``1 (x) |i><i|``
+    back-rotated by the dilation unitaries of :func:`naimark_unitaries`."""
+    unitary = naimark_unitaries(povms, checks)[:, None]
+    return unitary.conj().swapaxes(-1, -2) @ _ANC_PROJS @ unitary
+
+
+def _w_projectors(n: np.ndarray, checks: list[Check] | None) -> np.ndarray:
+    """Eigenprojectors ``W_w[N, w]`` (w = +1, -1) of the analyser observables
+    ``W = n.s`` for directions ``n[N, 3]``, each W checked to square to the
+    identity as in :func:`projector_pair`."""
+    w_ops = np.einsum("nk,kab->nab", n, SIGMAS[1:])
+    submit_checks(checks, [(np.abs(w_ops @ w_ops - _EYE2).max(axis=(-2, -1)) > 1e-10, failing(
+        ValueError, lambda i: "projector_pair needs an operator squaring to the identity"))])
+    return (_EYE2 + _VALUES[:, None, None] * w_ops[:, None]) / 2
+
+
+def direct_moments(rho: np.ndarray, n: np.ndarray, f: np.ndarray,
+                   checks: list[Check] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Direct operator moments of N two-qubit scenarios.
+
+    For states ``rho[N, 4, 4]``, analyser directions ``n[N, 3]`` and K
+    estimates ``f[N, K, w]`` of X read off the W outcome, returns the
+    Margenau-Hill quasi-tables ``<{X_x (x) 1, 1 (x) W_w}>/2`` ``[N, x, w]``
+    and the RMS inaccuracies ``sqrt(<(X (x) 1 - 1 (x) f_k(W))^2>)``
+    ``[N, K]``, all straight from traces.  Each quasi-table must sum to 1
+    within 1e-9; the checks go to ``checks`` when given, else they run here.
+    """
+    w_projs = _w_projectors(n, checks)
+    k_ops = _kron(_X_PROJS, _EYE2)[None, :, None]
+    l_ops = _kron(_EYE2, w_projs)[:, None]
+    anti = k_ops @ l_ops + l_ops @ k_ops
+    mh = 0.5 * np.einsum("nab,nxwba->nxw", rho, anti).real
+    submit_checks(checks, quasi_mass_checks(mh.sum(axis=(1, 2)), 1e-9))
+    estimates = np.einsum("nkw,nwab->nkab", f, w_projs)
+    diff = _kron(SIGMAS[1], _EYE2) - _kron(_EYE2, estimates)
+    second = np.einsum("nab,nkbc,nkca->nk", rho, diff, diff).real
+    return mh, np.sqrt(np.maximum(second, 0.0))
+
+
+def dilated_operators(rho: np.ndarray, povms: np.ndarray, n: np.ndarray, f: np.ndarray,
+                      checks: list[Check] | None = None):
+    """Commuting projective estimators on (q1, q2, ancilla) for N scenarios.
+
+    For states ``rho[N, 4, 4]``, the Y POVMs ``povms[N, y]`` behind the
+    slides, analyser directions ``n[N, 3]`` and X estimates ``f[N, w]``,
+    returns ``(x_est, y_est, x1, y1, state)``: the X estimate ``f(W)`` on
+    qubit 2, the Naimark-dilated Y estimate on (q1, ancilla) with values
+    +-1, the targets X and Y on qubit 1, and the state with the ancilla in
+    ``|0>``; each ``[N, 8, 8]`` or, for x1 and y1, ``[8, 8]``.  The dilated
+    family must be complete; the checks go to ``checks`` when given, else
+    they run here.
+    """
+    state = _kron(rho, _ANC0)
+    x_est = _kron(_EYE2, np.einsum("nw,nwab->nab", f, _w_projectors(n, checks)), _EYE2)
+    local = naimark_projectors(povms, checks)
+    # embed on slots (q1, anc) of (q1, q2, anc): identity on q2
+    family = np.einsum("nipqrs,bc->nipbqrcs",
+                       local.reshape(-1, 2, 2, 2, 2, 2), _EYE2).reshape(-1, 2, 8, 8)
+    submit_checks(checks, [(~np.isclose(family.sum(axis=1), np.eye(8),
+                                        atol=1e-12).all(axis=(-2, -1)), failing(
+        ValueError, lambda i: "dilated family is not complete"))])
+    y_est = family[:, 0] - family[:, 1]
+    return (x_est, y_est, _kron(SIGMAS[1], _EYE2, _EYE2), _kron(SIGMAS[2], _EYE2, _EYE2),
+            state)
 
 
 @dataclass
@@ -136,14 +240,14 @@ class DilatedSystem:
         return int(np.prod(self.dims))
 
     def register(self, name: str, op, slots: tuple[int, ...]) -> np.ndarray:
-        mat = embed(_as_array(op), slots, self.dims)
+        mat = embed(as_operator_array(op), slots, self.dims)
         self.operators[name] = mat
         return mat
 
     def register_family(self, name: str, members: list[tuple[float, object]],
                         slots: tuple[int, ...]) -> None:
         """Register a projective family [(value, local projector), ...]."""
-        embedded = [(float(v), embed(_as_array(p), slots, self.dims)) for v, p in members]
+        embedded = [(float(v), embed(as_operator_array(p), slots, self.dims)) for v, p in members]
         total = sum(p for _, p in embedded)
         if not np.allclose(total, np.eye(self.dim), atol=1e-12):
             raise ValueError(f"family {name!r} is not complete")
@@ -163,16 +267,10 @@ class DilatedSystem:
         projectors on (system_slot, ancilla).
         """
         anc_slot = len(self.dims) - 1
-        unitary = naimark_unitary(povm)
-        members = []
-        for idx, value in enumerate(values):
-            anc_proj = np.zeros((2, 2), dtype=complex)
-            anc_proj[idx, idx] = 1.0
-            local = unitary.conj().T @ np.kron(np.eye(2), anc_proj) @ unitary
-            members.append((value, local))
+        local = naimark_projectors(np.asarray(povm, dtype=complex)[None])[0]
         # members live on (system_slot, anc_slot)
-        embedded = [(v, embed(p, (system_slot, anc_slot), self.dims))
-                    for v, p in members]
+        embedded = [(value, embed(proj, (system_slot, anc_slot), self.dims))
+                    for value, proj in zip(values, local)]
         total = sum(p for _, p in embedded)
         if not np.allclose(total, np.eye(self.dim), atol=1e-12):
             raise ValueError("dilated family is not complete")

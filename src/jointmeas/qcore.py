@@ -122,6 +122,15 @@ def as_complex_matrix(values, dims: tuple[int, ...] = SUPPORTED_DIMS) -> np.ndar
     return mat
 
 
+def as_operator_array(op) -> np.ndarray:
+    """``op`` (or its ``.matrix``) as a complex array, square in its last two
+    axes: one operator ``[d, d]`` or a stack ``[N, d, d]``."""
+    mat = np.asarray(getattr(op, "matrix", op), dtype=complex)
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise ValueError(f"expected a square operator, got shape {mat.shape}")
+    return mat
+
+
 def matrices_close(a: np.ndarray, b: np.ndarray, atol: float = DEFAULT_TOLERANCES.equality) -> bool:
     """Entrywise equality within absolute tolerance."""
     return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= atol)
@@ -234,17 +243,9 @@ class DensityMatrix:
     def __init__(self, matrix, *, psd_floor: float = DEFAULT_TOLERANCES.psd,
                  tolerances: ToleranceProfile = DEFAULT_TOLERANCES):
         mat = as_complex_matrix(matrix)
-        dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if dev > tolerances.hermiticity:
-            raise ValueError(f"density matrix not Hermitian (max deviation {dev:.3e})")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > tolerances.equality:
-            raise ValueError(f"density matrix trace {tr:.12g} differs from 1")
-        eigs = np.linalg.eigvalsh(mat)
-        min_eig = float(eigs[0])
-        if min_eig < -psd_floor:
-            raise ValueError(
-                f"density matrix has eigenvalue {min_eig:.3e} below floor -{psd_floor:g}")
+        checks, min_eigs = density_checks(mat[None], psd_floor, tolerances)
+        run_checks(checks)
+        min_eig = float(min_eigs[0])
         object.__setattr__(self, "_matrix", mat)
         object.__setattr__(self, "min_eigenvalue", min_eig)
         object.__setattr__(self, "psd_floor", psd_floor)
@@ -278,6 +279,26 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim}, min_eig={self.min_eigenvalue:.2e})"
+
+
+def density_checks(mats: np.ndarray, psd_floor: float = DEFAULT_TOLERANCES.psd,
+                   tolerances: ToleranceProfile = DEFAULT_TOLERANCES
+                   ) -> tuple[list[Check], np.ndarray]:
+    """Checks of N density matrices ``mats[N, d, d]`` -- Hermitian, unit
+    trace, no eigenvalue below ``-psd_floor`` -- and their smallest
+    eigenvalues ``[N]``."""
+    dev = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    tr = np.trace(mats, axis1=-2, axis2=-1)
+    min_eig = np.linalg.eigvalsh(mats)[:, 0]
+    return [
+        (dev > tolerances.hermiticity, failing(
+            ValueError, lambda i: f"density matrix not Hermitian (max deviation {dev[i]:.3e})")),
+        (np.abs(tr - 1.0) > tolerances.equality, failing(
+            ValueError, lambda i: f"density matrix trace {complex(tr[i]):.12g} differs from 1")),
+        (min_eig < -psd_floor, failing(
+            ValueError, lambda i: f"density matrix has eigenvalue {min_eig[i]:.3e} below "
+                                  f"floor -{psd_floor:g}")),
+    ], min_eig
 
 
 @dataclass(frozen=True)
@@ -320,12 +341,16 @@ def bloch_vectors(theta, phi) -> np.ndarray:
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-def correlations(rho: DensityMatrix) -> np.ndarray:
+def correlations(rho) -> np.ndarray:
     """Correlation tensor ``T[j, k] = Tr(rho s_j (x) s_k)`` of a two-qubit
-    state, ``s = (1, X, Y, Z)``; real because rho is Hermitian."""
-    if rho.dim != 4:
-        raise DimensionMismatchError(f"correlations need a two-qubit state, got dim {rho.dim}")
-    return np.einsum("jkab,ba->jk", _SIGMA_PAIRS, rho.matrix).real
+    state, ``s = (1, X, Y, Z)``; real because rho is Hermitian.  ``rho`` is
+    a DensityMatrix, giving ``T[4, 4]``, or a stack of validated matrices
+    ``[N, 4, 4]``, giving ``T[N, 4, 4]``."""
+    mat = getattr(rho, "matrix", rho)
+    if mat.shape[-2:] != (4, 4):
+        raise DimensionMismatchError(
+            f"correlations need a two-qubit state, got dim {mat.shape[-1]}")
+    return np.einsum("jkab,...ba->...jk", _SIGMA_PAIRS, mat).real
 
 
 def expectation(op: HermitianOperator, rho: DensityMatrix) -> float:
@@ -342,30 +367,53 @@ def expectation(op: HermitianOperator, rho: DensityMatrix) -> float:
     return val.real
 
 
+def spreads(op: HermitianOperator, mats: np.ndarray,
+            checks: list[Check] | None = None) -> np.ndarray:
+    """Standard deviations ``sqrt(<G^2> - <G>^2)`` ``[N]`` of one observable
+    in N states ``mats[N, d, d]``.  The mean must be real and the variance
+    not below -1e-12 (checks go to ``checks`` when given, else run here)."""
+    g = op.matrix
+    val = np.trace(mats @ g, axis1=-2, axis2=-1)
+    mean = val.real
+    second = np.trace(mats @ g @ g, axis1=-2, axis2=-1).real
+    var = second - mean * mean
+    submit_checks(checks, [
+        (np.abs(val.imag) > DEFAULT_TOLERANCES.equality, failing(
+            NumericalCorruptionError,
+            lambda i: f"expectation has imaginary part {val.imag[i]:.3e}")),
+        (var < -DEFAULT_TOLERANCES.variance, failing(
+            NumericalCorruptionError, lambda i: f"variance {var[i]:.3e} below -1e-12")),
+    ])
+    return np.sqrt(np.maximum(var, 0.0))
+
+
 def spread(op: HermitianOperator, rho: DensityMatrix) -> float:
-    """Standard deviation ``sqrt(<G^2> - <G>^2)`` of an observable."""
+    """Standard deviation ``sqrt(<G^2> - <G>^2)`` of an observable
+    (:func:`spreads` for one state)."""
     if op.dim != rho.dim:
         raise DimensionMismatchError(f"operator dim {op.dim} vs state dim {rho.dim}")
-    mean = expectation(op, rho)
-    second = float(np.real(np.trace(rho.matrix @ op.matrix @ op.matrix)))
-    var = second - mean * mean
-    if var < -DEFAULT_TOLERANCES.variance:
-        raise NumericalCorruptionError(f"variance {var:.3e} below -1e-12")
-    return math.sqrt(max(var, 0.0))
+    return float(spreads(op, rho.matrix[None])[0])
+
+
+def commutator_bounds(a: HermitianOperator, b: HermitianOperator,
+                      mats: np.ndarray) -> np.ndarray:
+    """``c = |<[A, B]>|`` ``[N]`` in N states ``mats[N, d, d]``."""
+    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
+    return np.abs(np.trace(mats @ comm, axis1=-2, axis2=-1))
 
 
 def commutator_bound(a: HermitianOperator, b: HermitianOperator, rho: DensityMatrix) -> float:
     """``c = |<[A, B]>|``; the uncertainty-relation bound is ``c / 2``."""
     if a.dim != b.dim or a.dim != rho.dim:
         raise DimensionMismatchError("commutator_bound needs matching dimensions")
-    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    return abs(complex(np.trace(rho.matrix @ comm)))
+    return float(commutator_bounds(a, b, rho.matrix[None])[0])
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """PSD square root of a Hermitian matrix, or of each in a stack."""
     vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -23,18 +23,20 @@ dilated, Hilbert space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .qcore import (
     Check,
     DensityMatrix,
+    as_operator_array,
     commutator_bound,
     failing,
     pauli,
     run_checks,
     spread,
+    submit_checks,
     tensor,
 )
 from .scenario import SemiweakSlide, disturbed_observable, joint_distribution
@@ -140,17 +142,53 @@ def evaluate_relations(eps_a: float, eps_b: float, delta_a: float, delta_b: floa
     )
 
 
-def optimal_gap_weight(x: float) -> float:
-    """``h(x) = (sqrt(1 - x^2) - (1 - x)) / 2`` on [0, 1]; h(0) = h(1) = 0.
+def gap_weights(x: np.ndarray, checks: list[Check] | None = None) -> np.ndarray:
+    """``h(x) = (sqrt(1 - x^2) - (1 - x)) / 2`` on [0, 1] for an array of
+    ``x``; h(0) = h(1) = 0.
 
     This is the weight by which the Hall left-hand side exceeds the
     averaged-spread one when both estimates are dispersion-optimal
-    (``Delta_est^2 = Delta^2 - eps^2``).
+    (``Delta_est^2 = Delta^2 - eps^2``).  An ``x`` outside [0, 1 + 1e-12]
+    raises ValueError (checks go to ``checks`` when given, else run here).
     """
-    if not 0.0 <= x <= 1.0 + 1e-12:
-        raise ValueError(f"gap weight defined on [0, 1], got {x}")
-    x = min(x, 1.0)
-    return 0.5 * (math.sqrt(1.0 - x * x) - (1.0 - x))
+    submit_checks(checks, [(~((0.0 <= x) & (x <= 1.0 + 1e-12)), failing(
+        ValueError, lambda i: f"gap weight defined on [0, 1], got {float(x[i])}"))])
+    x = np.minimum(x, 1.0)
+    return 0.5 * (np.sqrt(1.0 - x * x) - (1.0 - x))
+
+
+def optimal_gap_weight(x: float) -> float:
+    """``h(x)`` of :func:`gap_weights` for one ``x``."""
+    return float(gap_weights(np.array([x], dtype=float))[0])
+
+
+def strength_orderings(eps_a, eps_b, delta_a, delta_b, lhs_hall, lhs_ozawa, lhs_new,
+                       checks: list[Check] | None = None):
+    """The strength ordering of N scenarios from arrays of their relation
+    inputs and left-hand sides.
+
+    Returns ``new_le_hall``, ``new_le_ozawa``, ``in_domain`` (both
+    inaccuracies within their intrinsic spreads, the closed form's domain)
+    and ``gap_residual``: the Hall-minus-new gap under dispersion-optimal
+    spreads against its closed form, meaningful where ``in_domain``.
+    """
+    new_le_hall = lhs_new <= lhs_hall + MARGIN_TOL
+    new_le_ozawa = lhs_new <= lhs_ozawa + MARGIN_TOL
+    in_domain = (eps_a <= delta_a + 1e-12) & (eps_b <= delta_b + 1e-12)
+    da_opt = np.sqrt(np.maximum(delta_a ** 2 - eps_a ** 2, 0.0))
+    db_opt = np.sqrt(np.maximum(delta_b ** 2 - eps_b ** 2, 0.0))
+    hall_opt = eps_a * eps_b + eps_a * db_opt + da_opt * eps_b
+    new_opt = eps_a * (db_opt + delta_b) / 2.0 + eps_b * (da_opt + delta_a) / 2.0
+
+    def ratio(num, den):
+        # outside the domain the weights are not used, so their x is 0
+        return np.divide(num, den, out=np.zeros_like(num), where=in_domain & (den > 0.0))
+
+    h_beta = gap_weights(ratio(eps_b, delta_b), checks)
+    h_alpha = gap_weights(ratio(eps_a, delta_a), checks)
+    closed_form = eps_a * delta_b * h_beta + delta_a * eps_b * h_alpha
+    gap_residual = np.abs((hall_opt - new_opt) - closed_form)
+    return new_le_hall, new_le_ozawa, in_domain, gap_residual
 
 
 @dataclass(frozen=True)
@@ -174,7 +212,8 @@ class StrengthOrdering:
 
 def strength_comparison(report: RelationReport,
                         estimator_kind: str | None = None) -> StrengthOrdering:
-    """Compare the averaged-spread relation's strength with Hall and Ozawa.
+    """Compare the averaged-spread relation's strength with Hall and Ozawa
+    (:func:`strength_orderings` for one report).
 
     For optimal estimates the orderings ``lhs_new <= lhs_hall`` and
     ``lhs_new <= lhs_ozawa`` are asserted (violation raises
@@ -183,41 +222,21 @@ def strength_comparison(report: RelationReport,
     """
     kind = estimator_kind or report.scenario.get("estimator", "custom")
     applicable = kind == "optimal"
-    new_le_hall = report.lhs_new <= report.lhs_hall + MARGIN_TOL
-    new_le_ozawa = report.lhs_new <= report.lhs_ozawa + MARGIN_TOL
-
-    gap_residual = None
-    if (report.eps_a <= report.delta_a + 1e-12
-            and report.eps_b <= report.delta_b + 1e-12):
-        da_opt = math.sqrt(max(report.delta_a ** 2 - report.eps_a ** 2, 0.0))
-        db_opt = math.sqrt(max(report.delta_b ** 2 - report.eps_b ** 2, 0.0))
-        hall_opt = (report.eps_a * report.eps_b + report.eps_a * db_opt
-                    + da_opt * report.eps_b)
-        new_opt = (report.eps_a * (db_opt + report.delta_b) / 2.0
-                   + report.eps_b * (da_opt + report.delta_a) / 2.0)
-        alpha = report.eps_a / report.delta_a if report.delta_a > 0.0 else 0.0
-        beta = report.eps_b / report.delta_b if report.delta_b > 0.0 else 0.0
-        closed_form = (report.eps_a * report.delta_b * optimal_gap_weight(beta)
-                       + report.delta_a * report.eps_b * optimal_gap_weight(alpha))
-        gap_residual = abs((hall_opt - new_opt) - closed_form)
-
+    new_le_hall, new_le_ozawa, in_domain, gap_residual = strength_orderings(
+        *(np.array([v], dtype=float) for v in (
+            report.eps_a, report.eps_b, report.delta_a, report.delta_b,
+            report.lhs_hall, report.lhs_ozawa, report.lhs_new)))
     ordering = StrengthOrdering(
-        applicable=applicable, new_le_hall=new_le_hall, new_le_ozawa=new_le_ozawa,
+        applicable=applicable, new_le_hall=bool(new_le_hall[0]),
+        new_le_ozawa=bool(new_le_ozawa[0]),
         hall_gap=report.lhs_hall - report.lhs_new,
         ozawa_gap=report.lhs_ozawa - report.lhs_new,
-        gap_residual=gap_residual)
-    if applicable and not (new_le_hall and new_le_ozawa):
+        gap_residual=float(gap_residual[0]) if in_domain[0] else None)
+    if applicable and not (ordering.new_le_hall and ordering.new_le_ozawa):
         raise RelationViolationError(
             f"averaged-spread relation not weakest for optimal estimates: "
             f"hall_gap={ordering.hall_gap:.3e}, ozawa_gap={ordering.ozawa_gap:.3e}")
     return ordering
-
-
-def _as_array(op) -> np.ndarray:
-    mat = np.asarray(getattr(op, "matrix", op), dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square operator, got shape {mat.shape}")
-    return mat
 
 
 @dataclass(frozen=True)
@@ -230,6 +249,9 @@ class RelationChain:
     commutator expectations, each bounded by a Schwarz term
     ``2 sqrt(<R'^2><S'^2>)`` with suitable centring.  Their sum is four times
     the averaged-spread left-hand side.
+
+    Fields are floats for one chain, or arrays ``[N]`` for the N chains of
+    :func:`relation_chains` (the four-term fields then hold four arrays).
     """
 
     c: float
@@ -268,59 +290,66 @@ class RelationChain:
 
     @property
     def min_slack(self) -> float:
-        return min(self.slacks)
+        return np.min(self.slacks, axis=0)
 
     @property
     def holds(self) -> bool:
-        return self.identity_residual <= 1e-12 and self.min_slack >= -MARGIN_TOL
+        return np.logical_and(self.identity_residual <= 1e-12,
+                              self.min_slack >= -MARGIN_TOL)
 
 
-def verify_relation_chain(a_est, b_est, a, b, rho) -> RelationChain:
-    """Check the averaged-spread relation's derivation link by link.
+def relation_chains(a_est, b_est, a, b, rho,
+                    checks: list[Check] | None = None) -> RelationChain:
+    """Check the averaged-spread relation's derivation link by link for N
+    operator sets at once.
 
-    All five arguments are matrices (or objects exposing ``.matrix``) on one
-    common Hilbert space, which may be a dilation of the physical one; the
-    estimators must commute (precondition, checked to 1e-10).
+    Each argument is a stack ``[N, d, d]`` of matrices on one common
+    Hilbert space, which may be a dilation of the physical one, or one
+    matrix ``[d, d]`` shared by all N; the fields of the result are arrays
+    ``[N]``.  The estimators must commute (precondition, checked to 1e-10;
+    the checks go to ``checks`` when given, else they run here).
     """
-    a_est_m, b_est_m, a_m, b_m = map(_as_array, (a_est, b_est, a, b))
-    rho_m = _as_array(rho)
-    dims = {m.shape[0] for m in (a_est_m, b_est_m, a_m, b_m, rho_m)}
+    a_est_m, b_est_m, a_m, b_m, rho_m = map(as_operator_array, (a_est, b_est, a, b, rho))
+    dims = {m.shape[-1] for m in (a_est_m, b_est_m, a_m, b_m, rho_m)}
     if len(dims) != 1:
         raise ValueError(f"operators live on different spaces: dims {sorted(dims)}")
+    eye = np.eye(dims.pop())
 
     def comm(p, q):
         return p @ q - q @ p
 
     def ev(op):
-        return complex(np.trace(rho_m @ op))
+        return np.einsum("...ab,...ba->...", rho_m, op)
 
-    commutator_residual = float(np.max(np.abs(comm(a_est_m, b_est_m))))
-    if commutator_residual > 1e-10:
-        raise ValueError(
-            f"estimators do not commute (max |[A_est, B_est]| = {commutator_residual:.3e})")
+    def max_abs(op):
+        return np.abs(op).max(axis=(-2, -1))
 
-    identity_residual = float(np.max(np.abs(
+    commutator_residual = max_abs(comm(a_est_m, b_est_m))
+    submit_checks(checks, [(commutator_residual > 1e-10, failing(
+        ValueError, lambda i: f"estimators do not commute (max |[A_est, B_est]| = "
+                              f"{commutator_residual[i]:.3e})"))])
+
+    identity_residual = max_abs(
         2.0 * comm(a_m, b_m)
         - comm(a_m - a_est_m, b_m + b_est_m)
-        - comm(a_m + a_est_m, b_m - b_est_m))))
+        - comm(a_m + a_est_m, b_m - b_est_m))
 
-    c = abs(ev(comm(a_m, b_m)))
+    c = np.abs(ev(comm(a_m, b_m)))
 
     def rms(op):
-        return math.sqrt(max(ev(op @ op).real, 0.0))
+        return np.sqrt(np.maximum(ev(op @ op).real, 0.0))
 
     def centred_rms(op):
-        mean = ev(op).real
-        return rms(op - mean * np.eye(op.shape[0]))
+        return rms(op - ev(op).real[..., None, None] * eye)
 
     da, db = centred_rms(a_m), centred_rms(b_m)
     da_est, db_est = centred_rms(a_est_m), centred_rms(b_est_m)
     eps_a, eps_b = rms(a_m - a_est_m), rms(b_m - b_est_m)
 
-    triangle = (abs(ev(comm(a_m - a_est_m, b_m))),
-                abs(ev(comm(a_m - a_est_m, b_est_m))),
-                abs(ev(comm(a_m, b_m - b_est_m))),
-                abs(ev(comm(a_est_m, b_m - b_est_m))))
+    triangle = (np.abs(ev(comm(a_m - a_est_m, b_m))),
+                np.abs(ev(comm(a_m - a_est_m, b_est_m))),
+                np.abs(ev(comm(a_m, b_m - b_est_m))),
+                np.abs(ev(comm(a_est_m, b_m - b_est_m))))
     schwarz = (2.0 * eps_a * db, 2.0 * eps_a * db_est,
                2.0 * da * eps_b, 2.0 * da_est * eps_b)
 
@@ -330,6 +359,29 @@ def verify_relation_chain(a_est, b_est, a, b, rho) -> RelationChain:
         eps_a=eps_a, eps_b=eps_b, delta_a=da, delta_b=db,
         delta_a_est=da_est, delta_b_est=db_est,
         triangle_terms=triangle, schwarz_terms=schwarz)
+
+
+def chain_item(chains: RelationChain, i: int) -> RelationChain:
+    """Chain ``i`` of the N chains of :func:`relation_chains`, with floats."""
+    def item(value):
+        if isinstance(value, tuple):
+            return tuple(float(term[i]) for term in value)
+        return float(value[i])
+
+    return RelationChain(**{f.name: item(getattr(chains, f.name))
+                            for f in fields(RelationChain)})
+
+
+def verify_relation_chain(a_est, b_est, a, b, rho) -> RelationChain:
+    """Check the averaged-spread relation's derivation link by link
+    (:func:`relation_chains` for one operator set).
+
+    All five arguments are matrices (or objects exposing ``.matrix``) on one
+    common Hilbert space, which may be a dilation of the physical one; the
+    estimators must commute (precondition, checked to 1e-10).
+    """
+    ops = [as_operator_array(op)[None] for op in (a_est, b_est, a, b, rho)]
+    return chain_item(relation_chains(*ops), 0)
 
 
 @dataclass(frozen=True)

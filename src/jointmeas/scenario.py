@@ -41,9 +41,6 @@ from .qcore import (
     ToleranceProfile,
     correlations,
     failing,
-    matrices_close,
-    pauli,
-    projector_pair,
     run_checks,
     submit_checks,
 )
@@ -62,6 +59,80 @@ class DegenerateMeasurementError(ValueError):
     """The slide carries no X information (r_h == r_v); xi undefined."""
 
 
+# X eigenprojectors X+ and X-, and the Y projectors Y_y in OUTCOMES order
+_X_PLUS = (SIGMAS[0] + SIGMAS[1]) / 2
+_X_MINUS = (SIGMAS[0] - SIGMAS[1]) / 2
+Y_PROJECTORS = (SIGMAS[0] + SIGNS[:, None, None] * SIGMAS[2]) / 2
+
+
+@dataclass(frozen=True)
+class SlideArrays:
+    """N slides in the layout the array kernels read.
+
+    ``kraus[N, m]`` and ``xi[N, m]`` hold the Kraus operators and the
+    contextual values in OUTCOMES order (transmitted first); ``xi`` is None
+    for polarisation-independent slides, which have none.
+    """
+
+    r_h: np.ndarray
+    r_v: np.ndarray
+    kraus: np.ndarray
+    kappa: np.ndarray
+    xi: np.ndarray | None
+
+
+def slide_arrays(r_h: np.ndarray, r_v: np.ndarray) -> SlideArrays:
+    """N slides from reflectivities ``r_h[N]``, ``r_v[N]`` in [0, 1] with
+    ``r_h != r_v``, by the closed forms of :func:`slide_model`; their
+    identities are checked by :func:`slide_checks`."""
+    def kraus(a, b):
+        return np.sqrt(a)[:, None, None] * _X_PLUS + np.sqrt(b)[:, None, None] * _X_MINUS
+
+    return SlideArrays(
+        r_h=r_h, r_v=r_v,
+        kraus=np.stack([kraus(1 - r_h, 1 - r_v), kraus(r_h, r_v)], axis=1),
+        kappa=1.0 - np.sqrt(r_h * r_v) - np.sqrt((1 - r_h) * (1 - r_v)),
+        xi=np.stack([-(r_h + r_v) / (r_h - r_v), (2.0 - r_h - r_v) / (r_h - r_v)], axis=1))
+
+
+def slide_checks(s: SlideArrays) -> list[Check]:
+    """Checks of N slides: reflectivities in [0, 1], the Kraus identities
+    ``m_r^2 = r_h X+ + r_v X-``, ``m_t^2 = t_h X+ + t_v X-`` and
+    ``m_r^2 + m_t^2 = 1`` to 1e-12, kappa consistent with the reflectivities
+    and, where defined, contextual values reproducing <X> on both X
+    eigenstates to 1e-10."""
+    r_h, r_v = s.r_h[:, None, None], s.r_v[:, None, None]
+    sq = s.kraus @ s.kraus
+    sq_t, sq_r = sq[:, 0], sq[:, 1]
+
+    def off(a, b):
+        return np.abs(a - b).max(axis=(-2, -1)) > 1e-12
+
+    # clamped so that out-of-range reflectivities, which the first check
+    # reports, raise no numpy warning here
+    expected_kappa = 1.0 - np.sqrt(np.maximum(s.r_h * s.r_v, 0.0)) - np.sqrt(
+        np.maximum((1 - s.r_h) * (1 - s.r_v), 0.0))
+    checks = [
+        (~((0.0 <= s.r_h) & (s.r_h <= 1.0) & (0.0 <= s.r_v) & (s.r_v <= 1.0)),
+         failing(ValueError, lambda i: "reflectivities must lie in [0, 1]")),
+        (off(sq_r, r_h * _X_PLUS + r_v * _X_MINUS),
+         failing(ValueError, lambda i: "m_r^2 must equal r_h X+ + r_v X-")),
+        (off(sq_t, (1 - r_h) * _X_PLUS + (1 - r_v) * _X_MINUS),
+         failing(ValueError, lambda i: "m_t^2 must equal t_h X+ + t_v X-")),
+        (off(sq_r + sq_t, SIGMAS[0]),
+         failing(ValueError, lambda i: "Kraus operators must satisfy m_r^2 + m_t^2 = 1")),
+        (np.abs(s.kappa - expected_kappa) > 1e-12,
+         failing(ValueError, lambda i: "kappa inconsistent with reflectivities")),
+    ]
+    if s.xi is not None:
+        # sum_m xi_m Tr(X_s M_m^2) on both X eigenstates X_s, s = +1, -1
+        weights = np.einsum("sab,nmba->nsm", np.stack([_X_PLUS, _X_MINUS]), sq).real
+        recovered = (weights * s.xi[:, None, :]).sum(axis=2)
+        checks.append((np.abs(recovered - SIGNS).max(axis=1) > 1e-10, failing(
+            ValueError, lambda i: "contextual values do not reproduce <X>")))
+    return checks
+
+
 @dataclass(frozen=True)
 class SemiweakSlide:
     """A two-outcome semiweak X measurement on one qubit.
@@ -70,7 +141,8 @@ class SemiweakSlide:
     and transmitted branches, ``kappa = 1 - sqrt(r_h r_v) - sqrt(t_h t_v)``
     the decoherence strength, and ``xi_r`` / ``xi_t`` the contextual values
     (``None`` only for a polarisation-independent slide, which has no X
-    information to invert).
+    information to invert).  ``arrays`` holds the same slide as the N = 1
+    :class:`SlideArrays` the array kernels read.
     """
 
     r_h: float
@@ -82,31 +154,16 @@ class SemiweakSlide:
     xi_t: float | None
 
     def __post_init__(self):
-        if not (0.0 <= self.r_h <= 1.0 and 0.0 <= self.r_v <= 1.0):
-            raise ValueError("reflectivities must lie in [0, 1]")
-        x_plus, x_minus = projector_pair(pauli("X"))
-        target_r = self.r_h * x_plus.matrix + self.r_v * x_minus.matrix
-        target_t = (1 - self.r_h) * x_plus.matrix + (1 - self.r_v) * x_minus.matrix
-        if not matrices_close(self.m_r.matrix @ self.m_r.matrix, target_r, 1e-12):
-            raise ValueError("m_r^2 must equal r_h X+ + r_v X-")
-        if not matrices_close(self.m_t.matrix @ self.m_t.matrix, target_t, 1e-12):
-            raise ValueError("m_t^2 must equal t_h X+ + t_v X-")
-        total = self.m_r.matrix @ self.m_r.matrix + self.m_t.matrix @ self.m_t.matrix
-        if not matrices_close(total, np.eye(2), 1e-12):
-            raise ValueError("Kraus operators must satisfy m_r^2 + m_t^2 = 1")
-        expected_kappa = 1.0 - math.sqrt(self.r_h * self.r_v) - math.sqrt(
-            (1 - self.r_h) * (1 - self.r_v))
-        if abs(self.kappa - expected_kappa) > 1e-12:
-            raise ValueError("kappa inconsistent with reflectivities")
-        if (self.xi_r is None) != (self.xi_t is None):
+        defined = (self.xi_r is not None, self.xi_t is not None)
+        arrays = SlideArrays(
+            r_h=np.array([self.r_h], dtype=float), r_v=np.array([self.r_v], dtype=float),
+            kraus=np.stack([self.m_t.matrix, self.m_r.matrix])[None],
+            kappa=np.array([self.kappa], dtype=float),
+            xi=np.array([[self.xi_t, self.xi_r]]) if all(defined) else None)
+        run_checks(slide_checks(arrays))
+        if any(defined) and not all(defined):
             raise ValueError("xi_r and xi_t must be defined together")
-        if self.xi_r is not None:
-            # defining property on both X eigenstates
-            for sign, proj in ((+1, x_plus), (-1, x_minus)):
-                p_r = float(np.real(np.trace(proj.matrix @ self.m_r.matrix @ self.m_r.matrix)))
-                p_t = float(np.real(np.trace(proj.matrix @ self.m_t.matrix @ self.m_t.matrix)))
-                if abs(self.xi_r * p_r + self.xi_t * p_t - sign) > 1e-10:
-                    raise ValueError("contextual values do not reproduce <X>")
+        object.__setattr__(self, "arrays", arrays)
 
     @property
     def has_contextual_values(self) -> bool:
@@ -159,15 +216,12 @@ def slide_model(r_h: float, r_v: float) -> SemiweakSlide:
     if abs(r_h - r_v) < 1e-12:
         raise DegenerateMeasurementError(
             f"r_h = r_v = {r_h:g}: contextual values are unbounded")
-    x_plus, x_minus = projector_pair(pauli("X"))
-    m_r = HermitianOperator(math.sqrt(r_h) * x_plus.matrix + math.sqrt(r_v) * x_minus.matrix)
-    m_t = HermitianOperator(math.sqrt(1 - r_h) * x_plus.matrix
-                            + math.sqrt(1 - r_v) * x_minus.matrix)
-    kappa = 1.0 - math.sqrt(r_h * r_v) - math.sqrt((1 - r_h) * (1 - r_v))
-    xi_r = (2.0 - r_h - r_v) / (r_h - r_v)
-    xi_t = -(r_h + r_v) / (r_h - r_v)
-    return SemiweakSlide(r_h=r_h, r_v=r_v, m_r=m_r, m_t=m_t,
-                         kappa=kappa, xi_r=xi_r, xi_t=xi_t)
+    s = slide_arrays(np.array([r_h], dtype=float), np.array([r_v], dtype=float))
+    return SemiweakSlide(r_h=r_h, r_v=r_v,
+                         m_r=HermitianOperator(s.kraus[0, 1]),
+                         m_t=HermitianOperator(s.kraus[0, 0]),
+                         kappa=float(s.kappa[0]),
+                         xi_r=float(s.xi[0, 1]), xi_t=float(s.xi[0, 0]))
 
 
 def epr_state(gamma: float) -> DensityMatrix:
@@ -244,26 +298,31 @@ def table_checks(p: np.ndarray, tol: float, provenance: str = "simulated") -> li
     ]
 
 
-def joint_tables(rho: DensityMatrix, slide: SemiweakSlide, n: np.ndarray,
+def joint_tables(rho, slide, n: np.ndarray,
                  checks: list[Check] | None = None) -> np.ndarray:
     """Joint tables ``p[N, m, y, w]`` for N analyser directions ``n[N, 3]``.
 
     ``p(m, y, w) = Tr(rho (M_m Y_y M_m (x) W_w))`` with
     ``W_w = (s_0 + w n.s)/2``, so every table is linear in
-    ``A[m, y, k] = Tr(rho (M_m Y_y M_m (x) s_k))``, built once from the
-    slide's Kraus operators.  Each table is normalised exactly and then
-    checked like a simulated JointDistribution; the checks go to ``checks``
-    when given, else they run here.
+    ``A[m, y, k] = Tr(rho (M_m Y_y M_m (x) s_k))``, built from the slide's
+    Kraus operators.  ``rho`` and ``slide`` are one DensityMatrix and one
+    SemiweakSlide shared by all N directions, or N states ``[N, 4, 4]`` and
+    N slides (:class:`SlideArrays`), one per direction.  Each table is
+    normalised exactly and then checked like a simulated
+    JointDistribution; the checks go to ``checks`` when given, else they
+    run here.
     """
-    kraus = np.stack([slide.kraus(m).matrix for m in OUTCOMES])
-    y_projs = (SIGMAS[0] + SIGNS[:, None, None] * SIGMAS[2]) / 2
-    probes = kraus[:, None] @ y_projs[None] @ kraus[:, None]
+    kraus = as_slide_arrays(slide).kraus[:, :, None]
+    probes = kraus @ Y_PROJECTORS @ kraus
     # Pauli components of each probe M_m Y_y M_m, then A = c T
-    coef = np.einsum("myab,jba->myj", probes, SIGMAS).real / 2
-    a = coef @ correlations(rho)
-    # p(m, y, w) = (A[m, y, 0] + w n.A[m, y, 1:]) / 2, with (m, y) flattened
-    along = n @ a[..., 1:].reshape(4, 3).T
-    p = ((a[..., 0].reshape(1, 4, 1) + along[:, :, None] * SIGNS) / 2).reshape(-1, 8)
+    coef = np.einsum("...myab,jba->...myj", probes, SIGMAS).real / 2
+    a = coef @ correlations(rho)[..., None, :, :]
+    # p(m, y, w) = (A[m, y, 0] + w n.A[m, y, 1:]) / 2, with (m, y) flattened;
+    # the directions are grouped by their A: all N under one shared A, or
+    # one under each of N
+    a_n = a[..., 1:].reshape(-1, 4, 3)
+    along = (n.reshape(len(a_n), -1, 3) @ a_n.swapaxes(-1, -2)).reshape(-1, 4)
+    p = ((a[..., 0].reshape(-1, 4, 1) + along[:, :, None] * SIGNS) / 2).reshape(-1, 8)
     p = (p / p.sum(axis=1, keepdims=True)).reshape(-1, 2, 2, 2)
     submit_checks(checks, table_checks(p, DEFAULT_TOLERANCES.simulated_norm))
     return p
@@ -284,22 +343,32 @@ def joint_distribution(rho: DensityMatrix, slide: SemiweakSlide,
                              provenance="simulated", w_observable=w, metadata=meta)
 
 
+def as_slide_arrays(slide) -> SlideArrays:
+    """The :class:`SlideArrays` of a SemiweakSlide (N = 1), or ``slide``
+    itself when it already is one."""
+    return getattr(slide, "arrays", slide)
+
+
+def povm_elements(slide, checks: list[Check] | None = None) -> np.ndarray:
+    """POVMs ``Upsilon[N, y]`` of the Y measurement behind N slides (a
+    SemiweakSlide or :class:`SlideArrays`): the Kraus sums
+    ``sum_m M_m Y_y M_m``, checked to equal ``(1 +- (1 - kappa) Y)/2`` to
+    1e-12 (checks go to ``checks`` when given, else run here)."""
+    s = as_slide_arrays(slide)
+    kraus = s.kraus[:, :, None]
+    upsilon = (kraus @ Y_PROJECTORS @ kraus).sum(axis=1)
+    closed = 0.5 * SIGMAS[0] + 0.5 * (1 - s.kappa)[:, None, None] * SIGMAS[2]
+    submit_checks(checks, [(np.abs(upsilon[:, 0] - closed).max(axis=(-2, -1)) > 1e-12, failing(
+        ValueError, lambda i: "Kraus sum deviates from (1 +- (1-kappa) Y)/2"))])
+    return upsilon
+
+
 def effective_povm(slide: SemiweakSlide) -> tuple[HermitianOperator, HermitianOperator]:
     """POVM of the Y measurement behind the slide: the Kraus sum
     ``Upsilon_y = sum_m M_m Y_y M_m``, which equals
-    ``1/2 +- (1 - kappa)/2 Y``."""
-    y_plus, y_minus = projector_pair(pauli("Y"))
-    out = []
-    for proj in (y_plus, y_minus):
-        acc = np.zeros((2, 2), dtype=complex)
-        for m in OUTCOMES:
-            km = slide.kraus(m).matrix
-            acc += km @ proj.matrix @ km
-        out.append(HermitianOperator(acc))
-    closed = 0.5 * np.eye(2) + 0.5 * (1 - slide.kappa) * pauli("Y").matrix
-    if not matrices_close(out[0].matrix, closed, 1e-12):
-        raise ValueError("Kraus sum deviates from (1 +- (1-kappa) Y)/2")
-    return out[0], out[1]
+    ``1/2 +- (1 - kappa)/2 Y`` (:func:`povm_elements` for one slide)."""
+    up, down = povm_elements(slide)[0]
+    return HermitianOperator(up), HermitianOperator(down)
 
 
 def disturbed_observable(slide: SemiweakSlide, b: HermitianOperator) -> HermitianOperator:

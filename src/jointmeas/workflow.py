@@ -22,14 +22,15 @@ from .estimate import (
     estimator_spread,
     inaccuracy_x,
     inaccuracy_y,
-    mh_from_counts,
+    mh_tables,
     optimal_estimator,
     optimal_values,
     x_inaccuracies,
     y_estimator_spread,
+    y_inaccuracies,
     y_spreads,
 )
-from .oracle import DilatedSystem, direct_inaccuracy, direct_margenau_hill
+from .oracle import dilated_operators, direct_moments
 from .qcore import (
     DEFAULT_TOLERANCES,
     BlochObservable,
@@ -37,31 +38,36 @@ from .qcore import (
     DensityMatrix,
     bloch_vectors,
     commutator_bound,
+    commutator_bounds,
+    density_checks,
     pauli,
-    projector_pair,
     run_checks,
     spread,
+    spreads,
     tensor,
 )
 from .relations import (
     MARGIN_TOL,
     RELATION_NAMES,
+    RelationChain,
     RelationReport,
-    RelationViolationError,
+    chain_item,
     evaluate_relations,
+    relation_chains,
     relation_input_checks,
     relation_lhs,
-    strength_comparison,
-    verify_relation_chain,
+    strength_orderings,
 )
 from .scenario import (
     SIGNS,
     JointDistribution,
     SemiweakSlide,
-    effective_povm,
     epr_state,
     joint_distribution,
     joint_tables,
+    povm_elements,
+    slide_arrays,
+    slide_checks,
     slide_model,
 )
 
@@ -220,39 +226,67 @@ def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
 # randomized verification suite
 # ---------------------------------------------------------------------------
 
+# Trials per array block of run_verification: large enough to spread numpy's
+# per-call cost thin, small enough to keep peak memory flat at any count.
+_BLOCK = 1024
+
+
+def _state_matrices(g: np.ndarray) -> np.ndarray:
+    """``rho = G G^dag / tr(G G^dag)`` for a matrix or stack ``G``."""
+    mat = g @ g.conj().swapaxes(-1, -2)
+    return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _draw_state(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def _draw_reflectivities(rng: np.random.Generator) -> tuple[float, float]:
+    while True:
+        r_h, r_v = rng.uniform(0.02, 0.98, size=2)
+        if abs(r_h - r_v) >= 0.01:
+            return float(r_h), float(r_v)
+
+
+def _draw_angles(rng: np.random.Generator) -> tuple[float, float]:
+    theta = math.acos(float(rng.uniform(-1.0, 1.0)))
+    return theta, float(rng.uniform(0.0, 2.0 * math.pi))
+
+
 def random_state(rng: np.random.Generator, dim: int = 4) -> DensityMatrix:
     """Full-rank random state rho = G G^dag / tr(G G^dag), G complex Gaussian."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    mat = g @ g.conj().T
-    return DensityMatrix(mat / float(np.real(np.trace(mat))))
+    return DensityMatrix(_state_matrices(_draw_state(rng, dim)))
 
 
 def random_slide(rng: np.random.Generator) -> SemiweakSlide:
     """Reflectivities in [0.02, 0.98], kept at least 0.01 apart."""
-    while True:
-        r_h, r_v = rng.uniform(0.02, 0.98, size=2)
-        if abs(r_h - r_v) >= 0.01:
-            return slide_model(float(r_h), float(r_v))
+    return slide_model(*_draw_reflectivities(rng))
 
 
 def random_observable(rng: np.random.Generator) -> BlochObservable:
     """Direction uniform on the sphere."""
-    theta = math.acos(float(rng.uniform(-1.0, 1.0)))
-    phi = float(rng.uniform(0.0, 2.0 * math.pi))
-    return BlochObservable(theta, phi)
+    return BlochObservable(*_draw_angles(rng))
+
+
+def dilated_chains(rho: np.ndarray, slide, n: np.ndarray, f: np.ndarray,
+                   checks: list[Check] | None = None) -> RelationChain:
+    """Build commuting projective estimators on (q1, q2, ancilla) for N
+    scenarios -- states ``rho[N, 4, 4]``, slides (a SemiweakSlide or
+    :class:`SlideArrays`), directions ``n[N, 3]``, X estimates ``f[N, w]``
+    -- and check every link of the averaged-spread derivation on them; the
+    chain's fields are arrays ``[N]``.  The checks go to ``checks`` when
+    given, else they run here."""
+    ops = dilated_operators(rho, povm_elements(slide, checks), n, f, checks)
+    return relation_chains(*ops, checks=checks)
 
 
 def dilated_chain(rho: DensityMatrix, slide: SemiweakSlide, w: BlochObservable,
-                  est: Estimator):
+                  est: Estimator) -> RelationChain:
     """Build commuting projective estimators on (q1, q2, ancilla) and check
-    every link of the averaged-spread derivation on them."""
-    system = DilatedSystem.two_qubit_with_ancilla(rho)
-    a = system.register("x1", pauli("X"), (0,))
-    b = system.register("y1", pauli("Y"), (0,))
-    a_est = system.register("x_est", est.as_operator(w), (1,))
-    povm = tuple(p.matrix for p in effective_povm(slide))
-    system.register_naimark_estimator("y_est", povm, (+1.0, -1.0), system_slot=0)
-    return verify_relation_chain(a_est, system.operator("y_est"), a, b, system.state)
+    every link of the averaged-spread derivation on them
+    (:func:`dilated_chains` for one scenario)."""
+    return chain_item(dilated_chains(rho.matrix[None], slide, w.vector[None],
+                                     est.array[None]), 0)
 
 
 @dataclass(frozen=True)
@@ -359,27 +393,75 @@ class VerificationResult:
         return lines
 
 
-def _oracle_diff(rho: DensityMatrix, slide: SemiweakSlide, w: BlochObservable,
-                 dist: JointDistribution, estimators: dict[str, Estimator],
-                 eps_stats: dict[str, float]) -> float:
-    """Worst disagreement between the statistics path and direct traces."""
-    system = DilatedSystem.two_qubit(rho)
-    x_members = list(zip((+1.0, -1.0), projector_pair(pauli("X"))))
-    w_members = list(zip((+1.0, -1.0), projector_pair(w.as_operator())))
-    system.register_family("x", x_members, (0,))
-    system.register_family("w", w_members, (1,))
-    system.register("x1", pauli("X"), (0,))
+def _draw_block(rng: np.random.Generator, first: int, count: int):
+    """The raw draws of trials ``first .. first + count - 1`` in the RNG
+    order of one trial after another: the state's G, the reflectivities,
+    the W angles and, on odd trials, the custom estimate (NaN elsewhere)."""
+    g = np.empty((count, 4, 4), dtype=complex)
+    refl = np.empty((count, 2))
+    angles = np.empty((count, 2))
+    custom = np.full((count, 2), np.nan)
+    for k in range(count):
+        g[k] = _draw_state(rng)
+        refl[k] = _draw_reflectivities(rng)
+        angles[k] = _draw_angles(rng)
+        if (first + k) % 2:
+            custom[k] = rng.uniform(-2.0, 2.0, size=2)
+    return g, refl, angles, custom
 
-    worst = 0.0
-    mh_stat = mh_from_counts(dist, slide)
-    mh_direct = direct_margenau_hill(system, "x", "w")
-    for key, val in mh_stat.entries.items():
-        worst = max(worst, abs(val - mh_direct.entries[key]))
-    for kind, est in estimators.items():
-        name = f"est_{kind}"
-        system.register(name, est.as_operator(w), (1,))
-        worst = max(worst, abs(eps_stats[kind] - direct_inaccuracy(system, "x1", name)))
-    return worst
+
+def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
+                  custom: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-trial results of one block of the randomized suite, computed in
+    array passes; raises what the first offending trial raises alone."""
+    rho = _state_matrices(g)
+    checks, _ = density_checks(rho)
+    slides = slide_arrays(refl[:, 0], refl[:, 1])
+    checks += slide_checks(slides)
+    n = bloch_vectors(angles[:, 0], angles[:, 1])
+    p = joint_tables(rho, slides, n, checks)
+    eps_b = y_inaccuracies(slides, checks)
+    delta_a = spreads(_X1, rho, checks)
+    delta_b = spreads(_Y1, rho, checks)
+    delta_b_est = y_spreads(p, checks)
+    c = commutator_bounds(_X1, _Y1, rho)
+    estimates = {"simple": np.tile(SIGNS, (len(n), 1)),
+                 "optimal": optimal_values(rho, n, checks)}
+
+    out: dict[str, np.ndarray] = {}
+    eps_stats, margins = [], []
+    for kind, f in estimates.items():
+        eps_a = x_inaccuracies(p, slides, f, DEFAULT_TOLERANCES.simulated_norm + 1e-12,
+                               checks)
+        d_est = estimate_spreads(p, f, checks)
+        checks += relation_input_checks(
+            eps_a=eps_a, eps_b=eps_b, delta_a=delta_a, delta_b=delta_b,
+            delta_a_est=d_est, delta_b_est=delta_b_est, c=c)
+        lhs = relation_lhs(eps_a, eps_b, delta_a, delta_b, d_est, delta_b_est)
+        margins.append(np.stack(lhs, axis=1) - (c / 2.0)[:, None])
+        eps_stats.append(eps_a)
+        if kind == "optimal":
+            out["dispersion"] = np.abs(eps_a ** 2 + d_est ** 2 - delta_a ** 2)
+            new_le_hall, new_le_ozawa, in_domain, gap = strength_orderings(
+                eps_a, eps_b, delta_a, delta_b, *lhs[1:], checks)
+            ordered = new_le_hall & new_le_ozawa
+            out["ordering_violated"] = ~ordered
+            out["gap"] = gap[ordered & in_domain]
+
+    out["margins"] = np.stack(margins, axis=1)  # [N, kind, relation]
+    mh_direct, eps_direct = direct_moments(
+        rho, n, np.stack(list(estimates.values()), axis=1), checks)
+    out["oracle"] = np.maximum(
+        np.abs(mh_tables(p, slides) - mh_direct).max(axis=(1, 2)),
+        np.abs(np.stack(eps_stats, axis=1) - eps_direct).max(axis=1))
+
+    chains = dilated_chains(rho, slides, n,
+                            np.where(np.isnan(custom), estimates["optimal"], custom), checks)
+    run_checks(checks)
+    out["chain_min_slack"] = chains.min_slack
+    out["chain_broken"] = ~chains.holds
+    out["y_inaccuracy"] = np.abs(chains.eps_b - eps_b)
+    return out
 
 
 def run_verification(trials: int = 10_000, seed: int = 42) -> VerificationResult:
@@ -392,91 +474,38 @@ def run_verification(trials: int = 10_000, seed: int = 42) -> VerificationResult
     commuting construction (random custom estimators on odd trials); and
     compare the strength ordering plus its closed-form gap for the optimal
     estimate.
+
+    Trials run in array blocks: each block's raw numbers are drawn trial by
+    trial in the RNG order of a one-trial-at-a-time loop, so a seed gives
+    the same scenarios, and every check of the single-scenario path applies
+    to every trial, raising what the first offending trial raises alone.
     """
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
+    blocks = [_verify_block(*_draw_block(rng, first, min(_BLOCK, trials - first)))
+              for first in range(0, trials, _BLOCK)]
 
-    oracle_max = 0.0
-    y_inacc_max = 0.0
-    dispersion_max = 0.0
-    min_margins = {name: math.inf for name in ("arthurs_kelly", "hall", "ozawa", "new")}
-    violations = {name: 0 for name in ("hall", "ozawa", "new")}
-    ak_violations = 0
-    chain_min_slack = math.inf
-    chain_violations = 0
-    ordering_violations = 0
-    gap_checked = 0
-    gap_max = 0.0
+    def column(key: str) -> np.ndarray:
+        return np.concatenate([block[key] for block in blocks]) if blocks else np.zeros(0)
 
-    for trial in range(trials):
-        rho = random_state(rng)
-        slide = random_slide(rng)
-        w = random_observable(rng)
-        dist = joint_distribution(rho, slide, w)
-
-        eps_b = inaccuracy_y(slide)
-        delta_a = spread(_X1, rho)
-        delta_b = spread(_Y1, rho)
-        delta_b_est = y_estimator_spread(dist)
-        c = commutator_bound(_X1, _Y1, rho)
-
-        estimators = {"simple": Estimator.simple(),
-                      "optimal": optimal_estimator(rho, w)}
-        eps_stats = {}
-        for kind, est in estimators.items():
-            eps_a = inaccuracy_x(dist, slide, est)
-            eps_stats[kind] = eps_a
-            d_est = estimator_spread(dist, est)
-            report = evaluate_relations(
-                eps_a=eps_a, eps_b=eps_b, delta_a=delta_a, delta_b=delta_b,
-                delta_a_est=d_est, delta_b_est=delta_b_est, c=c,
-                scenario={"estimator": kind})
-            margins = report.margins()
-            for name, margin in margins.items():
-                min_margins[name] = min(min_margins[name], margin)
-            for name in ("hall", "ozawa", "new"):
-                if margins[name] < -MARGIN_TOL:
-                    violations[name] += 1
-            if margins["arthurs_kelly"] < -MARGIN_TOL:
-                ak_violations += 1
-
-            if kind == "optimal":
-                dispersion_max = max(
-                    dispersion_max,
-                    abs(eps_a ** 2 + d_est ** 2 - delta_a ** 2))
-                try:
-                    ordering = strength_comparison(report)
-                except RelationViolationError:
-                    ordering_violations += 1
-                else:
-                    if ordering.gap_residual is not None:
-                        gap_checked += 1
-                        gap_max = max(gap_max, ordering.gap_residual)
-
-        oracle_max = max(oracle_max,
-                         _oracle_diff(rho, slide, w, dist, estimators, eps_stats))
-
-        if trial % 2 == 0:
-            chain_est = estimators["optimal"]
-        else:
-            f_plus, f_minus = rng.uniform(-2.0, 2.0, size=2)
-            chain_est = Estimator.custom(float(f_plus), float(f_minus))
-        chain = dilated_chain(rho, slide, w, chain_est)
-        chain_min_slack = min(chain_min_slack, chain.min_slack)
-        if not chain.holds:
-            chain_violations += 1
-        y_inacc_max = max(y_inacc_max, abs(chain.eps_b - eps_b))
-
+    margins = column("margins").reshape(-1, len(RELATION_NAMES))
+    negative = (margins < -MARGIN_TOL).sum(axis=0)
+    gaps = column("gap")
     ref = simulate_scenario(*reference_scenario(), estimator="optimal")
 
     return VerificationResult(
         trials=trials, seed=seed, elapsed_s=time.perf_counter() - t0,
-        oracle_max_diff=oracle_max,
-        y_inaccuracy_max_diff=y_inacc_max,
-        dispersion_max_residual=dispersion_max,
-        min_margins=min_margins, violations=violations,
-        ak_violations=ak_violations,
+        oracle_max_diff=float(np.max(column("oracle"), initial=0.0)),
+        y_inaccuracy_max_diff=float(np.max(column("y_inaccuracy"), initial=0.0)),
+        dispersion_max_residual=float(np.max(column("dispersion"), initial=0.0)),
+        min_margins={name: float(np.min(margins[:, k], initial=math.inf))
+                     for k, name in enumerate(RELATION_NAMES)},
+        violations={name: int(negative[k]) for k, name in enumerate(RELATION_NAMES)
+                    if name != "arthurs_kelly"},
+        ak_violations=int(negative[RELATION_NAMES.index("arthurs_kelly")]),
         reference_satisfied=ref.report.satisfied,
-        chain_min_slack=chain_min_slack, chain_violations=chain_violations,
-        ordering_violations=ordering_violations,
-        gap_checked=gap_checked, gap_max_residual=gap_max)
+        chain_min_slack=float(np.min(column("chain_min_slack"), initial=math.inf)),
+        chain_violations=int(column("chain_broken").sum()),
+        ordering_violations=int(column("ordering_violated").sum()),
+        gap_checked=int(gaps.size),
+        gap_max_residual=float(np.max(gaps, initial=0.0)))
