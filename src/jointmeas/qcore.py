@@ -18,7 +18,6 @@ All container types are immutable values; operations are pure functions.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -90,7 +89,6 @@ class ToleranceProfile:
 
     hermiticity: float = 1e-12
     equality: float = 1e-10
-    variance: float = 1e-12
     psd: float = 1e-10
     tomographic_psd: float = 1e-3
     measured_norm: float = 0.01
@@ -163,30 +161,8 @@ class HermitianOperator:
     def isclose(self, other: "HermitianOperator", atol: float = DEFAULT_TOLERANCES.equality) -> bool:
         return matrices_close(self._matrix, other._matrix, atol)
 
-    # Sums and real-scalar multiples of Hermitian operators stay Hermitian,
-    # so those are the only algebra offered on the wrapper; products are
-    # taken on .matrix where needed.
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        self._check_dim(other)
-        return HermitianOperator(self._matrix + other._matrix)
-
-    def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
-        self._check_dim(other)
-        return HermitianOperator(self._matrix - other._matrix)
-
-    def __mul__(self, scalar) -> "HermitianOperator":
-        if not isinstance(scalar, numbers.Real):
-            return NotImplemented
-        return HermitianOperator(self._matrix * float(scalar))
-
-    __rmul__ = __mul__
-
     def __neg__(self) -> "HermitianOperator":
         return HermitianOperator(-self._matrix)
-
-    def _check_dim(self, other: "HermitianOperator") -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"dimensions differ: {self.dim} vs {other.dim}")
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"
@@ -381,7 +357,7 @@ def spreads(op: HermitianOperator, mats: np.ndarray,
         (np.abs(val.imag) > DEFAULT_TOLERANCES.equality, failing(
             NumericalCorruptionError,
             lambda i: f"expectation has imaginary part {val.imag[i]:.3e}")),
-        (var < -DEFAULT_TOLERANCES.variance, failing(
+        (var < -1e-12, failing(
             NumericalCorruptionError, lambda i: f"variance {var[i]:.3e} below -1e-12")),
     ])
     return np.sqrt(np.maximum(var, 0.0))

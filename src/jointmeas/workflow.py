@@ -67,7 +67,6 @@ from .scenario import (
     joint_tables,
     povm_elements,
     slide_arrays,
-    slide_checks,
     slide_model,
 )
 
@@ -276,7 +275,7 @@ def dilated_chains(rho: np.ndarray, slide, n: np.ndarray, f: np.ndarray,
     -- and check every link of the averaged-spread derivation on them; the
     chain's fields are arrays ``[N]``.  The checks go to ``checks`` when
     given, else they run here."""
-    ops = dilated_operators(rho, povm_elements(slide, checks), n, f, checks)
+    ops = dilated_operators(rho, povm_elements(slide), n, f, checks)
     return relation_chains(*ops, checks=checks)
 
 
@@ -417,10 +416,9 @@ def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
     rho = _state_matrices(g)
     checks, _ = density_checks(rho)
     slides = slide_arrays(refl[:, 0], refl[:, 1])
-    checks += slide_checks(slides)
     n = bloch_vectors(angles[:, 0], angles[:, 1])
     p = joint_tables(rho, slides, n, checks)
-    eps_b = y_inaccuracies(slides, checks)
+    eps_b = y_inaccuracies(slides)
     delta_a = spreads(_X1, rho, checks)
     delta_b = spreads(_Y1, rho, checks)
     delta_b_est = y_spreads(p, checks)
@@ -479,7 +477,11 @@ def run_verification(trials: int = 10_000, seed: int = 42) -> VerificationResult
     trial in the RNG order of a one-trial-at-a-time loop, so a seed gives
     the same scenarios, and every check of the single-scenario path applies
     to every trial, raising what the first offending trial raises alone.
+    A negative trial count raises ``ValueError``; zero trials give an empty
+    run, which does not pass.
     """
+    if trials < 0:
+        raise ValueError(f"trials must not be negative, got {trials}")
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     blocks = [_verify_block(*_draw_block(rng, first, min(_BLOCK, trials - first)))

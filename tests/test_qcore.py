@@ -50,14 +50,10 @@ def test_hermitian_operator_rejects_asymmetry():
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_hermitian_operator_arithmetic():
-    x, z = pauli("X"), pauli("Z")
-    assert np.allclose((x + z).matrix, x.matrix + z.matrix)
-    assert np.allclose((x - z).matrix, x.matrix - z.matrix)
-    assert np.allclose((x * 2.5).matrix, 2.5 * x.matrix)
-    assert np.allclose((-x).matrix, -x.matrix)
-    with pytest.raises(DimensionMismatchError):
-        x + tensor(x, z)
+def test_hermitian_operator_negation():
+    x = pauli("X")
+    assert isinstance(-x, HermitianOperator)
+    assert np.array_equal((-x).matrix, -x.matrix)
 
 
 def test_as_complex_matrix_rejects_bad_shapes():

@@ -20,8 +20,10 @@ from jointmeas import (
     effective_povm,
     epr_state,
     expectation,
+    inaccuracy_y,
     joint_distribution,
     pauli,
+    projector_pair,
     slide_model,
     tensor,
 )
@@ -98,6 +100,33 @@ def test_contextual_values_recover_x(r_h, r_v, theta, phi):
         k = slide.kraus(m).matrix
         acc += slide.xi(m) * np.trace(rho.matrix @ k @ k).real
     assert acc == pytest.approx(expectation(pauli("X"), rho), abs=1e-9)
+
+
+@given(r_h=reflectivity, r_v=reflectivity)
+@settings(max_examples=200, deadline=None)
+def test_closed_forms_follow_from_kraus_operators(r_h, r_v):
+    """The slide's closed forms -- the Y POVM (1 +- (1 - kappa) Y)/2 and
+    eps(Y) = sqrt(2 kappa) -- agree with what its Kraus operators give."""
+    if abs(r_h - r_v) < 0.01:
+        r_v = r_h + 0.01 if r_h < 0.5 else r_h - 0.01
+    slide = slide_model(r_h, r_v)
+    m_r, m_t = slide.kraus(REFLECTED).matrix, slide.kraus(TRANSMITTED).matrix
+    x_plus, x_minus = (op.matrix for op in projector_pair(pauli("X")))
+    assert np.abs(m_r @ m_r - (r_h * x_plus + r_v * x_minus)).max() <= 1e-12
+    assert np.abs(m_t @ m_t - ((1 - r_h) * x_plus + (1 - r_v) * x_minus)).max() <= 1e-12
+
+    y_projs = [op.matrix for op in projector_pair(pauli("Y"))]
+    upsilon = [m_t @ y @ m_t + m_r @ y @ m_r for y in y_projs]
+    for kraus_sum, element in zip(upsilon, effective_povm(slide)):
+        assert np.abs(kraus_sum - element.matrix).max() <= 1e-12
+
+    # MH mean square against the reference state 1/2:
+    # sum (y - y')^2 Tr({Y_y, Upsilon_y'}) / 4
+    mean_square = sum((y - y2) ** 2 * np.trace(yp @ up + up @ yp).real / 4
+                      for y, yp in zip(OUTCOMES, y_projs)
+                      for y2, up in zip(OUTCOMES, upsilon))
+    assert abs(mean_square - inaccuracy_y(slide) ** 2) <= 1e-12
+    assert abs(mean_square - 2 * slide.kappa) <= 1e-12
 
 
 def test_degenerate_reflectivities_rejected():

@@ -169,6 +169,12 @@ def test_run_verification_small():
     assert any("arthurs_kelly" in line for line in lines)
 
 
+@pytest.mark.parametrize("trials", [-1, -5])
+def test_run_verification_rejects_negative_trials(trials):
+    with pytest.raises(ValueError, match="trials must not be negative"):
+        run_verification(trials=trials, seed=3)
+
+
 def test_verification_serialisation_is_deterministic():
     one = run_verification(trials=12, seed=9)
     two = run_verification(trials=12, seed=9)
