@@ -33,9 +33,8 @@ from .workflow import (
     ESTIMATOR_KINDS,
     REFERENCE_R_H,
     REFERENCE_R_V,
-    analyze_measured,
+    _scenario_results,
     run_verification,
-    simulate_scenario,
     sweep_phi,
 )
 
@@ -200,8 +199,8 @@ def _run_simulate(config: RunConfig) -> int:
     slide = slide_model(config.r_h, config.r_v)
     w = BlochObservable.from_degrees(config.theta_deg, config.phi_degs[0])
     info = {} if config.gamma_deg is None else {"gamma_deg": config.gamma_deg}
-    results = [simulate_scenario(rho, slide, w, estimator=kind, scenario_info=info)
-               for kind in config.estimator_kinds]
+    results = _scenario_results(rho, config.estimator_kinds, slide=slide, w=w,
+                                scenario_info=info)
     if config.dist_file:
         save_distribution(results[0].distribution, config.dist_file)
     reports = [r.report for r in results]
@@ -215,8 +214,7 @@ def _run_analyze(config: RunConfig) -> int:
                              tolerances=config.tolerances)
     rho = (load_density_matrix(config.state_file, tolerances=config.tolerances)
            if config.state_file else bundled_state())
-    reports = [analyze_measured(dist, rho, estimator=kind)
-               for kind in config.estimator_kinds]
+    reports = [r.report for r in _scenario_results(rho, config.estimator_kinds, dist=dist)]
     _emit(config, emit_report(reports[0] if len(reports) == 1 else reports,
                               config.format))
     return EXIT_OK
@@ -245,10 +243,17 @@ _RUNNERS = {"simulate": _run_simulate, "analyze": _run_analyze,
             "sweep": _run_sweep, "verify": _run_verify}
 
 
+# The parser of this process, built by the first main() call: argparse keeps
+# no state between parse_args calls, so repeated in-process calls share it.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits itself on usage errors / --help
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return EXIT_OK if code == 0 else EXIT_USAGE

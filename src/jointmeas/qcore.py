@@ -348,6 +348,8 @@ def spreads(op: HermitianOperator, mats: np.ndarray,
     """Standard deviations ``sqrt(<G^2> - <G>^2)`` ``[N]`` of one observable
     in N states ``mats[N, d, d]``.  The mean must be real and the variance
     not below -1e-12 (checks go to ``checks`` when given, else run here)."""
+    if op.dim != mats.shape[-1]:
+        raise DimensionMismatchError(f"operator dim {op.dim} vs state dim {mats.shape[-1]}")
     g = op.matrix
     val = np.trace(mats @ g, axis1=-2, axis2=-1)
     mean = val.real
@@ -366,8 +368,6 @@ def spreads(op: HermitianOperator, mats: np.ndarray,
 def spread(op: HermitianOperator, rho: DensityMatrix) -> float:
     """Standard deviation ``sqrt(<G^2> - <G>^2)`` of an observable
     (:func:`spreads` for one state)."""
-    if op.dim != rho.dim:
-        raise DimensionMismatchError(f"operator dim {op.dim} vs state dim {rho.dim}")
     return float(spreads(op, rho.matrix[None])[0])
 
 

@@ -161,19 +161,36 @@ class SemiweakSlide:
         return cls(r_h=r, r_v=r)
 
 
+# The smallest |r_h - r_v| slide_model accepts.  The contextual values grow
+# as 2/|r_h - r_v| and amplify the rounding of the joint table into the
+# reconstructed eps(X) by about 1e-16/|r_h - r_v|: on reflectivities across
+# [0, 1] that is up to 1.6e-10 at this gap, and below 5e-7 the
+# reconstructed quasi-table's mass starts to miss its 1e-10 gate.
+MIN_REFLECTIVITY_GAP = 1e-6
+
+
 def slide_model(r_h: float, r_v: float) -> SemiweakSlide:
     """Build the slide from its two reflectivities (see :func:`slide_arrays`
     for the closed forms of its Kraus operators, kappa and contextual
     values).
 
-    Raises ``DegenerateMeasurementError`` when ``r_h == r_v`` within 1e-12:
-    such a slide reveals nothing about X and the inversion does not exist
-    (use :meth:`SemiweakSlide.polarisation_independent` to model it).
+    Raises ``DegenerateMeasurementError`` when ``r_h == r_v`` within 1e-12
+    -- such a slide reveals nothing about X and the inversion does not
+    exist (use :meth:`SemiweakSlide.polarisation_independent` to model it)
+    -- and when ``|r_h - r_v|`` is below ``MIN_REFLECTIVITY_GAP`` (1e-6),
+    where the contextual values are so large that rounding, not the data,
+    decides the reconstructed X statistics.
     """
     slide = SemiweakSlide(r_h=r_h, r_v=r_v)
-    if abs(r_h - r_v) < 1e-12:
+    gap = abs(r_h - r_v)
+    if gap < 1e-12:
         raise DegenerateMeasurementError(
             f"r_h = r_v = {r_h:g}: contextual values are unbounded")
+    if gap < MIN_REFLECTIVITY_GAP:
+        raise DegenerateMeasurementError(
+            f"|r_h - r_v| = {gap:.3g} is below {MIN_REFLECTIVITY_GAP:g}: contextual "
+            f"values of order {2 / gap:.1e} would amplify rounding into the "
+            f"reconstructed X statistics")
     return slide
 
 

@@ -26,7 +26,6 @@ from .estimate import (
     optimal_estimator,
     optimal_values,
     x_inaccuracies,
-    y_estimator_spread,
     y_inaccuracies,
     y_spreads,
 )
@@ -116,24 +115,8 @@ def simulate_scenario(rho: DensityMatrix, slide: SemiweakSlide, w: BlochObservab
                       estimator: str = "optimal",
                       scenario_info: dict | None = None) -> SimulationResult:
     """Simulate the joint measurement and evaluate all four relations."""
-    dist = joint_distribution(rho, slide, w)
-    est = build_estimator(estimator, rho, w)
-    eps_a = inaccuracy_x(dist, slide, est)
-    eps_b = inaccuracy_y(slide)
-    delta_a = spread(_X1, rho)
-    delta_a_est = estimator_spread(dist, est)
-    dispersion = DispersionCheck(eps_a ** 2, delta_a_est ** 2, delta_a ** 2)
-    info = {"source": "simulated", "estimator": est.kind,
-            "theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
-            "r_h": slide.r_h, "r_v": slide.r_v}
-    info.update(scenario_info or {})
-    report = evaluate_relations(
-        eps_a=eps_a, eps_b=eps_b,
-        delta_a=delta_a, delta_b=spread(_Y1, rho),
-        delta_a_est=delta_a_est, delta_b_est=y_estimator_spread(dist),
-        c=commutator_bound(_X1, _Y1, rho), scenario=info)
-    return SimulationResult(report=report, distribution=dist, estimator=est,
-                            dispersion=dispersion)
+    return _scenario_results(rho, (estimator,), slide=slide, w=w,
+                             scenario_info=scenario_info)[0]
 
 
 def _meta_float(dist: JointDistribution, key: str) -> float:
@@ -153,22 +136,61 @@ def analyze_measured(dist: JointDistribution, rho: DensityMatrix,
     spreads and the commutator bound come from the tomographic state.  The
     slide reflectivities and the W angles default to the table's metadata.
     """
-    if slide is None:
-        slide = slide_model(_meta_float(dist, "r_h"), _meta_float(dist, "r_v"))
-    if w is None:
-        w = BlochObservable.from_degrees(_meta_float(dist, "theta_deg"),
-                                         _meta_float(dist, "phi_deg"))
-    est = build_estimator(estimator, rho, w)
-    info = {"source": dist.provenance, "estimator": est.kind,
-            "theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
-            "r_h": slide.r_h, "r_v": slide.r_v}
-    return evaluate_relations(
-        eps_a=inaccuracy_x(dist, slide, est),
-        eps_b=inaccuracy_y(slide),
-        delta_a=spread(_X1, rho), delta_b=spread(_Y1, rho),
-        delta_a_est=estimator_spread(dist, est),
-        delta_b_est=y_estimator_spread(dist),
-        c=commutator_bound(_X1, _Y1, rho), scenario=info)
+    return _scenario_results(rho, (estimator,), dist=dist, slide=slide, w=w)[0].report
+
+
+def _scenario_results(rho: DensityMatrix, kinds, *,
+                      dist: JointDistribution | None = None,
+                      slide: SemiweakSlide | None = None,
+                      w: BlochObservable | None = None,
+                      scenario_info: dict | None = None) -> list[SimulationResult]:
+    """One scenario's results for each estimator kind in ``kinds``, from one
+    statistics pass: :func:`simulate_scenario` when ``dist`` is None (the
+    table is simulated from ``slide`` and ``w``), else
+    :func:`analyze_measured` (``slide`` and ``w`` default to the table's
+    metadata).
+
+    The table, eps(Y), Delta X, Delta Y, Delta_est(Y) and c do not depend on
+    the kind and are computed once.  Their checks are queued and run between
+    each kind's own, in the order of a one-kind evaluation (Delta Y after
+    Delta_est(X) when simulating, before it when analysing), so a bad input
+    raises what its first kind raises alone.
+    """
+    simulated = dist is None
+    if simulated:
+        dist = joint_distribution(rho, slide, w)
+    else:
+        if slide is None:
+            slide = slide_model(_meta_float(dist, "r_h"), _meta_float(dist, "r_v"))
+        if w is None:
+            w = BlochObservable.from_degrees(_meta_float(dist, "theta_deg"),
+                                             _meta_float(dist, "phi_deg"))
+    x_checks: list[Check] = []
+    y_checks: list[Check] = []
+    y_est_checks: list[Check] = []
+    eps_b = inaccuracy_y(slide)
+    delta_a = float(spreads(_X1, rho.matrix[None], x_checks)[0])
+    delta_b = float(spreads(_Y1, rho.matrix[None], y_checks)[0])
+    delta_b_est = float(y_spreads(dist.table[None], y_est_checks)[0])
+    c = commutator_bound(_X1, _Y1, rho)
+
+    results = []
+    for kind in kinds:
+        est = build_estimator(kind, rho, w)
+        eps_a = inaccuracy_x(dist, slide, est)
+        run_checks(x_checks if simulated else x_checks + y_checks)
+        delta_a_est = estimator_spread(dist, est)
+        run_checks(y_checks + y_est_checks if simulated else y_est_checks)
+        report = evaluate_relations(
+            eps_a=eps_a, eps_b=eps_b, delta_a=delta_a, delta_b=delta_b,
+            delta_a_est=delta_a_est, delta_b_est=delta_b_est, c=c,
+            scenario={"source": dist.provenance, "estimator": est.kind,
+                      "theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
+                      "r_h": slide.r_h, "r_v": slide.r_v, **(scenario_info or {})})
+        results.append(SimulationResult(
+            report=report, distribution=dist, estimator=est,
+            dispersion=DispersionCheck(eps_a ** 2, delta_a_est ** 2, delta_a ** 2)))
+    return results
 
 
 def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,

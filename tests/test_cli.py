@@ -82,6 +82,44 @@ def test_simulate_degenerate_slide_is_data_error(capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_simulate_near_degenerate_slide_is_data_error(capsys):
+    assert main(["simulate", "--gamma", "22.5", "--rh", "0.3",
+                 "--rv", "0.3000001"]) == 3
+    assert "below 1e-06" in capsys.readouterr().err
+
+
+def test_main_reuses_one_parser_without_carrying_state(monkeypatch, capsys):
+    from jointmeas import cli
+
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+
+    assert main(["simulate", "--gamma", "22.5", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("scenario.source,")
+    assert main(["simulate", "--gamma", "22.5"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 2
+
+    assert main(["sweep", "--gamma", "22.5", "--phi", "10"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert main(["sweep", "--gamma", "22.5", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["phi_deg"] for row in rows] == [135.0, 157.5, 180.0, 202.5, 225.0]
+
+    assert main(["simulate", "--gamma", "22.5", "--phi", "abc"]) == 2
+    assert main(["simulate"]) == 2
+    assert main(["simulate", "--gamma", "22.5"]) == 0
+    assert main(["--help"]) == 0
+    assert main(["--help"]) == 0
+    assert len(built) == 1
+
+
 def test_simulate_from_state_file(tmp_path, capsys):
     state_file = tmp_path / "state.csv"
     state_file.write_text(measured_table("tomographic_state.csv"))

@@ -24,9 +24,12 @@ from jointmeas import (
     joint_distribution,
     pauli,
     projector_pair,
+    simulate_scenario,
     slide_model,
     tensor,
 )
+from jointmeas.oracle import direct_moments
+from jointmeas.scenario import MIN_REFLECTIVITY_GAP
 
 R_H, R_V = 0.1244, 0.4645
 KAPPA = 0.07486648470218149
@@ -136,6 +139,23 @@ def test_degenerate_reflectivities_rejected():
         slide_model(-0.1, 0.5)
     with pytest.raises(ValueError):
         slide_model(0.1, 1.5)
+
+
+@pytest.mark.parametrize("r", [*np.round(np.linspace(0.02, 0.98, 9), 2).tolist(), 0.0, 1.0])
+def test_reflectivity_gap_threshold(r):
+    """Slides closer than MIN_REFLECTIVITY_GAP are rejected; just above it
+    the reconstructed eps(X) still matches the direct operator value."""
+    inward = 1.0 if r < 0.5 else -1.0
+    for gap in (1e-7, 0.99 * MIN_REFLECTIVITY_GAP):
+        with pytest.raises(DegenerateMeasurementError, match="below 1e-06"):
+            slide_model(r, r + inward * gap)
+    slide = slide_model(r, r + inward * 1.01 * MIN_REFLECTIVITY_GAP)
+    rho, w = epr_state(math.radians(22.5)), BlochObservable.from_degrees(37.0, 123.0)
+    for kind in ("simple", "optimal"):
+        result = simulate_scenario(rho, slide, w, estimator=kind)
+        _, direct = direct_moments(rho.matrix[None], w.vector[None],
+                                   result.estimator.array[None, None])
+        assert abs(result.report.eps_a - direct[0, 0]) <= 1e-9
 
 
 def test_polarisation_independent_slide():

@@ -9,19 +9,37 @@ import pytest
 
 from jointmeas import (
     BlochObservable,
+    JointDistribution,
+    NumericalCorruptionError,
+    UndefinedEstimateError,
     analyze_measured,
     build_estimator,
     bundled_distribution,
     bundled_state,
+    commutator_bound,
     dilated_chain,
+    epr_state,
+    estimator_spread,
+    evaluate_relations,
+    inaccuracy_x,
+    inaccuracy_y,
+    joint_distribution,
+    pauli,
     random_observable,
     random_slide,
     random_state,
     reference_scenario,
     run_verification,
     simulate_scenario,
+    slide_model,
+    spread,
     sweep_phi,
+    tensor,
+    y_estimator_spread,
 )
+from jointmeas.cli import main
+from jointmeas.scenario import TRIPLES
+from jointmeas.workflow import _scenario_results
 
 EPS_OPT = 0.7071067811865474
 EPS_B = 0.3869534460427547
@@ -196,3 +214,94 @@ def test_verification_pass_logic():
                                    "ozawa": True, "new": True})
     assert not flipped.reference_ok and not flipped.passed
     assert "FAIL" in flipped.summary_lines()[-1]
+
+
+X1 = tensor(pauli("X"), pauli("I"))
+Y1 = tensor(pauli("Y"), pauli("I"))
+KIND_ORDERS = [("simple", "optimal"), ("optimal", "simple"), ("simple",), ("optimal",)]
+MEASURED_PHIS = (157.5, 180.0, 202.5, 225.0)  # phi = 135 fails its mass gate
+
+
+def loop_report(rho, slide, w, dist, kind, info=None):
+    """The per-kind pipeline that the shared pass replaced, from the public
+    scalar functions: every statistic recomputed for one kind."""
+    est = build_estimator(kind, rho, w)
+    return evaluate_relations(
+        eps_a=inaccuracy_x(dist, slide, est), eps_b=inaccuracy_y(slide),
+        delta_a=spread(X1, rho), delta_b=spread(Y1, rho),
+        delta_a_est=estimator_spread(dist, est), delta_b_est=y_estimator_spread(dist),
+        c=commutator_bound(X1, Y1, rho),
+        scenario={"source": dist.provenance, "estimator": kind,
+                  "theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
+                  "r_h": slide.r_h, "r_v": slide.r_v, **(info or {})})
+
+
+def test_shared_pass_equals_per_kind_simulation():
+    rng = np.random.default_rng(23)
+    info = {"gamma_deg": 12.5}
+    for trial in range(24):
+        rho, slide, w = random_state(rng), random_slide(rng), random_observable(rng)
+        kinds = KIND_ORDERS[trial % len(KIND_ORDERS)]
+        shared = _scenario_results(rho, kinds, slide=slide, w=w, scenario_info=info)
+        dist = joint_distribution(rho, slide, w)
+        assert [r.report.to_dict() for r in shared] == \
+            [simulate_scenario(rho, slide, w, estimator=k, scenario_info=info).report.to_dict()
+             for k in kinds] == \
+            [loop_report(rho, slide, w, dist, k, info).to_dict() for k in kinds]
+        assert [r.estimator.kind for r in shared] == list(kinds)
+        assert all(r.distribution is shared[0].distribution for r in shared)
+
+
+def test_shared_pass_equals_per_kind_analysis():
+    rho = bundled_state()
+    _, slide, _ = reference_scenario()  # the bundled tables' reflectivities
+    for phi in MEASURED_PHIS:
+        dist = bundled_distribution(phi)
+        w = BlochObservable.from_degrees(90.0, phi)
+        for kinds in KIND_ORDERS:
+            shared = [r.report.to_dict() for r in _scenario_results(rho, kinds, dist=dist)]
+            assert shared == [analyze_measured(dist, rho, estimator=k).to_dict()
+                              for k in kinds]
+            assert shared == [loop_report(rho, slide, w, dist, k).to_dict() for k in kinds]
+
+
+def raised(error, *runs):
+    """The messages of the ``error`` that each of ``runs`` raises."""
+    messages = set()
+    for run in runs:
+        with pytest.raises(error) as info:
+            run()
+        messages.add(str(info.value))
+    return messages
+
+
+def test_shared_pass_raises_what_the_first_kind_raised():
+    # |HV> with W = Z: the W outcome +1 never occurs, so the optimal
+    # estimate is undefined; the simple kind is evaluated first and passes
+    rho, slide = epr_state(0.0), slide_model(0.1244, 0.4645)
+    w = BlochObservable.from_degrees(0.0, 0.0)
+    dist = joint_distribution(rho, slide, w)
+    kinds = ("simple", "optimal")
+    assert raised(
+        UndefinedEstimateError,
+        lambda: [loop_report(rho, slide, w, dist, k) for k in kinds],
+        lambda: [simulate_scenario(rho, slide, w, estimator=k) for k in kinds],
+        lambda: _scenario_results(rho, kinds, slide=slide, w=w),
+    ) == {"W outcome +1 has probability 0.000e+00"}
+    assert main(["simulate", "--gamma", "0", "--theta", "0", "--phi", "0"]) == 3
+
+    # a measured table whose y = -1 entries sit just below zero breaks both
+    # its y-outcome variance (kind-independent) and, for the simple kind,
+    # its reconstructed eps^2; the per-kind loop met eps^2 first
+    p = [0.1, 0.25, -2.5e-10, -2.5e-10, 0.1, 0.55, -2.5e-10, -2.5e-10]
+    dist = JointDistribution(dict(zip(TRIPLES, p)), provenance="measured",
+                             metadata={"r_h": 0.1244, "r_v": 0.4645,
+                                       "theta_deg": 90.0, "phi_deg": 180.0})
+    rho, (_, slide, w) = bundled_state(), reference_scenario()
+    messages = raised(
+        NumericalCorruptionError,
+        lambda: [loop_report(rho, slide, w, dist, k) for k in kinds],
+        lambda: [analyze_measured(dist, rho, estimator=k) for k in kinds],
+        lambda: _scenario_results(rho, kinds, dist=dist),
+    )
+    assert len(messages) == 1 and messages.pop().startswith("reconstructed eps^2")
