@@ -25,7 +25,6 @@ from .qcore import (
     SIGMAS,
     Check,
     DensityMatrix,
-    _psd_sqrt,
     as_operator_array,
     failing,
     submit_checks,
@@ -82,51 +81,55 @@ _X_PROJS = (SIGMAS[0] + _VALUES[:, None, None] * SIGMAS[1]) / 2
 _ANC0 = np.diag([1.0, 0.0]).astype(complex)
 # 1 (x) |i><i| on (system, ancilla) for ancilla states i = 0, 1
 _ANC_PROJS = _kron(_EYE2, np.stack([_ANC0, np.diag([0.0, 1.0]).astype(complex)]))
+# |1><0| - |0><1| on the ancilla: the factor of M_1 in the dilation unitary
+_ANC_FLIP = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+
+
+def _roots(elements: np.ndarray) -> np.ndarray:
+    """PSD square roots of a stack of Hermitian PSD 2x2 matrices, read from
+    their lower triangles, in closed form: ``sqrt(A) = (A + s 1)/sqrt(tr A +
+    2 s)`` with ``s = sqrt(det A)`` (zero where ``A`` is)."""
+    top, bottom = elements[..., 0, 0].real, elements[..., 1, 1].real
+    lower = elements[..., 1, 0]
+    s = np.sqrt(np.maximum(top * bottom - np.abs(lower) ** 2, 0.0))
+    norm = np.sqrt(np.maximum(top + bottom + 2.0 * s, 0.0))
+    scale = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
+    roots = np.empty(elements.shape, dtype=complex)
+    roots[..., 0, 0] = (top + s) * scale
+    roots[..., 1, 1] = (bottom + s) * scale
+    roots[..., 1, 0] = lower * scale
+    roots[..., 0, 1] = roots[..., 1, 0].conj()
+    return roots
+
+
+def _far(a: np.ndarray, b: np.ndarray, atol: float) -> np.ndarray:
+    """Per matrix of a stack: does any entry of ``a`` differ from ``b`` by
+    more than ``atol``?"""
+    return (np.abs(a - b) > atol).any(axis=(-2, -1))
 
 
 def naimark_unitaries(povms, checks: list[Check] | None = None) -> np.ndarray:
     """Dilation unitaries ``[N, 4, 4]`` for N binary POVMs ``povms[N, i]`` on
     one qubit.
 
-    With Hermitian PSD Kraus operators ``M_i = sqrt(E_i)``, the isometry
-    ``|s> -> sum_i (M_i |s>) (x) |i>_anc`` is completed to a unitary on
-    (system tensor ancilla); measuring the ancilla in its basis then realises
-    the POVM when the ancilla starts in ``|0>``.  The elements must sum to
-    the identity, and the completion must be unitary; the checks go to
-    ``checks`` when given, else they run here.
+    With the Kraus operators ``M_i = sqrt(E_i)`` in closed form, the unitary
+    on (system tensor ancilla) is ``U = M_0 (x) 1 + M_1 (x) (|1><0| - |0><1|)``,
+    i.e. ``[[M_0, -M_1], [M_1, M_0]]`` in ancilla blocks.  It maps
+    ``|s>|0>`` to ``sum_i (M_i |s>) |i>``, so measuring the ancilla in its
+    basis realises the POVM when the ancilla starts in ``|0>``, and it is
+    unitary because ``M_0`` and ``M_1 = sqrt(1 - E_0)`` commute.  The
+    elements must sum to the identity within 1e-10 and ``U^dag U`` must be
+    the identity within 1e-12, entry by entry; the checks go to ``checks``
+    when given, else they run here.
     """
     elements = as_operator_array(povms)
-    count = len(elements)
-    incomplete = ~np.isclose(elements[:, 0] + elements[:, 1], _EYE2,
-                             atol=1e-10).all(axis=(-2, -1))
-    # isometry rows (s, anc), columns s': M_anc[s, s']
-    iso = _psd_sqrt(elements).transpose(0, 2, 1, 3).reshape(count, 4, 2)
-    unitary = np.zeros((count, 4, 4), dtype=complex)
-    unitary[:, :, 0] = iso[:, :, 0]
-    unitary[:, :, 2] = iso[:, :, 1]
-    # complete the remaining columns by Gram-Schmidt over a fixed basis,
-    # taking for each unitary the first basis vector that stays independent
-    filled = [0, 2]
-    failed = np.zeros(count, dtype=bool)
-    for col in (1, 3):
-        done = np.zeros(count, dtype=bool)
-        for seed in range(4):
-            vec = np.zeros((count, 4), dtype=complex)
-            vec[:, seed] = 1.0
-            for prev in filled:
-                overlap = np.einsum("na,na->n", unitary[:, :, prev].conj(), vec)
-                vec -= unitary[:, :, prev] * overlap[:, None]
-            norm = np.linalg.norm(vec, axis=1)
-            take = ~done & (norm > 1e-7)
-            unitary[take, :, col] = vec[take] / norm[take, None]
-            done |= take
-        failed |= ~done
-        filled.append(col)
+    roots = _roots(elements)
+    unitary = _kron(roots[:, 0], _EYE2) + _kron(roots[:, 1], _ANC_FLIP)
     gram = unitary.conj().swapaxes(-1, -2) @ unitary
     submit_checks(checks, [
-        (incomplete, failing(ValueError, lambda i: "POVM elements must sum to the identity")),
-        (failed, failing(ValueError, lambda i: "failed to complete dilation unitary")),
-        (~np.isclose(gram, np.eye(4), atol=1e-12).all(axis=(-2, -1)),
+        (_far(elements[:, 0] + elements[:, 1], _EYE2, 1e-10),
+         failing(ValueError, lambda i: "POVM elements must sum to the identity")),
+        (_far(gram, np.eye(4), 1e-12),
          failing(ValueError, lambda i: "dilation completion is not unitary")),
     ])
     return unitary
@@ -198,8 +201,7 @@ def dilated_operators(rho: np.ndarray, povms: np.ndarray, n: np.ndarray, f: np.n
     # embed on slots (q1, anc) of (q1, q2, anc): identity on q2
     family = np.einsum("nipqrs,bc->nipbqrcs",
                        local.reshape(-1, 2, 2, 2, 2, 2), _EYE2).reshape(-1, 2, 8, 8)
-    submit_checks(checks, [(~np.isclose(family.sum(axis=1), np.eye(8),
-                                        atol=1e-12).all(axis=(-2, -1)), failing(
+    submit_checks(checks, [(_far(family.sum(axis=1), np.eye(8), 1e-12), failing(
         ValueError, lambda i: "dilated family is not complete"))])
     y_est = family[:, 0] - family[:, 1]
     return (x_est, y_est, _kron(SIGMAS[1], _EYE2, _EYE2), _kron(SIGMAS[2], _EYE2, _EYE2),

@@ -252,6 +252,23 @@ def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
 _BLOCK = 1024
 
 
+# Ranges of the random scenarios: reflectivities (kept at least
+# _MIN_REFLECTIVITY_SPLIT apart), cos(theta) and phi of the W direction, and
+# the custom X estimates of the derivation chains on odd trials.
+_REFLECTIVITIES = (0.02, 0.98)
+_MIN_REFLECTIVITY_SPLIT = 0.01
+_COS_THETA = (-1.0, 1.0)
+_PHI = (0.0, 2.0 * math.pi)
+_CUSTOM_ESTIMATES = (-2.0, 2.0)
+
+
+def _scaled(u, bounds: tuple[float, float]):
+    """Map uniforms ``u`` in [0, 1) onto ``bounds`` as ``Generator.uniform``
+    does, so the values equal its draws from the same stream."""
+    low, high = bounds
+    return low + (high - low) * u
+
+
 def _state_matrices(g: np.ndarray) -> np.ndarray:
     """``rho = G G^dag / tr(G G^dag)`` for a matrix or stack ``G``."""
     mat = g @ g.conj().swapaxes(-1, -2)
@@ -264,14 +281,14 @@ def _draw_state(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
 
 def _draw_reflectivities(rng: np.random.Generator) -> tuple[float, float]:
     while True:
-        r_h, r_v = rng.uniform(0.02, 0.98, size=2)
-        if abs(r_h - r_v) >= 0.01:
+        r_h, r_v = rng.uniform(*_REFLECTIVITIES, size=2)
+        if abs(r_h - r_v) >= _MIN_REFLECTIVITY_SPLIT:
             return float(r_h), float(r_v)
 
 
 def _draw_angles(rng: np.random.Generator) -> tuple[float, float]:
-    theta = math.acos(float(rng.uniform(-1.0, 1.0)))
-    return theta, float(rng.uniform(0.0, 2.0 * math.pi))
+    theta = math.acos(float(rng.uniform(*_COS_THETA)))
+    return theta, float(rng.uniform(*_PHI))
 
 
 def random_state(rng: np.random.Generator, dim: int = 4) -> DensityMatrix:
@@ -417,18 +434,29 @@ class VerificationResult:
 def _draw_block(rng: np.random.Generator, first: int, count: int):
     """The raw draws of trials ``first .. first + count - 1`` in the RNG
     order of one trial after another: the state's G, the reflectivities,
-    the W angles and, on odd trials, the custom estimate (NaN elsewhere)."""
-    g = np.empty((count, 4, 4), dtype=complex)
-    refl = np.empty((count, 2))
-    angles = np.empty((count, 2))
-    custom = np.full((count, 2), np.nan)
+    the W angles and, on odd trials, the custom estimate (NaN elsewhere).
+
+    Each trial takes two generator calls: the normals of G, then the
+    uniforms of the rest in one ``random`` call, mapped onto their ranges as
+    ``Generator.uniform`` maps them.  A rejected reflectivity pair shifts
+    the uniforms by two and draws two more.  The values equal those of
+    :func:`random_state`, :func:`random_slide`, :func:`random_observable`
+    and ``uniform(-2, 2, size=2)`` called in turn on the same stream.
+    """
+    normals = np.empty((count, 2, 4, 4))
+    uniforms = np.full((count, 6), np.nan)
     for k in range(count):
-        g[k] = _draw_state(rng)
-        refl[k] = _draw_reflectivities(rng)
-        angles[k] = _draw_angles(rng)
-        if (first + k) % 2:
-            custom[k] = rng.uniform(-2.0, 2.0, size=2)
-    return g, refl, angles, custom
+        normals[k] = rng.normal(size=(2, 4, 4))
+        u = rng.random(6 if (first + k) % 2 else 4).tolist()
+        while (abs(_scaled(u[0], _REFLECTIVITIES) - _scaled(u[1], _REFLECTIVITIES))
+               < _MIN_REFLECTIVITY_SPLIT):
+            u = u[2:] + rng.random(2).tolist()
+        uniforms[k, :len(u)] = u
+    theta = [math.acos(c) for c in _scaled(uniforms[:, 2], _COS_THETA).tolist()]
+    return (normals[:, 0] + 1j * normals[:, 1],
+            _scaled(uniforms[:, :2], _REFLECTIVITIES),
+            np.stack([np.array(theta), _scaled(uniforms[:, 3], _PHI)], axis=1),
+            _scaled(uniforms[:, 4:], _CUSTOM_ESTIMATES))
 
 
 def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointmeas import (
@@ -26,6 +26,7 @@ from jointmeas import (
     pauli,
     projector_pair,
 )
+from jointmeas.qcore import _psd_sqrt
 
 X = pauli("X").matrix
 Y = pauli("Y").matrix
@@ -80,6 +81,59 @@ def test_naimark_unitary_realises_povm(reference):
 def test_naimark_unitary_rejects_incomplete_povm():
     with pytest.raises(ValueError, match="sum to the identity"):
         naimark_unitary((0.5 * EYE, 0.3 * EYE))
+
+
+@pytest.mark.parametrize("excess", [1e-9, 5e-6])
+def test_naimark_completeness_gate_is_absolute(excess):
+    """Elements summing to (1 + d) 1 are rejected for any d above 1e-10,
+    not only beyond a relative tolerance."""
+    with pytest.raises(ValueError, match="must sum to the identity"):
+        naimark_unitary(((0.5 + excess) * EYE, 0.5 * EYE))
+
+
+def unitary_2x2(theta, phi, alpha):
+    half_c, half_s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[half_c, -np.exp(1j * phi) * half_s],
+                     [np.exp(1j * alpha) * half_s, np.exp(1j * (alpha + phi)) * half_c]])
+
+
+eigenvalue = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+angle = st.floats(0.0, 2 * math.pi)
+
+
+@given(low=eigenvalue, high=eigenvalue, theta=st.one_of(st.just(0.0), angle),
+       phi=angle, alpha=angle)
+@example(low=0.0, high=0.0, theta=0.0, phi=0.0, alpha=0.0)
+@example(low=0.0, high=1.0, theta=1.1, phi=0.3, alpha=2.0)
+@example(low=1.0, high=1.0, theta=0.7, phi=0.0, alpha=0.0)
+@settings(max_examples=150, deadline=None)
+def test_naimark_dilates_any_binary_povm(low, high, theta, phi, alpha):
+    """E0 = V diag(low, high) V^dag with spectrum in [0, 1], E1 = 1 - E0: the
+    closed-form Kraus root is the PSD square root, U is unitary and it
+    realises the POVM with the ancilla in |0>."""
+    rot = unitary_2x2(theta, phi, alpha)
+    e0 = rot @ np.diag([low, high]) @ rot.conj().T
+    povm = np.stack([e0, EYE - e0])
+    unitary = naimark_unitary(tuple(povm))
+    assert np.abs(unitary.conj().T @ unitary - np.eye(4)).max() <= 1e-12
+    # U |s>|0> = M0 |s>|0> + M1 |s>|1>: the Kraus roots are U's blocks
+    roots = unitary.reshape(2, 2, 2, 2)[:, :, :, 0].transpose(1, 0, 2)
+    for root, element in zip(roots, povm):
+        assert np.abs(root @ root - element).max() <= 1e-12
+        assert np.abs(root - root.conj().T).max() <= 1e-12
+        # a zero eigenvalue in a rotated basis is known only to rounding, so
+        # any square root of it carries sqrt(1e-16) ~ 1e-8 there
+        rounded_zero = min(np.linalg.eigvalsh(element)) < 1e-6 and theta != 0.0
+        tol = 1e-7 if rounded_zero else 1e-12
+        assert np.abs(root - _psd_sqrt(element)).max() <= tol
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        vec = rng.normal(size=2) + 1j * rng.normal(size=2)
+        vec /= np.linalg.norm(vec)
+        out = (unitary @ np.kron(vec, [1.0, 0.0])).reshape(2, 2)
+        for idx, element in enumerate(povm):
+            prob = np.vdot(out[:, idx], out[:, idx]).real
+            assert prob == pytest.approx((vec.conj() @ element @ vec).real, abs=1e-12)
 
 
 def test_dilated_system_layout():

@@ -33,6 +33,9 @@ from jointmeas import (
     optimal_estimator,
     pauli,
     projector_pair,
+    random_observable,
+    random_slide,
+    random_state,
     run_verification,
     slide_model,
     spread,
@@ -249,3 +252,53 @@ def test_block_raises_first_offending_trials_error(monkeypatch):
         DensityMatrix(skewed(g)[5])
     assert str(batched.value) == str(alone.value)
     assert "not Hermitian" in str(alone.value)
+
+
+def loop_draws(rng, first, count):
+    """The draws of ``count`` trials with one generator call per quantity,
+    trial after trial: the order ``_draw_block`` must reproduce.  Also
+    returns the number of rejected reflectivity pairs."""
+    g = np.empty((count, 4, 4), dtype=complex)
+    refl, angles = np.empty((count, 2)), np.empty((count, 2))
+    custom = np.full((count, 2), np.nan)
+    rejected = 0
+    for k in range(count):
+        g[k] = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        while True:
+            refl[k] = rng.uniform(0.02, 0.98, size=2)
+            if abs(refl[k, 0] - refl[k, 1]) >= 0.01:
+                break
+            rejected += 1
+        angles[k] = math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
+        if (first + k) % 2:
+            custom[k] = rng.uniform(-2.0, 2.0, size=2)
+    return (g, refl, angles, custom), rejected
+
+
+def test_draw_block_keeps_the_trial_loop_stream():
+    """Two generator calls per trial draw the very numbers of the trial loop,
+    bit for bit, rejected reflectivity pairs included, and leave the
+    generator where the loop left it."""
+    rejected = 0
+    for seed in range(200):
+        for first in (0, 1):
+            loop_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want, shifts = loop_draws(loop_rng, first, 101)
+            rejected += shifts
+            got = workflow._draw_block(rng, first, 101)
+            for got_part, want_part in zip(got, want):
+                assert got_part.dtype == want_part.dtype
+                assert np.array_equal(got_part, want_part, equal_nan=True), (seed, first)
+            assert rng.random() == loop_rng.random()
+    assert rejected > 0
+
+
+def test_random_scenario_helpers_keep_their_streams():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        rho, slide, w = random_state(rng), random_slide(rng), random_observable(rng)
+        (g, refl, angles, _), _ = loop_draws(np.random.default_rng(seed), 0, 1)
+        gram = g[0] @ g[0].conj().T
+        assert np.array_equal(rho.matrix, gram / np.trace(gram).real)
+        assert (slide.r_h, slide.r_v) == tuple(refl[0])
+        assert (w.theta, w.phi) == tuple(angles[0])
