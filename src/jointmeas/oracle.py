@@ -251,7 +251,7 @@ class DilatedSystem:
         """Register a projective family [(value, local projector), ...]."""
         embedded = [(float(v), embed(as_operator_array(p), slots, self.dims)) for v, p in members]
         total = sum(p for _, p in embedded)
-        if not np.allclose(total, np.eye(self.dim), atol=1e-12):
+        if _far(total, np.eye(self.dim), 1e-12):
             raise ValueError(f"family {name!r} is not complete")
         self.families[name] = embedded
         # the value-weighted sum is the observable itself
@@ -274,7 +274,7 @@ class DilatedSystem:
         embedded = [(value, embed(proj, (system_slot, anc_slot), self.dims))
                     for value, proj in zip(values, local)]
         total = sum(p for _, p in embedded)
-        if not np.allclose(total, np.eye(self.dim), atol=1e-12):
+        if _far(total, np.eye(self.dim), 1e-12):
             raise ValueError("dilated family is not complete")
         self.families[name] = embedded
         self.operators[name] = sum(v * p for v, p in embedded)

@@ -77,9 +77,15 @@ def submit_checks(checks: list[Check] | None, new: Sequence[Check]) -> None:
         checks.extend(new)
 
 
+# The exact-arithmetic gates: how far an operator or state may sit from
+# Hermitian, and matrices, traces or real expectations from their targets.
+_HERMITICITY_TOL = 1e-12
+_EQUALITY_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class ToleranceProfile:
-    """Numerical tolerances shared across the package.
+    """Data-quality tolerances, selectable as named profiles.
 
     ``psd`` is the magnitude of negative eigenvalue tolerated in a density
     matrix; ``tomographic_psd`` is the relaxed floor for states reconstructed
@@ -87,8 +93,6 @@ class ToleranceProfile:
     a distribution's total mass may sit from 1.
     """
 
-    hermiticity: float = 1e-12
-    equality: float = 1e-10
     psd: float = 1e-10
     tomographic_psd: float = 1e-3
     measured_norm: float = 0.01
@@ -129,7 +133,7 @@ def as_operator_array(op) -> np.ndarray:
     return mat
 
 
-def matrices_close(a: np.ndarray, b: np.ndarray, atol: float = DEFAULT_TOLERANCES.equality) -> bool:
+def matrices_close(a: np.ndarray, b: np.ndarray, atol: float = _EQUALITY_TOL) -> bool:
     """Entrywise equality within absolute tolerance."""
     return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= atol)
 
@@ -139,7 +143,7 @@ class HermitianOperator:
 
     __slots__ = ("_matrix",)
 
-    def __init__(self, matrix, *, atol: float = DEFAULT_TOLERANCES.hermiticity):
+    def __init__(self, matrix, *, atol: float = _HERMITICITY_TOL):
         mat = as_complex_matrix(matrix)
         dev = float(np.max(np.abs(mat - mat.conj().T)))
         if dev > atol:
@@ -158,7 +162,7 @@ class HermitianOperator:
     def identity(dim: int) -> "HermitianOperator":
         return HermitianOperator(np.eye(dim))
 
-    def isclose(self, other: "HermitianOperator", atol: float = DEFAULT_TOLERANCES.equality) -> bool:
+    def isclose(self, other: "HermitianOperator", atol: float = _EQUALITY_TOL) -> bool:
         return matrices_close(self._matrix, other._matrix, atol)
 
     def __neg__(self) -> "HermitianOperator":
@@ -219,7 +223,7 @@ class DensityMatrix:
     def __init__(self, matrix, *, psd_floor: float = DEFAULT_TOLERANCES.psd,
                  tolerances: ToleranceProfile = DEFAULT_TOLERANCES):
         mat = as_complex_matrix(matrix)
-        checks, min_eigs = density_checks(mat[None], psd_floor, tolerances)
+        checks, min_eigs = density_checks(mat[None], psd_floor)
         run_checks(checks)
         min_eig = float(min_eigs[0])
         object.__setattr__(self, "_matrix", mat)
@@ -250,15 +254,14 @@ class DensityMatrix:
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim) / dim)
 
-    def isclose(self, other: "DensityMatrix", atol: float = DEFAULT_TOLERANCES.equality) -> bool:
+    def isclose(self, other: "DensityMatrix", atol: float = _EQUALITY_TOL) -> bool:
         return matrices_close(self._matrix, other._matrix, atol)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim}, min_eig={self.min_eigenvalue:.2e})"
 
 
-def density_checks(mats: np.ndarray, psd_floor: float = DEFAULT_TOLERANCES.psd,
-                   tolerances: ToleranceProfile = DEFAULT_TOLERANCES
+def density_checks(mats: np.ndarray, psd_floor: float = DEFAULT_TOLERANCES.psd
                    ) -> tuple[list[Check], np.ndarray]:
     """Checks of N density matrices ``mats[N, d, d]`` -- Hermitian, unit
     trace, no eigenvalue below ``-psd_floor`` -- and their smallest
@@ -267,9 +270,9 @@ def density_checks(mats: np.ndarray, psd_floor: float = DEFAULT_TOLERANCES.psd,
     tr = np.trace(mats, axis1=-2, axis2=-1)
     min_eig = np.linalg.eigvalsh(mats)[:, 0]
     return [
-        (dev > tolerances.hermiticity, failing(
+        (dev > _HERMITICITY_TOL, failing(
             ValueError, lambda i: f"density matrix not Hermitian (max deviation {dev[i]:.3e})")),
-        (np.abs(tr - 1.0) > tolerances.equality, failing(
+        (np.abs(tr - 1.0) > _EQUALITY_TOL, failing(
             ValueError, lambda i: f"density matrix trace {complex(tr[i]):.12g} differs from 1")),
         (min_eig < -psd_floor, failing(
             ValueError, lambda i: f"density matrix has eigenvalue {min_eig[i]:.3e} below "
@@ -338,7 +341,7 @@ def expectation(op: HermitianOperator, rho: DensityMatrix) -> float:
     if op.dim != rho.dim:
         raise DimensionMismatchError(f"operator dim {op.dim} vs state dim {rho.dim}")
     val = complex(np.trace(rho.matrix @ op.matrix))
-    if abs(val.imag) > DEFAULT_TOLERANCES.equality:
+    if abs(val.imag) > _EQUALITY_TOL:
         raise NumericalCorruptionError(f"expectation has imaginary part {val.imag:.3e}")
     return val.real
 
@@ -356,7 +359,7 @@ def spreads(op: HermitianOperator, mats: np.ndarray,
     second = np.trace(mats @ g @ g, axis1=-2, axis2=-1).real
     var = second - mean * mean
     submit_checks(checks, [
-        (np.abs(val.imag) > DEFAULT_TOLERANCES.equality, failing(
+        (np.abs(val.imag) > _EQUALITY_TOL, failing(
             NumericalCorruptionError,
             lambda i: f"expectation has imaginary part {val.imag[i]:.3e}")),
         (var < -1e-12, failing(

@@ -22,7 +22,6 @@ dilated, Hilbert space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -39,8 +38,8 @@ from .qcore import (
     submit_checks,
     tensor,
 )
-from .scenario import SemiweakSlide, disturbed_observable, joint_distribution
-from .estimate import Estimator, estimator_spread, inaccuracy_x, y_estimator_spread
+from .scenario import SemiweakSlide, joint_distribution
+from .estimate import Estimator, estimator_spread, inaccuracy_x
 from .qcore import BlochObservable
 
 
@@ -426,26 +425,21 @@ def evaluate_md_relation(rho: DensityMatrix, slide: SemiweakSlide,
                          w: BlochObservable, est: Estimator) -> MDReport:
     """Evaluate the measurement-disturbance relation on a simulated scenario.
 
-    ``eta(Y) = sqrt(<(Y' - Y)^2>) = kappa`` for the slide channel since
-    ``Y' = (1 - kappa) Y``.  The relation is universal for estimates read off
-    qubit 2, so a violation marks numerical corruption and raises.
+    The slide channel contracts Y to ``Y' = (1 - kappa) Y``, so its RMS
+    disturbance is ``eta(Y) = sqrt(<(Y' - Y)^2>) = kappa`` and the disturbed
+    spread is ``Delta(Y') = (1 - kappa) Delta Y``, both in closed form.  The
+    relation is universal for estimates read off qubit 2, so a violation
+    marks numerical corruption and raises.
     """
     dist = joint_distribution(rho, slide, w)
     eps_a = inaccuracy_x(dist, slide, est)
     delta_a_est = estimator_spread(dist, est)
-
-    eye = pauli("I")
-    a_op = tensor(pauli("X"), eye)
-    b_op = tensor(pauli("Y"), eye)
-    b_disturbed = tensor(disturbed_observable(slide, pauli("Y")), eye)
-    diff = b_disturbed.matrix - b_op.matrix
-    eta_sq = float(np.real(np.trace(rho.matrix @ diff @ diff)))
-    eta_b = math.sqrt(max(eta_sq, 0.0))
-
+    a_op = tensor(pauli("X"), pauli("I"))
+    b_op = tensor(pauli("Y"), pauli("I"))
+    delta_a, delta_b = spread(a_op, rho), spread(b_op, rho)
     report = MDReport(
-        eps_a=eps_a, eta_b=eta_b,
-        delta_a=spread(a_op, rho), delta_a_est=delta_a_est,
-        delta_b=spread(b_op, rho), delta_b_disturbed=spread(b_disturbed, rho),
+        eps_a=eps_a, eta_b=slide.kappa, delta_a=delta_a, delta_a_est=delta_a_est,
+        delta_b=delta_b, delta_b_disturbed=(1.0 - slide.kappa) * delta_b,
         c=commutator_bound(a_op, b_op, rho))
     if not report.satisfied:
         raise RelationViolationError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +19,6 @@ from .estimate import (
     DispersionCheck,
     Estimator,
     estimate_spreads,
-    estimator_spread,
-    inaccuracy_x,
-    inaccuracy_y,
     mh_tables,
     optimal_estimator,
     optimal_values,
@@ -36,12 +33,10 @@ from .qcore import (
     Check,
     DensityMatrix,
     bloch_vectors,
-    commutator_bound,
     commutator_bounds,
     density_checks,
     pauli,
     run_checks,
-    spread,
     spreads,
     tensor,
 )
@@ -51,13 +46,13 @@ from .relations import (
     RelationChain,
     RelationReport,
     chain_item,
-    evaluate_relations,
     relation_chains,
     relation_input_checks,
     relation_lhs,
     strength_orderings,
 )
 from .scenario import (
+    OUTCOMES,
     SIGNS,
     JointDistribution,
     SemiweakSlide,
@@ -139,25 +134,64 @@ def analyze_measured(dist: JointDistribution, rho: DensityMatrix,
     return _scenario_results(rho, (estimator,), dist=dist, slide=slide, w=w)[0].report
 
 
+def _statistics(rho, slides, n: np.ndarray, kinds, checks: list[Check],
+                p: np.ndarray | None = None,
+                atol: float = DEFAULT_TOLERANCES.simulated_norm + 1e-12) -> dict:
+    """The statistics group of N scenarios in one array pass: states
+    ``rho`` (one DensityMatrix shared by all, or ``[N, 4, 4]``), slides (one
+    SemiweakSlide or :class:`SlideArrays`), directions ``n[N, 3]`` and the
+    measured tables ``p[N, m, y, w]``, whose quasi-tables must sum to 1
+    within ``atol``, or else simulated ones.  Returns ``p`` and arrays
+    ``[N]``: eps_y, delta_x, delta_y, delta_y_est, c and, under each kind,
+    f ``[N, w]``, eps_x, delta_x_est and lhs (in RELATION_NAMES order).
+
+    The checks are queued on ``checks`` in one order per scenario: the
+    table checks, then for each kind f, eps(X), Delta X, Delta Y,
+    Delta_est(X), Delta_est(Y) and the relation inputs.  A shared state is
+    reduced once, at N = 1, and its values and check flags are broadcast.
+    """
+    for kind in kinds:
+        _check_kind(kind)
+    size = len(n)
+    if p is None:
+        p = joint_tables(rho, slides, n, checks)
+    mats = rho.matrix[None] if isinstance(rho, DensityMatrix) else rho
+    spread_checks: list[Check] = []
+    y_est_checks: list[Check] = []
+    eps_b, delta_a, delta_b, delta_b_est, c = (np.broadcast_to(val, (size,)) for val in (
+        y_inaccuracies(slides), spreads(_X1, mats, spread_checks),
+        spreads(_Y1, mats, spread_checks), y_spreads(p, y_est_checks),
+        commutator_bounds(_X1, _Y1, mats)))
+    # a shared state's flags are set at every index or at none, so run_checks
+    # fires them at index 0, the one index their [1] values have
+    spread_checks = [(np.broadcast_to(bad, (size,)), fire) for bad, fire in spread_checks]
+    stats = {"p": p, "eps_y": eps_b, "delta_x": delta_a, "delta_y": delta_b,
+             "delta_y_est": delta_b_est, "c": c}
+    for kind in kinds:
+        f = np.tile(SIGNS, (size, 1)) if kind == "simple" else optimal_values(rho, n, checks)
+        eps_a = x_inaccuracies(p, slides, f, atol, checks)
+        checks += spread_checks
+        delta_a_est = estimate_spreads(p, f, checks)
+        checks += y_est_checks + relation_input_checks(
+            eps_a=eps_a, eps_b=eps_b, delta_a=delta_a, delta_b=delta_b,
+            delta_a_est=delta_a_est, delta_b_est=delta_b_est, c=c)
+        stats[kind] = {"f": f, "eps_x": eps_a, "delta_x_est": delta_a_est,
+                       "lhs": relation_lhs(eps_a, eps_b, delta_a, delta_b,
+                                           delta_a_est, delta_b_est)}
+    return stats
+
+
 def _scenario_results(rho: DensityMatrix, kinds, *,
                       dist: JointDistribution | None = None,
                       slide: SemiweakSlide | None = None,
                       w: BlochObservable | None = None,
                       scenario_info: dict | None = None) -> list[SimulationResult]:
     """One scenario's results for each estimator kind in ``kinds``, from one
-    statistics pass: :func:`simulate_scenario` when ``dist`` is None (the
-    table is simulated from ``slide`` and ``w``), else
+    :func:`_statistics` pass: :func:`simulate_scenario` when ``dist`` is
+    None (the table is simulated from ``slide`` and ``w``), else
     :func:`analyze_measured` (``slide`` and ``w`` default to the table's
-    metadata).
-
-    The table, eps(Y), Delta X, Delta Y, Delta_est(Y) and c do not depend on
-    the kind and are computed once.  Their checks are queued and run between
-    each kind's own, in the order of a one-kind evaluation (Delta Y after
-    Delta_est(X) when simulating, before it when analysing), so a bad input
-    raises what its first kind raises alone.
-    """
-    simulated = dist is None
-    if simulated:
+    metadata)."""
+    if dist is None:
         dist = joint_distribution(rho, slide, w)
     else:
         if slide is None:
@@ -165,26 +199,21 @@ def _scenario_results(rho: DensityMatrix, kinds, *,
         if w is None:
             w = BlochObservable.from_degrees(_meta_float(dist, "theta_deg"),
                                              _meta_float(dist, "phi_deg"))
-    x_checks: list[Check] = []
-    y_checks: list[Check] = []
-    y_est_checks: list[Check] = []
-    eps_b = inaccuracy_y(slide)
-    delta_a = float(spreads(_X1, rho.matrix[None], x_checks)[0])
-    delta_b = float(spreads(_Y1, rho.matrix[None], y_checks)[0])
-    delta_b_est = float(y_spreads(dist.table[None], y_est_checks)[0])
-    c = commutator_bound(_X1, _Y1, rho)
-
+    checks: list[Check] = []
+    stats = _statistics(rho, slide, w.vector[None], kinds, checks, p=dist.table[None],
+                        atol=dist.mass_tolerance + 1e-12)
+    run_checks(checks)
+    eps_b, delta_a, delta_b, delta_b_est, c = (
+        float(stats[key][0]) for key in ("eps_y", "delta_x", "delta_y", "delta_y_est", "c"))
     results = []
     for kind in kinds:
-        est = build_estimator(kind, rho, w)
-        eps_a = inaccuracy_x(dist, slide, est)
-        run_checks(x_checks if simulated else x_checks + y_checks)
-        delta_a_est = estimator_spread(dist, est)
-        run_checks(y_checks + y_est_checks if simulated else y_est_checks)
-        report = evaluate_relations(
-            eps_a=eps_a, eps_b=eps_b, delta_a=delta_a, delta_b=delta_b,
-            delta_a_est=delta_a_est, delta_b_est=delta_b_est, c=c,
-            scenario={"source": dist.provenance, "estimator": est.kind,
+        eps_a, delta_a_est, *lhs = (
+            float(val[0]) for val in (stats[kind]["eps_x"], stats[kind]["delta_x_est"],
+                                      *stats[kind]["lhs"]))
+        est = Estimator(dict(zip(OUTCOMES, stats[kind]["f"][0].tolist())), kind=kind)
+        report = RelationReport(
+            eps_a, eps_b, delta_a, delta_b, delta_a_est, delta_b_est, c, *lhs,
+            scenario={"source": dist.provenance, "estimator": kind,
                       "theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
                       "r_h": slide.r_h, "r_v": slide.r_v, **(scenario_info or {})})
         results.append(SimulationResult(
@@ -212,33 +241,20 @@ def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
     phis = np.array([float(phi) for phi in phi_degs])
     if phis.size == 0:
         return []
-    n = bloch_vectors(math.radians(theta_deg), np.radians(phis))
     checks: list[Check] = []
-    p = joint_tables(rho, slide, n, checks)
-    eps_b = inaccuracy_y(slide)
-    delta_x = spread(_X1, rho)
-    delta_y = spread(_Y1, rho)
-    c = commutator_bound(_X1, _Y1, rho)
-    delta_y_est = y_spreads(p, checks)
-    columns = {"phi_deg": phis, "theta_deg": float(theta_deg), "c": c, "bound": c / 2.0,
-               "delta_x": delta_x, "delta_y": delta_y, "eps_y": eps_b,
-               "delta_y_est": delta_y_est}
+    stats = _statistics(rho, slide, bloch_vectors(math.radians(theta_deg), np.radians(phis)),
+                        estimators, checks)
+    run_checks(checks)
+    columns = {"phi_deg": phis, "theta_deg": float(theta_deg), "c": stats["c"],
+               "bound": stats["c"] / 2.0,
+               **{key: stats[key] for key in ("delta_x", "delta_y", "eps_y", "delta_y_est")}}
     for kind in estimators:
-        _check_kind(kind)
-        f = (np.tile(SIGNS, (phis.size, 1)) if kind == "simple"
-             else optimal_values(rho, n, checks))
-        eps_a = x_inaccuracies(p, slide, f, DEFAULT_TOLERANCES.simulated_norm + 1e-12,
-                               checks)
-        d_est = estimate_spreads(p, f, checks)
-        checks += relation_input_checks(
-            eps_a=eps_a, eps_b=eps_b, delta_a=delta_x, delta_b=delta_y,
-            delta_a_est=d_est, delta_b_est=delta_y_est, c=c)
-        lhs = relation_lhs(eps_a, eps_b, delta_x, delta_y, d_est, delta_y_est)
+        eps_a, d_est = stats[kind]["eps_x"], stats[kind]["delta_x_est"]
         columns.update({
             f"eps_x_{kind}": eps_a, f"delta_x_est_{kind}": d_est,
             f"dispersion_rss_{kind}": np.sqrt(eps_a ** 2 + d_est ** 2),
-            **{f"lhs_{name}_{kind}": val for name, val in zip(RELATION_NAMES, lhs)}})
-    run_checks(checks)
+            **{f"lhs_{name}_{kind}": val
+               for name, val in zip(RELATION_NAMES, stats[kind]["lhs"])}})
     values = [np.broadcast_to(col, phis.shape).tolist() for col in columns.values()]
     return [dict(zip(columns, row)) for row in zip(*values)]
 
@@ -467,48 +483,32 @@ def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
     checks, _ = density_checks(rho)
     slides = slide_arrays(refl[:, 0], refl[:, 1])
     n = bloch_vectors(angles[:, 0], angles[:, 1])
-    p = joint_tables(rho, slides, n, checks)
-    eps_b = y_inaccuracies(slides)
-    delta_a = spreads(_X1, rho, checks)
-    delta_b = spreads(_Y1, rho, checks)
-    delta_b_est = y_spreads(p, checks)
-    c = commutator_bounds(_X1, _Y1, rho)
-    estimates = {"simple": np.tile(SIGNS, (len(n), 1)),
-                 "optimal": optimal_values(rho, n, checks)}
+    stats = _statistics(rho, slides, n, ESTIMATOR_KINDS, checks)
+    opt, delta_a = stats["optimal"], stats["delta_x"]
 
-    out: dict[str, np.ndarray] = {}
-    eps_stats, margins = [], []
-    for kind, f in estimates.items():
-        eps_a = x_inaccuracies(p, slides, f, DEFAULT_TOLERANCES.simulated_norm + 1e-12,
-                               checks)
-        d_est = estimate_spreads(p, f, checks)
-        checks += relation_input_checks(
-            eps_a=eps_a, eps_b=eps_b, delta_a=delta_a, delta_b=delta_b,
-            delta_a_est=d_est, delta_b_est=delta_b_est, c=c)
-        lhs = relation_lhs(eps_a, eps_b, delta_a, delta_b, d_est, delta_b_est)
-        margins.append(np.stack(lhs, axis=1) - (c / 2.0)[:, None])
-        eps_stats.append(eps_a)
-        if kind == "optimal":
-            out["dispersion"] = np.abs(eps_a ** 2 + d_est ** 2 - delta_a ** 2)
-            new_le_hall, new_le_ozawa, in_domain, gap = strength_orderings(
-                eps_a, eps_b, delta_a, delta_b, *lhs[1:], checks)
-            ordered = new_le_hall & new_le_ozawa
-            out["ordering_violated"] = ~ordered
-            out["gap"] = gap[ordered & in_domain]
+    out: dict[str, np.ndarray] = {
+        "margins": np.stack([np.stack(stats[kind]["lhs"], axis=1) for kind in ESTIMATOR_KINDS],
+                            axis=1) - (stats["c"] / 2.0)[:, None, None],  # [N, kind, relation]
+        "dispersion": np.abs(opt["eps_x"] ** 2 + opt["delta_x_est"] ** 2 - delta_a ** 2)}
+    new_le_hall, new_le_ozawa, in_domain, gap = strength_orderings(
+        opt["eps_x"], stats["eps_y"], delta_a, stats["delta_y"], *opt["lhs"][1:], checks)
+    ordered = new_le_hall & new_le_ozawa
+    out["ordering_violated"] = ~ordered
+    out["gap"] = gap[ordered & in_domain]
 
-    out["margins"] = np.stack(margins, axis=1)  # [N, kind, relation]
     mh_direct, eps_direct = direct_moments(
-        rho, n, np.stack(list(estimates.values()), axis=1), checks)
+        rho, n, np.stack([stats[kind]["f"] for kind in ESTIMATOR_KINDS], axis=1), checks)
     out["oracle"] = np.maximum(
-        np.abs(mh_tables(p, slides) - mh_direct).max(axis=(1, 2)),
-        np.abs(np.stack(eps_stats, axis=1) - eps_direct).max(axis=1))
+        np.abs(mh_tables(stats["p"], slides) - mh_direct).max(axis=(1, 2)),
+        np.abs(np.stack([stats[kind]["eps_x"] for kind in ESTIMATOR_KINDS], axis=1)
+               - eps_direct).max(axis=1))
 
     chains = dilated_chains(rho, slides, n,
-                            np.where(np.isnan(custom), estimates["optimal"], custom), checks)
+                            np.where(np.isnan(custom), opt["f"], custom), checks)
     run_checks(checks)
     out["chain_min_slack"] = chains.min_slack
     out["chain_broken"] = ~chains.holds
-    out["y_inaccuracy"] = np.abs(chains.eps_b - eps_b)
+    out["y_inaccuracy"] = np.abs(chains.eps_b - stats["eps_y"])
     return out
 
 

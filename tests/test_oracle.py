@@ -163,6 +163,10 @@ def test_register_family_requires_completeness():
     x_plus, x_minus = projector_pair(pauli("X"))
     with pytest.raises(ValueError, match="not complete"):
         system.register_family("x", [(+1.0, x_plus)], slots=(0,))
+    # the gate is absolute: a sum 5e-6 off the identity is not complete
+    with pytest.raises(ValueError, match="family 'z' is not complete"):
+        system.register_family("z", [(+1.0, np.diag([1.0 + 5e-6, 0.0])),
+                                     (-1.0, np.diag([0.0, 1.0]))], slots=(0,))
     system.register_family("x", [(+1.0, x_plus), (-1.0, x_minus)], slots=(0,))
     assert np.allclose(system.operator("x"), embed(X, (0,), (2, 2)))
 

@@ -1,5 +1,6 @@
 """Operator and state primitives: algebra, validation, Bloch parametrisation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -160,5 +161,8 @@ def test_tolerance_profiles():
     assert set(PROFILES) == {"default", "strict", "relaxed"}
     assert PROFILES["strict"].measured_norm < PROFILES["default"].measured_norm
     assert PROFILES["relaxed"].measured_norm > PROFILES["default"].measured_norm
+    # every field is a data-quality gate some profile can set
+    assert [f.name for f in dataclasses.fields(PROFILES["default"])] == [
+        "psd", "tomographic_psd", "measured_norm", "simulated_norm"]
     with pytest.raises(Exception):
-        PROFILES["default"].equality = 1.0  # frozen
+        PROFILES["default"].psd = 1.0  # frozen

@@ -11,6 +11,7 @@ from jointmeas import (
     BlochObservable,
     Estimator,
     RelationViolationError,
+    disturbed_observable,
     epr_state,
     evaluate_md_relation,
     evaluate_relations,
@@ -225,13 +226,16 @@ def test_md_relation_golden(reference):
        r_v=st.floats(0.05, 0.95))
 @settings(max_examples=100, deadline=None)
 def test_md_disturbance_equals_kappa(gamma, r_h, r_v):
-    """Y' = (1 - kappa) Y makes the RMS disturbance exactly kappa, for any
-    state."""
+    """The closed form eta(Y) = kappa is the RMS change <(Y' - Y)^2>^(1/2)
+    of the Kraus channel's Heisenberg-picture Y', for any state."""
     if abs(r_h - r_v) < 0.01:
         r_v = r_h + 0.01 if r_h < 0.5 else r_h - 0.01
     slide = slide_model(r_h, r_v)
     rho = epr_state(gamma)
     w = BlochObservable.from_degrees(90, 180)
     report = evaluate_md_relation(rho, slide, w, Estimator.simple())
-    assert report.eta_b == pytest.approx(slide.kappa, abs=1e-12)
+    diff = np.kron(disturbed_observable(slide, pauli("Y")).matrix - pauli("Y").matrix,
+                   np.eye(2))
+    eta = math.sqrt(np.trace(rho.matrix @ diff @ diff).real)
+    assert report.eta_b == pytest.approx(eta, abs=1e-12)
     assert report.satisfied

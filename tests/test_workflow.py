@@ -9,6 +9,7 @@ import pytest
 
 from jointmeas import (
     BlochObservable,
+    DensityMatrix,
     JointDistribution,
     NumericalCorruptionError,
     UndefinedEstimateError,
@@ -305,3 +306,58 @@ def test_shared_pass_raises_what_the_first_kind_raised():
         lambda: _scenario_results(rho, kinds, dist=dist),
     )
     assert len(messages) == 1 and messages.pop().startswith("reconstructed eps^2")
+
+
+def bloch_state(vector):
+    """The 2x2 matrix (1 + v.s)/2; |v| > 1 gives a slightly negative
+    eigenvalue, which a DensityMatrix accepts above its psd_floor."""
+    return (np.eye(2) + np.tensordot(vector, [pauli(k).matrix for k in "XYZ"], axes=1)) / 2
+
+
+def test_checks_run_in_one_order():
+    """simulate, analyze and sweep check each scenario in one order: the
+    table checks, then per kind f, eps(X), Delta X, Delta Y, Delta_est(X),
+    Delta_est(Y) and the relation inputs.  Each input below breaks two of
+    them, and the first in that order is the one raised."""
+    slide = slide_model(0.1244, 0.4645)
+
+    # simulate: <Y (x) 1> > 1 breaks Delta Y, and W = Z with p(w = -1) < 0
+    # breaks the simple estimate's Delta_est(X)
+    rho = DensityMatrix(np.kron(bloch_state([0.0, 1.0 + 1e-8, 0.0]),
+                                bloch_state([0.0, 0.0, 1.0 + 2e-10])), psd_floor=1e-6)
+    w = BlochObservable.from_degrees(0.0, 0.0)
+    assert raised(
+        NumericalCorruptionError,
+        lambda: simulate_scenario(rho, slide, w, estimator="simple"),
+    ) == {"variance -2.000e-08 below -1e-12"}
+
+    # analyze: y = -1 entries just below zero break Delta_est(Y); the table
+    # claims <X (x) 1> = 1.1, which the optimal estimate f = (1, 1) of qubit 1
+    # in |+x> turns into a negative eps(X)^2, while the simple one's is 1
+    xi_t, xi_r = slide.xi(+1), slide.xi(-1)
+    p = {}
+    for w_out, x_mean in ((+1, 0.8), (-1, 0.3)):
+        # p(w) = 1/2 with sum_m xi_m p(m, +1, w) = x_mean
+        p[(+1, +1, w_out)] = (x_mean - 0.5 * xi_r) / (xi_t - xi_r)
+        p[(-1, +1, w_out)] = 0.5 - p[(+1, +1, w_out)]
+        p[(+1, -1, w_out)] = p[(-1, -1, w_out)] = -1e-10
+    dist = JointDistribution(p, provenance="measured",
+                             metadata={"r_h": 0.1244, "r_v": 0.4645,
+                                       "theta_deg": 90.0, "phi_deg": 0.0})
+    rho = DensityMatrix(np.kron(bloch_state([1.0, 0.0, 0.0]), np.eye(2) / 2))
+    assert raised(
+        NumericalCorruptionError,
+        lambda: _scenario_results(rho, ("simple", "optimal"), dist=dist),
+    ) == {"y-outcome variance -1.600e-09 negative"}
+    assert raised(
+        NumericalCorruptionError,
+        lambda: analyze_measured(dist, rho, estimator="optimal"),
+    ) == {"reconstructed eps^2 = -2.000e-01: input data is inconsistent"}
+
+    # sweep: <X (x) 1> > 1 breaks Delta X of the shared state at every
+    # angle, and W = Z with p(w = -1) < -1e-9 breaks the first angle's table
+    rho = DensityMatrix(np.kron(bloch_state([1.0 + 1e-8, 0.0, 0.0]),
+                                bloch_state([0.0, 0.0, 1.0 + 1e-6])), psd_floor=1e-5)
+    assert raised(
+        ValueError, lambda: sweep_phi(rho, slide, [0.0, 90.0], theta_deg=0.0),
+    ) == {"negative probability -2.189e-07 in distribution"}
