@@ -82,7 +82,6 @@ from .dataio import (
     load_distribution,
     parse_density_matrix,
     parse_distribution,
-    save_density_matrix,
     save_distribution,
 )
 from .workflow import (

@@ -238,11 +238,6 @@ def emit_density_matrix(rho: DensityMatrix) -> str:
     return out.getvalue()
 
 
-def save_density_matrix(rho: DensityMatrix, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_density_matrix(rho))
-
-
 def _report_rows(report) -> list[dict]:
     if hasattr(report, "to_dict"):
         report = report.to_dict()

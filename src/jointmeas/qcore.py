@@ -133,20 +133,15 @@ def as_operator_array(op) -> np.ndarray:
     return mat
 
 
-def matrices_close(a: np.ndarray, b: np.ndarray, atol: float = _EQUALITY_TOL) -> bool:
-    """Entrywise equality within absolute tolerance."""
-    return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= atol)
-
-
 class HermitianOperator:
     """An observable: square, Hermitian within tolerance, dim 2 or 4."""
 
     __slots__ = ("_matrix",)
 
-    def __init__(self, matrix, *, atol: float = _HERMITICITY_TOL):
+    def __init__(self, matrix):
         mat = as_complex_matrix(matrix)
         dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if dev > atol:
+        if dev > _HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         object.__setattr__(self, "_matrix", mat)
 
@@ -157,13 +152,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self._matrix.shape[0]
-
-    @staticmethod
-    def identity(dim: int) -> "HermitianOperator":
-        return HermitianOperator(np.eye(dim))
-
-    def isclose(self, other: "HermitianOperator", atol: float = _EQUALITY_TOL) -> bool:
-        return matrices_close(self._matrix, other._matrix, atol)
 
     def __neg__(self) -> "HermitianOperator":
         return HermitianOperator(-self._matrix)
@@ -202,7 +190,7 @@ def tensor(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
 def projector_pair(op: HermitianOperator) -> tuple[HermitianOperator, HermitianOperator]:
     """Eigenprojectors ``(P_plus, P_minus)`` of a +-1-valued observable."""
     sq = op.matrix @ op.matrix
-    if not matrices_close(sq, np.eye(op.dim), 1e-10):
+    if np.abs(sq - np.eye(op.dim)).max() > _EQUALITY_TOL:
         raise ValueError("projector_pair needs an operator squaring to the identity")
     eye = np.eye(op.dim)
     return (HermitianOperator((eye + op.matrix) / 2),
@@ -253,9 +241,6 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim) / dim)
-
-    def isclose(self, other: "DensityMatrix", atol: float = _EQUALITY_TOL) -> bool:
-        return matrices_close(self._matrix, other._matrix, atol)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim}, min_eig={self.min_eigenvalue:.2e})"
@@ -403,6 +388,9 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.dim != sigma.dim:
         raise DimensionMismatchError("fidelity needs states of equal dimension")
     root = _psd_sqrt(rho.matrix)
-    inner = _psd_sqrt(root @ sigma.matrix @ root)
-    val = float(np.real(np.trace(inner))) ** 2
+    vals = np.linalg.eigh(root @ sigma.matrix @ root)[0]
+    # a rank-deficient sigma leaves rounding-level eigenvalues, whose square
+    # roots (~1e-8) would swamp the result: they count as zero
+    vals[vals < 16 * np.finfo(float).eps * max(vals.max(), 0.0)] = 0.0
+    val = float(np.sqrt(vals).sum()) ** 2
     return min(max(val, 0.0), 1.0 + 1e-9)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -371,80 +371,54 @@ class VerificationResult:
                 and sat.get("hall", False) and sat.get("ozawa", False)
                 and sat.get("new", False))
 
+    def _gates(self) -> list[tuple[str, bool]]:
+        """Each gate of the battery as its summary line and whether it
+        holds, in summary order."""
+        sat = self.reference_satisfied
+        others = all(sat.get(k, False) for k in ("hall", "ozawa", "new"))
+        return [
+            (f"statistics vs direct operator values: max |diff| = "
+             f"{self.oracle_max_diff:.3e} (limit 1e-9)", self.oracle_max_diff <= 1e-9),
+            (f"y inaccuracy vs dilated projective estimate: max |diff| = "
+             f"{self.y_inaccuracy_max_diff:.3e} (limit 1e-9)",
+             self.y_inaccuracy_max_diff <= 1e-9),
+            (f"dispersion identity, optimal estimate: max |residual| = "
+             f"{self.dispersion_max_residual:.3e} (limit 1e-9)",
+             self.dispersion_max_residual <= 1e-9),
+            *((f"{name}: {self.violations[name]} violations "
+               f"(worst margin {self.min_margins[name]:+.6f})", self.violations[name] == 0)
+              for name in ("hall", "ozawa", "new")),
+            (f"arthurs_kelly: {self.ak_violations} scenarios below the bound "
+             f"(violations expected)", self.ak_violations > 0),
+            (f"reference scenario: arthurs_kelly "
+             f"{'NOT violated' if sat.get('arthurs_kelly', True) else 'violated'}, "
+             f"others {'hold' if others else 'BROKEN'}", self.reference_ok),
+            (f"derivation chain: {self.chain_violations} broken links "
+             f"(min slack {self.chain_min_slack:+.3e})",
+             self.chain_violations == 0 and self.chain_min_slack >= -MARGIN_TOL),
+            (f"strength ordering, optimal estimates: {self.ordering_violations} "
+             f"violations; gap closed form checked {self.gap_checked}x, max "
+             f"residual {self.gap_max_residual:.3e}",
+             self.ordering_violations == 0 and self.gap_checked > 0
+             and self.gap_max_residual <= 1e-9),
+        ]
+
     @property
     def passed(self) -> bool:
-        return (self.oracle_max_diff <= 1e-9
-                and self.y_inaccuracy_max_diff <= 1e-9
-                and self.dispersion_max_residual <= 1e-9
-                and all(self.violations[k] == 0 for k in ("hall", "ozawa", "new"))
-                and self.ak_violations > 0
-                and self.reference_ok
-                and self.chain_violations == 0
-                and self.chain_min_slack >= -MARGIN_TOL
-                and self.ordering_violations == 0
-                and self.gap_checked > 0
-                and self.gap_max_residual <= 1e-9)
+        return all(holds for _, holds in self._gates())
 
     def to_dict(self) -> dict:
         # elapsed time is deliberately left out: identical config + seed must
         # serialise byte-identically
-        return {
-            "trials": self.trials, "seed": self.seed,
-            "oracle_max_diff": self.oracle_max_diff,
-            "y_inaccuracy_max_diff": self.y_inaccuracy_max_diff,
-            "dispersion_max_residual": self.dispersion_max_residual,
-            "min_margins": dict(self.min_margins),
-            "violations": dict(self.violations),
-            "ak_violations": self.ak_violations,
-            "reference_satisfied": dict(self.reference_satisfied),
-            "chain_min_slack": self.chain_min_slack,
-            "chain_violations": self.chain_violations,
-            "ordering_violations": self.ordering_violations,
-            "gap_checked": self.gap_checked,
-            "gap_max_residual": self.gap_max_residual,
-            "passed": self.passed,
-        }
+        out = asdict(self)
+        del out["elapsed_s"]
+        out["passed"] = self.passed
+        return out
 
     def summary_lines(self) -> list[str]:
-        def ok(flag):
-            return "OK" if flag else "FAIL"
-
-        lines = [
-            f"trials: {self.trials}  seed: {self.seed}  ({self.elapsed_s:.1f} s)",
-            f"statistics vs direct operator values: max |diff| = "
-            f"{self.oracle_max_diff:.3e} (limit 1e-9) "
-            f"{ok(self.oracle_max_diff <= 1e-9)}",
-            f"y inaccuracy vs dilated projective estimate: max |diff| = "
-            f"{self.y_inaccuracy_max_diff:.3e} (limit 1e-9) "
-            f"{ok(self.y_inaccuracy_max_diff <= 1e-9)}",
-            f"dispersion identity, optimal estimate: max |residual| = "
-            f"{self.dispersion_max_residual:.3e} (limit 1e-9) "
-            f"{ok(self.dispersion_max_residual <= 1e-9)}",
-        ]
-        for name in ("hall", "ozawa", "new"):
-            lines.append(
-                f"{name}: {self.violations[name]} violations "
-                f"(worst margin {self.min_margins[name]:+.6f}) "
-                f"{ok(self.violations[name] == 0)}")
-        lines.append(
-            f"arthurs_kelly: {self.ak_violations} scenarios below the bound "
-            f"(violations expected) {ok(self.ak_violations > 0)}")
-        lines.append(
-            f"reference scenario: arthurs_kelly "
-            f"{'violated' if not self.reference_satisfied.get('arthurs_kelly', True) else 'NOT violated'}, "
-            f"others {'hold' if all(self.reference_satisfied.get(k, False) for k in ('hall', 'ozawa', 'new')) else 'BROKEN'} "
-            f"{ok(self.reference_ok)}")
-        lines.append(
-            f"derivation chain: {self.chain_violations} broken links "
-            f"(min slack {self.chain_min_slack:+.3e}) "
-            f"{ok(self.chain_violations == 0 and self.chain_min_slack >= -MARGIN_TOL)}")
-        lines.append(
-            f"strength ordering, optimal estimates: {self.ordering_violations} "
-            f"violations; gap closed form checked {self.gap_checked}x, max "
-            f"residual {self.gap_max_residual:.3e} "
-            f"{ok(self.ordering_violations == 0 and self.gap_max_residual <= 1e-9)}")
-        lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
-        return lines
+        return [f"trials: {self.trials}  seed: {self.seed}  ({self.elapsed_s:.1f} s)",
+                *(f"{text} {'OK' if holds else 'FAIL'}" for text, holds in self._gates()),
+                f"overall: {'PASS' if self.passed else 'FAIL'}"]
 
 
 def _draw_block(rng: np.random.Generator, first: int, count: int):

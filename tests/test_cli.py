@@ -31,6 +31,13 @@ def test_usage_exit_codes(capsys):
     assert main(["verify", "--trials", "0"]) == 2
     assert main(["simulate", "--gamma", "22.5",
                  "--tolerance-profile", "sloppy"]) == 2
+    capsys.readouterr()
+    assert main(["sweep"]) == 2
+    assert "not both" in capsys.readouterr().err
+    assert main(["sweep", "--gamma", "22.5", "--state-file", "x.csv"]) == 2
+    assert "not both" in capsys.readouterr().err
+    assert main(["verify", "--trials", "-3"]) == 2
+    assert "must be positive" in capsys.readouterr().err
 
 
 def test_simulate_json_both_estimators(capsys):

@@ -125,8 +125,11 @@ def test_parse_density_matrix_roundtrip():
 
 def test_bundled_state_against_ideal():
     rho = bundled_state()
-    assert fidelity(rho, epr_state(math.radians(22.5))) == pytest.approx(
-        0.9739453824641016, abs=1e-12)
+    ideal = epr_state(math.radians(22.5))
+    # the ideal state is pure, so the fidelity is Tr(rho ideal)
+    overlap = float(np.trace(rho.matrix @ ideal.matrix).real)
+    assert overlap == pytest.approx(0.9739453814973298, abs=1e-15)
+    assert fidelity(rho, ideal) == pytest.approx(overlap, abs=1e-12)
     assert rho.min_eigenvalue == pytest.approx(0.0014996094439817531, abs=1e-15)
 
 

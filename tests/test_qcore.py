@@ -157,6 +157,21 @@ def test_fidelity():
     assert fidelity(a, c) == pytest.approx(0.5)
 
 
+def test_fidelity_with_pure_state_is_its_overlap():
+    """For sigma = |psi><psi| the fidelity is <psi|rho|psi>: the rounding-level
+    eigenvalues of sqrt(rho) sigma sqrt(rho) must not enter through a square
+    root."""
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T
+        rho = DensityMatrix(rho / np.trace(rho).real)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        want = float(np.real(psi.conj() @ rho.matrix @ psi))
+        assert fidelity(rho, DensityMatrix.from_pure(psi)) == pytest.approx(want, abs=1e-12)
+
+
 def test_tolerance_profiles():
     assert set(PROFILES) == {"default", "strict", "relaxed"}
     assert PROFILES["strict"].measured_norm < PROFILES["default"].measured_norm

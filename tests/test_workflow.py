@@ -217,6 +217,45 @@ def test_verification_pass_logic():
     assert "FAIL" in flipped.summary_lines()[-1]
 
 
+@pytest.fixture(scope="module")
+def good_run():
+    return run_verification(trials=12, seed=9)
+
+
+@pytest.mark.parametrize("prefix, fields", [
+    ("statistics vs direct operator values", {"oracle_max_diff": 2e-9}),
+    ("y inaccuracy vs dilated", {"y_inaccuracy_max_diff": 2e-9}),
+    ("dispersion identity", {"dispersion_max_residual": 2e-9}),
+    ("hall:", {"violations": {"hall": 1, "ozawa": 0, "new": 0}}),
+    ("ozawa:", {"violations": {"hall": 0, "ozawa": 1, "new": 0}}),
+    ("new:", {"violations": {"hall": 0, "ozawa": 0, "new": 1}}),
+    ("arthurs_kelly:", {"ak_violations": 0}),
+    ("reference scenario", {"reference_satisfied": {
+        "arthurs_kelly": True, "hall": True, "ozawa": True, "new": True}}),
+    ("reference scenario", {"reference_satisfied": {
+        "arthurs_kelly": False, "hall": True, "ozawa": False, "new": True}}),
+    ("derivation chain", {"chain_violations": 1}),
+    ("derivation chain", {"chain_min_slack": -2e-9}),
+    ("strength ordering", {"ordering_violations": 1}),
+    ("strength ordering", {"gap_checked": 0}),
+    ("strength ordering", {"gap_max_residual": 2e-9}),
+])
+def test_each_gate_fails_its_own_summary_line(good_run, prefix, fields):
+    """Breaking one gate turns exactly its summary line to FAIL and fails the
+    run: the run passes only when every gate line reads OK."""
+    good_lines = good_run.summary_lines()
+    assert good_run.passed and good_lines[-1] == "overall: PASS"
+    assert all(line.endswith(" OK") for line in good_lines[1:-1])
+    bad = dataclasses.replace(good_run, **fields)
+    lines = bad.summary_lines()
+    failing = [line for line in lines[1:-1] if line.endswith(" FAIL")]
+    assert len(failing) == 1 and failing[0].startswith(prefix)
+    assert [line for line in lines[1:-1] if line.endswith(" OK")] == \
+        [line for line in good_lines[1:-1] if not line.startswith(prefix)]
+    assert not bad.passed and not bad.to_dict()["passed"]
+    assert lines[-1] == "overall: FAIL"
+
+
 X1 = tensor(pauli("X"), pauli("I"))
 Y1 = tensor(pauli("Y"), pauli("I"))
 KIND_ORDERS = [("simple", "optimal"), ("optimal", "simple"), ("simple",), ("optimal",)]
