@@ -171,7 +171,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
     dist = load_distribution(args.dist_file, provenance="measured",
                              tolerances=PROFILES[args.tolerance_profile])
     rho = (load_density_matrix(args.state_file, tolerances=PROFILES[args.tolerance_profile])
-           if args.state_file else bundled_state())
+           if args.state_file is not None else bundled_state())
     reports = [r.report for r in _scenario_results(rho, _kinds(args), dist=dist)]
     _emit(args, emit_report(reports[0] if len(reports) == 1 else reports, args.format))
     return EXIT_OK

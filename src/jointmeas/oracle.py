@@ -77,7 +77,8 @@ def _kron(*ops: np.ndarray) -> np.ndarray:
 
 _EYE2 = np.eye(2, dtype=complex)
 _VALUES = np.array([1.0, -1.0])  # +-1 outcome values, +1 first
-_X_PROJS = (SIGMAS[0] + _VALUES[:, None, None] * SIGMAS[1]) / 2
+# X_x (x) 1 on (q1, q2): the eigenprojectors of X on qubit 1, +1 first
+_X1_PROJS = _kron((SIGMAS[0] + _VALUES[:, None, None] * SIGMAS[1]) / 2, _EYE2)
 _ANC0 = np.diag([1.0, 0.0]).astype(complex)
 # 1 (x) |i><i| on (system, ancilla) for ancilla states i = 0, 1
 _ANC_PROJS = _kron(_EYE2, np.stack([_ANC0, np.diag([0.0, 1.0]).astype(complex)]))
@@ -171,14 +172,13 @@ def direct_moments(rho: np.ndarray, n: np.ndarray, f: np.ndarray,
     within 1e-9; the checks go to ``checks`` when given, else they run here.
     """
     w_projs = _w_projectors(n, checks)
-    k_ops = _kron(_X_PROJS, _EYE2)[None, :, None]
-    l_ops = _kron(_EYE2, w_projs)[:, None]
-    anti = k_ops @ l_ops + l_ops @ k_ops
-    mh = 0.5 * np.einsum("nab,nxwba->nxw", rho, anti).real
+    # <{K, L}>/2 = Re Tr(rho K L) for Hermitian rho, K, L
+    rho_k = np.stack([(rho.reshape(-1, 4) @ k).reshape(rho.shape) for k in _X1_PROJS], axis=1)
+    mh = np.einsum("nxab,nwba->nxw", rho_k, _kron(_EYE2, w_projs)).real
     submit_checks(checks, quasi_mass_checks(mh.sum(axis=(1, 2)), 1e-9))
     estimates = np.einsum("nkw,nwab->nkab", f, w_projs)
     diff = _kron(SIGMAS[1], _EYE2) - _kron(_EYE2, estimates)
-    second = np.einsum("nab,nkbc,nkca->nk", rho, diff, diff).real
+    second = np.einsum("nkab,nkba->nk", rho[:, None] @ diff, diff).real
     return mh, np.sqrt(np.maximum(second, 0.0))
 
 

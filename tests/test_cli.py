@@ -191,6 +191,19 @@ def test_analyze_missing_file(capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["simulate", "analyze"])
+def test_empty_state_file_is_data_error(tmp_path, capsys, mode):
+    """An empty --state-file names a file that cannot be read, in both modes;
+    analyze does not fall back to the bundled state."""
+    dist_file = tmp_path / "phi180.csv"
+    dist_file.write_text(measured_table("measured_phi180.csv"))
+    args = {"simulate": ["simulate"], "analyze": ["analyze", "--dist-file", str(dist_file)]}
+    assert main(args[mode] + ["--state-file", ""]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "data error" in captured.err and "''" in captured.err
+
+
 def test_tolerance_profile_changes_mass_gate(tmp_path, capsys):
     text = measured_table("measured_phi180.csv")
     # scale one entry so the total lands at 1.0304: beyond the default 1%

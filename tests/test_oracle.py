@@ -26,7 +26,8 @@ from jointmeas import (
     pauli,
     projector_pair,
 )
-from jointmeas.qcore import _psd_sqrt
+from jointmeas.oracle import direct_moments
+from jointmeas.qcore import _psd_sqrt, bloch_vectors
 
 X = pauli("X").matrix
 Y = pauli("Y").matrix
@@ -253,3 +254,35 @@ def test_optimal_estimate_agreement(reference):
     system.register("x_est", est.as_operator(w), (1,))
     assert inaccuracy_x(dist, slide, est) == pytest.approx(
         direct_inaccuracy(system, "x_op", "x_est"), abs=1e-14)
+
+
+def test_direct_moments_match_explicit_traces():
+    """The MH table equals <{K, L}>/2 of the explicit 4x4 projectors and the
+    inaccuracies the three-operand trace Tr(rho D D) of
+    D = X (x) 1 - 1 (x) f_k(W), for random full-rank states and directions
+    and K = 3 estimates."""
+    rng = np.random.default_rng(23)
+    size, k_count = 16, 3
+    g = rng.normal(size=(size, 4, 4)) + 1j * rng.normal(size=(size, 4, 4))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    n = bloch_vectors(np.arccos(rng.uniform(-1.0, 1.0, size)),
+                      rng.uniform(0.0, 2.0 * math.pi, size))
+    f = rng.uniform(-2.0, 2.0, (size, k_count, 2))
+    mh, eps = direct_moments(rho, n, f)
+    assert mh.shape == (size, 2, 2) and eps.shape == (size, k_count)
+
+    x_projs = [(EYE + s * X) / 2 for s in (1.0, -1.0)]
+    for i in range(size):
+        w_op = n[i, 0] * X + n[i, 1] * Y + n[i, 2] * Z
+        w_projs = [(EYE + s * w_op) / 2 for s in (1.0, -1.0)]
+        for x, x_proj in enumerate(x_projs):
+            for w, w_proj in enumerate(w_projs):
+                k_op, l_op = np.kron(x_proj, EYE), np.kron(EYE, w_proj)
+                want = 0.5 * np.trace(rho[i] @ (k_op @ l_op + l_op @ k_op)).real
+                assert abs(mh[i, x, w] - want) <= 1e-13, (i, x, w)
+        for k in range(k_count):
+            diff = np.kron(X, EYE) - np.kron(EYE, f[i, k, 0] * w_projs[0]
+                                             + f[i, k, 1] * w_projs[1])
+            want = math.sqrt(np.einsum("ab,bc,ca->", rho[i], diff, diff).real)
+            assert abs(eps[i, k] - want) <= 1e-13, (i, k)

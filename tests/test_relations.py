@@ -1,5 +1,6 @@
 """The four inaccuracy relations, their ordering and the derivation chain."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,10 @@ from jointmeas import (
     strength_comparison,
     verify_relation_chain,
 )
+from jointmeas.oracle import dilated_operators
+from jointmeas.qcore import bloch_vectors
+from jointmeas.relations import relation_chains
+from jointmeas.scenario import povm_elements, slide_arrays
 
 positive = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -206,6 +211,139 @@ def test_relation_chain_rejects_mixed_dimensions():
     with pytest.raises(ValueError, match="different spaces"):
         verify_relation_chain(np.eye(2), np.eye(4), np.eye(4), np.eye(4),
                               np.eye(4) / 4)
+
+
+def reference_chain(a_est, b_est, a, b, rho):
+    """Every link of the derivation for each operator set, one set at a
+    time, each commutator from its own two operator products; operands are
+    one matrix ``[d, d]`` shared by all sets or a stack ``[N, d, d]``."""
+    ops = [np.asarray(op, dtype=complex) for op in (a_est, b_est, a, b, rho)]
+    size = max(len(op) for op in ops if op.ndim == 3)
+    out = {name: [] for name in (
+        "c", "commutator_residual", "identity_residual", "eps_a", "eps_b", "delta_a",
+        "delta_b", "delta_a_est", "delta_b_est", "triangle_terms", "schwarz_terms")}
+
+    def comm(p, q):
+        return p @ q - q @ p
+
+    for i in range(size):
+        ae, be, a_, b_, r = (op[i] if op.ndim == 3 else op for op in ops)
+
+        def ev(op):
+            return np.trace(r @ op)
+
+        def rms(op):
+            return math.sqrt(max(ev(op @ op).real, 0.0))
+
+        def centred_rms(op):
+            return rms(op - ev(op).real * np.eye(len(op)))
+
+        residual = np.abs(comm(ae, be)).max()
+        if residual > 1e-10:
+            raise ValueError(f"estimators do not commute (max |[A_est, B_est]| = "
+                             f"{residual:.3e})")
+        eps_a, eps_b = rms(a_ - ae), rms(b_ - be)
+        da, db, da_est, db_est = map(centred_rms, (a_, b_, ae, be))
+        values = {
+            "c": abs(ev(comm(a_, b_))), "commutator_residual": residual,
+            "identity_residual": np.abs(2.0 * comm(a_, b_) - comm(a_ - ae, b_ + be)
+                                        - comm(a_ + ae, b_ - be)).max(),
+            "eps_a": eps_a, "eps_b": eps_b, "delta_a": da, "delta_b": db,
+            "delta_a_est": da_est, "delta_b_est": db_est,
+            "triangle_terms": [abs(ev(comm(a_ - ae, b_))), abs(ev(comm(a_ - ae, be))),
+                               abs(ev(comm(a_, b_ - be))), abs(ev(comm(ae, b_ - be)))],
+            "schwarz_terms": [2.0 * eps_a * db, 2.0 * eps_a * db_est,
+                              2.0 * da * eps_b, 2.0 * da_est * eps_b]}
+        for name, value in values.items():
+            out[name].append(value)
+    return {name: np.array(values, dtype=float) for name, values in out.items()}
+
+
+def assert_chain_matches_reference(chains, want):
+    assert {f.name for f in dataclasses.fields(chains)} == want.keys()
+    for name, value in want.items():
+        got = getattr(chains, name)
+        if name.endswith("_terms"):
+            assert len(got) == 4
+            got = np.stack(got, axis=1)
+        np.testing.assert_allclose(got, value, rtol=0, atol=1e-12, err_msg=name)
+
+
+def random_hermitian(rng, d, scale=1.0):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return scale * (g + g.conj().T) / 2
+
+
+def random_density(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    mat = g @ g.conj().T
+    return mat / np.trace(mat).real
+
+
+def commuting_pair(rng, d):
+    """Two Hermitian operators diagonal in one random basis."""
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return tuple(basis @ np.diag(rng.uniform(-2.0, 2.0, d)) @ basis.conj().T
+                 for _ in range(2))
+
+
+def chain_operands(rng, d, size, shared):
+    """Operands ``(a_est, b_est, a, b, rho)``: those named in ``shared`` one
+    matrix ``[d, d]``, the others stacks ``[size, d, d]``."""
+    def draw():
+        a_est, b_est = commuting_pair(rng, d)
+        return a_est, b_est, random_hermitian(rng, d), random_hermitian(rng, d, 2.0), \
+            random_density(rng, d)
+
+    one = draw()
+    stacks = [np.stack(ops) for ops in zip(*(draw() for _ in range(size)))]
+    names = ("a_est", "b_est", "a", "b", "rho")
+    return tuple(one[k] if name in shared else stacks[k] for k, name in enumerate(names))
+
+
+@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("shared", [(), ("a", "b"), ("a_est", "b_est"), ("rho",),
+                                    ("a", "b", "rho")])
+def test_relation_chains_equal_link_by_link_reference(d, shared):
+    """The chain taken from four commutators by bilinearity equals one whose
+    every link has its own operator products, to 1e-12."""
+    operands = chain_operands(np.random.default_rng(d + 10 * len(shared)), d, 6, shared)
+    assert_chain_matches_reference(relation_chains(*operands), reference_chain(*operands))
+
+
+def test_relation_chains_equal_reference_on_dilated_operators():
+    """The dilated sets of `run_verification`: shared X1 and Y1, stacked
+    estimators and states on (q1, q2, ancilla)."""
+    rng = np.random.default_rng(11)
+    size = 20
+    rho = np.stack([random_density(rng, 4) for _ in range(size)])
+    r_h = rng.uniform(0.02, 0.49, size)
+    slides = slide_arrays(r_h, r_h + rng.uniform(0.01, 0.49, size))
+    n = bloch_vectors(np.arccos(rng.uniform(-1.0, 1.0, size)),
+                      rng.uniform(0.0, 2.0 * math.pi, size))
+    ops = dilated_operators(rho, povm_elements(slides), n, rng.uniform(-2.0, 2.0, (size, 2)))
+    assert [op.shape for op in ops] == [(size, 8, 8), (size, 8, 8), (8, 8), (8, 8),
+                                        (size, 8, 8)]
+    assert_chain_matches_reference(relation_chains(*ops), reference_chain(*ops))
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_relation_chains_raise_reference_error_for_first_noncommuting_set(d):
+    rng = np.random.default_rng(5)
+    a_est, b_est, a, b, rho = chain_operands(rng, d, 7, ("a", "b"))
+    # sets 3 and 5 get estimators that do not commute, with different residuals
+    for k, scale in ((3, 1.0), (5, 4.0)):
+        b_est[k] = random_hermitian(rng, d, scale)
+    with pytest.raises(ValueError) as want:
+        reference_chain(a_est, b_est, a, b, rho)
+    with pytest.raises(ValueError) as first:
+        reference_chain(a_est[3:4], b_est[3:4], a, b, rho[3:4])
+    assert str(want.value) == str(first.value)
+    with pytest.raises(ValueError) as got:
+        relation_chains(a_est, b_est, a, b, rho)
+    assert type(got.value) is ValueError
+    assert str(got.value) == str(want.value)
+    assert "do not commute" in str(got.value)
 
 
 def test_md_relation_golden(reference):

@@ -188,6 +188,21 @@ def test_run_verification_small():
     assert any("arthurs_kelly" in line for line in lines)
 
 
+def test_reference_flags_are_a_fresh_dict_per_result():
+    """The reference flags are simulated once per process, but each result
+    owns its dict: mutating one does not reach the next call."""
+    want = simulate_scenario(*reference_scenario(), estimator="optimal").report.satisfied
+    first = run_verification(trials=2, seed=4)
+    second = run_verification(trials=0, seed=4)
+    assert first.reference_satisfied == second.reference_satisfied == want
+    assert first.reference_satisfied is not second.reference_satisfied
+    first.reference_satisfied["arthurs_kelly"] = True
+    del first.reference_satisfied["hall"]
+    third = run_verification(trials=2, seed=4)
+    assert third.reference_satisfied == second.reference_satisfied == want
+    assert third.reference_ok
+
+
 @pytest.mark.parametrize("trials", [-1, -5])
 def test_run_verification_rejects_negative_trials(trials):
     with pytest.raises(ValueError, match="trials must not be negative"):
