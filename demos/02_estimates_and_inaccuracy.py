@@ -13,6 +13,7 @@ characterises the least-squares estimator.
 import math
 
 from jointmeas import (
+    OUTCOMES,
     Estimator,
     dispersion_check,
     epr_state,
@@ -36,10 +37,11 @@ print(f"  simple estimate:  f(+1) = {simple.value(+1):+.4f}, "
 print(f"  optimal estimate: f(+1) = {optimal.value(+1):+.4f}, "
       f"f(-1) = {optimal.value(-1):+.4f}   (+-sin 45 deg for this source)")
 
-quasi = mh_from_counts(dist, slide)
+quasi = mh_from_counts(dist, slide)  # rows x, columns w, +1 first
 print("\nMargenau-Hill quasi-table p(x, w) from the counts:")
-for (x, ww), p in sorted(quasi.entries.items(), reverse=True):
-    print(f"  x = {x:+.0f}, w = {ww:+.0f}:  {p:+.6f}")
+for x, row in zip(OUTCOMES, quasi):
+    for ww, p in zip(OUTCOMES, row):
+        print(f"  x = {x:+d}, w = {ww:+d}:  {p:+.6f}")
 print("  (negative cells are allowed -- this is a quasi-distribution)")
 
 print("\nRMS inaccuracies reconstructed from the table:")

@@ -41,7 +41,6 @@ from .scenario import (
 from .estimate import (
     DispersionCheck,
     Estimator,
-    QuasiDistribution,
     UndefinedEstimateError,
     dispersion_check,
     estimator_spread,
@@ -64,11 +63,8 @@ from .relations import (
     verify_relation_chain,
 )
 from .oracle import (
-    DilatedSystem,
-    direct_inaccuracy,
     direct_margenau_hill,
     embed,
-    mh_mean_square,
     naimark_unitary,
 )
 from .dataio import (

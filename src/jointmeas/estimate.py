@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .qcore import (
     pauli,
     projector_pair,
     run_checks,
+    spread,
     submit_checks,
     tensor,
 )
@@ -111,29 +112,9 @@ class Estimator:
                                  + self.values[-1] * w_minus.matrix)
 
 
-@dataclass(frozen=True)
-class QuasiDistribution:
-    """A (possibly negative) joint quasi-probability table over value pairs."""
-
-    entries: dict[tuple[float, float], float]
-    atol: float = 1e-9
-
-    def __post_init__(self):
-        run_checks(quasi_mass_checks(np.array([self.total()]), self.atol))
-
-    def total(self) -> float:
-        return float(sum(self.entries.values()))
-
-    def marginal(self, axis: int) -> dict[float, float]:
-        out: dict[float, float] = {}
-        for key, p in self.entries.items():
-            out[key[axis]] = out.get(key[axis], 0.0) + p
-        return out
-
-
 def quasi_mass_checks(total: np.ndarray, atol: float) -> list[Check]:
     """Checks that quasi-tables of total masses ``total[N]`` sum to 1 within
-    ``atol``, as a QuasiDistribution requires."""
+    ``atol``."""
     return [(np.abs(total - 1.0) > atol, failing(
         ValueError, lambda i: f"quasi-probabilities sum to {total[i]:.6f}, not 1"))]
 
@@ -239,8 +220,9 @@ def y_spreads(p: np.ndarray, checks: list[Check] | None = None) -> np.ndarray:
     return np.sqrt(np.maximum(var, 0.0))
 
 
-def mh_from_counts(dist: JointDistribution, slide: SemiweakSlide) -> QuasiDistribution:
-    """Margenau-Hill quasi-table of (X, W) from the joint outcome table.
+def mh_from_counts(dist: JointDistribution, slide: SemiweakSlide) -> np.ndarray:
+    """Margenau-Hill quasi-table ``p_MH[x, w]`` of (X, W) from the joint
+    outcome table (:func:`mh_tables` for one table), in OUTCOMES order.
 
     Uses the contextual-value inversion; for simulated data the result equals
     the operator table ``<X_x (x) W_w>`` exactly.  The quasi-table inherits
@@ -248,9 +230,8 @@ def mh_from_counts(dist: JointDistribution, slide: SemiweakSlide) -> QuasiDistri
     provenance.
     """
     mh = mh_tables(dist.table[None], slide)[0]
-    keys = [(float(x), float(w)) for x in OUTCOMES for w in OUTCOMES]
-    return QuasiDistribution(dict(zip(keys, mh.ravel().tolist())),
-                             atol=dist.mass_tolerance + 1e-12)
+    run_checks(quasi_mass_checks(mh.sum()[None], dist.mass_tolerance + 1e-12))
+    return mh
 
 
 def inaccuracy_x(dist: JointDistribution, slide: SemiweakSlide,
@@ -316,8 +297,6 @@ def dispersion_check(rho: DensityMatrix, slide: SemiweakSlide,
     ``eps^2 + (Delta X_est)^2 = (Delta X)^2`` is exact and is enforced to
     1e-9; for other estimators the three terms are returned unasserted.
     """
-    from .qcore import spread  # local import keeps module top uncluttered
-
     dist = joint_distribution(rho, slide, w)
     eps = inaccuracy_x(dist, slide, est)
     d_est = estimator_spread(dist, est)

@@ -7,24 +7,21 @@ POVM estimates are promoted to projective observables on a dilated space
 that, sharing nothing with the statistics path beyond the basic primitives,
 so agreement between the two is a real check.
 
-Tensor-factor layout: factors are listed in order, operators are registered
-on slots (factor indices) and embedded by Kronecker products with identities
-elsewhere; an ancilla is always appended as the last factor and the state is
-extended with the ancilla in its first basis state.
+The functions take stacks of N scenarios (``naimark_unitary`` and
+``direct_margenau_hill`` are one-scenario views) and build their operators
+as Kronecker products in the factor order (q1, q2) or, dilated, (q1, q2,
+ancilla), with the ancilla in its first basis state.  ``embed`` places one
+operator on any slots of a factor layout, for references built by hand.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .estimate import QuasiDistribution, quasi_mass_checks
+from .estimate import quasi_mass_checks
 from .qcore import (
     SIGMAS,
     Check,
-    DensityMatrix,
     as_operator_array,
     failing,
     submit_checks,
@@ -182,6 +179,14 @@ def direct_moments(rho: np.ndarray, n: np.ndarray, f: np.ndarray,
     return mh, np.sqrt(np.maximum(second, 0.0))
 
 
+def direct_margenau_hill(rho, w) -> np.ndarray:
+    """Margenau-Hill quasi-table ``<{X_x (x) 1, 1 (x) W_w}>/2`` ``[x, w]`` of
+    one two-qubit state and analyser direction (:func:`direct_moments` for
+    one scenario and no estimates)."""
+    mh, _ = direct_moments(as_operator_array(rho)[None], w.vector[None], np.zeros((1, 0, 2)))
+    return mh[0]
+
+
 def dilated_operators(rho: np.ndarray, povms: np.ndarray, n: np.ndarray, f: np.ndarray,
                       checks: list[Check] | None = None):
     """Commuting projective estimators on (q1, q2, ancilla) for N scenarios.
@@ -206,114 +211,3 @@ def dilated_operators(rho: np.ndarray, povms: np.ndarray, n: np.ndarray, f: np.n
     y_est = family[:, 0] - family[:, 1]
     return (x_est, y_est, _kron(SIGMAS[1], _EYE2, _EYE2), _kron(SIGMAS[2], _EYE2, _EYE2),
             state)
-
-
-@dataclass
-class DilatedSystem:
-    """A full (possibly ancilla-extended) space with named operators.
-
-    ``operators`` maps names to full-space matrices; ``families`` maps names
-    to lists of (value, full-space projector) pairs for projective
-    observables.
-    """
-
-    dims: tuple[int, ...]
-    state: np.ndarray
-    operators: dict[str, np.ndarray] = field(default_factory=dict)
-    families: dict[str, list[tuple[float, np.ndarray]]] = field(default_factory=dict)
-
-    @classmethod
-    def two_qubit(cls, rho: DensityMatrix) -> "DilatedSystem":
-        if rho.dim != 4:
-            raise ValueError("two_qubit expects a 4-dimensional state")
-        return cls(dims=(2, 2), state=np.array(rho.matrix))
-
-    @classmethod
-    def two_qubit_with_ancilla(cls, rho: DensityMatrix) -> "DilatedSystem":
-        """Append a qubit ancilla in |0>, giving factor layout (q1, q2, anc)."""
-        if rho.dim != 4:
-            raise ValueError("two_qubit_with_ancilla expects a 4-dimensional state")
-        anc = np.zeros((2, 2), dtype=complex)
-        anc[0, 0] = 1.0
-        return cls(dims=(2, 2, 2), state=np.kron(rho.matrix, anc))
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
-
-    def register(self, name: str, op, slots: tuple[int, ...]) -> np.ndarray:
-        mat = embed(as_operator_array(op), slots, self.dims)
-        self.operators[name] = mat
-        return mat
-
-    def register_family(self, name: str, members: list[tuple[float, object]],
-                        slots: tuple[int, ...]) -> None:
-        """Register a projective family [(value, local projector), ...]."""
-        embedded = [(float(v), embed(as_operator_array(p), slots, self.dims)) for v, p in members]
-        total = sum(p for _, p in embedded)
-        if _far(total, np.eye(self.dim), 1e-12):
-            raise ValueError(f"family {name!r} is not complete")
-        self.families[name] = embedded
-        # the value-weighted sum is the observable itself
-        self.operators[name] = sum(v * p for v, p in embedded)
-
-    def register_naimark_estimator(self, name: str,
-                                   povm: tuple[np.ndarray, np.ndarray],
-                                   values: tuple[float, float],
-                                   system_slot: int) -> None:
-        """Promote a binary POVM on one factor to a projective family.
-
-        The ancilla must be the last factor (see ``two_qubit_with_ancilla``).
-        Measurement of the ancilla basis after the dilation unitary realises
-        the POVM; the registered projectors are the back-rotated ancilla
-        projectors on (system_slot, ancilla).
-        """
-        anc_slot = len(self.dims) - 1
-        local = naimark_projectors(np.asarray(povm, dtype=complex)[None])[0]
-        # members live on (system_slot, anc_slot)
-        embedded = [(value, embed(proj, (system_slot, anc_slot), self.dims))
-                    for value, proj in zip(values, local)]
-        total = sum(p for _, p in embedded)
-        if _far(total, np.eye(self.dim), 1e-12):
-            raise ValueError("dilated family is not complete")
-        self.families[name] = embedded
-        self.operators[name] = sum(v * p for v, p in embedded)
-
-    def operator(self, name: str) -> np.ndarray:
-        if name not in self.operators:
-            raise KeyError(f"no operator registered under {name!r}")
-        return self.operators[name]
-
-    def expectation(self, name: str) -> float:
-        val = complex(np.trace(self.state @ self.operator(name)))
-        if abs(val.imag) > 1e-10:
-            raise ValueError(f"expectation of {name!r} has imaginary part {val.imag:.3e}")
-        return val.real
-
-
-def direct_inaccuracy(system: DilatedSystem, target: str, estimator: str) -> float:
-    """``sqrt(<(T - E)^2>)`` straight from the registered operators."""
-    diff = system.operator(target) - system.operator(estimator)
-    val = float(np.real(np.trace(system.state @ diff @ diff)))
-    return math.sqrt(max(val, 0.0))
-
-
-def direct_margenau_hill(system: DilatedSystem, k_family: str,
-                         l_family: str) -> QuasiDistribution:
-    """MH quasi-probabilities ``<{K_k, L_l}>/2`` of two projective families."""
-    if k_family not in system.families:
-        raise KeyError(f"no projective family registered under {k_family!r}")
-    if l_family not in system.families:
-        raise KeyError(f"no projective family registered under {l_family!r}")
-    entries: dict[tuple[float, float], float] = {}
-    for kv, kp in system.families[k_family]:
-        for lv, lp in system.families[l_family]:
-            anti = kp @ lp + lp @ kp
-            val = 0.5 * float(np.real(np.trace(system.state @ anti)))
-            entries[(kv, lv)] = entries.get((kv, lv), 0.0) + val
-    return QuasiDistribution(entries, atol=1e-9)
-
-
-def mh_mean_square(quasi: QuasiDistribution) -> float:
-    """``sum (k - l)^2 p_MH(k, l)`` -- equals ``<(K - L)^2>`` exactly."""
-    return float(sum((k - l) ** 2 * p for (k, l), p in quasi.entries.items()))

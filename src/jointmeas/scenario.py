@@ -219,7 +219,6 @@ class JointDistribution:
 
     entries: dict[tuple[int, int, int], float]
     provenance: str = "simulated"
-    w_observable: BlochObservable | None = None
     metadata: dict = field(default_factory=dict)
     sigmas: dict[tuple[int, int, int], float] | None = None
     tolerances: ToleranceProfile = DEFAULT_TOLERANCES
@@ -310,7 +309,7 @@ def joint_distribution(rho: DensityMatrix, slide: SemiweakSlide,
     meta = {"theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
             "r_h": slide.r_h, "r_v": slide.r_v}
     return JointDistribution(entries=dict(zip(TRIPLES, p.ravel().tolist())),
-                             provenance="simulated", w_observable=w, metadata=meta)
+                             provenance="simulated", metadata=meta)
 
 
 def as_slide_arrays(slide) -> SlideArrays:

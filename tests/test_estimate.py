@@ -15,7 +15,6 @@ from jointmeas import (
     Estimator,
     JointDistribution,
     NumericalCorruptionError,
-    QuasiDistribution,
     UndefinedEstimateError,
     bundled_distribution,
     dispersion_check,
@@ -32,6 +31,8 @@ from jointmeas import (
     tensor,
     y_estimator_spread,
 )
+from jointmeas.estimate import quasi_mass_checks
+from jointmeas.qcore import run_checks
 
 SIN45 = math.sin(math.pi / 4)
 EPS_OPT = 0.7071067811865474
@@ -97,37 +98,32 @@ def test_optimal_estimator_undefined_on_deterministic_w():
 
 def test_quasi_distribution_validation():
     with pytest.raises(ValueError, match="sum to 0.900000"):
-        QuasiDistribution({(1.0, 1.0): 0.5, (-1.0, 1.0): 0.4})
-    quasi = QuasiDistribution({(1.0, 1.0): 0.7, (1.0, -1.0): 0.5,
-                               (-1.0, 1.0): -0.2})
-    assert quasi.marginal(0) == pytest.approx({1.0: 1.2, -1.0: -0.2})
-    assert quasi.marginal(1) == pytest.approx({1.0: 0.5, -1.0: 0.5})
+        run_checks(quasi_mass_checks(np.array([0.9]), 1e-9))
+    run_checks(quasi_mass_checks(np.array([1.0 + 5e-10]), 1e-9))
 
 
 def test_mh_matches_operator_table(reference):
     """On simulated data the MH table equals <X_x (x) W_w> exactly."""
     rho, slide, w = reference
     quasi = mh_from_counts(joint_distribution(rho, slide, w), slide)
-    x_projs = dict(zip(OUTCOMES, projector_pair(pauli("X"))))
-    w_projs = dict(zip(OUTCOMES, projector_pair(w.as_operator())))
-    for (x, ww), got in quasi.entries.items():
-        op = tensor(x_projs[int(x)], w_projs[int(ww)])
-        want = float(np.real(np.trace(rho.matrix @ op.matrix)))
-        assert got == pytest.approx(want, abs=1e-12), (x, ww)
-    assert quasi.total() == pytest.approx(1.0, abs=1e-12)
+    assert quasi.shape == (2, 2)
+    x_projs = projector_pair(pauli("X"))
+    w_projs = projector_pair(w.as_operator())
+    for x, x_proj in enumerate(x_projs):
+        for ww, w_proj in enumerate(w_projs):
+            op = tensor(x_proj, w_proj)
+            want = float(np.real(np.trace(rho.matrix @ op.matrix)))
+            assert quasi[x, ww] == pytest.approx(want, abs=1e-12), (x, ww)
+    assert quasi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mh_measured_golden():
     slide = slide_model(0.1244, 0.4645)
     quasi = mh_from_counts(bundled_distribution(180.0), slide)
-    want = {
-        (1.0, 1.0): 0.4457428697441928,
-        (1.0, -1.0): 0.07553263745957078,
-        (-1.0, 1.0): 0.09095713025580711,
-        (-1.0, -1.0): 0.3881673625404293,
-    }
-    for key, val in want.items():
-        assert quasi.entries[key] == pytest.approx(val, abs=1e-12), key
+    # rows x = +1, -1 and columns w = +1, -1 (OUTCOMES order)
+    want = [[0.4457428697441928, 0.07553263745957078],
+            [0.09095713025580711, 0.3881673625404293]]
+    np.testing.assert_allclose(quasi, want, rtol=0, atol=1e-12)
 
 
 def test_inaccuracy_x_goldens(reference):

@@ -8,11 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointmeas import (
+    BlochObservable,
     DensityMatrix,
-    DilatedSystem,
     Estimator,
-    QuasiDistribution,
-    direct_inaccuracy,
     direct_margenau_hill,
     effective_povm,
     embed,
@@ -20,13 +18,13 @@ from jointmeas import (
     inaccuracy_x,
     joint_distribution,
     mh_from_counts,
-    mh_mean_square,
     naimark_unitary,
     optimal_estimator,
     pauli,
     projector_pair,
+    slide_model,
 )
-from jointmeas.oracle import direct_moments
+from jointmeas.oracle import dilated_operators, direct_moments
 from jointmeas.qcore import _psd_sqrt, bloch_vectors
 
 X = pauli("X").matrix
@@ -137,79 +135,35 @@ def test_naimark_dilates_any_binary_povm(low, high, theta, phi, alpha):
             assert prob == pytest.approx((vec.conj() @ element @ vec).real, abs=1e-12)
 
 
-def test_dilated_system_layout():
-    rho = epr_state(0.5)
-    plain = DilatedSystem.two_qubit(rho)
-    assert plain.dims == (2, 2) and plain.dim == 4
-    extended = DilatedSystem.two_qubit_with_ancilla(rho)
-    assert extended.dims == (2, 2, 2) and extended.dim == 8
-    anc = np.zeros((2, 2))
-    anc[0, 0] = 1.0
-    assert np.allclose(extended.state, np.kron(rho.matrix, anc))
-    with pytest.raises(ValueError):
-        DilatedSystem.two_qubit(DensityMatrix.maximally_mixed(2))
-
-
-def test_register_and_expectation():
-    gamma = 0.37
-    system = DilatedSystem.two_qubit(epr_state(gamma))
-    system.register("z1", pauli("Z"), (0,))
-    assert system.expectation("z1") == pytest.approx(math.cos(2 * gamma), abs=1e-12)
-    with pytest.raises(KeyError, match="no operator registered under 'x1'"):
-        system.operator("x1")
-
-
-def test_register_family_requires_completeness():
-    system = DilatedSystem.two_qubit(epr_state(0.2))
-    x_plus, x_minus = projector_pair(pauli("X"))
-    with pytest.raises(ValueError, match="not complete"):
-        system.register_family("x", [(+1.0, x_plus)], slots=(0,))
-    # the gate is absolute: a sum 5e-6 off the identity is not complete
-    with pytest.raises(ValueError, match="family 'z' is not complete"):
-        system.register_family("z", [(+1.0, np.diag([1.0 + 5e-6, 0.0])),
-                                     (-1.0, np.diag([0.0, 1.0]))], slots=(0,))
-    system.register_family("x", [(+1.0, x_plus), (-1.0, x_minus)], slots=(0,))
-    assert np.allclose(system.operator("x"), embed(X, (0,), (2, 2)))
-
-
 def test_naimark_estimator_reproduces_weak_y(reference):
     """The dilated estimate has mean (1 - kappa)<Y> and inaccuracy
-    sqrt(2 kappa) on any input state."""
-    _, slide, _ = reference
-    povm = tuple(e.matrix for e in effective_povm(slide))
-    y_plus, y_minus = projector_pair(pauli("Y"))
+    sqrt(2 kappa) on any input state; its Margenau-Hill mean square
+    sum (k - l)^2 <{Y_k, Y_est,l}>/2 against Y is that same 2 kappa."""
+    _, slide, w = reference
+    povms = np.stack([e.matrix for e in effective_povm(slide)])[None]
+    y_projs = [np.kron(p.matrix, np.eye(4)) for p in projector_pair(pauli("Y"))]
 
     y_up = np.array([1.0, 1.0j]) / math.sqrt(2)
     h = np.array([1.0, 0.0])
     states = [epr_state(math.radians(22.5)),
               DensityMatrix.from_pure(np.kron(y_up, h))]
     for rho in states:
-        system = DilatedSystem.two_qubit_with_ancilla(rho)
-        system.register("y", pauli("Y"), (0,))
-        system.register_family("y_proj", [(+1.0, y_plus), (-1.0, y_minus)],
-                               slots=(0,))
-        system.register_naimark_estimator("y_est", povm, (+1.0, -1.0),
-                                          system_slot=0)
-        mean_y = system.expectation("y")
-        assert system.expectation("y_est") == pytest.approx(
+        _, y_est, _, y1, state = dilated_operators(
+            rho.matrix[None], povms, w.vector[None], np.zeros((1, 2)))
+        y_est, state = y_est[0], state[0]
+        mean_y = np.trace(state @ y1).real
+        assert np.trace(state @ y_est).real == pytest.approx(
             (1 - slide.kappa) * mean_y, abs=1e-12)
-        eps = direct_inaccuracy(system, "y", "y_est")
+        diff = y1 - y_est
+        eps = math.sqrt(np.trace(state @ diff @ diff).real)
         assert eps == pytest.approx(math.sqrt(2 * slide.kappa), abs=1e-12)
-        quasi = direct_margenau_hill(system, "y_proj", "y_est")
-        assert mh_mean_square(quasi) == pytest.approx(2 * slide.kappa, abs=1e-12)
-
-
-def test_direct_margenau_hill_unknown_family():
-    system = DilatedSystem.two_qubit(epr_state(0.3))
-    with pytest.raises(KeyError, match="no projective family"):
-        direct_margenau_hill(system, "x", "w")
-
-
-def test_mh_mean_square():
-    quasi = QuasiDistribution({(1.0, 1.0): 0.6, (1.0, -1.0): -0.1,
-                               (-1.0, 1.0): 0.2, (-1.0, -1.0): 0.3})
-    # only mixed-sign cells contribute, with weight (k - l)^2 = 4
-    assert mh_mean_square(quasi) == pytest.approx(4 * (-0.1 + 0.2))
+        # y_est takes the values +-1, so its projectors are (1 +- y_est)/2
+        est_projs = [(np.eye(8) + s * y_est) / 2 for s in (1.0, -1.0)]
+        mean_square = sum(
+            (y - v) ** 2 * 0.5 * np.trace(state @ (y_proj @ v_proj + v_proj @ y_proj)).real
+            for y, y_proj in zip((1.0, -1.0), y_projs)
+            for v, v_proj in zip((1.0, -1.0), est_projs))
+        assert mean_square == pytest.approx(2 * slide.kappa, abs=1e-12)
 
 
 @given(gamma=st.floats(0.05, 1.5), r_h=st.floats(0.05, 0.95),
@@ -218,8 +172,6 @@ def test_mh_mean_square():
 @settings(max_examples=60, deadline=None)
 def test_counts_path_agrees_with_operator_path(gamma, r_h, r_v, f_plus, f_minus):
     """The statistics reconstruction equals direct operator moments."""
-    from jointmeas import BlochObservable, slide_model
-
     if abs(r_h - r_v) < 0.01:
         r_v = r_h + 0.01 if r_h < 0.5 else r_h - 0.01
     slide = slide_model(r_h, r_v)
@@ -228,32 +180,19 @@ def test_counts_path_agrees_with_operator_path(gamma, r_h, r_v, f_plus, f_minus)
     est = Estimator.custom(f_plus, f_minus)
 
     dist = joint_distribution(rho, slide, w)
-    counts_mh = mh_from_counts(dist, slide)
-
-    system = DilatedSystem.two_qubit(rho)
-    x_projs = projector_pair(pauli("X"))
-    w_projs = projector_pair(w.as_operator())
-    system.register_family("x", list(zip((+1.0, -1.0), x_projs)), slots=(0,))
-    system.register_family("w", list(zip((+1.0, -1.0), w_projs)), slots=(1,))
-    direct = direct_margenau_hill(system, "x", "w")
-    for key, val in direct.entries.items():
-        assert counts_mh.entries[key] == pytest.approx(val, abs=1e-12), key
-
-    system.register("x_op", pauli("X"), (0,))
-    system.register("x_est", est.as_operator(w), (1,))
-    assert inaccuracy_x(dist, slide, est) == pytest.approx(
-        direct_inaccuracy(system, "x_op", "x_est"), abs=1e-12)
+    mh, eps = direct_moments(rho.matrix[None], w.vector[None], est.array[None, None])
+    np.testing.assert_allclose(mh_from_counts(dist, slide), mh[0], rtol=0, atol=1e-12)
+    assert inaccuracy_x(dist, slide, est) == pytest.approx(eps[0, 0], abs=1e-12)
+    # the one-scenario view returns the batched table itself
+    assert np.array_equal(direct_margenau_hill(rho, w), mh[0])
 
 
 def test_optimal_estimate_agreement(reference):
     rho, slide, w = reference
     est = optimal_estimator(rho, w)
     dist = joint_distribution(rho, slide, w)
-    system = DilatedSystem.two_qubit(rho)
-    system.register("x_op", pauli("X"), (0,))
-    system.register("x_est", est.as_operator(w), (1,))
-    assert inaccuracy_x(dist, slide, est) == pytest.approx(
-        direct_inaccuracy(system, "x_op", "x_est"), abs=1e-14)
+    _, eps = direct_moments(rho.matrix[None], w.vector[None], est.array[None, None])
+    assert inaccuracy_x(dist, slide, est) == pytest.approx(eps[0, 0], abs=1e-14)
 
 
 def test_direct_moments_match_explicit_traces():

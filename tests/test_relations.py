@@ -207,6 +207,26 @@ def test_relation_chain_rejects_noncommuting_estimates():
         verify_relation_chain(a_est, b_est, a, b, epr_state(0.4).matrix)
 
 
+@pytest.mark.parametrize("skew", [1e-14, 1e-13, 2.4e-13, 1e-12, 1e-11, 1e-10])
+def test_chain_gate_never_accepts_a_set_it_counts_broken(skew):
+    """A = X1, B = Y1, A_est = 1 (x) Z, B_est = 1 (x) (Z + skew X) and
+    rho = 1/4 give max|[A_est, B_est]| = 2 skew and an identity residual of
+    twice that: the set either fails the commutation gate or its chain
+    holds, never both passes the gate and counts as broken."""
+    eye = np.eye(2)
+    x, y, z = (pauli(k).matrix for k in "XYZ")
+    ops = (np.kron(eye, z), np.kron(eye, z + skew * x), np.kron(x, eye),
+           np.kron(y, eye), np.eye(4) / 4)
+    try:
+        chain = verify_relation_chain(*ops)
+    except ValueError as err:
+        assert "do not commute" in str(err)
+        assert skew > 2.5e-13
+    else:
+        assert chain.identity_residual == pytest.approx(4.0 * skew, rel=1e-3)
+        assert chain.holds
+
+
 def test_relation_chain_rejects_mixed_dimensions():
     with pytest.raises(ValueError, match="different spaces"):
         verify_relation_chain(np.eye(2), np.eye(4), np.eye(4), np.eye(4),
@@ -239,7 +259,7 @@ def reference_chain(a_est, b_est, a, b, rho):
             return rms(op - ev(op).real * np.eye(len(op)))
 
         residual = np.abs(comm(ae, be)).max()
-        if residual > 1e-10:
+        if residual > 5e-13:
             raise ValueError(f"estimators do not commute (max |[A_est, B_est]| = "
                              f"{residual:.3e})")
         eps_a, eps_b = rms(a_ - ae), rms(b_ - be)

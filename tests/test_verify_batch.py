@@ -3,8 +3,9 @@
 The reference below is the per-trial loop body the suite ran before it was
 batched, built from the public scalar functions: it draws each trial's
 state, slide and W direction straight from the generator in the documented
-order, cross-checks the statistics against a `DilatedSystem` oracle and
-builds the derivation chain on an explicitly embedded Naimark dilation.
+order, cross-checks the statistics against Margenau-Hill tables and
+inaccuracies traced from explicit Kronecker products, and builds the
+derivation chain on a Naimark dilation embedded slot by slot.
 Summation order differs from the array passes, so values agree to 1e-12,
 not bit for bit.
 """
@@ -17,12 +18,10 @@ import pytest
 from jointmeas import (
     BlochObservable,
     DensityMatrix,
-    DilatedSystem,
     Estimator,
     RelationViolationError,
-    direct_inaccuracy,
-    direct_margenau_hill,
     effective_povm,
+    embed,
     epr_state,
     evaluate_relations,
     inaccuracy_x,
@@ -54,28 +53,36 @@ Y1 = tensor(pauli("Y"), pauli("I"))
 
 
 def oracle_diff(rho, slide, w, dist, estimators, eps_stats):
-    system = DilatedSystem.two_qubit(rho)
-    system.register_family("x", list(zip((+1.0, -1.0), projector_pair(pauli("X")))), (0,))
-    system.register_family("w", list(zip((+1.0, -1.0), projector_pair(w.as_operator()))), (1,))
-    system.register("x1", pauli("X"), (0,))
+    eye = np.eye(2)
+    x_projs = [p.matrix for p in projector_pair(pauli("X"))]
+    w_projs = [p.matrix for p in projector_pair(w.as_operator())]
+    mh_counts = mh_from_counts(dist, slide)
     worst = 0.0
-    mh_direct = direct_margenau_hill(system, "x", "w")
-    for key, val in mh_from_counts(dist, slide).entries.items():
-        worst = max(worst, abs(val - mh_direct.entries[key]))
+    for x, x_proj in enumerate(x_projs):
+        for ww, w_proj in enumerate(w_projs):
+            k_op, l_op = np.kron(x_proj, eye), np.kron(eye, w_proj)
+            want = 0.5 * np.trace(rho.matrix @ (k_op @ l_op + l_op @ k_op)).real
+            worst = max(worst, abs(mh_counts[x, ww] - want))
     for kind, est in estimators.items():
-        system.register(f"est_{kind}", est.as_operator(w), (1,))
-        worst = max(worst, abs(eps_stats[kind] - direct_inaccuracy(system, "x1", f"est_{kind}")))
+        diff = np.kron(pauli("X").matrix, eye) - np.kron(eye, est.as_operator(w).matrix)
+        eps = math.sqrt(max(np.trace(rho.matrix @ diff @ diff).real, 0.0))
+        worst = max(worst, abs(eps_stats[kind] - eps))
     return worst
 
 
 def embedded_chain(rho, slide, w, est):
-    system = DilatedSystem.two_qubit_with_ancilla(rho)
-    a = system.register("x1", pauli("X"), (0,))
-    b = system.register("y1", pauli("Y"), (0,))
-    a_est = system.register("x_est", est.as_operator(w), (1,))
-    povm = tuple(p.matrix for p in effective_povm(slide))
-    system.register_naimark_estimator("y_est", povm, (+1.0, -1.0), system_slot=0)
-    return verify_relation_chain(a_est, system.operator("y_est"), a, b, system.state)
+    """The chain on (q1, q2, ancilla) with the ancilla in |0>."""
+    dims = (2, 2, 2)
+    a = embed(pauli("X").matrix, (0,), dims)
+    b = embed(pauli("Y").matrix, (0,), dims)
+    a_est = embed(est.as_operator(w).matrix, (1,), dims)
+    unitary = naimark_unitary(tuple(p.matrix for p in effective_povm(slide)))
+    # ancilla projectors on (q1, ancilla), back-rotated by the dilation
+    y_plus, y_minus = (unitary.conj().T @ np.kron(np.eye(2), np.diag(d)) @ unitary
+                       for d in ([1.0, 0.0], [0.0, 1.0]))
+    b_est = embed(y_plus - y_minus, (0, 2), dims)
+    state = np.kron(rho.matrix, np.diag([1.0, 0.0]))
+    return verify_relation_chain(a_est, b_est, a, b, state)
 
 
 def loop_verification(trials, seed):
