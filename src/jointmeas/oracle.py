@@ -9,9 +9,12 @@ so agreement between the two is a real check.
 
 The functions take stacks of N scenarios (``naimark_unitary`` and
 ``direct_margenau_hill`` are one-scenario views) and build their operators
-as Kronecker products in the factor order (q1, q2) or, dilated, (q1, q2,
-ancilla), with the ancilla in its first basis state.  ``embed`` places one
-operator on any slots of a factor layout, for references built by hand.
+in the factor order (q1, q2) or, dilated, (q1, q2, ancilla), with the
+ancilla in its first basis state: as Kronecker products entry by entry, or
+by writing each factor's block into the full matrix.  Traces
+``Tr(rho op)`` are dot products of the flattened ``op`` with the flattened
+``rho^dag``.  ``embed`` places one operator on any slots of a factor layout,
+for references built by hand.
 """
 
 from __future__ import annotations
@@ -74,13 +77,15 @@ def _kron(*ops: np.ndarray) -> np.ndarray:
 
 _EYE2 = np.eye(2, dtype=complex)
 _VALUES = np.array([1.0, -1.0])  # +-1 outcome values, +1 first
-# X_x (x) 1 on (q1, q2): the eigenprojectors of X on qubit 1, +1 first
-_X1_PROJS = _kron((SIGMAS[0] + _VALUES[:, None, None] * SIGMAS[1]) / 2, _EYE2)
-_ANC0 = np.diag([1.0, 0.0]).astype(complex)
-# 1 (x) |i><i| on (system, ancilla) for ancilla states i = 0, 1
-_ANC_PROJS = _kron(_EYE2, np.stack([_ANC0, np.diag([0.0, 1.0]).astype(complex)]))
-# |1><0| - |0><1| on the ancilla: the factor of M_1 in the dilation unitary
-_ANC_FLIP = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+# the eigenprojectors X_x of X, +1 first
+_X_PROJS = (SIGMAS[0] + _VALUES[:, None, None] * SIGMAS[1]) / 2
+_X1 = _kron(SIGMAS[1], _EYE2)
+# the diagonal of 1 (x) Z on (system, ancilla): a row sign flip
+_ANC_SIGNS = np.tile(_VALUES, 2)
+# the targets X and Y on qubit 1 of (q1, q2, ancilla)
+_X_DILATED, _Y_DILATED = (_kron(op, _EYE2, _EYE2) for op in SIGMAS[1:3])
+for _op in (_X_PROJS, _X1, _X_DILATED, _Y_DILATED):
+    _op.setflags(write=False)
 
 
 def _roots(elements: np.ndarray) -> np.ndarray:
@@ -122,7 +127,12 @@ def naimark_unitaries(povms, checks: list[Check] | None = None) -> np.ndarray:
     """
     elements = as_operator_array(povms)
     roots = _roots(elements)
-    unitary = _kron(roots[:, 0], _EYE2) + _kron(roots[:, 1], _ANC_FLIP)
+    # ancilla blocks (row a, column a') of the (system, ancilla) axes
+    unitary = np.empty((len(roots), 2, 2, 2, 2), dtype=complex)
+    unitary[:, :, 0, :, 0] = unitary[:, :, 1, :, 1] = roots[:, 0]
+    unitary[:, :, 1, :, 0] = roots[:, 1]
+    unitary[:, :, 0, :, 1] = -roots[:, 1]
+    unitary = unitary.reshape(-1, 4, 4)
     gram = unitary.conj().swapaxes(-1, -2) @ unitary
     submit_checks(checks, [
         (_far(elements[:, 0] + elements[:, 1], _EYE2, 1e-10),
@@ -139,22 +149,23 @@ def naimark_unitary(povm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return naimark_unitaries(np.asarray(povm, dtype=complex)[None])[0]
 
 
-def naimark_projectors(povms, checks: list[Check] | None = None) -> np.ndarray:
-    """Projective families ``[N, i, 4, 4]`` on (system, ancilla) realising N
-    binary POVMs ``povms[N, i]``: the ancilla projectors ``1 (x) |i><i|``
-    back-rotated by the dilation unitaries of :func:`naimark_unitaries`."""
-    unitary = naimark_unitaries(povms, checks)[:, None]
-    return unitary.conj().swapaxes(-1, -2) @ _ANC_PROJS @ unitary
-
-
 def _w_projectors(n: np.ndarray, checks: list[Check] | None) -> np.ndarray:
     """Eigenprojectors ``W_w[N, w]`` (w = +1, -1) of the analyser observables
     ``W = n.s`` for directions ``n[N, 3]``, each W checked to square to the
     identity as in :func:`projector_pair`."""
-    w_ops = np.einsum("nk,kab->nab", n, SIGMAS[1:])
-    submit_checks(checks, [(np.abs(w_ops @ w_ops - _EYE2).max(axis=(-2, -1)) > 1e-10, failing(
+    w_ops = (n @ SIGMAS[1:].reshape(3, 4)).reshape(-1, 2, 2)
+    # W^2 entry by entry, without a 2x2 matrix product per direction
+    square = w_ops[:, :, :1] * w_ops[:, :1, :] + w_ops[:, :, 1:] * w_ops[:, 1:, :]
+    submit_checks(checks, [(np.abs(square - _EYE2).max(axis=(-2, -1)) > 1e-10, failing(
         ValueError, lambda i: "projector_pair needs an operator squaring to the identity"))])
     return (_EYE2 + _VALUES[:, None, None] * w_ops[:, None]) / 2
+
+
+def _estimates(f: np.ndarray, w_projs: np.ndarray) -> np.ndarray:
+    """The estimates ``f(W) = sum_w f[..., w] W_w`` ``[..., 2, 2]`` of X values
+    ``f[..., w]`` on projectors ``w_projs[..., w, 2, 2]`` broadcast to them."""
+    return (f[..., 0, None, None] * w_projs[..., 0, :, :]
+            + f[..., 1, None, None] * w_projs[..., 1, :, :])
 
 
 def direct_moments(rho: np.ndarray, n: np.ndarray, f: np.ndarray,
@@ -168,14 +179,16 @@ def direct_moments(rho: np.ndarray, n: np.ndarray, f: np.ndarray,
     ``[N, K]``, all straight from traces.  Each quasi-table must sum to 1
     within 1e-9; the checks go to ``checks`` when given, else they run here.
     """
-    w_projs = _w_projectors(n, checks)
-    # <{K, L}>/2 = Re Tr(rho K L) for Hermitian rho, K, L
-    rho_k = np.stack([(rho.reshape(-1, 4) @ k).reshape(rho.shape) for k in _X1_PROJS], axis=1)
-    mh = np.einsum("nxab,nwba->nxw", rho_k, _kron(_EYE2, w_projs)).real
+    w_projs = _w_projectors(n, checks)[:, None]
+    # Tr(rho op) = sum_ab conj(rho^dag[b, a]) op[b, a], a dot product
+    rho_dag = rho.conj().swapaxes(-1, -2).reshape(len(rho), 1, 16)
+    # <{K, L}>/2 = Re Tr(rho K L) for Hermitian rho, K, L, and
+    # (X_x (x) 1)(1 (x) W_w) = X_x (x) W_w
+    products = _kron(_X_PROJS[:, None], w_projs).reshape(len(rho), 2, 2, 16)
+    mh = np.vecdot(rho_dag[:, None], products).real
     submit_checks(checks, quasi_mass_checks(mh.sum(axis=(1, 2)), 1e-9))
-    estimates = np.einsum("nkw,nwab->nkab", f, w_projs)
-    diff = _kron(SIGMAS[1], _EYE2) - _kron(_EYE2, estimates)
-    second = np.einsum("nkab,nkba->nk", rho[:, None] @ diff, diff).real
+    diff = _X1 - _kron(_EYE2, _estimates(f, w_projs))
+    second = np.vecdot(rho_dag, (diff @ diff).reshape(*diff.shape[:-2], 16)).real
     return mh, np.sqrt(np.maximum(second, 0.0))
 
 
@@ -196,18 +209,26 @@ def dilated_operators(rho: np.ndarray, povms: np.ndarray, n: np.ndarray, f: np.n
     returns ``(x_est, y_est, x1, y1, state)``: the X estimate ``f(W)`` on
     qubit 2, the Naimark-dilated Y estimate on (q1, ancilla) with values
     +-1, the targets X and Y on qubit 1, and the state with the ancilla in
-    ``|0>``; each ``[N, 8, 8]`` or, for x1 and y1, ``[8, 8]``.  The dilated
-    family must be complete; the checks go to ``checks`` when given, else
-    they run here.
+    ``|0>``; each ``[N, 8, 8]`` or, for x1 and y1, ``[8, 8]``.
+
+    The Y estimate is the ancilla's Z read back through the dilation
+    unitary, ``U^dag (1 (x) Z) U``, one product per scenario.  The dilated
+    family it comes from, ``U^dag (1 (x) |i><i|) U``, sums to ``U^dag U``,
+    which :func:`naimark_unitaries` gates at the identity.  The checks go to
+    ``checks`` when given, else they run here.
     """
-    state = _kron(rho, _ANC0)
-    x_est = _kron(_EYE2, np.einsum("nw,nwab->nab", f, _w_projectors(n, checks)), _EYE2)
-    local = naimark_projectors(povms, checks)
-    # embed on slots (q1, anc) of (q1, q2, anc): identity on q2
-    family = np.einsum("nipqrs,bc->nipbqrcs",
-                       local.reshape(-1, 2, 2, 2, 2, 2), _EYE2).reshape(-1, 2, 8, 8)
-    submit_checks(checks, [(_far(family.sum(axis=1), np.eye(8), 1e-12), failing(
-        ValueError, lambda i: "dilated family is not complete"))])
-    y_est = family[:, 0] - family[:, 1]
-    return (x_est, y_est, _kron(SIGMAS[1], _EYE2, _EYE2), _kron(SIGMAS[2], _EYE2, _EYE2),
-            state)
+    size = len(rho)
+    unitary = naimark_unitaries(povms, checks)
+    y_local = unitary.conj().swapaxes(-1, -2) @ (_ANC_SIGNS[:, None] * unitary)
+    # (q1, q2, ancilla) axes of rows and columns: the state is rho (x) |0><0|,
+    # x_est is 1 (x) f(W) (x) 1 and y_est is y_local with the identity on q2
+    state, x_est, y_est = np.zeros((3, size, 2, 2, 2, 2, 2, 2), dtype=complex)
+    state[:, :, :, 0, :, :, 0] = rho.reshape(size, 2, 2, 2, 2)
+    estimate = _estimates(f, _w_projectors(n, checks))
+    y_local = y_local.reshape(size, 2, 2, 2, 2)
+    for i in range(2):
+        y_est[:, :, i, :, :, i, :] = y_local
+        for j in range(2):
+            x_est[:, i, :, j, i, :, j] = estimate
+    return (x_est.reshape(size, 8, 8), y_est.reshape(size, 8, 8), _X_DILATED, _Y_DILATED,
+            state.reshape(size, 8, 8))

@@ -301,6 +301,19 @@ class RelationChain:
                               self.min_slack >= -MARGIN_TOL)
 
 
+def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``p @ q`` for operators ``[d, d]`` or stacks ``[N, d, d]``: an operand
+    shared by the stack is applied as one GEMM over the other's flattened
+    stack, not as one small product per matrix."""
+    if p.ndim == 2 and q.ndim == 3:
+        size, dim, _ = q.shape
+        flat = q.swapaxes(0, 1).reshape(dim, size * dim)
+        return (p @ flat).reshape(dim, size, dim).swapaxes(0, 1)
+    if p.ndim == 3 and q.ndim == 2:
+        return (p.reshape(-1, q.shape[0]) @ q).reshape(p.shape)
+    return p @ q
+
+
 def relation_chains(a_est, b_est, a, b, rho,
                     checks: list[Check] | None = None) -> RelationChain:
     """Check the averaged-spread relation's derivation link by link for N
@@ -313,18 +326,26 @@ def relation_chains(a_est, b_est, a, b, rho,
     the checks go to ``checks`` when given, else they run here).  Every
     commutator link comes by bilinearity from the four commutators
     ``[A, B]``, ``[A, B_est]``, ``[A_est, B]`` and ``[A_est, B_est]``.
+
+    A product with a shared operand is one GEMM over the other stack, and
+    each expectation ``Tr(rho op)`` is a dot product of the flattened
+    ``op`` with the flattened ``rho^dag``, formed once; neither assumes
+    that any operator is Hermitian.
     """
     a_est_m, b_est_m, a_m, b_m, rho_m = map(as_operator_array, (a_est, b_est, a, b, rho))
     dims = {m.shape[-1] for m in (a_est_m, b_est_m, a_m, b_m, rho_m)}
     if len(dims) != 1:
         raise ValueError(f"operators live on different spaces: dims {sorted(dims)}")
-    eye = np.eye(dims.pop())
+    dim = dims.pop()
+    eye = np.eye(dim)
+    # Tr(rho op) = sum_ab rho[a, b] op[b, a] = sum_ba conj(rho^dag[b, a]) op[b, a]
+    rho_dag = rho_m.conj().swapaxes(-1, -2).reshape(*rho_m.shape[:-2], dim * dim)
 
     def comm(p, q):
-        return p @ q - q @ p
+        return _product(p, q) - _product(q, p)
 
     def ev(op):
-        return np.einsum("...ab,...ba->...", rho_m, op)
+        return np.vecdot(rho_dag, op.reshape(*op.shape[:-2], dim * dim))
 
     def max_abs(op):
         return np.abs(op).max(axis=(-2, -1))
@@ -346,7 +367,7 @@ def relation_chains(a_est, b_est, a, b, rho,
     c = np.abs(ev_ab)
 
     def rms(op):
-        return np.sqrt(np.maximum(ev(op @ op).real, 0.0))
+        return np.sqrt(np.maximum(ev(_product(op, op)).real, 0.0))
 
     def centred_rms(op):
         return rms(op - ev(op).real[..., None, None] * eye)

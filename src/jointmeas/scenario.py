@@ -63,6 +63,10 @@ class DegenerateMeasurementError(ValueError):
 _X_PLUS = (SIGMAS[0] + SIGMAS[1]) / 2
 _X_MINUS = (SIGMAS[0] - SIGMAS[1]) / 2
 Y_PROJECTORS = (SIGMAS[0] + SIGNS[:, None, None] * SIGMAS[2]) / 2
+# [Y_+ | Y_-] side by side, and Tr(op s_j) = sum_ab op[a, b] s_j[b, a] as
+# the product of a flattened op with row ab, column j
+_Y_ROW = np.concatenate(tuple(Y_PROJECTORS), axis=1)
+_PAULI_TRACES = SIGMAS.swapaxes(1, 2).reshape(4, 4).T.copy()
 
 
 @dataclass(frozen=True)
@@ -281,10 +285,13 @@ def joint_tables(rho, slide, n: np.ndarray,
     JointDistribution; the checks go to ``checks`` when given, else they
     run here.
     """
-    kraus = as_slide_arrays(slide).kraus[:, :, None]
-    probes = kraus @ Y_PROJECTORS @ kraus
-    # Pauli components of each probe M_m Y_y M_m, then A = c T
-    coef = np.einsum("...myab,jba->...myj", probes, SIGMAS).real / 2
+    kraus = as_slide_arrays(slide).kraus
+    # M_m Y_y for every y as one GEMM against the shared [Y_+ | Y_-], then
+    # the probes M_m Y_y M_m as one product per slide and outcome pair
+    kraus_y = (kraus.reshape(-1, 2) @ _Y_ROW).reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
+    probes = kraus_y @ kraus[:, :, None]
+    # Pauli components Tr(probe s_j)/2 of each probe, then A = c T
+    coef = (probes.reshape(-1, 4) @ _PAULI_TRACES).real.reshape(*probes.shape[:-2], 4) / 2
     a = coef @ correlations(rho)[..., None, :, :]
     # p(m, y, w) = (A[m, y, 0] + w n.A[m, y, 1:]) / 2, with (m, y) flattened;
     # the directions are grouped by their A: all N under one shared A, or

@@ -427,7 +427,8 @@ def _draw_block(rng: np.random.Generator, first: int, count: int):
     order of one trial after another: the state's G, the reflectivities,
     the W angles and, on odd trials, the custom estimate (NaN elsewhere).
 
-    Each trial takes two generator calls: the normals of G, then the
+    Each trial takes two generator calls: the normals of G, written in place
+    by ``standard_normal`` (the draws of ``normal(size=...)``), then the
     uniforms of the rest in one ``random`` call, mapped onto their ranges as
     ``Generator.uniform`` maps them.  A rejected reflectivity pair shifts
     the uniforms by two and draws two more.  The values equal those of
@@ -435,14 +436,15 @@ def _draw_block(rng: np.random.Generator, first: int, count: int):
     and ``uniform(-2, 2, size=2)`` called in turn on the same stream.
     """
     normals = np.empty((count, 2, 4, 4))
-    uniforms = np.full((count, 6), np.nan)
+    rows = []
     for k in range(count):
-        normals[k] = rng.normal(size=(2, 4, 4))
+        rng.standard_normal(out=normals[k])
         u = rng.random(6 if (first + k) % 2 else 4).tolist()
         while (abs(_scaled(u[0], _REFLECTIVITIES) - _scaled(u[1], _REFLECTIVITIES))
                < _MIN_REFLECTIVITY_SPLIT):
             u = u[2:] + rng.random(2).tolist()
-        uniforms[k, :len(u)] = u
+        rows.append(u if len(u) == 6 else u + [math.nan, math.nan])
+    uniforms = np.array(rows).reshape(count, 6)
     theta = [math.acos(c) for c in _scaled(uniforms[:, 2], _COS_THETA).tolist()]
     return (normals[:, 0] + 1j * normals[:, 1],
             _scaled(uniforms[:, :2], _REFLECTIVITIES),

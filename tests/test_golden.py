@@ -3,7 +3,8 @@
 The reports are part of the package's contract: for fixed inputs they must
 match these files exactly, at the 12 significant digits they print.  The
 files were written by the same ``cli.main`` invocations.  The ``verify``
-report is pinned field by field: its counts, flags and margins exactly, its
+reports (300 trials at seed 7, and the default 10 000 trials at seed 42)
+are pinned field by field: their counts, flags and margins exactly, their
 rounding-noise residuals to 1e-12.
 """
 
@@ -39,14 +40,24 @@ VERIFY_NOISE = ("oracle_max_diff", "y_inaccuracy_max_diff", "dispersion_max_resi
                 "gap_max_residual", "chain_min_slack")
 
 
-def test_verify_report_matches_golden(tmp_path):
-    out = tmp_path / "verify.json"
-    assert main(["verify", "--trials", "300", "--seed", "7", "--out", str(out)]) == 0
+def assert_verify_report_matches(tmp_path, golden, trials, seed):
+    out = tmp_path / golden
+    assert main(["verify", "--trials", str(trials), "--seed", str(seed),
+                 "--out", str(out)]) == 0
     got = json.loads(out.read_text(encoding="utf-8"))
-    want = json.loads((DATA / "golden_verify.json").read_text(encoding="utf-8"))
+    want = json.loads((DATA / golden).read_text(encoding="utf-8"))
     assert got.keys() == want.keys()
     for key, value in want.items():
         if key in VERIFY_NOISE:
             assert abs(got[key] - value) <= 1e-12, key
         else:
             assert got[key] == value, key
+
+
+def test_verify_report_matches_golden(tmp_path):
+    assert_verify_report_matches(tmp_path, "golden_verify.json", 300, 7)
+
+
+def test_verify_10k_report_matches_golden(tmp_path):
+    """The full-size default run: 10 blocks of trials, pinned the same way."""
+    assert_verify_report_matches(tmp_path, "golden_verify_10k.json", 10_000, 42)

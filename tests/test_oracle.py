@@ -24,7 +24,7 @@ from jointmeas import (
     projector_pair,
     slide_model,
 )
-from jointmeas.oracle import dilated_operators, direct_moments
+from jointmeas.oracle import dilated_operators, direct_moments, naimark_unitaries
 from jointmeas.qcore import _psd_sqrt, bloch_vectors
 
 X = pauli("X").matrix
@@ -133,6 +133,34 @@ def test_naimark_dilates_any_binary_povm(low, high, theta, phi, alpha):
         for idx, element in enumerate(povm):
             prob = np.vdot(out[:, idx], out[:, idx]).real
             assert prob == pytest.approx((vec.conj() @ element @ vec).real, abs=1e-12)
+
+
+def test_unitarity_gate_rejects_every_family_the_dilated_family_gate_rejected():
+    """`dilated_operators` once gated its dilated family
+    ``U^dag (1 (x) |i><i|) U``, embedded on (q1, q2, ancilla), at a sum
+    within 1e-12 of the identity.  That sum is ``U^dag U`` with the
+    identity on q2, so the unitarity gate of `naimark_unitaries`, at the
+    same 1e-12, flags every POVM the old gate flagged: here 2000 random
+    binary POVMs whose completeness is perturbed by 1e-14 to 1e-10."""
+    rng = np.random.default_rng(2024)
+    povms = np.empty((2000, 2, 2, 2), dtype=complex)
+    for povm in povms:
+        rot = unitary_2x2(*rng.uniform(0.0, 2 * math.pi, 3))
+        e0 = rot @ np.diag(rng.uniform(0.0, 1.0, 2)) @ rot.conj().T
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        povm[:] = e0, EYE - e0 + 10.0 ** rng.uniform(-14, -10) * (g + g.conj().T) / 2
+    checks = []
+    unitaries = naimark_unitaries(povms, checks)
+    _, (unitarity_flags, fire) = checks
+    with pytest.raises(ValueError, match="dilation completion is not unitary"):
+        fire(0)
+    ancilla = [np.kron(EYE, np.diag(d)) for d in ([1.0, 0.0], [0.0, 1.0])]
+    family_flags = np.array([
+        np.abs(sum(embed(u.conj().T @ proj @ u, (0, 2), (2, 2, 2)) for proj in ancilla)
+               - np.eye(8)).max() > 1e-12
+        for u in unitaries])
+    assert 0 < family_flags.sum() < len(povms)
+    assert not (family_flags & ~unitarity_flags).any()
 
 
 def test_naimark_estimator_reproduces_weak_y(reference):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from jointmeas import (
     BlochObservable,
     Estimator,
+    HermitianOperator,
     RelationViolationError,
     disturbed_observable,
     epr_state,
@@ -25,7 +26,7 @@ from jointmeas import (
     verify_relation_chain,
 )
 from jointmeas.oracle import dilated_operators
-from jointmeas.qcore import bloch_vectors
+from jointmeas.qcore import bloch_vectors, commutator_bounds, correlations, spreads
 from jointmeas.relations import relation_chains
 from jointmeas.scenario import povm_elements, slide_arrays
 
@@ -397,3 +398,44 @@ def test_md_disturbance_equals_kappa(gamma, r_h, r_v):
     eta = math.sqrt(np.trace(rho.matrix @ diff @ diff).real)
     assert report.eta_b == pytest.approx(eta, abs=1e-12)
     assert report.satisfied
+
+
+SHARED_SETS = (("a", "b"), ("a_est", "b_est"), ("rho",), ("a", "b", "rho"),
+               ("a_est", "b_est", "rho"), ("a", "b", "a_est", "b_est"))
+
+
+def test_shared_operand_gemm_forms_match_per_matrix_forms():
+    """On 200 seeded random stacks, the statistics kernels that apply one
+    shared operator as a GEMM over the flattened stack equal the per-matrix
+    forms ``np.trace(m @ g)`` and the Pauli einsum to 1e-15, and a chain
+    with shared ``[d, d]`` operands equals one with them tiled to
+    ``[N, d, d]`` to 1e-15, absolute or relative (its Schwarz terms reach
+    20, where one rounding step is 3.6e-15)."""
+    sigmas = np.stack([pauli(k).matrix for k in "IXYZ"])
+    pairs = np.einsum("jab,kcd->jkacbd", sigmas, sigmas).reshape(4, 4, 4, 4)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 9))
+        d = 4 if seed % 4 else 2
+        mats = np.stack([random_density(rng, d) for _ in range(size)])
+        a, b = (HermitianOperator(random_hermitian(rng, d)) for _ in range(2))
+        if d == 4:
+            want = np.einsum("jkab,nba->njk", pairs, mats).real
+            np.testing.assert_allclose(correlations(mats), want, rtol=0, atol=1e-15)
+        for op in (a, b):
+            g = op.matrix
+            want = [math.sqrt(max(np.trace(m @ g @ g).real - np.trace(m @ g).real ** 2, 0.0))
+                    for m in mats]
+            np.testing.assert_allclose(spreads(op, mats), want, rtol=0, atol=1e-15)
+        comm = a.matrix @ b.matrix - b.matrix @ a.matrix
+        want = [abs(np.trace(m @ comm)) for m in mats]
+        np.testing.assert_allclose(commutator_bounds(a, b, mats), want, rtol=0, atol=1e-15)
+
+        # the estimators are shared together or not at all, so they commute
+        shared = SHARED_SETS[seed % len(SHARED_SETS)]
+        operands = chain_operands(rng, 2 * d, size, shared)
+        tiled = [np.array(np.broadcast_to(op, (size, 2 * d, 2 * d))) for op in operands]
+        got, want = relation_chains(*operands), relation_chains(*tiled)
+        for field in dataclasses.fields(got):
+            np.testing.assert_allclose(getattr(got, field.name), getattr(want, field.name),
+                                       rtol=1e-15, atol=1e-15, err_msg=f"{seed} {field.name}")
