@@ -17,7 +17,6 @@ from .qcore import (
     HermitianOperator,
     NumericalCorruptionError,
     ToleranceProfile,
-    commutator_bound,
     expectation,
     fidelity,
     pauli,
@@ -33,7 +32,6 @@ from .scenario import (
     JointDistribution,
     SemiweakSlide,
     disturbed_observable,
-    effective_povm,
     epr_state,
     joint_distribution,
     slide_model,
@@ -48,7 +46,6 @@ from .estimate import (
     inaccuracy_y,
     mh_from_counts,
     optimal_estimator,
-    y_estimator_spread,
 )
 from .relations import (
     MDReport,
@@ -58,7 +55,6 @@ from .relations import (
     StrengthOrdering,
     evaluate_md_relation,
     evaluate_relations,
-    optimal_gap_weight,
     strength_comparison,
     verify_relation_chain,
 )
@@ -88,7 +84,6 @@ from .workflow import (
     SimulationResult,
     VerificationResult,
     analyze_measured,
-    build_estimator,
     dilated_chain,
     random_observable,
     random_slide,

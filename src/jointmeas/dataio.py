@@ -107,11 +107,15 @@ def parse_distribution(text: str, provenance: str = "measured",
         entries[key] = p
         if len(parts) == 5 and parts[4]:
             try:
-                sigmas[key] = float(parts[4])
+                sigma = float(parts[4])
             except ValueError as exc:
                 raise DataValidationError(
                     f"line {line_no}: column 'sigma' must be a float or empty"
                 ) from exc
+            if not (math.isfinite(sigma) and sigma >= 0.0):
+                raise DataValidationError(
+                    f"line {line_no}: sigma must be finite and non-negative, got {parts[4]!r}")
+            sigmas[key] = sigma
     if len(entries) != 8:
         raise DataValidationError(
             f"expected 8 outcome triples, found {len(entries)}"
@@ -186,6 +190,10 @@ def parse_density_matrix(text: str, dim: int = 4,
             re, im = float(parts[2]), float(parts[3])
         except ValueError as exc:
             raise DataValidationError(f"line {line_no}: {exc}") from exc
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise DataValidationError(
+                f"line {line_no}: entry ({row},{col}) is not finite: re={parts[2]!r}, "
+                f"im={parts[3]!r}")
         if not (0 <= row < dim and 0 <= col < dim):
             raise DataValidationError(
                 f"line {line_no}: index ({row},{col}) outside a {dim}x{dim} matrix"

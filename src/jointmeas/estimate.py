@@ -271,11 +271,6 @@ def estimator_spread(dist: JointDistribution, est: Estimator) -> float:
     return float(estimate_spreads(dist.table[None], est.array[None])[0])
 
 
-def y_estimator_spread(dist: JointDistribution) -> float:
-    """Standard deviation of the +-1-valued y outcome under the table."""
-    return float(y_spreads(dist.table[None])[0])
-
-
 @dataclass(frozen=True)
 class DispersionCheck:
     """The three terms of eps^2 + (Delta X_est)^2 = (Delta X)^2."""

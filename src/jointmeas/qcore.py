@@ -18,7 +18,6 @@ All container types are immutable values; operations are pure functions.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -110,14 +109,14 @@ PROFILES: dict[str, ToleranceProfile] = {
 }
 
 
-def as_complex_matrix(values, dims: tuple[int, ...] = SUPPORTED_DIMS) -> np.ndarray:
+def as_complex_matrix(values) -> np.ndarray:
     """Validate and copy a square complex matrix of supported dimension."""
     mat = np.array(values, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] not in dims:
+    if mat.shape[0] not in SUPPORTED_DIMS:
         raise DimensionMismatchError(
-            f"dimension {mat.shape[0]} unsupported (expected one of {dims})")
+            f"dimension {mat.shape[0]} unsupported (expected one of {SUPPORTED_DIMS})")
     if not np.all(np.isfinite(mat.view(float))):
         raise ValueError("matrix contains non-finite entries")
     mat.setflags(write=False)
@@ -381,13 +380,6 @@ def commutator_bounds(a: HermitianOperator, b: HermitianOperator,
     """``c = |<[A, B]>|`` ``[N]`` in N states ``mats[N, d, d]``."""
     comm = a.matrix @ b.matrix - b.matrix @ a.matrix
     return np.abs(_traces((mats.reshape(-1, a.dim) @ comm).reshape(mats.shape)))
-
-
-def commutator_bound(a: HermitianOperator, b: HermitianOperator, rho: DensityMatrix) -> float:
-    """``c = |<[A, B]>|``; the uncertainty-relation bound is ``c / 2``."""
-    if a.dim != b.dim or a.dim != rho.dim:
-        raise DimensionMismatchError("commutator_bound needs matching dimensions")
-    return float(commutator_bounds(a, b, rho.matrix[None])[0])
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

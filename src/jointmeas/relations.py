@@ -14,10 +14,14 @@ estimates), all against the same bound ``c/2 = |<[A, B]>| / 2``:
 plus a measurement-disturbance variant where the second inaccuracy is
 replaced by the RMS change ``eta(B)`` the measurement channel inflicts on B.
 
-Relation evaluation takes scalar summary statistics, so measured-count and
-simulated paths share one code path; the step-by-step derivation check
-(`verify_relation_chain`) instead takes operators on a common, possibly
-dilated, Hilbert space.
+Relation evaluation takes summary statistics (floats, or arrays over N
+scenarios), so measured-count and simulated paths share one code path; the
+measurement-disturbance variant reads its inputs off a
+:class:`RelationReport`.  The step-by-step derivation check
+(`relation_chains`, and `verify_relation_chain` for one set) instead takes
+operators on a common, possibly dilated, Hilbert space.  Nothing here
+builds a state, a slide or a table, so the module depends on ``qcore``
+alone.
 """
 
 from __future__ import annotations
@@ -28,19 +32,11 @@ import numpy as np
 
 from .qcore import (
     Check,
-    DensityMatrix,
     as_operator_array,
-    commutator_bound,
     failing,
-    pauli,
     run_checks,
-    spread,
     submit_checks,
-    tensor,
 )
-from .scenario import SemiweakSlide, joint_distribution
-from .estimate import Estimator, estimator_spread, inaccuracy_x
-from .qcore import BlochObservable
 
 
 class RelationViolationError(ValueError):
@@ -156,13 +152,9 @@ def gap_weights(x: np.ndarray, checks: list[Check] | None = None) -> np.ndarray:
     """
     submit_checks(checks, [(~((0.0 <= x) & (x <= 1.0 + 1e-12)), failing(
         ValueError, lambda i: f"gap weight defined on [0, 1], got {float(x[i])}"))])
-    x = np.minimum(x, 1.0)
-    return 0.5 * (np.sqrt(1.0 - x * x) - (1.0 - x))
-
-
-def optimal_gap_weight(x: float) -> float:
-    """``h(x)`` of :func:`gap_weights` for one ``x``."""
-    return float(gap_weights(np.array([x], dtype=float))[0])
+    # a new name, so that a queued check's message reads the unclamped x
+    clamped = np.minimum(x, 1.0)
+    return 0.5 * (np.sqrt(1.0 - clamped * clamped) - (1.0 - clamped))
 
 
 def strength_orderings(eps_a, eps_b, delta_a, delta_b, lhs_hall, lhs_ozawa, lhs_new,
@@ -451,28 +443,23 @@ class MDReport:
                 "bound": self.bound, "lhs": self.lhs, "satisfied": self.satisfied}
 
 
-def evaluate_md_relation(rho: DensityMatrix, slide: SemiweakSlide,
-                         w: BlochObservable, est: Estimator) -> MDReport:
-    """Evaluate the measurement-disturbance relation on a simulated scenario.
+def evaluate_md_relation(report: RelationReport, kappa: float) -> MDReport:
+    """Evaluate the measurement-disturbance relation on a scenario's relation
+    report, with ``kappa`` the strength of its slide.
 
     The slide channel contracts Y to ``Y' = (1 - kappa) Y``, so its RMS
     disturbance is ``eta(Y) = sqrt(<(Y' - Y)^2>) = kappa`` and the disturbed
-    spread is ``Delta(Y') = (1 - kappa) Delta Y``, both in closed form.  The
-    relation is universal for estimates read off qubit 2, so a violation
-    marks numerical corruption and raises.
+    spread is ``Delta(Y') = (1 - kappa) Delta Y``, both in closed form; every
+    other input is read off the report.  The relation is universal for
+    estimates read off qubit 2, so a violation marks numerical corruption
+    and raises.
     """
-    dist = joint_distribution(rho, slide, w)
-    eps_a = inaccuracy_x(dist, slide, est)
-    delta_a_est = estimator_spread(dist, est)
-    a_op = tensor(pauli("X"), pauli("I"))
-    b_op = tensor(pauli("Y"), pauli("I"))
-    delta_a, delta_b = spread(a_op, rho), spread(b_op, rho)
-    report = MDReport(
-        eps_a=eps_a, eta_b=slide.kappa, delta_a=delta_a, delta_a_est=delta_a_est,
-        delta_b=delta_b, delta_b_disturbed=(1.0 - slide.kappa) * delta_b,
-        c=commutator_bound(a_op, b_op, rho))
-    if not report.satisfied:
+    md = MDReport(
+        eps_a=report.eps_a, eta_b=kappa, delta_a=report.delta_a,
+        delta_a_est=report.delta_a_est, delta_b=report.delta_b,
+        delta_b_disturbed=(1.0 - kappa) * report.delta_b, c=report.c)
+    if not md.satisfied:
         raise RelationViolationError(
-            f"measurement-disturbance relation violated: lhs {report.lhs:.12f} "
-            f"< bound {report.bound:.12f}")
-    return report
+            f"measurement-disturbance relation violated: lhs {md.lhs:.12f} "
+            f"< bound {md.bound:.12f}")
+    return md

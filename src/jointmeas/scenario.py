@@ -334,14 +334,6 @@ def povm_elements(slide) -> np.ndarray:
     return 0.5 * (SIGMAS[0] + contrast * SIGNS[:, None, None] * SIGMAS[2])
 
 
-def effective_povm(slide: SemiweakSlide) -> tuple[HermitianOperator, HermitianOperator]:
-    """POVM of the Y measurement behind the slide,
-    ``Upsilon_y = (1 +- (1 - kappa) Y)/2``, which is the Kraus sum
-    ``sum_m M_m Y_y M_m`` (:func:`povm_elements` for one slide)."""
-    up, down = povm_elements(slide)[0]
-    return HermitianOperator(up), HermitianOperator(down)
-
-
 def disturbed_observable(slide: SemiweakSlide, b: HermitianOperator) -> HermitianOperator:
     """Heisenberg picture of the slide channel: ``B' = M_r B M_r + M_t B M_t``.
 

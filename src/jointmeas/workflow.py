@@ -21,7 +21,6 @@ from .estimate import (
     Estimator,
     estimate_spreads,
     mh_tables,
-    optimal_estimator,
     optimal_values,
     x_inaccuracies,
     y_inaccuracies,
@@ -82,21 +81,6 @@ def reference_scenario() -> tuple[DensityMatrix, SemiweakSlide, BlochObservable]
             BlochObservable.from_degrees(90.0, 180.0))
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"unknown estimator kind {kind!r} (use 'simple' or 'optimal')")
-
-
-def build_estimator(kind: str, rho: DensityMatrix | None = None,
-                    w: BlochObservable | None = None) -> Estimator:
-    _check_kind(kind)
-    if kind == "simple":
-        return Estimator.simple()
-    if rho is None or w is None:
-        raise ValueError("the optimal estimator needs a state and a W observable")
-    return optimal_estimator(rho, w)
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     """One simulated scenario: outcome table, estimator, relations."""
@@ -152,7 +136,8 @@ def _statistics(rho, slides, n: np.ndarray, kinds, checks: list[Check],
     reduced once, at N = 1, and its values and check flags are broadcast.
     """
     for kind in kinds:
-        _check_kind(kind)
+        if kind not in ESTIMATOR_KINDS:
+            raise ValueError(f"unknown estimator kind {kind!r} (use 'simple' or 'optimal')")
     size = len(n)
     if p is None:
         p = joint_tables(rho, slides, n, checks)
@@ -292,35 +277,24 @@ def _state_matrices(g: np.ndarray) -> np.ndarray:
     return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _draw_state(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-
-
-def _draw_reflectivities(rng: np.random.Generator) -> tuple[float, float]:
-    while True:
-        r_h, r_v = rng.uniform(*_REFLECTIVITIES, size=2)
-        if abs(r_h - r_v) >= _MIN_REFLECTIVITY_SPLIT:
-            return float(r_h), float(r_v)
-
-
-def _draw_angles(rng: np.random.Generator) -> tuple[float, float]:
-    theta = math.acos(float(rng.uniform(*_COS_THETA)))
-    return theta, float(rng.uniform(*_PHI))
-
-
-def random_state(rng: np.random.Generator, dim: int = 4) -> DensityMatrix:
+def random_state(rng: np.random.Generator) -> DensityMatrix:
     """Full-rank random state rho = G G^dag / tr(G G^dag), G complex Gaussian."""
-    return DensityMatrix(_state_matrices(_draw_state(rng, dim)))
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return DensityMatrix(_state_matrices(g))
 
 
 def random_slide(rng: np.random.Generator) -> SemiweakSlide:
     """Reflectivities in [0.02, 0.98], kept at least 0.01 apart."""
-    return slide_model(*_draw_reflectivities(rng))
+    while True:
+        r_h, r_v = rng.uniform(*_REFLECTIVITIES, size=2)
+        if abs(r_h - r_v) >= _MIN_REFLECTIVITY_SPLIT:
+            return slide_model(float(r_h), float(r_v))
 
 
 def random_observable(rng: np.random.Generator) -> BlochObservable:
     """Direction uniform on the sphere."""
-    return BlochObservable(*_draw_angles(rng))
+    theta = math.acos(float(rng.uniform(*_COS_THETA)))
+    return BlochObservable(theta, float(rng.uniform(*_PHI)))
 
 
 def dilated_chains(rho: np.ndarray, slide, n: np.ndarray, f: np.ndarray,

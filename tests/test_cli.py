@@ -204,6 +204,23 @@ def test_empty_state_file_is_data_error(tmp_path, capsys, mode):
     assert "data error" in captured.err and "''" in captured.err
 
 
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_state_file_is_data_error(tmp_path, capsys, value):
+    """A state file with a non-finite entry exits 3 with the entry's line."""
+    lines = measured_table("tomographic_state.csv").splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + f",{value}"
+    state_file = tmp_path / "state.csv"
+    state_file.write_text("\n".join(lines) + "\n")
+    dist_file = tmp_path / "phi180.csv"
+    dist_file.write_text(measured_table("measured_phi180.csv"))
+    assert main(["analyze", "--dist-file", str(dist_file),
+                 "--state-file", str(state_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "data error" in captured.err and "line 4:" in captured.err
+    assert "not finite" in captured.err
+
 def test_tolerance_profile_changes_mass_gate(tmp_path, capsys):
     text = measured_table("measured_phi180.csv")
     # scale one entry so the total lands at 1.0304: beyond the default 1%

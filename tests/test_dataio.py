@@ -9,7 +9,6 @@ import pytest
 from jointmeas import (
     DataQualityWarning,
     DataValidationError,
-    DensityMatrix,
     bundled_distribution,
     bundled_state,
     emit_density_matrix,
@@ -78,6 +77,25 @@ def test_parse_distribution_errors():
     with pytest.raises(DataValidationError, match="expected 5 columns, got 6"):
         parse_distribution(wide)
 
+
+
+@pytest.mark.parametrize("sigma", ["-0.5", "nan", "inf", "-inf", "-1e-300"])
+def test_parse_distribution_rejects_bad_sigma(sigma):
+    """A negative or non-finite sigma is refused on its line, so that no
+    emitted table carries one."""
+    bad = GOOD_TABLE.replace("1,1,-1,0.112,0.002", f"1,1,-1,0.112,{sigma}")
+    with pytest.raises(DataValidationError,
+                       match=f"line 7: sigma must be finite and non-negative, got '{sigma}'"):
+        parse_distribution(bad)
+
+
+def test_parse_distribution_keeps_zero_and_empty_sigma():
+    text = (GOOD_TABLE.replace("1,1,-1,0.112,0.002", "1,1,-1,0.112,0")
+            .replace("1,-1,1,0.157,0.002", "1,-1,1,0.157,"))
+    dist = parse_distribution(text)
+    assert dist.sigmas[(1, 1, -1)] == 0.0
+    assert (1, -1, 1) not in dist.sigmas
+    assert parse_distribution(emit_distribution(dist)).sigmas == dist.sigmas
 
 def test_parse_distribution_mass_gate():
     scaled = GOOD_TABLE.replace("0.282", "0.582")
@@ -186,6 +204,17 @@ def test_parse_density_matrix_structure_errors():
     rho = parse_density_matrix("0,0,0.5,0\n0,1,0,0\n1,0,0,0\n1,1,0.5,0\n", dim=2)
     assert rho.dim == 2
 
+
+
+@pytest.mark.parametrize("re, im", [("nan", "0"), ("inf", "0"), ("0.25", "-inf"),
+                                    ("0.25", "nan")])
+def test_parse_density_matrix_rejects_non_finite_entries(re, im):
+    """A non-finite entry is refused on its line, before the Hermiticity,
+    trace and eigenvalue gates see it (and without numpy warnings)."""
+    lines = density_text(np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)).splitlines()
+    lines[6] = f"1,1,{re},{im}"
+    with pytest.raises(DataValidationError, match=r"line 7: entry \(1,1\) is not finite"):
+        parse_density_matrix("\n".join(lines) + "\n")
 
 def test_bundled_distribution_lookup():
     dist = bundled_distribution(157.5)

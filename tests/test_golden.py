@@ -2,12 +2,14 @@
 
 The reports are part of the package's contract: for fixed inputs they must
 match these files exactly, at the 12 significant digits they print.  The
-files were written by the same ``cli.main`` invocations.  The ``verify``
+files were written by the same ``cli.main`` invocations; the 3600-angle
+sweep is stored gzip-compressed.  The ``verify``
 reports (300 trials at seed 7, and the default 10 000 trials at seed 42)
 are pinned field by field: their counts, flags and margins exactly, their
 rounding-noise residuals to 1e-12.
 """
 
+import gzip
 import json
 from importlib import resources
 from pathlib import Path
@@ -33,6 +35,18 @@ def test_cli_report_matches_golden(tmp_path, golden, args):
         assert main(argv + ["--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == (DATA / golden).read_text(encoding="utf-8")
 
+
+
+def test_dense_sweep_matches_golden(tmp_path):
+    """A 3600-angle sweep (0, 0.1, ..., 359.9 degrees): a change that moves
+    one cell of a dense grid in the 12th digit fails here, where the
+    37-angle golden can miss it."""
+    out = tmp_path / "sweep.csv"
+    phis = ",".join(f"{k / 10:g}" for k in range(3600))
+    assert main(["sweep", "--gamma", "22.5", "--phi", phis, "--format", "csv",
+                 "--out", str(out)]) == 0
+    want = gzip.decompress((DATA / "golden_sweep_3600.csv.gz").read_bytes())
+    assert out.read_bytes() == want
 
 # verify report fields that are rounding noise of near-zero residuals: they
 # move with any change of summation order, so they are pinned to 1e-12

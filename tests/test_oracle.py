@@ -12,7 +12,6 @@ from jointmeas import (
     DensityMatrix,
     Estimator,
     direct_margenau_hill,
-    effective_povm,
     embed,
     epr_state,
     inaccuracy_x,
@@ -26,6 +25,7 @@ from jointmeas import (
 )
 from jointmeas.oracle import dilated_operators, direct_moments, naimark_unitaries
 from jointmeas.qcore import _psd_sqrt, bloch_vectors
+from jointmeas.scenario import povm_elements
 
 X = pauli("X").matrix
 Y = pauli("Y").matrix
@@ -61,7 +61,7 @@ def test_embed_rejects_bad_slots():
 
 def test_naimark_unitary_realises_povm(reference):
     _, slide, _ = reference
-    povm = tuple(e.matrix for e in effective_povm(slide))
+    povm = tuple(povm_elements(slide)[0])
     unitary = naimark_unitary(povm)
     assert np.allclose(unitary.conj().T @ unitary, np.eye(4), atol=1e-12)
     rng = np.random.default_rng(5)
@@ -168,7 +168,7 @@ def test_naimark_estimator_reproduces_weak_y(reference):
     sqrt(2 kappa) on any input state; its Margenau-Hill mean square
     sum (k - l)^2 <{Y_k, Y_est,l}>/2 against Y is that same 2 kappa."""
     _, slide, w = reference
-    povms = np.stack([e.matrix for e in effective_povm(slide)])[None]
+    povms = povm_elements(slide)
     y_projs = [np.kron(p.matrix, np.eye(4)) for p in projector_pair(pauli("Y"))]
 
     y_up = np.array([1.0, 1.0j]) / math.sqrt(2)

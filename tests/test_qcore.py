@@ -13,7 +13,6 @@ from jointmeas import (
     BlochObservable,
     DensityMatrix,
     HermitianOperator,
-    commutator_bound,
     expectation,
     fidelity,
     pauli,
@@ -21,7 +20,7 @@ from jointmeas import (
     spread,
     tensor,
 )
-from jointmeas.qcore import DimensionMismatchError, as_complex_matrix
+from jointmeas.qcore import DimensionMismatchError, as_complex_matrix, commutator_bounds
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -142,10 +141,9 @@ def test_spread_of_binary_observable_at_most_one(theta, phi):
 
 def test_commutator_bound_reads_off_z():
     # |<[X, Y]>| = 2 |<Z>|
-    plus = DensityMatrix(np.diag([1.0, 0.0]))
-    assert commutator_bound(pauli("X"), pauli("Y"), plus) == pytest.approx(2.0)
-    assert commutator_bound(pauli("X"), pauli("Y"),
-                            DensityMatrix.maximally_mixed(2)) == pytest.approx(0.0, abs=1e-12)
+    states = np.stack([np.diag([1.0, 0.0]), np.eye(2) / 2, np.diag([0.25, 0.75])])
+    assert commutator_bounds(pauli("X"), pauli("Y"), states) == pytest.approx(
+        [2.0, 0.0, 1.0], abs=1e-12)
 
 
 def test_fidelity():

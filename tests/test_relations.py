@@ -10,24 +10,28 @@ from hypothesis import strategies as st
 
 from jointmeas import (
     BlochObservable,
-    Estimator,
     HermitianOperator,
     RelationViolationError,
     disturbed_observable,
     epr_state,
     evaluate_md_relation,
     evaluate_relations,
-    optimal_estimator,
-    optimal_gap_weight,
     pauli,
     projector_pair,
+    simulate_scenario,
     slide_model,
     strength_comparison,
     verify_relation_chain,
 )
 from jointmeas.oracle import dilated_operators
-from jointmeas.qcore import bloch_vectors, commutator_bounds, correlations, spreads
-from jointmeas.relations import relation_chains
+from jointmeas.qcore import (
+    bloch_vectors,
+    commutator_bounds,
+    correlations,
+    run_checks,
+    spreads,
+)
+from jointmeas.relations import MDReport, gap_weights, relation_chains
 from jointmeas.scenario import povm_elements, slide_arrays
 
 positive = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
@@ -78,22 +82,33 @@ def test_new_lhs_averages_hall_and_ozawa(eps_a, eps_b, delta_a, delta_b,
     assert rep.lhs_new == pytest.approx(want, abs=1e-12)
 
 
+def gap_weight(x):
+    return float(gap_weights(np.array([x], dtype=float))[0])
+
+
 def test_gap_weight_shape():
-    assert optimal_gap_weight(0.0) == 0.0
-    assert optimal_gap_weight(1.0) == pytest.approx(0.0, abs=1e-15)
-    peak = optimal_gap_weight(1 / math.sqrt(2))
-    assert peak == pytest.approx((math.sqrt(2) - 1) / 2, abs=1e-15)
-    assert optimal_gap_weight(1.0 + 5e-13) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        optimal_gap_weight(-0.2)
-    with pytest.raises(ValueError):
-        optimal_gap_weight(1.1)
+    h = gap_weights(np.array([0.0, 1.0, 1 / math.sqrt(2), 1.0 + 5e-13]))
+    assert h[0] == 0.0
+    assert h[1] == pytest.approx(0.0, abs=1e-15)
+    assert h[2] == pytest.approx((math.sqrt(2) - 1) / 2, abs=1e-15)
+    assert h[3] == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match="gap weight defined on \\[0, 1\\], got -0.2"):
+        gap_weights(np.array([0.5, -0.2]))
+    with pytest.raises(ValueError, match="got 1.1"):
+        gap_weights(np.array([1.1, 0.5]))
+    with pytest.raises(ValueError, match="got 1.000000000002"):
+        gap_weights(np.array([1.0 + 2e-12]))
+    # queued checks fire only when run, at the first offending x
+    checks = []
+    gap_weights(np.array([0.5, 1.5, -1.0]), checks)
+    with pytest.raises(ValueError, match="got 1.5"):
+        run_checks(checks)
 
 
 @given(x=unit)
 @settings(max_examples=200, deadline=None)
 def test_gap_weight_nonnegative(x):
-    assert 0.0 <= optimal_gap_weight(x) <= (math.sqrt(2) - 1) / 2 + 1e-12
+    assert 0.0 <= gap_weight(x) <= (math.sqrt(2) - 1) / 2 + 1e-12
 
 
 def dispersion_optimal_report(eps_a, delta_a, eps_b, delta_b, c=1.0):
@@ -121,8 +136,8 @@ def test_gap_closed_form(eps_a, delta_a, eps_b, delta_b):
     spreads are dispersion-optimal."""
     rep = dispersion_optimal_report(eps_a, delta_a, eps_b, delta_b)
     ordering = strength_comparison(rep, "optimal")
-    want = (eps_a * delta_b * optimal_gap_weight(eps_b / delta_b)
-            + delta_a * eps_b * optimal_gap_weight(eps_a / delta_a))
+    want = (eps_a * delta_b * gap_weight(eps_b / delta_b)
+            + delta_a * eps_b * gap_weight(eps_a / delta_a))
     assert ordering.hall_gap == pytest.approx(want, abs=1e-12)
     assert ordering.gap_residual < 1e-12
 
@@ -369,7 +384,8 @@ def test_relation_chains_raise_reference_error_for_first_noncommuting_set(d):
 
 def test_md_relation_golden(reference):
     rho, slide, w = reference
-    report = evaluate_md_relation(rho, slide, w, optimal_estimator(rho, w))
+    report = evaluate_md_relation(
+        simulate_scenario(rho, slide, w, estimator="optimal").report, slide.kappa)
     assert report.eta_b == pytest.approx(slide.kappa, abs=1e-12)
     assert report.lhs == pytest.approx(0.7445400235376382, abs=1e-12)
     assert report.delta_b_disturbed == pytest.approx(1 - slide.kappa, abs=1e-12)
@@ -379,6 +395,19 @@ def test_md_relation_golden(reference):
     assert set(payload["inputs"]) == {"eps_a", "eta_b", "delta_a",
                                       "delta_a_est", "delta_b",
                                       "delta_b_disturbed", "c"}
+
+
+def test_md_relation_reads_the_relation_report(reference):
+    """Every MD input but eta(Y) and Delta(Y') is the report's own value;
+    a report that breaks the relation raises."""
+    rho, slide, w = reference
+    rep = simulate_scenario(rho, slide, w, estimator="simple").report
+    kappa = slide.kappa
+    assert evaluate_md_relation(rep, kappa) == MDReport(
+        eps_a=rep.eps_a, eta_b=kappa, delta_a=rep.delta_a, delta_a_est=rep.delta_a_est,
+        delta_b=rep.delta_b, delta_b_disturbed=(1.0 - kappa) * rep.delta_b, c=rep.c)
+    with pytest.raises(RelationViolationError, match="measurement-disturbance"):
+        evaluate_md_relation(dataclasses.replace(rep, c=10.0), kappa)
 
 
 @given(gamma=st.floats(0.05, 1.5), r_h=st.floats(0.05, 0.95),
@@ -392,7 +421,8 @@ def test_md_disturbance_equals_kappa(gamma, r_h, r_v):
     slide = slide_model(r_h, r_v)
     rho = epr_state(gamma)
     w = BlochObservable.from_degrees(90, 180)
-    report = evaluate_md_relation(rho, slide, w, Estimator.simple())
+    report = evaluate_md_relation(
+        simulate_scenario(rho, slide, w, estimator="simple").report, slide.kappa)
     diff = np.kron(disturbed_observable(slide, pauli("Y")).matrix - pauli("Y").matrix,
                    np.eye(2))
     eta = math.sqrt(np.trace(rho.matrix @ diff @ diff).real)

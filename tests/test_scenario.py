@@ -17,7 +17,6 @@ from jointmeas import (
     JointDistribution,
     SemiweakSlide,
     disturbed_observable,
-    effective_povm,
     epr_state,
     expectation,
     inaccuracy_y,
@@ -29,7 +28,7 @@ from jointmeas import (
     tensor,
 )
 from jointmeas.oracle import direct_moments
-from jointmeas.scenario import MIN_REFLECTIVITY_GAP
+from jointmeas.scenario import MIN_REFLECTIVITY_GAP, povm_elements
 
 R_H, R_V = 0.1244, 0.4645
 KAPPA = 0.07486648470218149
@@ -120,8 +119,8 @@ def test_closed_forms_follow_from_kraus_operators(r_h, r_v):
 
     y_projs = [op.matrix for op in projector_pair(pauli("Y"))]
     upsilon = [m_t @ y @ m_t + m_r @ y @ m_r for y in y_projs]
-    for kraus_sum, element in zip(upsilon, effective_povm(slide)):
-        assert np.abs(kraus_sum - element.matrix).max() <= 1e-12
+    for kraus_sum, element in zip(upsilon, povm_elements(slide)[0]):
+        assert np.abs(kraus_sum - element).max() <= 1e-12
 
     # MH mean square against the reference state 1/2:
     # sum (y - y')^2 Tr({Y_y, Upsilon_y'}) / 4
@@ -165,10 +164,10 @@ def test_polarisation_independent_slide():
     with pytest.raises(DegenerateMeasurementError):
         slide.xi(TRANSMITTED)
     # no disturbance at all: the effective measurement is projective Y
-    up, down = effective_povm(slide)
+    up, down = povm_elements(slide)[0]
     y_op = pauli("Y").matrix
-    assert np.allclose(up.matrix, (np.eye(2) + y_op) / 2, atol=1e-12)
-    assert np.allclose(down.matrix, (np.eye(2) - y_op) / 2, atol=1e-12)
+    assert np.allclose(up, (np.eye(2) + y_op) / 2, atol=1e-12)
+    assert np.allclose(down, (np.eye(2) - y_op) / 2, atol=1e-12)
 
 
 @given(gamma=st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False))
@@ -243,13 +242,13 @@ def test_distribution_validation_messages():
     JointDistribution(entries=uniform_entries(0.1251), provenance="measured")
 
 
-def test_effective_povm_golden(reference):
+def test_povm_elements_golden(reference):
     _, slide, _ = reference
-    up, down = effective_povm(slide)
+    up, down = povm_elements(slide)[0]
     y_op = pauli("Y").matrix
     want = 0.5 * np.eye(2) + 0.5 * (1 - KAPPA) * y_op
-    assert np.allclose(up.matrix, want, atol=1e-12)
-    assert np.allclose(up.matrix + down.matrix, np.eye(2), atol=1e-12)
+    assert np.allclose(up, want, atol=1e-12)
+    assert np.allclose(up + down, np.eye(2), atol=1e-12)
 
 
 @given(r_h=reflectivity, r_v=reflectivity)

@@ -20,7 +20,6 @@ from jointmeas import (
     DensityMatrix,
     Estimator,
     RelationViolationError,
-    effective_povm,
     embed,
     epr_state,
     evaluate_relations,
@@ -43,10 +42,11 @@ from jointmeas import (
     verify_relation_chain,
 )
 from jointmeas import workflow
-from jointmeas.estimate import estimator_spread, y_estimator_spread
+from jointmeas.estimate import estimator_spread, y_spreads
 from jointmeas.oracle import naimark_unitaries
-from jointmeas.qcore import commutator_bound
+from jointmeas.qcore import commutator_bounds
 from jointmeas.relations import relation_chains
+from jointmeas.scenario import povm_elements
 
 X1 = tensor(pauli("X"), pauli("I"))
 Y1 = tensor(pauli("Y"), pauli("I"))
@@ -76,7 +76,7 @@ def embedded_chain(rho, slide, w, est):
     a = embed(pauli("X").matrix, (0,), dims)
     b = embed(pauli("Y").matrix, (0,), dims)
     a_est = embed(est.as_operator(w).matrix, (1,), dims)
-    unitary = naimark_unitary(tuple(p.matrix for p in effective_povm(slide)))
+    unitary = naimark_unitary(tuple(povm_elements(slide)[0]))
     # ancilla projectors on (q1, ancilla), back-rotated by the dilation
     y_plus, y_minus = (unitary.conj().T @ np.kron(np.eye(2), np.diag(d)) @ unitary
                        for d in ([1.0, 0.0], [0.0, 1.0]))
@@ -114,8 +114,9 @@ def loop_verification(trials, seed):
             eps_a = eps_stats[kind] = inaccuracy_x(dist, slide, est)
             d_est = estimator_spread(dist, est)
             report = evaluate_relations(
-                eps_a, eps_b, delta_a, delta_b, d_est, y_estimator_spread(dist),
-                commutator_bound(X1, Y1, rho), scenario={"estimator": kind})
+                eps_a, eps_b, delta_a, delta_b, d_est, float(y_spreads(dist.table[None])[0]),
+                float(commutator_bounds(X1, Y1, rho.matrix[None])[0]),
+                scenario={"estimator": kind})
             for name, margin in report.margins().items():
                 out["min_margins"][name] = min(out["min_margins"][name], margin)
                 if margin < -1e-9:
@@ -228,7 +229,7 @@ def test_batched_chain_items_match_scalar_chain():
 
 def test_batched_naimark_raises_scalar_error(reference):
     _, slide, _ = reference
-    good = np.stack([e.matrix for e in effective_povm(slide)])
+    good = povm_elements(slide)[0]
     bad = np.stack([0.5 * np.eye(2), 0.3 * np.eye(2)]).astype(complex)
     with pytest.raises(ValueError) as scalar:
         naimark_unitary(tuple(bad))

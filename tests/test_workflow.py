@@ -10,14 +10,13 @@ import pytest
 from jointmeas import (
     BlochObservable,
     DensityMatrix,
+    Estimator,
     JointDistribution,
     NumericalCorruptionError,
     UndefinedEstimateError,
     analyze_measured,
-    build_estimator,
     bundled_distribution,
     bundled_state,
-    commutator_bound,
     dilated_chain,
     epr_state,
     estimator_spread,
@@ -25,6 +24,7 @@ from jointmeas import (
     inaccuracy_x,
     inaccuracy_y,
     joint_distribution,
+    optimal_estimator,
     pauli,
     random_observable,
     random_slide,
@@ -36,9 +36,10 @@ from jointmeas import (
     spread,
     sweep_phi,
     tensor,
-    y_estimator_spread,
 )
 from jointmeas.cli import main
+from jointmeas.estimate import y_spreads
+from jointmeas.qcore import commutator_bounds
 from jointmeas.scenario import TRIPLES
 from jointmeas.workflow import _scenario_results
 
@@ -54,14 +55,14 @@ def test_reference_scenario_components():
     assert (w.theta_deg, w.phi_deg) == (90.0, 180.0)
 
 
-def test_build_estimator():
-    rho, _, w = reference_scenario()
-    assert build_estimator("simple").kind == "simple"
-    assert build_estimator("optimal", rho, w).kind == "optimal"
-    with pytest.raises(ValueError, match="needs a state"):
-        build_estimator("optimal")
-    with pytest.raises(ValueError, match="unknown estimator kind"):
-        build_estimator("fancy", rho, w)
+def test_estimator_kinds():
+    rho, slide, w = reference_scenario()
+    assert Estimator.simple().kind == "simple"
+    assert optimal_estimator(rho, w).kind == "optimal"
+    for kind in ("simple", "optimal"):
+        assert simulate_scenario(rho, slide, w, estimator=kind).estimator.kind == kind
+    with pytest.raises(ValueError, match="unknown estimator kind 'fancy'"):
+        simulate_scenario(rho, slide, w, estimator="fancy")
 
 
 def test_simulate_reference_optimal_goldens():
@@ -165,7 +166,7 @@ def test_random_state_is_full_rank():
 
 def test_dilated_chain_reproduces_statistics():
     rho, slide, w = reference_scenario()
-    chain = dilated_chain(rho, slide, w, build_estimator("optimal", rho, w))
+    chain = dilated_chain(rho, slide, w, optimal_estimator(rho, w))
     assert chain.holds
     assert chain.eps_a == pytest.approx(EPS_OPT, abs=1e-12)
     assert chain.eps_b == pytest.approx(math.sqrt(2 * slide.kappa), abs=1e-12)
@@ -279,13 +280,15 @@ MEASURED_PHIS = (157.5, 180.0, 202.5, 225.0)  # phi = 135 fails its mass gate
 
 def loop_report(rho, slide, w, dist, kind, info=None):
     """The per-kind pipeline that the shared pass replaced, from the public
-    scalar functions: every statistic recomputed for one kind."""
-    est = build_estimator(kind, rho, w)
+    scalar functions and the y spread and c kernels at N = 1: every
+    statistic recomputed for one kind."""
+    est = Estimator.simple() if kind == "simple" else optimal_estimator(rho, w)
     return evaluate_relations(
         eps_a=inaccuracy_x(dist, slide, est), eps_b=inaccuracy_y(slide),
         delta_a=spread(X1, rho), delta_b=spread(Y1, rho),
-        delta_a_est=estimator_spread(dist, est), delta_b_est=y_estimator_spread(dist),
-        c=commutator_bound(X1, Y1, rho),
+        delta_a_est=estimator_spread(dist, est),
+        delta_b_est=float(y_spreads(dist.table[None])[0]),
+        c=float(commutator_bounds(X1, Y1, rho.matrix[None])[0]),
         scenario={"source": dist.provenance, "estimator": kind,
                   "theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
                   "r_h": slide.r_h, "r_v": slide.r_v, **(info or {})})
