@@ -56,8 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "polarisation qubits: simulate, analyze, sweep, verify.")
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="output file (default: stdout)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="output file (default: stdout)")
+    # the modes that read files; verify reads none
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--tolerance-profile", choices=sorted(PROFILES),
                         default="default", dest="tolerance_profile",
                         help="validation tolerance preset")
@@ -111,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated angles (default: %(default)s)")
     add_format(p_sweep, "csv")
 
-    p_ver = sub.add_parser("verify", parents=[common],
+    p_ver = sub.add_parser("verify", parents=[output],
                            help="run the randomized verification suite")
     p_ver.add_argument("--trials", type=int, default=10_000,
                        help="number of random scenarios (default: %(default)s)")
@@ -162,8 +164,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     results = _scenario_results(rho, _kinds(args), slide=slide, w=w, scenario_info=info)
     if args.dist_file:
         save_distribution(results[0].distribution, args.dist_file)
-    reports = [r.report for r in results]
-    _emit(args, emit_report(reports[0] if len(reports) == 1 else reports, args.format))
+    _emit(args, emit_report([r.report for r in results], args.format))
     return EXIT_OK
 
 
@@ -172,8 +173,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
                              tolerances=PROFILES[args.tolerance_profile])
     rho = (load_density_matrix(args.state_file, tolerances=PROFILES[args.tolerance_profile])
            if args.state_file is not None else bundled_state())
-    reports = [r.report for r in _scenario_results(rho, _kinds(args), dist=dist)]
-    _emit(args, emit_report(reports[0] if len(reports) == 1 else reports, args.format))
+    results = _scenario_results(rho, _kinds(args), dist=dist)
+    _emit(args, emit_report([r.report for r in results], args.format))
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from .qcore import DEFAULT_TOLERANCES, DataQualityWarning, DensityMatrix, ToleranceProfile
+from .qcore import DEFAULT_TOLERANCES, PSD_TOL, DataQualityWarning, DensityMatrix, ToleranceProfile
 from .scenario import JointDistribution
 
 
@@ -167,8 +167,8 @@ def parse_density_matrix(text: str, dim: int = 4,
     Tomographic reconstructions are noisy, so the gates here are looser than
     the exact-arithmetic ones: Hermiticity within 1e-6 (then symmetrised),
     trace within 1e-3 of one (then renormalised), eigenvalues down to
-    ``-tolerances.tomographic_psd`` (those below ``-tolerances.psd`` are kept
-    and flagged with a warning).
+    ``-tolerances.tomographic_psd`` (those below ``-PSD_TOL`` are kept and
+    flagged with a warning).
     """
     mat = np.zeros((dim, dim), dtype=complex)
     seen: set[tuple[int, int]] = set()
@@ -221,13 +221,13 @@ def parse_density_matrix(text: str, dim: int = 4,
         raise DataValidationError(
             f"matrix has eigenvalue {eigs.min():.3e}; not a state"
         )
-    if eigs.min() < -tolerances.psd:
+    if eigs.min() < -PSD_TOL:
         warnings.warn(
             f"state has a slightly negative eigenvalue ({eigs.min():.3e}); "
             "keeping it as-is",
             DataQualityWarning,
         )
-    return DensityMatrix(mat, psd_floor=tolerances.tomographic_psd, tolerances=tolerances)
+    return DensityMatrix(mat, psd_floor=tolerances.tomographic_psd)
 
 
 def load_density_matrix(path: str | os.PathLike, dim: int = 4,

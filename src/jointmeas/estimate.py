@@ -172,21 +172,19 @@ def mh_tables(p: np.ndarray, slide) -> np.ndarray:
     return (p.reshape(len(to_mh), -1, 8) @ to_mh).reshape(-1, 2, 2)
 
 
-def x_inaccuracies(p: np.ndarray, slide, f: np.ndarray, atol: float,
+def x_inaccuracies(mh: np.ndarray, f: np.ndarray,
                    checks: list[Check] | None = None) -> np.ndarray:
     """RMS inaccuracies ``eps[N]`` of the X estimates ``f[N, w]``,
-    reconstructed from tables ``p[N, m, y, w]`` behind one SemiweakSlide or
-    N slides (:class:`SlideArrays`).
+    reconstructed from Margenau-Hill quasi-tables ``mh[N, x, w]``
+    (:func:`mh_tables`), whose mass the caller gates.
 
-    ``eps^2 = sum_{x,w} (x - f(w))^2 p_MH(x, w)``.  Each quasi-table's mass
-    must lie within ``atol`` of 1.  A square in [-1e-9, 0) is clamped to
-    zero with a data-quality warning carrying the raw value; anything more
-    negative marks the input data as inconsistent.  The checks go to
-    ``checks`` when given, else they run here.
+    ``eps^2 = sum_{x,w} (x - f(w))^2 p_MH(x, w)``.  A square in [-1e-9, 0)
+    is clamped to zero with a data-quality warning carrying the raw value;
+    anything more negative marks the input data as inconsistent.  The checks
+    go to ``checks`` when given, else they run here.
     """
-    mh = mh_tables(p, slide).reshape(-1, 4)
-    eps_sq = (((SIGNS[:, None] - f[:, None, :]) ** 2).reshape(-1, 4) * mh).sum(axis=1)
-    submit_checks(checks, quasi_mass_checks(mh.sum(axis=1), atol) + [
+    eps_sq = ((SIGNS[:, None] - f[:, None, :]) ** 2 * mh).reshape(-1, 4).sum(axis=1)
+    submit_checks(checks, [
         (eps_sq < -1e-9, failing(
             NumericalCorruptionError,
             lambda i: f"reconstructed eps^2 = {eps_sq[i]:.3e}: input data is inconsistent")),
@@ -196,28 +194,30 @@ def x_inaccuracies(p: np.ndarray, slide, f: np.ndarray, atol: float,
     return np.sqrt(np.maximum(eps_sq, 0.0))
 
 
+def _two_outcome_spreads(marginals: np.ndarray, values: np.ndarray, what: str,
+                         checks: list[Check] | None) -> np.ndarray:
+    """Standard deviations ``[N]`` of ``values[N, k]`` or ``values[k]`` under
+    two-outcome marginals ``marginals[N, k]``, normalised by their mass."""
+    (p0, p1), (v0, v1) = marginals.T, np.moveaxis(values, -1, 0)
+    total = p0 + p1
+    mean = (v0 * p0 + v1 * p1) / total
+    var = (v0 ** 2 * p0 + v1 ** 2 * p1) / total - mean * mean
+    submit_checks(checks, [(var < -1e-12, failing(
+        NumericalCorruptionError, lambda i: f"{what} variance {var[i]:.3e} negative"))])
+    return np.sqrt(np.maximum(var, 0.0))
+
+
 def estimate_spreads(p: np.ndarray, f: np.ndarray,
                      checks: list[Check] | None = None) -> np.ndarray:
     """Standard deviations ``[N]`` of the estimates ``f[N, w]`` under the w
     marginals of tables ``p[N, m, y, w]``, normalised by each table's mass."""
-    pw = p.reshape(-1, 8) @ _ONTO_W
-    total = pw[:, 0] + pw[:, 1]
-    mean = (f * pw).sum(axis=1) / total
-    var = (f ** 2 * pw).sum(axis=1) / total - mean * mean
-    submit_checks(checks, [(var < -1e-12, failing(
-        NumericalCorruptionError, lambda i: f"estimator variance {var[i]:.3e} negative"))])
-    return np.sqrt(np.maximum(var, 0.0))
+    return _two_outcome_spreads(p.reshape(-1, 8) @ _ONTO_W, f, "estimator", checks)
 
 
 def y_spreads(p: np.ndarray, checks: list[Check] | None = None) -> np.ndarray:
     """Standard deviations ``[N]`` of the +-1-valued y outcome under tables
     ``p[N, m, y, w]``, normalised by each table's mass."""
-    py = p.reshape(-1, 8) @ _ONTO_Y
-    mean = (py[:, 0] - py[:, 1]) / (py[:, 0] + py[:, 1])
-    var = 1.0 - mean * mean
-    submit_checks(checks, [(var < -1e-12, failing(
-        NumericalCorruptionError, lambda i: f"y-outcome variance {var[i]:.3e} negative"))])
-    return np.sqrt(np.maximum(var, 0.0))
+    return _two_outcome_spreads(p.reshape(-1, 8) @ _ONTO_Y, SIGNS, "y-outcome", checks)
 
 
 def mh_from_counts(dist: JointDistribution, slide: SemiweakSlide) -> np.ndarray:
@@ -237,14 +237,8 @@ def mh_from_counts(dist: JointDistribution, slide: SemiweakSlide) -> np.ndarray:
 def inaccuracy_x(dist: JointDistribution, slide: SemiweakSlide,
                  est: Estimator) -> float:
     """RMS inaccuracy of the X estimate, reconstructed from the joint table
-    (:func:`x_inaccuracies` for one table).
-
-    A squared value in [-1e-9, 0) is clamped to zero with a data-quality
-    warning carrying the raw value; anything more negative marks the input
-    data as inconsistent.
-    """
-    return float(x_inaccuracies(dist.table[None], slide, est.array[None],
-                                dist.mass_tolerance + 1e-12)[0])
+    (:func:`x_inaccuracies` on :func:`mh_from_counts`, with their checks)."""
+    return float(x_inaccuracies(mh_from_counts(dist, slide)[None], est.array[None])[0])
 
 
 def y_inaccuracies(slide) -> np.ndarray:

@@ -32,36 +32,22 @@ from .qcore import (
 
 
 def embed(op: np.ndarray, slots: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
-    """Embed an operator acting on the given factor slots into the full space."""
+    """Embed an operator acting on the given factor slots into the full space:
+    ``op (x) 1`` on the factors ordered (slots, the rest), with each factor's
+    row and column axes then moved back to its own slot."""
     slots = tuple(slots)
     if len(set(slots)) != len(slots):
         raise ValueError("slots must be distinct")
     if any(s < 0 or s >= len(dims) for s in slots):
         raise ValueError(f"slot out of range for {len(dims)} factors")
-    op_dim = int(np.prod([dims[s] for s in slots]))
+    order = [*slots, *(i for i in range(len(dims)) if i not in slots)]
+    sizes = [dims[i] for i in order]
+    op_dim = int(np.prod(sizes[:len(slots)]))
     if op.shape != (op_dim, op_dim):
         raise ValueError(f"operator shape {op.shape} does not match slots {slots}")
-    n = len(dims)
-    # reshape to one tensor index pair per slot factor, then kron in identities
-    op_t = op.reshape([dims[s] for s in slots] * 2)
-    # move into full tensor with identity on the remaining factors
-    rest = [i for i in range(n) if i not in slots]
-    if rest:
-        eye = np.eye(int(np.prod([dims[i] for i in rest])), dtype=complex)
-        eye_t = eye.reshape([dims[i] for i in rest] * 2)
-        full = np.tensordot(op_t, eye_t, axes=0)
-    else:
-        full = op_t
-    # axes: slots-row, slots-col, rest-row, rest-col -> interleave to row/col per factor
-    k, r = len(slots), len(rest)
-    row_axes = {s: i for i, s in enumerate(slots)}
-    row_axes.update({s: 2 * k + i for i, s in enumerate(rest)})
-    col_axes = {s: k + i for i, s in enumerate(slots)}
-    col_axes.update({s: 2 * k + r + i for i, s in enumerate(rest)})
-    perm = [row_axes[i] for i in range(n)] + [col_axes[i] for i in range(n)]
-    full = np.transpose(full, perm)
-    dim = int(np.prod(dims))
-    return full.reshape(dim, dim)
+    full = np.kron(op, np.eye(int(np.prod(sizes[len(slots):])), dtype=complex))
+    back = np.argsort(order)
+    return full.reshape(sizes * 2).transpose([*back, *(back + len(dims))]).reshape(full.shape)
 
 
 def _kron(*ops: np.ndarray) -> np.ndarray:
@@ -149,10 +135,10 @@ def naimark_unitary(povm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return naimark_unitaries(np.asarray(povm, dtype=complex)[None])[0]
 
 
-def _w_projectors(n: np.ndarray, checks: list[Check] | None) -> np.ndarray:
+def w_projectors(n: np.ndarray, checks: list[Check] | None = None) -> np.ndarray:
     """Eigenprojectors ``W_w[N, w]`` (w = +1, -1) of the analyser observables
     ``W = n.s`` for directions ``n[N, 3]``, each W checked to square to the
-    identity as in :func:`projector_pair`."""
+    identity as in :func:`projector_pair` (on ``checks`` when given)."""
     w_ops = (n @ SIGMAS[1:].reshape(3, 4)).reshape(-1, 2, 2)
     # W^2 entry by entry, without a 2x2 matrix product per direction
     square = w_ops[:, :, :1] * w_ops[:, :1, :] + w_ops[:, :, 1:] * w_ops[:, 1:, :]
@@ -168,18 +154,19 @@ def _estimates(f: np.ndarray, w_projs: np.ndarray) -> np.ndarray:
             + f[..., 1, None, None] * w_projs[..., 1, :, :])
 
 
-def direct_moments(rho: np.ndarray, n: np.ndarray, f: np.ndarray,
+def direct_moments(rho: np.ndarray, w_projs: np.ndarray, f: np.ndarray,
                    checks: list[Check] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Direct operator moments of N two-qubit scenarios.
 
-    For states ``rho[N, 4, 4]``, analyser directions ``n[N, 3]`` and K
-    estimates ``f[N, K, w]`` of X read off the W outcome, returns the
-    Margenau-Hill quasi-tables ``<{X_x (x) 1, 1 (x) W_w}>/2`` ``[N, x, w]``
-    and the RMS inaccuracies ``sqrt(<(X (x) 1 - 1 (x) f_k(W))^2>)``
-    ``[N, K]``, all straight from traces.  Each quasi-table must sum to 1
-    within 1e-9; the checks go to ``checks`` when given, else they run here.
+    For states ``rho[N, 4, 4]``, analyser projectors ``w_projs[N, w]``
+    (:func:`w_projectors`) and K estimates ``f[N, K, w]`` of X read off the
+    W outcome, returns the Margenau-Hill quasi-tables
+    ``<{X_x (x) 1, 1 (x) W_w}>/2`` ``[N, x, w]`` and the RMS inaccuracies
+    ``sqrt(<(X (x) 1 - 1 (x) f_k(W))^2>)`` ``[N, K]``, all from traces.
+    Each quasi-table must sum to 1 within 1e-9; the checks go to ``checks``
+    when given, else they run here.
     """
-    w_projs = _w_projectors(n, checks)[:, None]
+    w_projs = w_projs[:, None]
     # Tr(rho op) = sum_ab conj(rho^dag[b, a]) op[b, a], a dot product
     rho_dag = rho.conj().swapaxes(-1, -2).reshape(len(rho), 1, 16)
     # <{K, L}>/2 = Re Tr(rho K L) for Hermitian rho, K, L, and
@@ -196,20 +183,22 @@ def direct_margenau_hill(rho, w) -> np.ndarray:
     """Margenau-Hill quasi-table ``<{X_x (x) 1, 1 (x) W_w}>/2`` ``[x, w]`` of
     one two-qubit state and analyser direction (:func:`direct_moments` for
     one scenario and no estimates)."""
-    mh, _ = direct_moments(as_operator_array(rho)[None], w.vector[None], np.zeros((1, 0, 2)))
+    mh, _ = direct_moments(as_operator_array(rho)[None], w_projectors(w.vector[None]),
+                           np.zeros((1, 0, 2)))
     return mh[0]
 
 
-def dilated_operators(rho: np.ndarray, povms: np.ndarray, n: np.ndarray, f: np.ndarray,
-                      checks: list[Check] | None = None):
+def dilated_operators(rho: np.ndarray, povms: np.ndarray, w_projs: np.ndarray,
+                      f: np.ndarray, checks: list[Check] | None = None):
     """Commuting projective estimators on (q1, q2, ancilla) for N scenarios.
 
     For states ``rho[N, 4, 4]``, the Y POVMs ``povms[N, y]`` behind the
-    slides, analyser directions ``n[N, 3]`` and X estimates ``f[N, w]``,
-    returns ``(x_est, y_est, x1, y1, state)``: the X estimate ``f(W)`` on
-    qubit 2, the Naimark-dilated Y estimate on (q1, ancilla) with values
-    +-1, the targets X and Y on qubit 1, and the state with the ancilla in
-    ``|0>``; each ``[N, 8, 8]`` or, for x1 and y1, ``[8, 8]``.
+    slides, analyser projectors ``w_projs[N, w]`` (:func:`w_projectors`)
+    and X estimates ``f[N, w]``, returns ``(x_est, y_est, x1, y1, state)``:
+    the X estimate ``f(W)`` on qubit 2, the Naimark-dilated Y estimate on
+    (q1, ancilla) with values +-1, the targets X and Y on qubit 1, and the
+    state with the ancilla in ``|0>``; each ``[N, 8, 8]`` or, for x1 and
+    y1, ``[8, 8]``.
 
     The Y estimate is the ancilla's Z read back through the dilation
     unitary, ``U^dag (1 (x) Z) U``, one product per scenario.  The dilated
@@ -224,7 +213,7 @@ def dilated_operators(rho: np.ndarray, povms: np.ndarray, n: np.ndarray, f: np.n
     # x_est is 1 (x) f(W) (x) 1 and y_est is y_local with the identity on q2
     state, x_est, y_est = np.zeros((3, size, 2, 2, 2, 2, 2, 2), dtype=complex)
     state[:, :, :, 0, :, :, 0] = rho.reshape(size, 2, 2, 2, 2)
-    estimate = _estimates(f, _w_projectors(n, checks))
+    estimate = _estimates(f, w_projs)
     y_local = y_local.reshape(size, 2, 2, 2, 2)
     for i in range(2):
         y_est[:, :, i, :, :, i, :] = y_local

@@ -80,22 +80,23 @@ def submit_checks(checks: list[Check] | None, new: Sequence[Check]) -> None:
 # Hermitian, and matrices, traces or real expectations from their targets.
 _HERMITICITY_TOL = 1e-12
 _EQUALITY_TOL = 1e-10
+# The data-quality gates no profile varies: the negative eigenvalue below
+# which a density matrix is flagged, and a simulated table's mass slack.
+PSD_TOL = 1e-10
+SIMULATED_NORM = 1e-10
 
 
 @dataclass(frozen=True)
 class ToleranceProfile:
-    """Data-quality tolerances, selectable as named profiles.
+    """Data-quality tolerances of measured data, selectable as named profiles.
 
-    ``psd`` is the magnitude of negative eigenvalue tolerated in a density
-    matrix; ``tomographic_psd`` is the relaxed floor for states reconstructed
-    from measured data.  ``measured_norm`` / ``simulated_norm`` bound how far
-    a distribution's total mass may sit from 1.
+    ``tomographic_psd`` is the magnitude of negative eigenvalue accepted in
+    a state reconstructed from measured data; ``measured_norm`` bounds how
+    far a measured table's total mass may sit from 1.
     """
 
-    psd: float = 1e-10
     tomographic_psd: float = 1e-3
     measured_norm: float = 0.01
-    simulated_norm: float = 1e-10
 
 
 DEFAULT_TOLERANCES = ToleranceProfile()
@@ -203,14 +204,13 @@ class DensityMatrix:
 
     ``psd_floor`` is the magnitude of negative eigenvalue accepted.  States
     reconstructed from tomography may carry small negative eigenvalues; those
-    are accepted up to the relaxed floor and flagged via ``psd_warning`` with
-    the smallest eigenvalue recorded.  The stored matrix is never altered.
+    are accepted up to the relaxed floor, flagged via ``psd_warning`` below
+    ``-PSD_TOL`` and kept in ``min_eigenvalue``.  The matrix is never altered.
     """
 
     __slots__ = ("_matrix", "min_eigenvalue", "psd_floor", "psd_warning")
 
-    def __init__(self, matrix, *, psd_floor: float = DEFAULT_TOLERANCES.psd,
-                 tolerances: ToleranceProfile = DEFAULT_TOLERANCES):
+    def __init__(self, matrix, *, psd_floor: float = PSD_TOL):
         mat = as_complex_matrix(matrix)
         checks, min_eigs = density_checks(mat[None], psd_floor)
         run_checks(checks)
@@ -218,7 +218,7 @@ class DensityMatrix:
         object.__setattr__(self, "_matrix", mat)
         object.__setattr__(self, "min_eigenvalue", min_eig)
         object.__setattr__(self, "psd_floor", psd_floor)
-        object.__setattr__(self, "psd_warning", min_eig < -tolerances.psd)
+        object.__setattr__(self, "psd_warning", min_eig < -PSD_TOL)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -247,7 +247,7 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, min_eig={self.min_eigenvalue:.2e})"
 
 
-def density_checks(mats: np.ndarray, psd_floor: float = DEFAULT_TOLERANCES.psd
+def density_checks(mats: np.ndarray, psd_floor: float = PSD_TOL
                    ) -> tuple[list[Check], np.ndarray]:
     """Checks of N density matrices ``mats[N, d, d]`` -- Hermitian, unit
     trace, no eigenvalue below ``-psd_floor`` -- and their smallest
@@ -299,9 +299,15 @@ class BlochObservable:
 
 
 def bloch_vectors(theta, phi) -> np.ndarray:
-    """Unit Bloch vectors, shape (N, 3), for radian angles broadcast to N."""
+    """Unit Bloch vectors, shape (N, 3), for radian angles broadcast to N; the
+    first non-finite angle (theta before phi) raises ``ValueError``."""
     theta, phi = np.broadcast_arrays(np.atleast_1d(np.asarray(theta, dtype=float)),
                                      np.atleast_1d(np.asarray(phi, dtype=float)))
+    finite = np.isfinite(theta) & np.isfinite(phi)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        name, value = ("phi", phi[i]) if np.isfinite(theta[i]) else ("theta", theta[i])
+        raise ValueError(f"analyser angle {name} must be finite, got {value}")
     st = np.sin(theta)
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 

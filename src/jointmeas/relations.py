@@ -74,16 +74,17 @@ class RelationReport:
         return self.c / 2.0
 
     @property
+    def lhs(self) -> dict[str, float]:
+        """The four left-hand sides by relation name, in RELATION_NAMES order."""
+        return dict(zip(RELATION_NAMES,
+                        (self.lhs_ak, self.lhs_hall, self.lhs_ozawa, self.lhs_new)))
+
+    @property
     def satisfied(self) -> dict[str, bool]:
-        lhs = dict(zip(RELATION_NAMES,
-                       (self.lhs_ak, self.lhs_hall, self.lhs_ozawa, self.lhs_new)))
-        return {name: lhs[name] >= self.bound - MARGIN_TOL for name in RELATION_NAMES}
+        return {name: lhs >= self.bound - MARGIN_TOL for name, lhs in self.lhs.items()}
 
     def margins(self) -> dict[str, float]:
-        return {"arthurs_kelly": self.lhs_ak - self.bound,
-                "hall": self.lhs_hall - self.bound,
-                "ozawa": self.lhs_ozawa - self.bound,
-                "new": self.lhs_new - self.bound}
+        return {name: lhs - self.bound for name, lhs in self.lhs.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -93,8 +94,7 @@ class RelationReport:
                        "delta_a_est": self.delta_a_est,
                        "delta_b_est": self.delta_b_est, "c": self.c},
             "bound": self.bound,
-            "lhs": {"arthurs_kelly": self.lhs_ak, "hall": self.lhs_hall,
-                    "ozawa": self.lhs_ozawa, "new": self.lhs_new},
+            "lhs": self.lhs,
             "satisfied": self.satisfied,
         }
 
@@ -172,8 +172,7 @@ def strength_orderings(eps_a, eps_b, delta_a, delta_b, lhs_hall, lhs_ozawa, lhs_
     in_domain = (eps_a <= delta_a + 1e-12) & (eps_b <= delta_b + 1e-12)
     da_opt = np.sqrt(np.maximum(delta_a ** 2 - eps_a ** 2, 0.0))
     db_opt = np.sqrt(np.maximum(delta_b ** 2 - eps_b ** 2, 0.0))
-    hall_opt = eps_a * eps_b + eps_a * db_opt + da_opt * eps_b
-    new_opt = eps_a * (db_opt + delta_b) / 2.0 + eps_b * (da_opt + delta_a) / 2.0
+    _, hall_opt, _, new_opt = relation_lhs(eps_a, eps_b, delta_a, delta_b, da_opt, db_opt)
 
     def ratio(num, den):
         # outside the domain the weights are not used, so their x is 0
@@ -427,8 +426,9 @@ class MDReport:
 
     @property
     def lhs(self) -> float:
-        return (self.eps_a * (self.delta_b + self.delta_b_disturbed) / 2.0
-                + self.eta_b * (self.delta_a_est + self.delta_a) / 2.0)
+        """The averaged-spread form, eta(B) for eps_B and Delta(B') for Delta_est(B)."""
+        return relation_lhs(self.eps_a, self.eta_b, self.delta_a, self.delta_b,
+                            self.delta_a_est, self.delta_b_disturbed)[3]
 
     @property
     def satisfied(self) -> bool:

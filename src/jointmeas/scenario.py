@@ -33,6 +33,7 @@ import numpy as np
 from .qcore import (
     DEFAULT_TOLERANCES,
     SIGMAS,
+    SIMULATED_NORM,
     BlochObservable,
     Check,
     DensityMatrix,
@@ -240,7 +241,7 @@ class JointDistribution:
     @property
     def mass_tolerance(self) -> float:
         """How far the total mass may sit from 1 for this provenance."""
-        return (self.tolerances.simulated_norm if self.provenance == "simulated"
+        return (SIMULATED_NORM if self.provenance == "simulated"
                 else self.tolerances.measured_norm)
 
     def prob(self, m: int, y: int, w: int) -> float:
@@ -300,7 +301,7 @@ def joint_tables(rho, slide, n: np.ndarray,
     along = (n.reshape(len(a_n), -1, 3) @ a_n.swapaxes(-1, -2)).reshape(-1, 4)
     p = ((a[..., 0].reshape(-1, 4, 1) + along[:, :, None] * SIGNS) / 2).reshape(-1, 8)
     p = (p / p.sum(axis=1, keepdims=True)).reshape(-1, 2, 2, 2)
-    submit_checks(checks, table_checks(p, DEFAULT_TOLERANCES.simulated_norm))
+    submit_checks(checks, table_checks(p, SIMULATED_NORM))
     return p
 
 

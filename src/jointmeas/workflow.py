@@ -22,13 +22,14 @@ from .estimate import (
     estimate_spreads,
     mh_tables,
     optimal_values,
+    quasi_mass_checks,
     x_inaccuracies,
     y_inaccuracies,
     y_spreads,
 )
-from .oracle import dilated_operators, direct_moments
+from .oracle import dilated_operators, direct_moments, w_projectors
 from .qcore import (
-    DEFAULT_TOLERANCES,
+    SIMULATED_NORM,
     BlochObservable,
     Check,
     DensityMatrix,
@@ -121,17 +122,18 @@ def analyze_measured(dist: JointDistribution, rho: DensityMatrix,
 
 def _statistics(rho, slides, n: np.ndarray, kinds, checks: list[Check],
                 p: np.ndarray | None = None,
-                atol: float = DEFAULT_TOLERANCES.simulated_norm + 1e-12) -> dict:
+                atol: float = SIMULATED_NORM + 1e-12) -> dict:
     """The statistics group of N scenarios in one array pass: states
     ``rho`` (one DensityMatrix shared by all, or ``[N, 4, 4]``), slides (one
     SemiweakSlide or :class:`SlideArrays`), directions ``n[N, 3]`` and the
     measured tables ``p[N, m, y, w]``, whose quasi-tables must sum to 1
-    within ``atol``, or else simulated ones.  Returns ``p`` and arrays
-    ``[N]``: eps_y, delta_x, delta_y, delta_y_est, c and, under each kind,
-    f ``[N, w]``, eps_x, delta_x_est and lhs (in RELATION_NAMES order).
+    within ``atol``, or else simulated ones.  Returns ``p``, their
+    Margenau-Hill tables mh ``[N, x, w]`` and arrays ``[N]``: eps_y,
+    delta_x, delta_y, delta_y_est, c and, under each kind, f ``[N, w]``,
+    eps_x, delta_x_est and lhs (in RELATION_NAMES order).
 
-    The checks are queued on ``checks`` in one order per scenario: the
-    table checks, then for each kind f, eps(X), Delta X, Delta Y,
+    The checks are queued on ``checks`` in one order per scenario: the table
+    checks, then for each kind f, the mh mass, eps(X), Delta X, Delta Y,
     Delta_est(X), Delta_est(Y) and the relation inputs.  A shared state is
     reduced once, at N = 1, and its values and check flags are broadcast.
     """
@@ -151,11 +153,14 @@ def _statistics(rho, slides, n: np.ndarray, kinds, checks: list[Check],
     # a shared state's flags are set at every index or at none, so run_checks
     # fires them at index 0, the one index their [1] values have
     spread_checks = [(np.broadcast_to(bad, (size,)), fire) for bad, fire in spread_checks]
-    stats = {"p": p, "eps_y": eps_b, "delta_x": delta_a, "delta_y": delta_b,
+    mh = mh_tables(p, slides)
+    mass_checks = quasi_mass_checks(mh.reshape(-1, 4).sum(axis=1), atol)
+    stats = {"p": p, "mh": mh, "eps_y": eps_b, "delta_x": delta_a, "delta_y": delta_b,
              "delta_y_est": delta_b_est, "c": c}
     for kind in kinds:
         f = np.tile(SIGNS, (size, 1)) if kind == "simple" else optimal_values(rho, n, checks)
-        eps_a = x_inaccuracies(p, slides, f, atol, checks)
+        checks += mass_checks
+        eps_a = x_inaccuracies(mh, f, checks)
         checks += spread_checks
         delta_a_est = estimate_spreads(p, f, checks)
         checks += y_est_checks + relation_input_checks(
@@ -297,15 +302,15 @@ def random_observable(rng: np.random.Generator) -> BlochObservable:
     return BlochObservable(theta, float(rng.uniform(*_PHI)))
 
 
-def dilated_chains(rho: np.ndarray, slide, n: np.ndarray, f: np.ndarray,
+def dilated_chains(rho: np.ndarray, slide, w_projs: np.ndarray, f: np.ndarray,
                    checks: list[Check] | None = None) -> RelationChain:
     """Build commuting projective estimators on (q1, q2, ancilla) for N
     scenarios -- states ``rho[N, 4, 4]``, slides (a SemiweakSlide or
-    :class:`SlideArrays`), directions ``n[N, 3]``, X estimates ``f[N, w]``
-    -- and check every link of the averaged-spread derivation on them; the
-    chain's fields are arrays ``[N]``.  The checks go to ``checks`` when
-    given, else they run here."""
-    ops = dilated_operators(rho, povm_elements(slide), n, f, checks)
+    :class:`SlideArrays`), projectors ``w_projs[N, w]`` of the analysers, X
+    estimates ``f[N, w]`` -- and check every link of the averaged-spread
+    derivation on them; the chain's fields are arrays ``[N]``.  The checks
+    go to ``checks`` when given, else they run here."""
+    ops = dilated_operators(rho, povm_elements(slide), w_projs, f, checks)
     return relation_chains(*ops, checks=checks)
 
 
@@ -314,7 +319,7 @@ def dilated_chain(rho: DensityMatrix, slide: SemiweakSlide, w: BlochObservable,
     """Build commuting projective estimators on (q1, q2, ancilla) and check
     every link of the averaged-spread derivation on them
     (:func:`dilated_chains` for one scenario)."""
-    return chain_item(dilated_chains(rho.matrix[None], slide, w.vector[None],
+    return chain_item(dilated_chains(rho.matrix[None], slide, w_projectors(w.vector[None]),
                                      est.array[None]), 0)
 
 
@@ -447,14 +452,16 @@ def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
     out["ordering_violated"] = ~ordered
     out["gap"] = gap[ordered & in_domain]
 
+    w_projs = w_projectors(n, checks)
     mh_direct, eps_direct = direct_moments(
-        rho, n, np.stack([stats[kind]["f"] for kind in ESTIMATOR_KINDS], axis=1), checks)
+        rho, w_projs, np.stack([stats[kind]["f"] for kind in ESTIMATOR_KINDS], axis=1),
+        checks)
     out["oracle"] = np.maximum(
-        np.abs(mh_tables(stats["p"], slides) - mh_direct).max(axis=(1, 2)),
+        np.abs(stats["mh"] - mh_direct).max(axis=(1, 2)),
         np.abs(np.stack([stats[kind]["eps_x"] for kind in ESTIMATOR_KINDS], axis=1)
                - eps_direct).max(axis=1))
 
-    chains = dilated_chains(rho, slides, n,
+    chains = dilated_chains(rho, slides, w_projs,
                             np.where(np.isnan(custom), opt["f"], custom), checks)
     run_checks(checks)
     out["chain_min_slack"] = chains.min_slack

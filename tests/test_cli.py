@@ -38,6 +38,9 @@ def test_usage_exit_codes(capsys):
     assert "not both" in capsys.readouterr().err
     assert main(["verify", "--trials", "-3"]) == 2
     assert "must be positive" in capsys.readouterr().err
+    # verify reads no file, so it takes no tolerance profile
+    assert main(["verify", "--tolerance-profile", "strict"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_simulate_json_both_estimators(capsys):
@@ -220,6 +223,28 @@ def test_non_finite_state_file_is_data_error(tmp_path, capsys, value):
     assert captured.out == ""
     assert "data error" in captured.err and "line 4:" in captured.err
     assert "not finite" in captured.err
+
+@pytest.mark.parametrize("argv, angle", [
+    (["simulate", "--gamma", "22.5", "--phi", "nan"], "phi"),
+    (["simulate", "--gamma", "22.5", "--theta", "nan"], "theta"),
+    (["sweep", "--gamma", "22.5", "--phi", "0,inf"], "phi"),
+])
+def test_non_finite_angle_is_data_error(capsys, argv, angle):
+    """A non-finite analyser angle exits 3 naming the angle, before numpy
+    takes its sine (which warns on inf)."""
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"data error: analyser angle {angle} must be finite" in captured.err
+
+
+def test_analyze_non_finite_metadata_angle_is_data_error(tmp_path, capsys):
+    dist_file = tmp_path / "phi_inf.csv"
+    dist_file.write_text(measured_table("measured_phi180.csv").replace(
+        "# phi_deg=180", "# phi_deg=inf"))
+    assert main(["analyze", "--dist-file", str(dist_file)]) == 3
+    assert "data error: analyser angle phi must be finite, got inf" in capsys.readouterr().err
+
 
 def test_tolerance_profile_changes_mass_gate(tmp_path, capsys):
     text = measured_table("measured_phi180.csv")

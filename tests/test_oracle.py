@@ -1,5 +1,6 @@
 """Operator-algebra cross-checks: embedding, dilation and direct moments."""
 
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from jointmeas import (
     projector_pair,
     slide_model,
 )
-from jointmeas.oracle import dilated_operators, direct_moments, naimark_unitaries
+from jointmeas.oracle import dilated_operators, direct_moments, naimark_unitaries, w_projectors
 from jointmeas.qcore import _psd_sqrt, bloch_vectors
 from jointmeas.scenario import povm_elements
 
@@ -48,6 +49,29 @@ def test_embed_two_slots_ordered():
     assert np.allclose(embed(op, (1, 0), (2, 2)), np.kron(Z, X))
     assert np.allclose(embed(op, (0, 2), (2, 2, 2)),
                        np.kron(np.kron(X, EYE), Z))
+
+
+def reference_embed(op, slots, dims):
+    """``op (x) 1`` on the factors ordered (slots, the rest), taken back to
+    the natural factor order by the permutation matrix of the basis states."""
+    order = [*slots, *(i for i in range(len(dims)) if i not in slots)]
+    rest = int(np.prod([dims[i] for i in order[len(slots):]]))
+    perm = np.zeros((int(np.prod(dims)),) * 2)
+    for digits in itertools.product(*(range(d) for d in dims)):
+        perm[np.ravel_multi_index([digits[i] for i in order], [dims[i] for i in order]),
+             np.ravel_multi_index(digits, dims)] = 1.0
+    return perm.T @ np.kron(op, np.eye(rest)) @ perm
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 4)])
+def test_embed_every_slot_order_matches_permuted_kron(dims):
+    rng = np.random.default_rng(len(dims))
+    for count in range(1, len(dims) + 1):
+        for slots in itertools.permutations(range(len(dims)), count):
+            size = int(np.prod([dims[s] for s in slots]))
+            op = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+            np.testing.assert_array_equal(embed(op, slots, dims),
+                                          reference_embed(op, slots, dims), err_msg=str(slots))
 
 
 def test_embed_rejects_bad_slots():
@@ -177,7 +201,7 @@ def test_naimark_estimator_reproduces_weak_y(reference):
               DensityMatrix.from_pure(np.kron(y_up, h))]
     for rho in states:
         _, y_est, _, y1, state = dilated_operators(
-            rho.matrix[None], povms, w.vector[None], np.zeros((1, 2)))
+            rho.matrix[None], povms, w_projectors(w.vector[None]), np.zeros((1, 2)))
         y_est, state = y_est[0], state[0]
         mean_y = np.trace(state @ y1).real
         assert np.trace(state @ y_est).real == pytest.approx(
@@ -208,7 +232,8 @@ def test_counts_path_agrees_with_operator_path(gamma, r_h, r_v, f_plus, f_minus)
     est = Estimator.custom(f_plus, f_minus)
 
     dist = joint_distribution(rho, slide, w)
-    mh, eps = direct_moments(rho.matrix[None], w.vector[None], est.array[None, None])
+    mh, eps = direct_moments(rho.matrix[None], w_projectors(w.vector[None]),
+                             est.array[None, None])
     np.testing.assert_allclose(mh_from_counts(dist, slide), mh[0], rtol=0, atol=1e-12)
     assert inaccuracy_x(dist, slide, est) == pytest.approx(eps[0, 0], abs=1e-12)
     # the one-scenario view returns the batched table itself
@@ -219,7 +244,8 @@ def test_optimal_estimate_agreement(reference):
     rho, slide, w = reference
     est = optimal_estimator(rho, w)
     dist = joint_distribution(rho, slide, w)
-    _, eps = direct_moments(rho.matrix[None], w.vector[None], est.array[None, None])
+    _, eps = direct_moments(rho.matrix[None], w_projectors(w.vector[None]),
+                            est.array[None, None])
     assert inaccuracy_x(dist, slide, est) == pytest.approx(eps[0, 0], abs=1e-14)
 
 
@@ -236,7 +262,7 @@ def test_direct_moments_match_explicit_traces():
     n = bloch_vectors(np.arccos(rng.uniform(-1.0, 1.0, size)),
                       rng.uniform(0.0, 2.0 * math.pi, size))
     f = rng.uniform(-2.0, 2.0, (size, k_count, 2))
-    mh, eps = direct_moments(rho, n, f)
+    mh, eps = direct_moments(rho, w_projectors(n), f)
     assert mh.shape == (size, 2, 2) and eps.shape == (size, k_count)
 
     x_projs = [(EYE + s * X) / 2 for s in (1.0, -1.0)]

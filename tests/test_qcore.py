@@ -20,7 +20,13 @@ from jointmeas import (
     spread,
     tensor,
 )
-from jointmeas.qcore import DimensionMismatchError, as_complex_matrix, commutator_bounds
+from jointmeas.qcore import (
+    PSD_TOL,
+    SIMULATED_NORM,
+    DimensionMismatchError,
+    as_complex_matrix,
+    commutator_bounds,
+)
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -174,8 +180,12 @@ def test_tolerance_profiles():
     assert set(PROFILES) == {"default", "strict", "relaxed"}
     assert PROFILES["strict"].measured_norm < PROFILES["default"].measured_norm
     assert PROFILES["relaxed"].measured_norm > PROFILES["default"].measured_norm
-    # every field is a data-quality gate some profile can set
-    assert [f.name for f in dataclasses.fields(PROFILES["default"])] == [
-        "psd", "tomographic_psd", "measured_norm", "simulated_norm"]
+    # every field is a data-quality gate that the profiles set apart; the
+    # gates no profile varies are module constants
+    names = [f.name for f in dataclasses.fields(PROFILES["default"])]
+    assert names == ["tomographic_psd", "measured_norm"]
+    for name in names:
+        assert len({getattr(profile, name) for profile in PROFILES.values()}) > 1, name
+    assert PSD_TOL == SIMULATED_NORM == 1e-10
     with pytest.raises(Exception):
-        PROFILES["default"].psd = 1.0  # frozen
+        PROFILES["default"].tomographic_psd = 1.0  # frozen

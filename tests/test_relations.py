@@ -23,7 +23,7 @@ from jointmeas import (
     strength_comparison,
     verify_relation_chain,
 )
-from jointmeas.oracle import dilated_operators
+from jointmeas.oracle import dilated_operators, w_projectors
 from jointmeas.qcore import (
     bloch_vectors,
     commutator_bounds,
@@ -357,7 +357,8 @@ def test_relation_chains_equal_reference_on_dilated_operators():
     slides = slide_arrays(r_h, r_h + rng.uniform(0.01, 0.49, size))
     n = bloch_vectors(np.arccos(rng.uniform(-1.0, 1.0, size)),
                       rng.uniform(0.0, 2.0 * math.pi, size))
-    ops = dilated_operators(rho, povm_elements(slides), n, rng.uniform(-2.0, 2.0, (size, 2)))
+    ops = dilated_operators(rho, povm_elements(slides), w_projectors(n),
+                            rng.uniform(-2.0, 2.0, (size, 2)))
     assert [op.shape for op in ops] == [(size, 8, 8), (size, 8, 8), (8, 8), (8, 8),
                                         (size, 8, 8)]
     assert_chain_matches_reference(relation_chains(*ops), reference_chain(*ops))

@@ -41,7 +41,7 @@ from jointmeas import (
     tensor,
     verify_relation_chain,
 )
-from jointmeas import workflow
+from jointmeas import estimate, oracle, workflow
 from jointmeas.estimate import estimator_spread, y_spreads
 from jointmeas.oracle import naimark_unitaries
 from jointmeas.qcore import commutator_bounds
@@ -159,6 +159,26 @@ COUNTS = ("violations", "ak_violations", "chain_violations", "ordering_violation
           "gap_checked")
 
 
+def test_block_forms_w_projectors_and_mh_tables_once(monkeypatch):
+    """One block forms its analyser projectors once, for the oracle and the
+    chain, and its Margenau-Hill tables once, for eps(X) of both kinds and
+    the oracle comparison."""
+    workflow._reference_flags()  # cached per process: keep its pass out of the count
+    calls = {"w_projectors": 0, "mh_tables": 0}
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    for module, name in ((oracle, "w_projectors"), (workflow, "w_projectors"),
+                         (estimate, "mh_tables"), (workflow, "mh_tables")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    run_verification(trials=7, seed=3)
+    assert calls == {"w_projectors": 1, "mh_tables": 1}
+
+
 @pytest.mark.parametrize("trials, seed, block", [
     (101, 3, None), (101, 17, None), (101, 42, 33), (1, 5, None), (0, 5, None)])
 def test_blocks_match_trial_loop(trials, seed, block, monkeypatch):
@@ -169,9 +189,9 @@ def test_blocks_match_trial_loop(trials, seed, block, monkeypatch):
     chain_estimates = []
     chains = workflow.dilated_chains
 
-    def recording_chains(rho, slide, n, f, checks=None):
+    def recording_chains(rho, slide, w_projs, f, checks=None):
         chain_estimates.append(f)
-        return chains(rho, slide, n, f, checks)
+        return chains(rho, slide, w_projs, f, checks)
 
     monkeypatch.setattr(workflow, "dilated_chains", recording_chains)
     got = run_verification(trials=trials, seed=seed).to_dict()
