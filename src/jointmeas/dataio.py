@@ -19,7 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from .qcore import DEFAULT_TOLERANCES, PSD_TOL, DataQualityWarning, DensityMatrix, ToleranceProfile
+from .qcore import DEFAULT_TOLERANCES, DataQualityWarning, DensityMatrix, ToleranceProfile
 from .scenario import JointDistribution
 
 
@@ -166,9 +166,10 @@ def parse_density_matrix(text: str, dim: int = 4,
 
     Tomographic reconstructions are noisy, so the gates here are looser than
     the exact-arithmetic ones: Hermiticity within 1e-6 (then symmetrised),
-    trace within 1e-3 of one (then renormalised), eigenvalues down to
-    ``-tolerances.tomographic_psd`` (those below ``-PSD_TOL`` are kept and
-    flagged with a warning).
+    trace within 1e-3 of one (then renormalised).  The eigenvalue floor
+    ``-tolerances.tomographic_psd`` and the flag of eigenvalues below
+    ``-qcore.PSD_TOL`` are the DensityMatrix's own; a flagged state is kept and
+    warned about.
     """
     mat = np.zeros((dim, dim), dtype=complex)
     seen: set[tuple[int, int]] = set()
@@ -215,19 +216,17 @@ def parse_density_matrix(text: str, dim: int = 4,
     trace = float(np.real(np.trace(mat)))
     if abs(trace - 1.0) > 1e-3:
         raise DataValidationError(f"trace is {trace:.6f}, expected 1")
-    mat = mat / trace
-    eigs = np.linalg.eigvalsh(mat)
-    if eigs.min() < -tolerances.tomographic_psd:
-        raise DataValidationError(
-            f"matrix has eigenvalue {eigs.min():.3e}; not a state"
-        )
-    if eigs.min() < -PSD_TOL:
+    try:
+        rho = DensityMatrix(mat / trace, psd_floor=tolerances.tomographic_psd)
+    except ValueError as exc:
+        raise DataValidationError(f"{exc}; not a state") from exc
+    if rho.psd_warning:
         warnings.warn(
-            f"state has a slightly negative eigenvalue ({eigs.min():.3e}); "
+            f"state has a slightly negative eigenvalue ({rho.min_eigenvalue:.3e}); "
             "keeping it as-is",
             DataQualityWarning,
         )
-    return DensityMatrix(mat, psd_floor=tolerances.tomographic_psd)
+    return rho
 
 
 def load_density_matrix(path: str | os.PathLike, dim: int = 4,

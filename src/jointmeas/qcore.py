@@ -98,6 +98,11 @@ class ToleranceProfile:
     tomographic_psd: float = 1e-3
     measured_norm: float = 0.01
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"tolerance {name} must be finite and non-negative, got {value}")
+
 
 DEFAULT_TOLERANCES = ToleranceProfile()
 
@@ -231,8 +236,6 @@ class DensityMatrix:
     @classmethod
     def from_pure(cls, statevector) -> "DensityMatrix":
         vec = np.asarray(statevector, dtype=complex).reshape(-1)
-        if vec.shape[0] not in SUPPORTED_DIMS:
-            raise DimensionMismatchError(f"state vector length {vec.shape[0]} unsupported")
         norm = float(np.linalg.norm(vec))
         if norm < 1e-12:
             raise ValueError("state vector has zero norm")
@@ -271,11 +274,18 @@ class BlochObservable:
     """A +-1-valued qubit observable from Bloch angles (radians).
 
     ``W = sin(theta) cos(phi) X + sin(theta) sin(phi) Y + cos(theta) Z``.
-    The Bloch vector is unit by construction, so W squares to the identity.
+    ``vector`` is the unit Bloch vector ``(sin t cos p, sin t sin p, cos t)``,
+    computed once by :func:`bloch_vectors` when the observable is built (a
+    non-finite angle raises there); being unit, it makes W square to 1.
     """
 
     theta: float
     phi: float
+
+    def __post_init__(self):
+        vector = bloch_vectors(self.theta, self.phi)[0]
+        vector.setflags(write=False)
+        object.__setattr__(self, "vector", vector)
 
     @classmethod
     def from_degrees(cls, theta_deg: float, phi_deg: float) -> "BlochObservable":
@@ -288,11 +298,6 @@ class BlochObservable:
     @property
     def phi_deg(self) -> float:
         return math.degrees(self.phi)
-
-    @property
-    def vector(self) -> np.ndarray:
-        """The unit Bloch vector ``(sin t cos p, sin t sin p, cos t)``."""
-        return bloch_vectors(self.theta, self.phi)[0]
 
     def as_operator(self) -> HermitianOperator:
         return HermitianOperator(np.tensordot(self.vector, SIGMAS[1:], axes=1))

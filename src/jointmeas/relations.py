@@ -26,6 +26,7 @@ alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -34,7 +35,6 @@ from .qcore import (
     Check,
     as_operator_array,
     failing,
-    run_checks,
     submit_checks,
 )
 
@@ -99,21 +99,6 @@ class RelationReport:
         }
 
 
-def relation_input_checks(**values) -> list[Check]:
-    """Checks that every relation input is finite and non-negative; the
-    values are floats or arrays of one common length N."""
-    inputs = list(values.items())
-    stacked = np.empty((len(inputs), max(np.size(v) for _, v in inputs)))
-    for row, (_, val) in zip(stacked, inputs):
-        row[:] = val
-    bad = ~(np.isfinite(stacked) & (stacked >= 0.0))
-    return [(bad[k], failing(
-                ValueError,
-                lambda i, name=name, val=val: f"{name} must be finite and non-negative, "
-                                              f"got {val if np.ndim(val) == 0 else val[i]}"))
-            for k, (name, val) in enumerate(inputs)]
-
-
 def relation_lhs(eps_a, eps_b, delta_a, delta_b, delta_a_est, delta_b_est):
     """The four left-hand sides ``(arthurs_kelly, hall, ozawa, new)``, for
     floats or arrays alike."""
@@ -127,18 +112,16 @@ def relation_lhs(eps_a, eps_b, delta_a, delta_b, delta_a_est, delta_b_est):
 def evaluate_relations(eps_a: float, eps_b: float, delta_a: float, delta_b: float,
                        delta_a_est: float, delta_b_est: float, c: float,
                        scenario: dict | None = None) -> RelationReport:
-    """Evaluate the four relations from scalar summary statistics."""
-    run_checks(relation_input_checks(
-        eps_a=eps_a, eps_b=eps_b, delta_a=delta_a, delta_b=delta_b,
-        delta_a_est=delta_a_est, delta_b_est=delta_b_est, c=c))
-    lhs_ak, lhs_hall, lhs_ozawa, lhs_new = relation_lhs(
-        eps_a, eps_b, delta_a, delta_b, delta_a_est, delta_b_est)
+    """Evaluate the four relations from scalar summary statistics, each of
+    which must be finite and non-negative."""
+    inputs = dict(eps_a=eps_a, eps_b=eps_b, delta_a=delta_a, delta_b=delta_b,
+                  delta_a_est=delta_a_est, delta_b_est=delta_b_est, c=c)
+    for name, val in inputs.items():
+        if not (math.isfinite(val) and val >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, got {val}")
     return RelationReport(
-        eps_a=eps_a, eps_b=eps_b, delta_a=delta_a, delta_b=delta_b,
-        delta_a_est=delta_a_est, delta_b_est=delta_b_est, c=c,
-        lhs_ak=lhs_ak, lhs_hall=lhs_hall, lhs_ozawa=lhs_ozawa, lhs_new=lhs_new,
-        scenario=dict(scenario or {}),
-    )
+        *inputs.values(), *relation_lhs(eps_a, eps_b, delta_a, delta_b, delta_a_est, delta_b_est),
+        scenario=dict(scenario or {}))
 
 
 def gap_weights(x: np.ndarray, checks: list[Check] | None = None) -> np.ndarray:

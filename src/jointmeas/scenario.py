@@ -161,8 +161,6 @@ class SemiweakSlide:
     @classmethod
     def polarisation_independent(cls, r: float) -> "SemiweakSlide":
         """A slide with equal reflectivities: kappa = 0, no X information."""
-        if not 0.0 <= r <= 1.0:
-            raise ValueError("reflectivity must lie in [0, 1]")
         return cls(r_h=r, r_v=r)
 
 
@@ -258,12 +256,17 @@ class JointDistribution:
 
 
 def table_checks(p: np.ndarray, tol: float, provenance: str = "simulated") -> list[Check]:
-    """Checks of tables ``p[N, m, y, w]``: no entry below -1e-9 and a total
-    mass within ``tol`` of 1."""
+    """Checks of tables ``p[N, m, y, w]``: every entry finite, none below
+    -1e-9, and a total mass within ``tol`` of 1."""
     flat = p.reshape(-1, 8)
+    finite = np.isfinite(flat)
     low = flat.min(axis=1)
-    total = flat.sum(axis=1)
+    with np.errstate(invalid="ignore"):  # +inf and -inf in one table sum to NaN
+        total = flat.sum(axis=1)
     return [
+        (~finite.all(axis=1), failing(
+            ValueError, lambda i: f"non-finite probability {flat[i][~finite[i]][0]} "
+                                  f"in distribution")),
         (low < -1e-9, failing(
             ValueError, lambda i: f"negative probability {low[i]:.3e} in distribution")),
         (np.abs(total - 1.0) > tol, failing(

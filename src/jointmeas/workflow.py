@@ -48,7 +48,6 @@ from .relations import (
     RelationReport,
     chain_item,
     relation_chains,
-    relation_input_checks,
     relation_lhs,
     strength_orderings,
 )
@@ -104,7 +103,11 @@ def _meta_float(dist: JointDistribution, key: str) -> float:
     if key not in dist.metadata:
         raise ValueError(
             f"outcome table lacks {key!r} metadata; pass the value explicitly")
-    return float(dist.metadata[key])
+    try:
+        return float(dist.metadata[key])
+    except ValueError as exc:
+        raise ValueError(f"outcome table metadata {key!r} must be a number, "
+                         f"got {dist.metadata[key]!r}") from exc
 
 
 def analyze_measured(dist: JointDistribution, rho: DensityMatrix,
@@ -134,8 +137,10 @@ def _statistics(rho, slides, n: np.ndarray, kinds, checks: list[Check],
 
     The checks are queued on ``checks`` in one order per scenario: the table
     checks, then for each kind f, the mh mass, eps(X), Delta X, Delta Y,
-    Delta_est(X), Delta_est(Y) and the relation inputs.  A shared state is
-    reduced once, at N = 1, and its values and check flags are broadcast.
+    Delta_est(X) and Delta_est(Y).  The relation inputs need no gate of
+    their own: once the tables are finite, each is ``sqrt(max(., 0))`` or
+    ``abs(.)`` of gated finite values, or ``sqrt(2 kappa)``.  A shared state
+    is reduced once, at N = 1, and its values and check flags are broadcast.
     """
     for kind in kinds:
         if kind not in ESTIMATOR_KINDS:
@@ -163,9 +168,7 @@ def _statistics(rho, slides, n: np.ndarray, kinds, checks: list[Check],
         eps_a = x_inaccuracies(mh, f, checks)
         checks += spread_checks
         delta_a_est = estimate_spreads(p, f, checks)
-        checks += y_est_checks + relation_input_checks(
-            eps_a=eps_a, eps_b=eps_b, delta_a=delta_a, delta_b=delta_b,
-            delta_a_est=delta_a_est, delta_b_est=delta_b_est, c=c)
+        checks += y_est_checks
         stats[kind] = {"f": f, "eps_x": eps_a, "delta_x_est": delta_a_est,
                        "lhs": relation_lhs(eps_a, eps_b, delta_a, delta_b,
                                            delta_a_est, delta_b_est)}

@@ -246,6 +246,19 @@ def test_analyze_non_finite_metadata_angle_is_data_error(tmp_path, capsys):
     assert "data error: analyser angle phi must be finite, got inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["r_h", "r_v", "theta_deg", "phi_deg"])
+def test_analyze_non_numeric_metadata_names_the_key(tmp_path, capsys, key):
+    text = measured_table("measured_phi180.csv")
+    line = next(line for line in text.splitlines() if line.startswith(f"# {key}="))
+    dist_file = tmp_path / "bad_meta.csv"
+    dist_file.write_text(text.replace(line, f"# {key}=abc"))
+    assert main(["analyze", "--dist-file", str(dist_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"data error: outcome table metadata '{key}' must be a number, got 'abc'"
+            in captured.err)
+
+
 def test_tolerance_profile_changes_mass_gate(tmp_path, capsys):
     text = measured_table("measured_phi180.csv")
     # scale one entry so the total lands at 1.0304: beyond the default 1%

@@ -180,6 +180,27 @@ def test_parse_density_matrix_gates():
     assert rho.psd_warning
 
 
+def test_parse_density_matrix_diagonalises_once(monkeypatch):
+    """The eigenvalue floor and flag are the DensityMatrix's own: one
+    eigvalsh call per state file, accepted, flagged or rejected."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return eigvalsh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    texts = [density_text(np.diag(diag).astype(complex)) for diag in
+             ([0.6, 0.4, 0.0, 0.0], [0.6, 0.4005, 0.0, -0.0005], [0.6, 0.404, 0.0, -0.004])]
+    parse_density_matrix(texts[0])
+    with pytest.warns(DataQualityWarning, match="slightly negative"):
+        parse_density_matrix(texts[1])
+    with pytest.raises(DataValidationError, match="eigenvalue -4.000e-03.*not a state"):
+        parse_density_matrix(texts[2])
+    assert len(calls) == 3
+
+
 def test_parse_distribution_four_columns():
     four = "\n".join(line.rsplit(",", 1)[0] for line in GOOD_TABLE.splitlines()
                      if not line.startswith("#")) + "\n"

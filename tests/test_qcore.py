@@ -13,6 +13,8 @@ from jointmeas import (
     BlochObservable,
     DensityMatrix,
     HermitianOperator,
+    JointDistribution,
+    ToleranceProfile,
     expectation,
     fidelity,
     pauli,
@@ -25,8 +27,10 @@ from jointmeas.qcore import (
     SIMULATED_NORM,
     DimensionMismatchError,
     as_complex_matrix,
+    bloch_vectors,
     commutator_bounds,
 )
+from jointmeas.scenario import TRIPLES
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -130,6 +134,25 @@ def test_bloch_observable_axes():
     assert w.phi_deg == pytest.approx(180.0)
 
 
+@pytest.mark.parametrize("theta, phi, message", [
+    (math.nan, 0.0, "theta must be finite, got nan"),
+    (0.0, math.inf, "phi must be finite, got inf"),
+])
+def test_bloch_observable_rejects_non_finite_angle_when_built(theta, phi, message):
+    with pytest.raises(ValueError, match=f"analyser angle {message}"):
+        BlochObservable(theta, phi)
+
+
+def test_bloch_observable_vector_is_computed_once():
+    w = BlochObservable.from_degrees(60.0, 30.0)
+    assert w.vector is w.vector
+    assert not w.vector.flags.writeable
+    assert np.array_equal(w.vector, bloch_vectors(w.theta, w.phi)[0])
+    # the derived vector stays out of equality and the field list
+    assert w == BlochObservable(w.theta, w.phi)
+    assert [f.name for f in dataclasses.fields(w)] == ["theta", "phi"]
+
+
 def test_spread_limits():
     plus, _ = projector_pair(pauli("X"))
     x_up = DensityMatrix(plus.matrix)
@@ -189,3 +212,21 @@ def test_tolerance_profiles():
     assert PSD_TOL == SIMULATED_NORM == 1e-10
     with pytest.raises(Exception):
         PROFILES["default"].tomographic_psd = 1.0  # frozen
+
+
+@pytest.mark.parametrize("field", ["tomographic_psd", "measured_norm"])
+@pytest.mark.parametrize("value", [-1e-3, math.nan, math.inf, -math.inf])
+def test_tolerance_profile_rejects_negative_or_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"tolerance {field} must be finite and non-negative"):
+        ToleranceProfile(**{field: value})
+
+
+def test_nan_mass_tolerance_cannot_pass_a_heavy_table():
+    """A NaN measured_norm made the mass gate compare false, letting a table
+    of mass 1.5 through; the profile itself now refuses it."""
+    entries = {key: 0.1875 for key in TRIPLES}
+    with pytest.raises(ValueError, match="measured_norm"):
+        JointDistribution(entries=entries, provenance="measured",
+                          tolerances=ToleranceProfile(measured_norm=math.nan))
+    # zero is a tolerance: an exact gate
+    assert ToleranceProfile(0.0, 0.0).measured_norm == 0.0

@@ -242,6 +242,21 @@ def test_distribution_validation_messages():
     JointDistribution(entries=uniform_entries(0.1251), provenance="measured")
 
 
+@pytest.mark.parametrize("provenance", ["simulated", "measured"])
+@pytest.mark.parametrize("values, shown", [
+    ({(1, 1, 1): math.nan}, "nan"),
+    ({(1, -1, 1): math.inf}, "inf"),
+    ({(1, 1, 1): -math.inf}, "-inf"),
+    ({(1, 1, 1): math.inf, (-1, 1, 1): -math.inf}, "inf"),
+])
+def test_distribution_rejects_non_finite_entries(provenance, values, shown):
+    """A non-finite entry fails when the table is built, before any kernel
+    reads it; +inf and -inf together sum to NaN without a RuntimeWarning."""
+    entries = uniform_entries() | values
+    with pytest.raises(ValueError, match=f"^non-finite probability {shown} in distribution$"):
+        JointDistribution(entries=entries, provenance=provenance)
+
+
 def test_povm_elements_golden(reference):
     _, slide, _ = reference
     up, down = povm_elements(slide)[0]
