@@ -234,6 +234,12 @@ class JointDistribution:
         table = np.array([self.entries[key] for key in TRIPLES], dtype=float).reshape(2, 2, 2)
         table.setflags(write=False)
         run_checks(table_checks(table[None], self.mass_tolerance, self.provenance))
+        for key, sigma in (self.sigmas or {}).items():
+            if key not in TRIPLES:
+                raise ValueError(f"sigma given for unknown outcome triple {key}")
+            if not (math.isfinite(sigma) and sigma >= 0.0):
+                raise ValueError(f"sigma must be finite and non-negative, got {sigma!r} "
+                                 f"for outcome triple {key}")
         object.__setattr__(self, "table", table)
 
     @property

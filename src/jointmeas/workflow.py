@@ -226,11 +226,15 @@ def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
     dispersion_rss_<kind> (= sqrt(eps^2 + spread^2), which matches delta_x
     for the optimal estimator), and the four lhs_*_<kind> columns.
 
-    All angles go through the array kernels in one pass, so a dense grid
-    (thousands of angles) costs milliseconds.  The checks of the
-    single-scenario path still apply to every angle, and the error raised
-    is the one the first offending angle gives, with the same type and
-    message.
+    All angles go through the array kernels in one pass.  With one state
+    and one slide, theta_deg, c, bound, delta_x, delta_y and eps_y hold one
+    value at every angle; they are taken once into a template row, and
+    each row is one copy of it, updated from one ``[N, K]`` table of the
+    angle columns.  A 3600-angle sweep costs milliseconds here; emitting
+    its rows costs over ten times as much (ROADMAP item 3).  The checks of
+    the single-scenario path still apply to every angle, and the error
+    raised is the one the first offending angle gives, with the same type
+    and message.
     """
     phis = np.array([float(phi) for phi in phi_degs])
     if phis.size == 0:
@@ -239,9 +243,11 @@ def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
     stats = _statistics(rho, slide, bloch_vectors(math.radians(theta_deg), np.radians(phis)),
                         estimators, checks)
     run_checks(checks)
-    columns = {"phi_deg": phis, "theta_deg": float(theta_deg), "c": stats["c"],
-               "bound": stats["c"] / 2.0,
-               **{key: stats[key] for key in ("delta_x", "delta_y", "eps_y", "delta_y_est")}}
+    # one state and one slide: these columns hold one value at every angle
+    c = float(stats["c"][0])
+    template = {"phi_deg": None, "theta_deg": float(theta_deg), "c": c, "bound": c / 2.0,
+                **{key: float(stats[key][0]) for key in ("delta_x", "delta_y", "eps_y")}}
+    columns = {"phi_deg": phis, "delta_y_est": stats["delta_y_est"]}
     for kind in estimators:
         eps_a, d_est = stats[kind]["eps_x"], stats[kind]["delta_x_est"]
         columns.update({
@@ -249,8 +255,11 @@ def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
             f"dispersion_rss_{kind}": np.sqrt(eps_a ** 2 + d_est ** 2),
             **{f"lhs_{name}_{kind}": val
                for name, val in zip(RELATION_NAMES, stats[kind]["lhs"])}})
-    values = [np.broadcast_to(col, phis.shape).tolist() for col in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*values)]
+    template.update(dict.fromkeys(columns))
+    rows = [template.copy() for _ in range(phis.size)]
+    for row, values in zip(rows, np.column_stack(list(columns.values())).tolist()):
+        row.update(zip(columns, values))
+    return rows
 
 
 # ---------------------------------------------------------------------------

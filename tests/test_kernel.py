@@ -24,6 +24,7 @@ from jointmeas import (
     random_slide,
     random_state,
     reference_scenario,
+    simulate_scenario,
     sweep_phi,
 )
 from jointmeas.estimate import optimal_values
@@ -96,6 +97,43 @@ def test_kernel_matches_loop_reference(seed, theta_deg):
         np.testing.assert_allclose(values[idx], f_opt, rtol=0, atol=TOL)
         for name, val in want.items():
             assert row[name] == pytest.approx(val, abs=TOL), (phi, name)
+
+
+# the documented column order of a sweep row
+COMMON_COLUMNS = ("phi_deg", "theta_deg", "c", "bound", "delta_x", "delta_y", "eps_y",
+                  "delta_y_est")
+
+
+def kind_columns(kind):
+    return (f"eps_x_{kind}", f"delta_x_est_{kind}", f"dispersion_rss_{kind}",
+            *(f"lhs_{name}_{kind}" for name in ("arthurs_kelly", "hall", "ozawa", "new")))
+
+
+@pytest.mark.parametrize("size", [1, 7, 720])
+@pytest.mark.parametrize("kinds", [("simple",), ("optimal",), ("simple", "optimal"),
+                                   ("optimal", "simple")])
+def test_sweep_row_layout(kinds, size):
+    """Every row holds the documented columns in order; the scenario
+    columns are the single-scenario report's values, bit for bit; and each
+    row is a dict of its own."""
+    rng = np.random.default_rng(size)
+    rho, slide = random_state(rng), random_slide(rng)
+    theta_deg = 37.0
+    phis = np.linspace(0.0, 360.0, size, endpoint=False)
+    rows = sweep_phi(rho, slide, phis, theta_deg=theta_deg, estimators=kinds)
+    order = [*COMMON_COLUMNS, *(col for kind in kinds for col in kind_columns(kind))]
+    assert all(list(row) == order for row in rows)
+    assert all(row["theta_deg"] == theta_deg for row in rows)
+    for idx in range(0, size, max(1, size // 12)):
+        report = simulate_scenario(rho, slide, BlochObservable.from_degrees(theta_deg, phis[idx]),
+                                   estimator=kinds[0]).report
+        want = (report.c, report.bound, report.delta_a, report.delta_b, report.eps_b)
+        assert tuple(rows[idx][key] for key in ("c", "bound", "delta_x", "delta_y", "eps_y")) \
+            == want, idx
+    others = [dict(row) for row in rows[1:]]
+    rows[0]["c"] = rows[0]["phi_deg"] = -1.0
+    assert rows[1:] == others
+    assert len({id(row) for row in rows}) == size
 
 
 def test_sweep_empty_grid():

@@ -17,10 +17,12 @@ from jointmeas import (
     JointDistribution,
     SemiweakSlide,
     disturbed_observable,
+    emit_distribution,
     epr_state,
     expectation,
     inaccuracy_y,
     joint_distribution,
+    parse_distribution,
     pauli,
     projector_pair,
     simulate_scenario,
@@ -255,6 +257,28 @@ def test_distribution_rejects_non_finite_entries(provenance, values, shown):
     entries = uniform_entries() | values
     with pytest.raises(ValueError, match=f"^non-finite probability {shown} in distribution$"):
         JointDistribution(entries=entries, provenance=provenance)
+
+
+@pytest.mark.parametrize("sigmas, message", [
+    ({(1, 1, 1): math.nan}, r"^sigma must be finite and non-negative, got nan "
+                            r"for outcome triple \(1, 1, 1\)$"),
+    ({(1, 1, 1): 0.001, (-1, 1, -1): math.inf}, "got inf for outcome triple"),
+    ({(1, -1, 1): -1e-300}, "got -1e-300 for outcome triple"),
+    ({(5, 5, 5): 0.001}, r"^sigma given for unknown outcome triple \(5, 5, 5\)$"),
+])
+def test_distribution_rejects_bad_sigmas(sigmas, message):
+    """A sigma the parser would refuse fails when the table is built, so
+    no emitted table carries one."""
+    with pytest.raises(ValueError, match=message):
+        JointDistribution(entries=uniform_entries(), provenance="measured", sigmas=sigmas)
+
+
+def test_accepted_sigmas_survive_emit_and_parse():
+    sigmas = {(1, 1, 1): 0.002, (1, -1, 1): 0.0, (-1, -1, -1): 1e-300}
+    dist = JointDistribution(entries=uniform_entries(), provenance="measured", sigmas=sigmas)
+    back = parse_distribution(emit_distribution(dist))
+    assert back.sigmas == sigmas
+    assert back.entries == dist.entries
 
 
 def test_povm_elements_golden(reference):
