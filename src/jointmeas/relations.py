@@ -45,8 +45,9 @@ class RelationViolationError(ValueError):
 
 MARGIN_TOL = 1e-9
 # A derivation chain holds only with an identity residual within
-# IDENTITY_TOL; that residual is 2 max|[A_est, B_est]|, so the commutation
-# gate sits at half of it and every set the gate accepts passes the identity
+# IDENTITY_TOL; relation_chains returns that residual in its closed form,
+# 2 max|[A_est, B_est]|, so the commutation gate sits at half of it and
+# every set the gate accepts passes the identity
 IDENTITY_TOL = 1e-12
 
 RELATION_NAMES = ("arthurs_kelly", "hall", "ozawa", "new")
@@ -299,12 +300,18 @@ def relation_chains(a_est, b_est, a, b, rho,
     ``[N]``.  The estimators must commute (precondition, checked to 5e-13;
     the checks go to ``checks`` when given, else they run here).  Every
     commutator link comes by bilinearity from the four commutators
-    ``[A, B]``, ``[A, B_est]``, ``[A_est, B]`` and ``[A_est, B_est]``.
+    ``[A, B]``, ``[A, B_est]``, ``[A_est, B]`` and ``[A_est, B_est]``, and
+    the identity residual is its closed form ``2 max|[A_est, B_est]|``.
 
-    A product with a shared operand is one GEMM over the other stack, and
-    each expectation ``Tr(rho op)`` is a dot product of the flattened
-    ``op`` with the flattened ``rho^dag``, formed once; neither assumes
-    that any operator is Hermitian.
+    The inaccuracies and the estimate spreads keep their direct products,
+    ``(A - A_est)^2`` and the centred ``(A_est - m)^2``, which hold their
+    precision in the weak limit.  The target spreads come from the squares,
+    ``Tr(rho A^2) - 2 m Tr(rho A) + m^2 Tr rho`` with ``m = Re Tr(rho A)``,
+    so a shared target costs one ``[d, d]`` product.  A product with a
+    shared operand is one GEMM over the other stack, and each expectation
+    ``Tr(rho op)`` is a dot product of the flattened ``op`` with the
+    flattened ``rho^dag``, formed once; neither assumes that any operator
+    is Hermitian.
     """
     a_est_m, b_est_m, a_m, b_m, rho_m = map(as_operator_array, (a_est, b_est, a, b, rho))
     dims = {m.shape[-1] for m in (a_est_m, b_est_m, a_m, b_m, rho_m)}
@@ -332,10 +339,7 @@ def relation_chains(a_est, b_est, a, b, rho,
                               f"{commutator_residual[i]:.3e})"))])
 
     # 2[A,B] - [A - A_est, B + B_est] - [A + A_est, B - B_est] = 2[A_est, B_est]
-    identity_residual = max_abs(
-        2.0 * c_ab
-        - (c_ab + c_a_be - c_ae_b - c_ae_be)
-        - (c_ab - c_a_be + c_ae_b - c_ae_be))
+    identity_residual = 2.0 * commutator_residual
 
     ev_ab, ev_a_be, ev_ae_b, ev_ae_be = map(ev, (c_ab, c_a_be, c_ae_b, c_ae_be))
     c = np.abs(ev_ab)
@@ -346,7 +350,16 @@ def relation_chains(a_est, b_est, a, b, rho,
     def centred_rms(op):
         return rms(op - ev(op).real[..., None, None] * eye)
 
-    da, db = centred_rms(a_m), centred_rms(b_m)
+    tr_rho = np.trace(rho_m, axis1=-2, axis2=-1)
+
+    def target_spread(op):
+        # Tr(rho (op - m)^2) = Tr(rho op^2) - 2 m Tr(rho op) + m^2 Tr rho
+        ev_op = ev(op)
+        m = ev_op.real
+        second = ev(_product(op, op)) - 2.0 * m * ev_op + m * m * tr_rho
+        return np.sqrt(np.maximum(second.real, 0.0))
+
+    da, db = target_spread(a_m), target_spread(b_m)
     da_est, db_est = centred_rms(a_est_m), centred_rms(b_est_m)
     eps_a, eps_b = rms(a_m - a_est_m), rms(b_m - b_est_m)
 

@@ -23,6 +23,7 @@ from jointmeas import (
     strength_comparison,
     verify_relation_chain,
 )
+from jointmeas.estimate import optimal_values
 from jointmeas.oracle import dilated_operators, w_projectors
 from jointmeas.qcore import (
     bloch_vectors,
@@ -303,6 +304,14 @@ def assert_chain_matches_reference(chains, want):
             assert len(got) == 4
             got = np.stack(got, axis=1)
         np.testing.assert_allclose(got, value, rtol=0, atol=1e-12, err_msg=name)
+    # the six link slacks: triangle sum against 2c, each Schwarz term against
+    # its triangle term, and the averaged-spread lhs against c/2
+    triangle, schwarz, c = want["triangle_terms"], want["schwarz_terms"], want["c"]
+    want_slacks = (triangle.sum(axis=1) - 2.0 * c, *(schwarz - triangle).T,
+                   schwarz.sum(axis=1) / 4.0 - c / 2.0)
+    assert len(chains.slacks) == 6
+    for k, (got, value) in enumerate(zip(chains.slacks, want_slacks)):
+        np.testing.assert_allclose(got, value, rtol=0, atol=1e-12, err_msg=f"slack {k}")
 
 
 def random_hermitian(rng, d, scale=1.0):
@@ -362,6 +371,24 @@ def test_relation_chains_equal_reference_on_dilated_operators():
     assert [op.shape for op in ops] == [(size, 8, 8), (size, 8, 8), (8, 8), (8, 8),
                                         (size, 8, 8)]
     assert_chain_matches_reference(relation_chains(*ops), reference_chain(*ops))
+
+
+@pytest.mark.parametrize("split", [1e-4, 1e-5, 1e-6])
+def test_dilated_chain_keeps_eps_b_precise_in_the_weak_limit(split):
+    """With r_v - r_h down to 1e-6, the dilated Y estimate's inaccuracy stays
+    within 1e-10 of its closed form sqrt(2 kappa), as the direct product
+    ``(B - B_est)^2`` keeps it; verify gates the two at 1e-9."""
+    rng = np.random.default_rng(int(round(-math.log10(split))))
+    size = 200
+    rho = np.stack([random_density(rng, 4) for _ in range(size)])
+    r_h = rng.uniform(0.02, 0.97, size)
+    slides = slide_arrays(r_h, r_h + split)
+    n = bloch_vectors(np.arccos(rng.uniform(-1.0, 1.0, size)),
+                      rng.uniform(0.0, 2.0 * math.pi, size))
+    ops = dilated_operators(rho, povm_elements(slides), w_projectors(n),
+                            optimal_values(rho, n))
+    chains = relation_chains(*ops)
+    assert np.abs(chains.eps_b - np.sqrt(2.0 * slides.kappa)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("d", [4, 8])

@@ -20,6 +20,7 @@ from jointmeas import (
     DensityMatrix,
     Estimator,
     RelationViolationError,
+    UndefinedEstimateError,
     embed,
     epr_state,
     evaluate_relations,
@@ -44,7 +45,7 @@ from jointmeas import (
 from jointmeas import estimate, oracle, workflow
 from jointmeas.estimate import estimator_spread, y_spreads
 from jointmeas.oracle import naimark_unitaries
-from jointmeas.qcore import commutator_bounds
+from jointmeas.qcore import SIGMAS, bloch_vectors, commutator_bounds
 from jointmeas.relations import relation_chains
 from jointmeas.scenario import povm_elements
 
@@ -262,24 +263,47 @@ def test_batched_naimark_raises_scalar_error(reference):
 
 
 def test_block_raises_first_offending_trials_error(monkeypatch):
-    """A block raises the error its first offending trial raises alone."""
+    """A block raises the error its first offending trial raises alone:
+    trials 5 and 9 get qubit 2 in an eigenstate of their own W, so that one
+    W outcome has no probability and its optimal estimate is undefined."""
     build = workflow._state_matrices
+    _, _, angles, _ = workflow._draw_block(np.random.default_rng(1), 0, 12)
+    n = bloch_vectors(angles[:, 0], angles[:, 1])
 
-    def skewed(g):
+    def zero_outcome(g):
         mats = build(g).copy()
-        mats[5, 0, 1] += 1e-6
-        mats[9, 0, 1] += 1e-3
+        for k, sign in ((5, -1.0), (9, 1.0)):
+            # the W eigenprojector of value `sign`: outcome -sign has probability 0
+            proj = (SIGMAS[0] + sign * np.tensordot(n[k], SIGMAS[1:], axes=1)) / 2
+            mats[k] = np.kron(np.trace(mats[k].reshape(2, 2, 2, 2), axis1=1, axis2=3), proj)
         return mats
 
-    monkeypatch.setattr(workflow, "_state_matrices", skewed)
-    with pytest.raises(ValueError) as batched:
+    monkeypatch.setattr(workflow, "_state_matrices", zero_outcome)
+    with pytest.raises(UndefinedEstimateError) as batched:
         run_verification(trials=12, seed=1)
     rng = np.random.default_rng(1)
-    g = workflow._draw_block(rng, 0, 12)[0]
-    with pytest.raises(ValueError) as alone:
-        DensityMatrix(skewed(g)[5])
-    assert str(batched.value) == str(alone.value)
-    assert "not Hermitian" in str(alone.value)
+    states = zero_outcome(workflow._draw_block(rng, 0, 12)[0])
+    alone = {}
+    for k in (5, 9):
+        with pytest.raises(UndefinedEstimateError) as err:
+            optimal_estimator(DensityMatrix(states[k]), BlochObservable(*angles[k]))
+        # the message ends in the rounding-level probability
+        alone[k] = str(err.value).rsplit(" ", 1)[0]
+    assert alone == {5: "W outcome +1 has probability", 9: "W outcome -1 has probability"}
+    assert str(batched.value).rsplit(" ", 1)[0] == alone[5]
+    assert abs(float(str(batched.value).rsplit(" ", 1)[1])) <= 1e-12
+
+
+def test_drawn_states_are_density_matrices_by_construction():
+    """``G G^dag / tr`` is exactly Hermitian, of unit trace to rounding and
+    positive definite on drawn blocks, so the suite runs no density check
+    on its states."""
+    for seed in range(20):
+        g = workflow._draw_block(np.random.default_rng(seed), 0, 1000)[0]
+        rho = workflow._state_matrices(g)
+        assert np.array_equal(rho, rho.conj().swapaxes(-1, -2)), seed
+        assert np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max() <= 1e-14, seed
+        assert np.linalg.eigvalsh(rho)[:, 0].min() > 0.0, seed
 
 
 def loop_draws(rng, first, count):
