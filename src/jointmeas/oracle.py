@@ -135,15 +135,11 @@ def naimark_unitary(povm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return naimark_unitaries(np.asarray(povm, dtype=complex)[None])[0]
 
 
-def w_projectors(n: np.ndarray, checks: list[Check] | None = None) -> np.ndarray:
+def w_projectors(n: np.ndarray) -> np.ndarray:
     """Eigenprojectors ``W_w[N, w]`` (w = +1, -1) of the analyser observables
-    ``W = n.s`` for directions ``n[N, 3]``, each W checked to square to the
-    identity as in :func:`projector_pair` (on ``checks`` when given)."""
+    ``W = n.s`` for directions ``n[N, 3]`` from :func:`qcore.bloch_vectors`:
+    unit to rounding, so W squares to the identity without a check."""
     w_ops = (n @ SIGMAS[1:].reshape(3, 4)).reshape(-1, 2, 2)
-    # W^2 entry by entry, without a 2x2 matrix product per direction
-    square = w_ops[:, :, :1] * w_ops[:, :1, :] + w_ops[:, :, 1:] * w_ops[:, 1:, :]
-    submit_checks(checks, [(np.abs(square - _EYE2).max(axis=(-2, -1)) > 1e-10, failing(
-        ValueError, lambda i: "projector_pair needs an operator squaring to the identity"))])
     return (_EYE2 + _VALUES[:, None, None] * w_ops[:, None]) / 2
 
 

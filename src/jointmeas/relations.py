@@ -44,11 +44,10 @@ class RelationViolationError(ValueError):
 
 
 MARGIN_TOL = 1e-9
-# A derivation chain holds only with an identity residual within
-# IDENTITY_TOL; relation_chains returns that residual in its closed form,
-# 2 max|[A_est, B_est]|, so the commutation gate sits at half of it and
-# every set the gate accepts passes the identity
-IDENTITY_TOL = 1e-12
+# The largest entry of [A_est, B_est] that relation_chains accepts: the first
+# identity of a chain, 2[A,B] = [A - A_est, B + B_est] + [A + A_est, B - B_est],
+# is off by exactly 2[A_est, B_est], so it then holds within 1e-12
+COMMUTATION_TOL = 5e-13
 
 RELATION_NAMES = ("arthurs_kelly", "hall", "ozawa", "new")
 
@@ -159,8 +158,10 @@ def strength_orderings(eps_a, eps_b, delta_a, delta_b, lhs_hall, lhs_ozawa, lhs_
     _, hall_opt, _, new_opt = relation_lhs(eps_a, eps_b, delta_a, delta_b, da_opt, db_opt)
 
     def ratio(num, den):
-        # outside the domain the weights are not used, so their x is 0
-        return np.divide(num, den, out=np.zeros_like(num), where=in_domain & (den > 0.0))
+        # outside the domain the weights are not used, so their x is 0; inside
+        # it, num may exceed den by 1e-12, which gap_weights evaluates as 1
+        x = np.divide(num, den, out=np.zeros_like(num), where=in_domain & (den > 0.0))
+        return np.minimum(x, 1.0)
 
     h_beta = gap_weights(ratio(eps_b, delta_b), checks)
     h_alpha = gap_weights(ratio(eps_a, delta_a), checks)
@@ -228,13 +229,15 @@ class RelationChain:
     ``2 sqrt(<R'^2><S'^2>)`` with suitable centring.  Their sum is four times
     the averaged-spread left-hand side.
 
+    The first identity is off by exactly ``2[A_est, B_est]``, which the
+    commutation gate bounds, so ``holds`` reads the six slacks alone.
+
     Fields are floats for one chain, or arrays ``[N]`` for the N chains of
     :func:`relation_chains` (the four-term fields then hold four arrays).
     """
 
     c: float
     commutator_residual: float
-    identity_residual: float
     eps_a: float
     eps_b: float
     delta_a: float
@@ -272,8 +275,7 @@ class RelationChain:
 
     @property
     def holds(self) -> bool:
-        return np.logical_and(self.identity_residual <= IDENTITY_TOL,
-                              self.min_slack >= -MARGIN_TOL)
+        return self.min_slack >= -MARGIN_TOL
 
 
 def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -297,11 +299,11 @@ def relation_chains(a_est, b_est, a, b, rho,
     Each argument is a stack ``[N, d, d]`` of matrices on one common
     Hilbert space, which may be a dilation of the physical one, or one
     matrix ``[d, d]`` shared by all N; the fields of the result are arrays
-    ``[N]``.  The estimators must commute (precondition, checked to 5e-13;
-    the checks go to ``checks`` when given, else they run here).  Every
-    commutator link comes by bilinearity from the four commutators
-    ``[A, B]``, ``[A, B_est]``, ``[A_est, B]`` and ``[A_est, B_est]``, and
-    the identity residual is its closed form ``2 max|[A_est, B_est]|``.
+    ``[N]``.  The estimators must commute (precondition, checked to
+    ``COMMUTATION_TOL`` = 5e-13; the checks go to ``checks`` when given,
+    else they run here).  Every commutator link comes by bilinearity from
+    the four commutators ``[A, B]``, ``[A, B_est]``, ``[A_est, B]`` and
+    ``[A_est, B_est]``.
 
     The inaccuracies and the estimate spreads keep their direct products,
     ``(A - A_est)^2`` and the centred ``(A_est - m)^2``, which hold their
@@ -334,12 +336,9 @@ def relation_chains(a_est, b_est, a, b, rho,
     c_ab, c_a_be, c_ae_b, c_ae_be = (comm(a_m, b_m), comm(a_m, b_est_m),
                                      comm(a_est_m, b_m), comm(a_est_m, b_est_m))
     commutator_residual = max_abs(c_ae_be)
-    submit_checks(checks, [(commutator_residual > IDENTITY_TOL / 2, failing(
+    submit_checks(checks, [(commutator_residual > COMMUTATION_TOL, failing(
         ValueError, lambda i: f"estimators do not commute (max |[A_est, B_est]| = "
                               f"{commutator_residual[i]:.3e})"))])
-
-    # 2[A,B] - [A - A_est, B + B_est] - [A + A_est, B - B_est] = 2[A_est, B_est]
-    identity_residual = 2.0 * commutator_residual
 
     ev_ab, ev_a_be, ev_ae_b, ev_ae_be = map(ev, (c_ab, c_a_be, c_ae_b, c_ae_be))
     c = np.abs(ev_ab)
@@ -371,7 +370,6 @@ def relation_chains(a_est, b_est, a, b, rho,
 
     return RelationChain(
         c=c, commutator_residual=commutator_residual,
-        identity_residual=identity_residual,
         eps_a=eps_a, eps_b=eps_b, delta_a=da, delta_b=db,
         delta_a_est=da_est, delta_b_est=db_est,
         triangle_terms=triangle, schwarz_terms=schwarz)

@@ -266,19 +266,24 @@ def table_checks(p: np.ndarray, tol: float, provenance: str = "simulated") -> li
     -1e-9, and a total mass within ``tol`` of 1."""
     flat = p.reshape(-1, 8)
     finite = np.isfinite(flat)
-    low = flat.min(axis=1)
     with np.errstate(invalid="ignore"):  # +inf and -inf in one table sum to NaN
         total = flat.sum(axis=1)
     return [
         (~finite.all(axis=1), failing(
             ValueError, lambda i: f"non-finite probability {flat[i][~finite[i]][0]} "
                                   f"in distribution")),
-        (low < -1e-9, failing(
-            ValueError, lambda i: f"negative probability {low[i]:.3e} in distribution")),
+        *negative_entry_checks(flat),
         (np.abs(total - 1.0) > tol, failing(
             ValueError, lambda i: f"probabilities sum to {total[i]:.4f}, outside 1 +- "
                                   f"{tol:g} for {provenance} data")),
     ]
+
+
+def negative_entry_checks(flat: np.ndarray) -> list[Check]:
+    """The check that no entry of tables ``flat[N, 8]`` is below -1e-9."""
+    low = flat.min(axis=1)
+    return [(low < -1e-9, failing(
+        ValueError, lambda i: f"negative probability {low[i]:.3e} in distribution"))]
 
 
 def joint_tables(rho, slide, n: np.ndarray,
@@ -291,9 +296,9 @@ def joint_tables(rho, slide, n: np.ndarray,
     Kraus operators.  ``rho`` and ``slide`` are one DensityMatrix and one
     SemiweakSlide shared by all N directions, or N states ``[N, 4, 4]`` and
     N slides (:class:`SlideArrays`), one per direction.  Each table is
-    normalised exactly and then checked like a simulated
-    JointDistribution; the checks go to ``checks`` when given, else they
-    run here.
+    normalised exactly by its mass ``Tr rho``, so, from inputs checked
+    finite, only its negative-entry check can fail; the checks go to
+    ``checks`` when given, else they run here.
     """
     kraus = as_slide_arrays(slide).kraus
     # M_m Y_y for every y as one GEMM against the shared [Y_+ | Y_-], then
@@ -310,7 +315,7 @@ def joint_tables(rho, slide, n: np.ndarray,
     along = (n.reshape(len(a_n), -1, 3) @ a_n.swapaxes(-1, -2)).reshape(-1, 4)
     p = ((a[..., 0].reshape(-1, 4, 1) + along[:, :, None] * SIGNS) / 2).reshape(-1, 8)
     p = (p / p.sum(axis=1, keepdims=True)).reshape(-1, 2, 2, 2)
-    submit_checks(checks, table_checks(p, SIMULATED_NORM))
+    submit_checks(checks, negative_entry_checks(p.reshape(-1, 8)))
     return p
 
 

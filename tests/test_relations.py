@@ -168,6 +168,26 @@ def test_strength_comparison_reads_kind_from_scenario():
     assert not strength_comparison(rep).applicable
 
 
+@pytest.mark.parametrize("kind", ["optimal", None])
+def test_strength_comparison_at_the_domain_edge(kind):
+    """eps_b = delta_b + 5e-13 lies in the closed form's domain, which
+    admits inaccuracies up to 1e-12 above their spreads; its weight is taken
+    at x = 1, not rejected as x = 1.0000000005 outside [0, 1]."""
+    eps_b = 1e-3 + 5e-13
+    rep = evaluate_relations(0.1, eps_b, 0.5, 1e-3, math.sqrt(0.5 ** 2 - 0.1 ** 2), 0.0, 1e-4)
+    ordering = strength_comparison(rep, kind)
+    assert ordering.applicable == (kind == "optimal")
+    assert ordering.new_le_hall and ordering.new_le_ozawa
+    assert ordering.gap_residual is not None and ordering.gap_residual <= 1e-12
+    # spreads that are not dispersion-optimal: the ordering itself fails
+    rep = evaluate_relations(0.1, eps_b, 0.5, 1e-3, 0.3, 0.0, 1e-4)
+    if kind == "optimal":
+        with pytest.raises(RelationViolationError, match="not weakest"):
+            strength_comparison(rep, kind)
+    else:
+        assert not strength_comparison(rep, kind).new_le_hall
+
+
 def test_gap_residual_none_when_inaccuracy_exceeds_spread():
     rep = evaluate_relations(eps_a=1.5, eps_b=0.2, delta_a=1.0, delta_b=1.0,
                              delta_a_est=0.5, delta_b_est=0.5, c=0.1)
@@ -186,16 +206,26 @@ def chain_operators(gamma, f_plus, f_minus, g_plus, g_minus):
     return a_est, b_est, a, b, epr_state(gamma).matrix
 
 
+def identity_residual(a_est, b_est, a, b):
+    """max|2[A,B] - [A - A_est, B + B_est] - [A + A_est, B - B_est]|, the
+    first identity of the derivation, from direct products, per set."""
+    def comm(p, q):
+        return p @ q - q @ p
+
+    return np.abs(2.0 * comm(a, b) - comm(a - a_est, b + b_est)
+                  - comm(a + a_est, b - b_est)).max(axis=(-2, -1))
+
+
 @given(gamma=st.floats(0.1, 1.4), f_plus=st.floats(-2, 2),
        f_minus=st.floats(-2, 2), g_plus=st.floats(-2, 2),
        g_minus=st.floats(-2, 2))
 @settings(max_examples=200, deadline=None)
 def test_relation_chain_holds_for_commuting_estimates(gamma, f_plus, f_minus,
                                                       g_plus, g_minus):
-    chain = verify_relation_chain(*chain_operators(gamma, f_plus, f_minus,
-                                                   g_plus, g_minus))
+    ops = chain_operators(gamma, f_plus, f_minus, g_plus, g_minus)
+    chain = verify_relation_chain(*ops)
     assert chain.commutator_residual <= 1e-12
-    assert chain.identity_residual <= 1e-12
+    assert identity_residual(*ops[:4]) <= 1e-12
     assert len(chain.slacks) == 6
     assert chain.min_slack >= -1e-9
     assert chain.holds
@@ -228,8 +258,9 @@ def test_relation_chain_rejects_noncommuting_estimates():
 def test_chain_gate_never_accepts_a_set_it_counts_broken(skew):
     """A = X1, B = Y1, A_est = 1 (x) Z, B_est = 1 (x) (Z + skew X) and
     rho = 1/4 give max|[A_est, B_est]| = 2 skew and an identity residual of
-    twice that: the set either fails the commutation gate or its chain
-    holds, never both passes the gate and counts as broken."""
+    twice that: the set either fails the commutation gate or its identity
+    holds within 1e-12 and its chain holds, never both passes the gate and
+    counts as broken."""
     eye = np.eye(2)
     x, y, z = (pauli(k).matrix for k in "XYZ")
     ops = (np.kron(eye, z), np.kron(eye, z + skew * x), np.kron(x, eye),
@@ -240,8 +271,41 @@ def test_chain_gate_never_accepts_a_set_it_counts_broken(skew):
         assert "do not commute" in str(err)
         assert skew > 2.5e-13
     else:
-        assert chain.identity_residual == pytest.approx(4.0 * skew, rel=1e-3)
+        assert chain.commutator_residual == pytest.approx(2.0 * skew, rel=1e-3)
+        assert identity_residual(*ops[:4]) == pytest.approx(4.0 * skew, rel=1e-3)
+        assert identity_residual(*ops[:4]) <= 1e-12
         assert chain.holds
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_identity_link_is_twice_the_commutation_residual(d):
+    """The first identity of the derivation is off by exactly 2[A_est, B_est],
+    so a chain carries no identity residual of its own: across commutators
+    from 1e-16 to 1, the direct residual equals twice the chain's
+    ``commutator_residual`` to rounding, and it stays within 1e-12 wherever
+    the commutation gate (5e-13) accepts the set."""
+    rng = np.random.default_rng(d)
+    size = 400
+
+    def hermitian(scale):
+        g = rng.normal(size=(size, d, d)) + 1j * rng.normal(size=(size, d, d))
+        return scale[:, None, None] * (g + g.conj().swapaxes(-1, -2)) / 2
+
+    ones = np.ones(size)
+    a_est, a, b = hermitian(ones), hermitian(ones), hermitian(2.0 * ones)
+    # B_est = f(A_est) + skew H: commutes with A_est up to the skew
+    vals, vecs = np.linalg.eigh(a_est)
+    func = (vecs * np.cos(3.0 * vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    b_est = func + hermitian(10.0 ** rng.uniform(-16.0, 0.0, size))
+    rho = np.eye(d) / d
+    checks = []
+    chains = relation_chains(a_est, b_est, a, b, rho, checks)
+    residual = identity_residual(a_est, b_est, a, b)
+    np.testing.assert_allclose(residual, 2.0 * chains.commutator_residual, rtol=1e-6,
+                               atol=1e-13)
+    accepted = ~checks[0][0]
+    assert 0 < accepted.sum() < size
+    assert residual[accepted].max() <= 1e-12
 
 
 def test_relation_chain_rejects_mixed_dimensions():
@@ -257,7 +321,7 @@ def reference_chain(a_est, b_est, a, b, rho):
     ops = [np.asarray(op, dtype=complex) for op in (a_est, b_est, a, b, rho)]
     size = max(len(op) for op in ops if op.ndim == 3)
     out = {name: [] for name in (
-        "c", "commutator_residual", "identity_residual", "eps_a", "eps_b", "delta_a",
+        "c", "commutator_residual", "eps_a", "eps_b", "delta_a",
         "delta_b", "delta_a_est", "delta_b_est", "triangle_terms", "schwarz_terms")}
 
     def comm(p, q):
@@ -283,8 +347,6 @@ def reference_chain(a_est, b_est, a, b, rho):
         da, db, da_est, db_est = map(centred_rms, (a_, b_, ae, be))
         values = {
             "c": abs(ev(comm(a_, b_))), "commutator_residual": residual,
-            "identity_residual": np.abs(2.0 * comm(a_, b_) - comm(a_ - ae, b_ + be)
-                                        - comm(a_ + ae, b_ - be)).max(),
             "eps_a": eps_a, "eps_b": eps_b, "delta_a": da, "delta_b": db,
             "delta_a_est": da_est, "delta_b_est": db_est,
             "triangle_terms": [abs(ev(comm(a_ - ae, b_))), abs(ev(comm(a_ - ae, be))),

@@ -251,7 +251,9 @@ def good_run():
     ("reference scenario", {"reference_satisfied": {
         "arthurs_kelly": False, "hall": True, "ozawa": False, "new": True}}),
     ("derivation chain", {"chain_violations": 1}),
-    ("derivation chain", {"chain_min_slack": -2e-9}),
+    # a chain is broken exactly when its smallest slack is below -MARGIN_TOL,
+    # so a negative min slack comes with a broken-chain count
+    ("derivation chain", {"chain_violations": 2, "chain_min_slack": -2e-9}),
     ("strength ordering", {"ordering_violations": 1}),
     ("strength ordering", {"gap_checked": 0}),
     ("strength ordering", {"gap_max_residual": 2e-9}),
