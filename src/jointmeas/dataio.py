@@ -16,6 +16,7 @@ import math
 import os
 import warnings
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -47,7 +48,7 @@ def _parse_outcome(text: str, column: str, line_no: int) -> int:
         val = int(text)
     except ValueError as exc:
         raise DataValidationError(
-            f"line {line_no}: column {column!r} must be an integer, got {text!r}"
+            f"line {line_no}: column {column!r} must be an integer, got {text.strip()!r}"
         ) from exc
     if val not in (+1, -1):
         raise DataValidationError(
@@ -59,11 +60,14 @@ def _parse_outcome(text: str, column: str, line_no: int) -> int:
 def parse_distribution(text: str, provenance: str = "measured",
                        tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
                        ) -> JointDistribution:
-    """Parse an outcome-table CSV into a JointDistribution."""
+    """Parse an outcome-table CSV into a JointDistribution, in one pass
+    over the lines; ``int`` and ``float`` skip the whitespace around a
+    field, and a message quotes it stripped."""
     metadata: dict[str, str] = {}
-    lines = text.splitlines()
-    data_lines: list[tuple[int, str]] = []
-    for idx, raw in enumerate(lines, start=1):
+    cols: list[str] | None = None
+    entries: dict[tuple[int, int, int], float] = {}
+    sigmas: dict[tuple[int, int, int], float] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped:
             continue
@@ -73,39 +77,32 @@ def parse_distribution(text: str, provenance: str = "measured",
                 key, _, value = body.partition("=")
                 metadata[key.strip()] = value.strip()
             continue
-        data_lines.append((idx, stripped))
-    if not data_lines:
-        raise DataValidationError("no header row found")
-    header_no, header = data_lines[0]
-    cols = [c.strip() for c in header.split(",")]
-    if cols not in (["m", "y", "w", "p"], ["m", "y", "w", "p", "sigma"]):
-        raise DataValidationError(
-            f"line {header_no}: header must be 'm,y,w,p' or 'm,y,w,p,sigma', got {header!r}"
-        )
-    entries: dict[tuple[int, int, int], float] = {}
-    sigmas: dict[tuple[int, int, int], float] = {}
-    for line_no, row in data_lines[1:]:
-        parts = [c.strip() for c in row.split(",")]
+        if cols is None:
+            cols = [c.strip() for c in stripped.split(",")]
+            if cols not in (["m", "y", "w", "p"], ["m", "y", "w", "p", "sigma"]):
+                raise DataValidationError(
+                    f"line {line_no}: header must be 'm,y,w,p' or 'm,y,w,p,sigma', "
+                    f"got {stripped!r}")
+            continue
+        parts = stripped.split(",")
         if len(parts) != len(cols):
             raise DataValidationError(
                 f"line {line_no}: expected {len(cols)} columns, got {len(parts)}"
             )
-        m = _parse_outcome(parts[0], "m", line_no)
-        y = _parse_outcome(parts[1], "y", line_no)
-        w = _parse_outcome(parts[2], "w", line_no)
+        key = (_parse_outcome(parts[0], "m", line_no), _parse_outcome(parts[1], "y", line_no),
+               _parse_outcome(parts[2], "w", line_no))
         try:
             p = float(parts[3])
         except ValueError as exc:
             raise DataValidationError(
-                f"line {line_no}: column 'p' must be a float, got {parts[3]!r}"
+                f"line {line_no}: column 'p' must be a float, got {parts[3].strip()!r}"
             ) from exc
         if not math.isfinite(p):
             raise DataValidationError(f"line {line_no}: probability is not finite")
-        key = (m, y, w)
         if key in entries:
             raise DataValidationError(f"line {line_no}: duplicate outcome triple {key}")
         entries[key] = p
-        if len(parts) == 5 and parts[4]:
+        if len(parts) == 5 and parts[4] and not parts[4].isspace():
             try:
                 sigma = float(parts[4])
             except ValueError as exc:
@@ -114,8 +111,11 @@ def parse_distribution(text: str, provenance: str = "measured",
                 ) from exc
             if not (math.isfinite(sigma) and sigma >= 0.0):
                 raise DataValidationError(
-                    f"line {line_no}: sigma must be finite and non-negative, got {parts[4]!r}")
+                    f"line {line_no}: sigma must be finite and non-negative, "
+                    f"got {parts[4].strip()!r}")
             sigmas[key] = sigma
+    if cols is None:
+        raise DataValidationError("no header row found")
     if len(entries) != 8:
         raise DataValidationError(
             f"expected 8 outcome triples, found {len(entries)}"
@@ -135,7 +135,9 @@ def parse_distribution(text: str, provenance: str = "measured",
 def load_distribution(path: str | os.PathLike, provenance: str = "measured",
                       tolerances: ToleranceProfile = DEFAULT_TOLERANCES,
                       ) -> JointDistribution:
-    with open(path, encoding="utf-8") as fh:
+    """Read an outcome-table CSV; a leading UTF-8 byte-order mark, as
+    spreadsheet programs write one, is skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_distribution(fh.read(), provenance=provenance,
                                   tolerances=tolerances)
 
@@ -160,6 +162,11 @@ def save_distribution(dist: JointDistribution, path: str | os.PathLike) -> None:
         fh.write(emit_distribution(dist))
 
 
+def _matrix_entry(parts: list[str]) -> tuple[int, int, float, float]:
+    """The fields ``row, col, re, im`` of one density-matrix line."""
+    return int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])
+
+
 def parse_density_matrix(text: str, dim: int = 4,
                          tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> DensityMatrix:
     """Parse ``row,col,re,im`` CSV into a validated DensityMatrix.
@@ -171,42 +178,46 @@ def parse_density_matrix(text: str, dim: int = 4,
     ``-qcore.PSD_TOL`` are the DensityMatrix's own; a flagged state is kept and
     warned about.
     """
-    mat = np.zeros((dim, dim), dtype=complex)
-    seen: set[tuple[int, int]] = set()
-    line_no = 0
-    for raw in text.splitlines():
-        line_no += 1
+    # entry (row, col) at row * dim + col, None until its line is read
+    values: list[complex | None] = [None] * (dim * dim)
+    found = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        parts = [c.strip() for c in stripped.split(",")]
-        if parts == ["row", "col", "re", "im"]:
-            continue
+        parts = stripped.split(",")
         if len(parts) != 4:
             raise DataValidationError(
                 f"line {line_no}: expected row,col,re,im, got {stripped!r}"
             )
         try:
-            row, col = int(parts[0]), int(parts[1])
-            re, im = float(parts[2]), float(parts[3])
-        except ValueError as exc:
-            raise DataValidationError(f"line {line_no}: {exc}") from exc
+            row, col, re, im = _matrix_entry(parts)
+        except ValueError:
+            # the header, or a bad field, whose message quotes it stripped
+            parts = [c.strip() for c in parts]
+            if parts == ["row", "col", "re", "im"]:
+                continue
+            try:
+                row, col, re, im = _matrix_entry(parts)
+            except ValueError as exc:
+                raise DataValidationError(f"line {line_no}: {exc}") from exc
         if not (math.isfinite(re) and math.isfinite(im)):
             raise DataValidationError(
-                f"line {line_no}: entry ({row},{col}) is not finite: re={parts[2]!r}, "
-                f"im={parts[3]!r}")
+                f"line {line_no}: entry ({row},{col}) is not finite: re={parts[2].strip()!r}, "
+                f"im={parts[3].strip()!r}")
         if not (0 <= row < dim and 0 <= col < dim):
             raise DataValidationError(
                 f"line {line_no}: index ({row},{col}) outside a {dim}x{dim} matrix"
             )
-        if (row, col) in seen:
+        if values[row * dim + col] is not None:
             raise DataValidationError(f"line {line_no}: duplicate entry ({row},{col})")
-        seen.add((row, col))
-        mat[row, col] = complex(re, im)
-    if len(seen) != dim * dim:
+        values[row * dim + col] = complex(re, im)
+        found += 1
+    if found != dim * dim:
         raise DataValidationError(
-            f"expected {dim * dim} matrix entries, found {len(seen)}"
+            f"expected {dim * dim} matrix entries, found {found}"
         )
+    mat = np.array(values, dtype=complex).reshape(dim, dim)
     herm_err = float(np.max(np.abs(mat - mat.conj().T)))
     if herm_err > 1e-6:
         raise DataValidationError(
@@ -231,7 +242,9 @@ def parse_density_matrix(text: str, dim: int = 4,
 
 def load_density_matrix(path: str | os.PathLike, dim: int = 4,
                         tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> DensityMatrix:
-    with open(path, encoding="utf-8") as fh:
+    """Read a density-matrix CSV; a leading UTF-8 byte-order mark is
+    skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_density_matrix(fh.read(), dim=dim, tolerances=tolerances)
 
 
@@ -264,14 +277,76 @@ def _flatten(row: dict, prefix: str = "") -> dict:
     return flat
 
 
+# json's spellings of the floats that have no JSON literal
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    """``repr(float(f"{value:.12g}"))``, NaN and +-Infinity spelled as json
+    spells them.  A positional 12-digit text with a point is already that
+    repr (no other decimal of at most 12 digits lies within 1e-12 of it),
+    and an integral one lacks only ``.0``; exponent forms, which ``%g``
+    uses from 1e12 and repr from 1e16, go through repr."""
+    text = f"{value:.12g}"
+    if "e" in text or "n" in text:
+        text = repr(float(text))
+        return _NON_FINITE.get(text, text)
+    return text if "." in text else text + ".0"
+
+
+def _json_key(key) -> str:
+    """A dict key, quoted, as json writes it: a string, or a number, bool or
+    None spelled as json spells them."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key)
+    return encode_basestring_ascii(key)
+
+
+def _json(value, indent: str) -> str:
+    """``value`` as ``json.dumps(_round12(value), indent=2, sort_keys=True)``
+    writes it, nested at ``indent``, in one pass that rounds each float to
+    12 significant digits as it writes it (:func:`_json_float`)."""
+    if isinstance(value, float):
+        return _json_float(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json(item, inner) for item in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        items = [f"{_json_key(key)}: {_json(item, inner)}" for key, item in sorted(value.items())]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    separator = ",\n" + inner
+    return brackets[0] + "\n" + inner + separator.join(items) + "\n" + indent + brackets[1]
+
+
 def emit_report(report, fmt: str = "json") -> str:
-    """Serialise one report dict (or a list of them) as json or csv."""
-    rows = [_round12(r) for r in _report_rows(report)]
+    """Serialise one report dict (or a list of them) as json or csv.
+
+    Floats are written at 12 significant digits, each as the shortest
+    repr of its rounded value; json output has sorted keys and an indent
+    of 2."""
+    rows = _report_rows(report)
     if fmt == "json":
-        payload = rows[0] if len(rows) == 1 else rows
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json(rows[0] if len(rows) == 1 else rows, "") + "\n"
     if fmt == "csv":
-        flat_rows = [_flatten(r) for r in rows]
+        flat_rows = [_flatten(_round12(r)) for r in rows]
         fields: list[str] = []
         for row in flat_rows:
             for key in row:

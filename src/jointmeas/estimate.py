@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +41,11 @@ from .qcore import (
     run_checks,
     spread,
     submit_checks,
+    submit_column_checks,
     tensor,
 )
 from .scenario import (
+    MIN_REFLECTIVITY_GAP,
     OUTCOMES,
     REFLECTED,
     SIGNS,
@@ -52,6 +55,7 @@ from .scenario import (
     SemiweakSlide,
     as_slide_arrays,
     joint_distribution,
+    reflectivity_gap_error,
 )
 
 
@@ -162,62 +166,85 @@ def optimal_estimator(rho: DensityMatrix, w: BlochObservable) -> Estimator:
 def mh_tables(p: np.ndarray, slide) -> np.ndarray:
     """Margenau-Hill quasi-tables ``p_MH[N, x, w]`` of tables ``p[N, m, y, w]``:
     ``p_MH(x, w) = sum_{m,y} (1 + x xi_m)/2 p(m, y, w)``, for one
-    SemiweakSlide shared by all tables or N slides (:class:`SlideArrays`)."""
+    SemiweakSlide shared by all tables or N slides (:class:`SlideArrays`).
+
+    Raises ``DegenerateMeasurementError`` at once for a slide without
+    contextual values (``r_h == r_v``), or with :func:`slide_model`'s
+    message for one whose ``|r_h - r_v| = 2/|xi_r - xi_t|`` is below
+    ``MIN_REFLECTIVITY_GAP``, where rounding decides the quasi-tables.
+    """
     xi = as_slide_arrays(slide).xi
     if xi is None:
         raise DegenerateMeasurementError(
             "slide has r_h == r_v; contextual values are undefined")
+    # only a hand-built SemiweakSlide can be this close; on 2.4 million slides
+    # at the smallest gap slide_model accepts, this reading never fell below it
+    gaps = 2.0 / np.abs(xi[:, 1] - xi[:, 0])
+    too_close = gaps < MIN_REFLECTIVITY_GAP
+    if too_close.any():
+        raise reflectivity_gap_error(float(gaps[np.argmax(too_close)]))
     weights = 0.5 * (1.0 + xi[:, _M_INDEX, None] * SIGNS)  # [N, entry, x]
     to_mh = (weights[..., None] * _ONTO_W[:, None, :]).reshape(-1, 8, 4)
     return (p.reshape(len(to_mh), -1, 8) @ to_mh).reshape(-1, 2, 2)
 
 
 def x_inaccuracies(mh: np.ndarray, f: np.ndarray,
-                   checks: list[Check] | None = None) -> np.ndarray:
-    """RMS inaccuracies ``eps[N]`` of the X estimates ``f[N, w]``,
-    reconstructed from Margenau-Hill quasi-tables ``mh[N, x, w]``
-    (:func:`mh_tables`), whose mass the caller gates.
+                   checks: Sequence[list[Check]] | None = None) -> np.ndarray:
+    """RMS inaccuracies ``eps[N, K]`` of K X estimates ``f[N, K, w]`` of each
+    of N scenarios, reconstructed from Margenau-Hill quasi-tables
+    ``mh[N, x, w]`` (:func:`mh_tables`), whose mass the caller gates.
 
     ``eps^2 = sum_{x,w} (x - f(w))^2 p_MH(x, w)``.  A square in [-1e-9, 0)
     is clamped to zero with a data-quality warning carrying the raw value;
     anything more negative marks the input data as inconsistent.  The checks
-    go to ``checks`` when given, else they run here.
+    of estimate k go to ``checks[k]`` when given, else they run here.
     """
-    eps_sq = ((SIGNS[:, None] - f[:, None, :]) ** 2 * mh).reshape(-1, 4).sum(axis=1)
-    submit_checks(checks, [
-        (eps_sq < -1e-9, failing(
+    eps_sq = ((SIGNS[:, None] - f[:, :, None, :]) ** 2 * mh[:, None]).reshape(
+        -1, 4).sum(axis=1).reshape(len(f), -1)
+    corrupt, clamped = eps_sq < -1e-9, (eps_sq < 0.0) & (eps_sq >= -1e-9)
+    submit_column_checks(checks, [[
+        (corrupt[:, k], failing(
             NumericalCorruptionError,
-            lambda i: f"reconstructed eps^2 = {eps_sq[i]:.3e}: input data is inconsistent")),
-        ((eps_sq < 0.0) & (eps_sq >= -1e-9), lambda i: warnings.warn(DataQualityWarning(
-            f"clamping reconstructed eps^2 = {eps_sq[i]:.3e} to 0"))),
-    ])
+            lambda i, k=k: f"reconstructed eps^2 = {eps_sq[i, k]:.3e}: "
+                           f"input data is inconsistent")),
+        (clamped[:, k], lambda i, k=k: warnings.warn(DataQualityWarning(
+            f"clamping reconstructed eps^2 = {eps_sq[i, k]:.3e} to 0"))),
+    ] for k in range(eps_sq.shape[1])])
     return np.sqrt(np.maximum(eps_sq, 0.0))
 
 
-def _two_outcome_spreads(marginals: np.ndarray, values: np.ndarray, what: str,
-                         checks: list[Check] | None) -> np.ndarray:
-    """Standard deviations ``[N]`` of ``values[N, k]`` or ``values[k]`` under
-    two-outcome marginals ``marginals[N, k]``, normalised by their mass."""
-    (p0, p1), (v0, v1) = marginals.T, np.moveaxis(values, -1, 0)
+def _variances(marginals: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Variances of two-outcome ``values[..., k]`` under the marginals
+    ``marginals[..., k]``, normalised by their mass; the two broadcast."""
+    p0, p1, v0, v1 = marginals[..., 0], marginals[..., 1], values[..., 0], values[..., 1]
     total = p0 + p1
     mean = (v0 * p0 + v1 * p1) / total
-    var = (v0 ** 2 * p0 + v1 ** 2 * p1) / total - mean * mean
-    submit_checks(checks, [(var < -1e-12, failing(
-        NumericalCorruptionError, lambda i: f"{what} variance {var[i]:.3e} negative"))])
-    return np.sqrt(np.maximum(var, 0.0))
+    return (v0 ** 2 * p0 + v1 ** 2 * p1) / total - mean * mean
+
+
+def _variance_check(var: np.ndarray, what: str) -> Check:
+    return (var < -1e-12, failing(
+        NumericalCorruptionError, lambda i: f"{what} variance {var[i]:.3e} negative"))
 
 
 def estimate_spreads(p: np.ndarray, f: np.ndarray,
-                     checks: list[Check] | None = None) -> np.ndarray:
-    """Standard deviations ``[N]`` of the estimates ``f[N, w]`` under the w
-    marginals of tables ``p[N, m, y, w]``, normalised by each table's mass."""
-    return _two_outcome_spreads(p.reshape(-1, 8) @ _ONTO_W, f, "estimator", checks)
+                     checks: Sequence[list[Check]] | None = None) -> np.ndarray:
+    """Standard deviations ``[N, K]`` of K estimates ``f[N, K, w]`` under the
+    w marginals of tables ``p[N, m, y, w]``, normalised by each table's
+    mass.  The checks of estimate k go to ``checks[k]`` when given, else
+    they run here."""
+    var = _variances((p.reshape(-1, 8) @ _ONTO_W)[:, None], f)
+    submit_column_checks(checks, [[_variance_check(var[:, k], "estimator")]
+                                  for k in range(var.shape[1])])
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 def y_spreads(p: np.ndarray, checks: list[Check] | None = None) -> np.ndarray:
     """Standard deviations ``[N]`` of the +-1-valued y outcome under tables
     ``p[N, m, y, w]``, normalised by each table's mass."""
-    return _two_outcome_spreads(p.reshape(-1, 8) @ _ONTO_Y, SIGNS, "y-outcome", checks)
+    var = _variances(p.reshape(-1, 8) @ _ONTO_Y, SIGNS)
+    submit_checks(checks, [_variance_check(var, "y-outcome")])
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 def mh_from_counts(dist: JointDistribution, slide: SemiweakSlide) -> np.ndarray:
@@ -238,7 +265,7 @@ def inaccuracy_x(dist: JointDistribution, slide: SemiweakSlide,
                  est: Estimator) -> float:
     """RMS inaccuracy of the X estimate, reconstructed from the joint table
     (:func:`x_inaccuracies` on :func:`mh_from_counts`, with their checks)."""
-    return float(x_inaccuracies(mh_from_counts(dist, slide)[None], est.array[None])[0])
+    return float(x_inaccuracies(mh_from_counts(dist, slide)[None], est.array[None, None])[0, 0])
 
 
 def y_inaccuracies(slide) -> np.ndarray:
@@ -262,7 +289,7 @@ def inaccuracy_y(slide: SemiweakSlide) -> float:
 
 def estimator_spread(dist: JointDistribution, est: Estimator) -> float:
     """Standard deviation of the estimate f(W) under the table's w marginal."""
-    return float(estimate_spreads(dist.table[None], est.array[None])[0])
+    return float(estimate_spreads(dist.table[None], est.array[None, None])[0, 0])
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,18 @@ def submit_checks(checks: list[Check] | None, new: Sequence[Check]) -> None:
         checks.extend(new)
 
 
+def submit_column_checks(queues: Sequence[list[Check]] | None,
+                         columns: Sequence[Sequence[Check]]) -> None:
+    """Queue the checks of each column of a ``[N, K]`` result on its own
+    queue of ``queues``, or run them all now when no queues are given: at
+    each index, column after column."""
+    if queues is None:
+        run_checks([check for column in columns for check in column])
+    else:
+        for queue, column in zip(queues, columns, strict=True):
+            queue.extend(column)
+
+
 # The exact-arithmetic gates: how far an operator or state may sit from
 # Hermitian, and matrices, traces or real expectations from their targets.
 _HERMITICITY_TOL = 1e-12
@@ -367,17 +379,48 @@ def spreads(op: HermitianOperator, mats: np.ndarray,
     # the shared operator acts as one GEMM on the flattened stack
     mats_g = mats.reshape(-1, op.dim) @ g
     val = _traces(mats_g.reshape(mats.shape))
-    mean = val.real
     second = _traces((mats_g @ g).reshape(mats.shape)).real
+    return _spreads_of_moments(val.real, val.imag, second, checks)
+
+
+def _spreads_of_moments(mean: np.ndarray, mean_imag: np.ndarray, second: np.ndarray,
+                        checks: list[Check] | None) -> np.ndarray:
+    """Standard deviations ``sqrt(second - mean^2)`` ``[N]`` from the real
+    and imaginary parts of the first moments and the second moments, with
+    the imaginary-part and variance checks of :func:`spreads`."""
     var = second - mean * mean
     submit_checks(checks, [
-        (np.abs(val.imag) > _EQUALITY_TOL, failing(
+        (np.abs(mean_imag) > _EQUALITY_TOL, failing(
             NumericalCorruptionError,
-            lambda i: f"expectation has imaginary part {val.imag[i]:.3e}")),
+            lambda i: f"expectation has imaginary part {mean_imag[i]:.3e}")),
         (var < -1e-12, failing(
             NumericalCorruptionError, lambda i: f"variance {var[i]:.3e} below -1e-12")),
     ])
     return np.sqrt(np.maximum(var, 0.0))
+
+
+def xy_statistics(mats: np.ndarray, checks: list[Check] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(Delta X, Delta Y, c)`` ``[N]`` in N two-qubit states ``mats[N, 4, 4]``:
+    the spreads of ``X (x) 1`` and ``Y (x) 1`` and ``c = |<[X (x) 1, Y (x) 1]>|``,
+    with the checks of :func:`spreads` for X, then Y.
+
+    The products :func:`spreads` and :func:`commutator_bounds` form with
+    these operators only move entries of rho and scale them by 1, +-i or
+    +-2i, so their traces are the same pairwise sums of entries, bit for
+    bit: ``<X (x) 1> = (r02 + r13) + (r20 + r31)``, ``<Y (x) 1> = (i r02 +
+    i r13) + (-i r20 - i r31)``, both second moments are ``(r00 + r11) +
+    (r22 + r33)`` and ``<[X, Y] (x) 1> = (2i r00 + 2i r11) + (-2i r22 - 2i r33)``.
+    """
+    flat = mats.reshape(-1, 16)  # entry (row, col) at 4 row + col
+    off_top, off_bottom = flat[:, 2] + flat[:, 7], flat[:, 8] + flat[:, 13]
+    diag_top, diag_bottom = flat[:, 0] + flat[:, 5], flat[:, 10] + flat[:, 15]
+    second = (diag_top + diag_bottom).real
+    x_mean = off_top + off_bottom
+    y_mean_over_i = off_top - off_bottom
+    return (_spreads_of_moments(x_mean.real, x_mean.imag, second, checks),
+            _spreads_of_moments(-y_mean_over_i.imag, y_mean_over_i.real, second, checks),
+            np.abs(2.0 * (diag_top - diag_bottom)))
 
 
 def spread(op: HermitianOperator, rho: DensityMatrix) -> float:

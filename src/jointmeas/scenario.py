@@ -190,11 +190,17 @@ def slide_model(r_h: float, r_v: float) -> SemiweakSlide:
         raise DegenerateMeasurementError(
             f"r_h = r_v = {r_h:g}: contextual values are unbounded")
     if gap < MIN_REFLECTIVITY_GAP:
-        raise DegenerateMeasurementError(
-            f"|r_h - r_v| = {gap:.3g} is below {MIN_REFLECTIVITY_GAP:g}: contextual "
-            f"values of order {2 / gap:.1e} would amplify rounding into the "
-            f"reconstructed X statistics")
+        raise reflectivity_gap_error(gap)
     return slide
+
+
+def reflectivity_gap_error(gap: float) -> DegenerateMeasurementError:
+    """The error for a slide whose ``|r_h - r_v| = gap`` is below
+    ``MIN_REFLECTIVITY_GAP``."""
+    return DegenerateMeasurementError(
+        f"|r_h - r_v| = {gap:.3g} is below {MIN_REFLECTIVITY_GAP:g}: contextual "
+        f"values of order {2 / gap:.1e} would amplify rounding into the "
+        f"reconstructed X statistics")
 
 
 def epr_state(gamma: float) -> DensityMatrix:

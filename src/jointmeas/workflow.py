@@ -34,11 +34,8 @@ from .qcore import (
     Check,
     DensityMatrix,
     bloch_vectors,
-    commutator_bounds,
-    pauli,
     run_checks,
-    spreads,
-    tensor,
+    xy_statistics,
 )
 from .relations import (
     MARGIN_TOL,
@@ -68,9 +65,6 @@ REFERENCE_GAMMA_DEG = 22.5
 REFERENCE_R_H = 0.1244
 REFERENCE_R_V = 0.4645
 ESTIMATOR_KINDS = ("simple", "optimal")
-
-_X1 = tensor(pauli("X"), pauli("I"))
-_Y1 = tensor(pauli("Y"), pauli("I"))
 
 
 def reference_scenario() -> tuple[DensityMatrix, SemiweakSlide, BlochObservable]:
@@ -130,9 +124,10 @@ def _statistics(rho, slides, n: np.ndarray, kinds, checks: list[Check],
     SemiweakSlide or :class:`SlideArrays`), directions ``n[N, 3]`` and the
     measured tables ``p[N, m, y, w]``, whose quasi-tables must sum to 1
     within ``atol``, or else simulated ones.  Returns ``p``, their
-    Margenau-Hill tables mh ``[N, x, w]`` and arrays ``[N]``: eps_y,
-    delta_x, delta_y, delta_y_est, c and, under each kind, f ``[N, w]``,
-    eps_x, delta_x_est and lhs (in RELATION_NAMES order).
+    Margenau-Hill tables mh ``[N, x, w]``, arrays ``[N]``: eps_y, delta_x,
+    delta_y, delta_y_est and c, and, along an axis of the K estimator
+    ``kinds``, f ``[N, K, w]``, eps_x and delta_x_est ``[N, K]`` and lhs, the
+    four left-hand sides ``[N, K]`` in RELATION_NAMES order.
 
     The checks are queued on ``checks`` in one order per scenario: the table
     checks, then for each kind f, the mh mass, eps(X), Delta X, Delta Y,
@@ -148,30 +143,39 @@ def _statistics(rho, slides, n: np.ndarray, kinds, checks: list[Check],
     if p is None:
         p = joint_tables(rho, slides, n, checks)
     mats = rho.matrix[None] if isinstance(rho, DensityMatrix) else rho
+
+    def per_scenario(values: np.ndarray) -> np.ndarray:
+        # the [1] values of a shared state or slide, at each of the N indices
+        return values if len(values) == size else np.broadcast_to(values, (size,))
+
     spread_checks: list[Check] = []
     y_est_checks: list[Check] = []
-    eps_b, delta_a, delta_b, delta_b_est, c = (np.broadcast_to(val, (size,)) for val in (
-        y_inaccuracies(slides), spreads(_X1, mats, spread_checks),
-        spreads(_Y1, mats, spread_checks), y_spreads(p, y_est_checks),
-        commutator_bounds(_X1, _Y1, mats)))
+    delta_a, delta_b, c = map(per_scenario, xy_statistics(mats, spread_checks))
+    eps_b = per_scenario(y_inaccuracies(slides))
+    delta_b_est = y_spreads(p, y_est_checks)
     # a shared state's flags are set at every index or at none, so run_checks
     # fires them at index 0, the one index their [1] values have
-    spread_checks = [(np.broadcast_to(bad, (size,)), fire) for bad, fire in spread_checks]
+    spread_checks = [(per_scenario(bad), fire) for bad, fire in spread_checks]
     mh = mh_tables(p, slides)
     mass_checks = quasi_mass_checks(mh.reshape(-1, 4).sum(axis=1), atol)
-    stats = {"p": p, "mh": mh, "eps_y": eps_b, "delta_x": delta_a, "delta_y": delta_b,
-             "delta_y_est": delta_b_est, "c": c}
-    for kind in kinds:
-        f = np.tile(SIGNS, (size, 1)) if kind == "simple" else optimal_values(rho, n, checks)
-        checks += mass_checks
-        eps_a = x_inaccuracies(mh, f, checks)
-        checks += spread_checks
-        delta_a_est = estimate_spreads(p, f, checks)
-        checks += y_est_checks
-        stats[kind] = {"f": f, "eps_x": eps_a, "delta_x_est": delta_a_est,
-                       "lhs": relation_lhs(eps_a, eps_b, delta_a, delta_b,
-                                           delta_a_est, delta_b_est)}
-    return stats
+    # each kind's checks, queued in the order of a pass over that kind alone
+    queues: list[list[Check]] = [[] for _ in kinds]
+    f = np.empty((size, len(kinds), 2))
+    for k, (kind, queue) in enumerate(zip(kinds, queues)):
+        f[:, k] = SIGNS if kind == "simple" else optimal_values(rho, n, queue)
+    for queue in queues:
+        queue += mass_checks
+    eps_a = x_inaccuracies(mh, f, queues)
+    for queue in queues:
+        queue += spread_checks
+    delta_a_est = estimate_spreads(p, f, queues)
+    for queue in queues:
+        checks += queue + y_est_checks
+    return {"p": p, "mh": mh, "eps_y": eps_b, "delta_x": delta_a, "delta_y": delta_b,
+            "delta_y_est": delta_b_est, "c": c, "f": f, "eps_x": eps_a,
+            "delta_x_est": delta_a_est,
+            "lhs": relation_lhs(eps_a, eps_b[:, None], delta_a[:, None], delta_b[:, None],
+                                delta_a_est, delta_b_est[:, None])}
 
 
 def _scenario_results(rho: DensityMatrix, kinds, *,
@@ -199,18 +203,17 @@ def _scenario_results(rho: DensityMatrix, kinds, *,
     eps_b, delta_a, delta_b, delta_b_est, c = (
         float(stats[key][0]) for key in ("eps_y", "delta_x", "delta_y", "delta_y_est", "c"))
     results = []
-    for kind in kinds:
-        eps_a, delta_a_est, *lhs = (
-            float(val[0]) for val in (stats[kind]["eps_x"], stats[kind]["delta_x_est"],
-                                      *stats[kind]["lhs"]))
-        est = Estimator(dict(zip(OUTCOMES, stats[kind]["f"][0].tolist())), kind=kind)
+    for kind, f, eps_a, delta_a_est, *lhs in zip(
+            kinds, *(stats[key][0].tolist() for key in ("f", "eps_x", "delta_x_est")),
+            *(val[0].tolist() for val in stats["lhs"])):
         report = RelationReport(
             eps_a, eps_b, delta_a, delta_b, delta_a_est, delta_b_est, c, *lhs,
             scenario={"source": dist.provenance, "estimator": kind,
                       "theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
                       "r_h": slide.r_h, "r_v": slide.r_v, **(scenario_info or {})})
         results.append(SimulationResult(
-            report=report, distribution=dist, estimator=est,
+            report=report, distribution=dist,
+            estimator=Estimator(dict(zip(OUTCOMES, f)), kind=kind),
             dispersion=DispersionCheck(eps_a ** 2, delta_a_est ** 2, delta_a ** 2)))
     return results
 
@@ -247,13 +250,14 @@ def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
     template = {"phi_deg": None, "theta_deg": float(theta_deg), "c": c, "bound": c / 2.0,
                 **{key: float(stats[key][0]) for key in ("delta_x", "delta_y", "eps_y")}}
     columns = {"phi_deg": phis, "delta_y_est": stats["delta_y_est"]}
-    for kind in estimators:
-        eps_a, d_est = stats[kind]["eps_x"], stats[kind]["delta_x_est"]
+    eps_a, d_est = stats["eps_x"], stats["delta_x_est"]
+    rss = np.sqrt(eps_a ** 2 + d_est ** 2)
+    for k, kind in enumerate(estimators):
         columns.update({
-            f"eps_x_{kind}": eps_a, f"delta_x_est_{kind}": d_est,
-            f"dispersion_rss_{kind}": np.sqrt(eps_a ** 2 + d_est ** 2),
-            **{f"lhs_{name}_{kind}": val
-               for name, val in zip(RELATION_NAMES, stats[kind]["lhs"])}})
+            f"eps_x_{kind}": eps_a[:, k], f"delta_x_est_{kind}": d_est[:, k],
+            f"dispersion_rss_{kind}": rss[:, k],
+            **{f"lhs_{name}_{kind}": val[:, k]
+               for name, val in zip(RELATION_NAMES, stats["lhs"])}})
     template.update(dict.fromkeys(columns))
     rows = [template.copy() for _ in range(phis.size)]
     for row, values in zip(rows, np.column_stack(list(columns.values())).tolist()):
@@ -453,29 +457,27 @@ def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
     slides = slide_arrays(refl[:, 0], refl[:, 1])
     n = bloch_vectors(angles[:, 0], angles[:, 1])
     stats = _statistics(rho, slides, n, ESTIMATOR_KINDS, checks)
-    opt, delta_a = stats["optimal"], stats["delta_x"]
+    opt = ESTIMATOR_KINDS.index("optimal")
+    eps_opt, delta_a = stats["eps_x"][:, opt], stats["delta_x"]
 
     out: dict[str, np.ndarray] = {
-        "margins": np.stack([np.stack(stats[kind]["lhs"], axis=1) for kind in ESTIMATOR_KINDS],
-                            axis=1) - (stats["c"] / 2.0)[:, None, None],  # [N, kind, relation]
-        "dispersion": np.abs(opt["eps_x"] ** 2 + opt["delta_x_est"] ** 2 - delta_a ** 2)}
+        # [N, kind, relation]
+        "margins": np.stack(stats["lhs"], axis=-1) - (stats["c"] / 2.0)[:, None, None],
+        "dispersion": np.abs(eps_opt ** 2 + stats["delta_x_est"][:, opt] ** 2 - delta_a ** 2)}
     new_le_hall, new_le_ozawa, in_domain, gap = strength_orderings(
-        opt["eps_x"], stats["eps_y"], delta_a, stats["delta_y"], *opt["lhs"][1:], checks)
+        eps_opt, stats["eps_y"], delta_a, stats["delta_y"],
+        *(val[:, opt] for val in stats["lhs"][1:]), checks)
     ordered = new_le_hall & new_le_ozawa
     out["ordering_violated"] = ~ordered
     out["gap"] = gap[ordered & in_domain]
 
     w_projs = w_projectors(n)
-    mh_direct, eps_direct = direct_moments(
-        rho, w_projs, np.stack([stats[kind]["f"] for kind in ESTIMATOR_KINDS], axis=1),
-        checks)
-    out["oracle"] = np.maximum(
-        np.abs(stats["mh"] - mh_direct).max(axis=(1, 2)),
-        np.abs(np.stack([stats[kind]["eps_x"] for kind in ESTIMATOR_KINDS], axis=1)
-               - eps_direct).max(axis=1))
+    mh_direct, eps_direct = direct_moments(rho, w_projs, stats["f"], checks)
+    out["oracle"] = np.maximum(np.abs(stats["mh"] - mh_direct).max(axis=(1, 2)),
+                               np.abs(stats["eps_x"] - eps_direct).max(axis=1))
 
     chains = dilated_chains(rho, slides, w_projs,
-                            np.where(np.isnan(custom), opt["f"], custom), checks)
+                            np.where(np.isnan(custom), stats["f"][:, opt], custom), checks)
     run_checks(checks)
     out["chain_min_slack"] = chains.min_slack
     out["chain_broken"] = ~chains.holds

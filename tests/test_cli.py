@@ -151,6 +151,29 @@ def test_analyze_bundled_measured_table(tmp_path, capsys):
     assert payload["satisfied"]["hall"] is True
 
 
+@pytest.mark.parametrize("mode", ["simulate", "analyze"])
+def test_files_with_a_byte_order_mark_read_like_the_originals(tmp_path, mode):
+    """Spreadsheet programs save CSV as UTF-8 with a leading byte-order mark;
+    such copies of the bundled table and state give the originals' reports,
+    byte for byte."""
+    files = {}
+    for name in ("measured_phi180.csv", "tomographic_state.csv"):
+        text = measured_table(name)
+        files[name] = [tmp_path / name, tmp_path / f"bom_{name}"]
+        files[name][0].write_text(text, encoding="utf-8")
+        files[name][1].write_text(text, encoding="utf-8-sig")
+        assert files[name][1].read_bytes() == b"\xef\xbb\xbf" + files[name][0].read_bytes()
+    reports = []
+    for k in (0, 1):
+        out = tmp_path / f"report{k}.json"
+        state = ["--state-file", str(files["tomographic_state.csv"][k])]
+        argv = (["simulate", *state] if mode == "simulate"
+                else ["analyze", "--dist-file", str(files["measured_phi180.csv"][k]), *state])
+        assert main(argv + ["--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_analyze_four_column_table(tmp_path, capsys):
     """The documented ``m,y,w,p`` header works like the 5-column one."""
     text = measured_table("measured_phi180.csv")

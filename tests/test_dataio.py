@@ -1,6 +1,8 @@
 """CSV parsing/serialisation for outcome tables, states and reports."""
 
+import json
 import math
+import random
 from importlib import resources
 
 import numpy as np
@@ -277,3 +279,96 @@ def test_emit_report_csv_union_of_columns():
 def test_emit_report_unknown_format():
     with pytest.raises(ValueError, match="unknown output format"):
         emit_report({"a": 1.0}, "yaml")
+
+
+def _round12(value):
+    """The tree copy the json reports went through before they were written
+    in one pass: floats rounded to 12 significant digits, tuples as lists."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: _round12(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round12(v) for v in value]
+    return value
+
+
+def old_json_report(report) -> str:
+    """emit_report(report, "json") as json.dumps wrote it from that copy."""
+    rows = [report] if isinstance(report, dict) else [dict(row) for row in report]
+    payload = rows[0] if len(rows) == 1 else rows
+    return json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n"
+
+
+# floats where %g, repr and json spell numbers differently: non-finite and
+# signed zeros, integral values, the 1e12 and 1e16 switches to exponent form,
+# the 1e-4 switch, subnormals, and values whose 12th digit rounds up a decade
+SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -3.0, 2.0 ** 53,
+                  1e12, -1e12, 999999999999.4, 999999999999.5, 1e12 - 2.0 ** -27,
+                  1e16, 9999999999999998.0, 1e16 + 2.0, 1.5e15, 123456789012.0,
+                  1e-4, 1e-5, 0.000099999999999995, 5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, 0.1, 1 / 3, 0.9999999999995, 9.9999999999995)
+STRINGS = ("", "a", "eps_x_optimal", 'quote " and \\ backslash', "tab\tnew\nline\r",
+           "\x00\x1f\x7f", "é", "∞ ≥ c/2", "😀", "\ud800", "x" * 40)
+
+
+def random_float(rng: random.Random) -> float:
+    pick = rng.randrange(6)
+    if pick == 0:
+        return rng.choice(SPECIAL_FLOATS)
+    if pick == 1:  # integral
+        return float(rng.randrange(-10 ** 17, 10 ** 17) // 10 ** rng.randrange(17))
+    if pick == 2:  # within a few ulps of 1e12, 1e16 or 1e-4
+        value = rng.choice((1e12, 1e16, 1e-4))
+        for _ in range(rng.randrange(-4, 5)):
+            value = math.nextafter(value, math.inf)
+        return rng.choice((value, -value))
+    if pick == 3:  # subnormal
+        return rng.uniform(-1.0, 1.0) * 2.0 ** -1022 * 2.0 ** -rng.randrange(52)
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 308.0)
+
+
+def random_value(rng: random.Random, depth: int):
+    pick = rng.randrange(12 if depth < 3 else 8)
+    if pick <= 2:
+        return random_float(rng)
+    if pick == 3:
+        return np.float64(random_float(rng))
+    if pick == 4:
+        return rng.randrange(-10 ** 18, 10 ** 18) * 10 ** rng.randrange(3)
+    if pick == 5:
+        return rng.choice((True, False, None))
+    if pick in (6, 7):
+        return rng.choice(STRINGS)
+    items = [random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if pick == 8:
+        return items
+    if pick == 9:
+        return tuple(items)
+    return random_report(rng, depth + 1)
+
+
+def random_key(rng: random.Random, numeric: bool):
+    """A string key, or one of the numbers and bools json also takes as keys
+    (sortable among each other, unlike strings and None)."""
+    if not numeric:
+        return rng.choice(STRINGS) + str(rng.randrange(100))
+    return rng.choice((rng.randrange(-10 ** 20, 10 ** 20), random_float(rng), True, False))
+
+
+def random_report(rng: random.Random, depth: int = 0) -> dict:
+    if depth and rng.random() < 0.05:
+        return {None: random_value(rng, depth)}
+    numeric = depth > 0 and rng.random() < 0.1
+    return {random_key(rng, numeric): random_value(rng, depth) for _ in range(rng.randrange(6))}
+
+
+def test_json_reports_match_the_rounded_tree_copy():
+    """emit_report writes json in one pass, rounding each float as it goes;
+    on 20 000 seeded random report dicts and lists it writes what json.dumps
+    wrote from the rounded tree copy, byte for byte."""
+    rng = random.Random(2024)
+    for case in range(20_000):
+        report = (random_report(rng) if case % 3 else
+                  [random_report(rng) for _ in range(rng.randrange(4))])
+        assert emit_report(report, "json") == old_json_report(report), report

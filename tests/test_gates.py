@@ -25,8 +25,10 @@ from jointmeas import (
     DimensionMismatchError,
     Estimator,
     HermitianOperator,
+    JointDistribution,
     NumericalCorruptionError,
     SemiweakSlide,
+    analyze_measured,
     direct_margenau_hill,
     dispersion_check,
     disturbed_observable,
@@ -40,16 +42,18 @@ from jointmeas import (
     reference_scenario,
     run_verification,
     simulate_scenario,
+    slide_model,
     spread,
     sweep_phi,
     tensor,
     verify_relation_chain,
 )
 from jointmeas import workflow
+from jointmeas.estimate import mh_tables
 from jointmeas.oracle import w_projectors
 from jointmeas.qcore import bloch_vectors
 from jointmeas.relations import MARGIN_TOL
-from jointmeas.scenario import joint_tables, slide_arrays
+from jointmeas.scenario import MIN_REFLECTIVITY_GAP, TRIPLES, joint_tables, slide_arrays
 from jointmeas.workflow import _draw_block, _state_matrices
 
 RHO, SLIDE, W = reference_scenario()
@@ -66,9 +70,25 @@ def skewed_mixed_state() -> DensityMatrix:
 
 
 # a hand-built slide 1e-9 from degenerate, below slide_model's 1e-6 guard:
-# its contextual values carry the table's rounding into the quasi-table mass
+# mh_tables refuses its contextual values, which would carry the table's
+# rounding into the quasi-table
 NEAR_DEGENERATE = SemiweakSlide(0.3, 0.3 + 1e-9)
+NEAR_DEGENERATE_ERROR = ("|r_h - r_v| = 1e-09 is below 1e-06: contextual values of order "
+                         "2.0e+09 would amplify rounding into the reconstructed X statistics")
 LARGE_X2 = HermitianOperator(1e3 * np.kron(np.eye(2), X.matrix))
+
+# A measured table of the reference state at the edge of its 0.01 mass
+# tolerance (its entries sum to 1.0099999999999998), under a slide at the
+# smallest gap slide_model accepts.  Rounding amplified by contextual values
+# of order 2e6 puts its quasi-table mass 2.4e-11 to 4.6e-11 above 1.01 in
+# each of six summation orders of the quasi-table, past the gate's 1e-12.
+EDGE_SLIDE = slide_model(0.5, 0.500001)
+EDGE_TABLE = JointDistribution(
+    dict(zip(TRIPLES, (0.0946873506446306, 0.15781239685536932, 0.03156241376966212,
+                       0.2209373337303378, 0.09468764935533786, 0.15781260314466214,
+                       0.031562586230369366, 0.2209376662696306))),
+    provenance="measured",
+    metadata={"r_h": 0.5, "r_v": 0.500001, "theta_deg": 45.0, "phi_deg": 330.0})
 
 EDGE_GATES = {
     "density matrix not Hermitian": (
@@ -91,13 +111,26 @@ EDGE_GATES = {
         ValueError, "dilation completion is not unitary"),
     "counts quasi-table of a near-degenerate slide": (
         lambda: mh_from_counts(joint_distribution(RHO, NEAR_DEGENERATE, W), NEAR_DEGENERATE),
-        ValueError, "quasi-probabilities sum to 1.000000, not 1"),
+        DegenerateMeasurementError, NEAR_DEGENERATE_ERROR),
     "simulated quasi-table of a near-degenerate slide": (
         lambda: simulate_scenario(RHO, NEAR_DEGENERATE, W),
-        ValueError, "quasi-probabilities sum to 1.000000, not 1"),
+        DegenerateMeasurementError, NEAR_DEGENERATE_ERROR),
     "swept quasi-table of a near-degenerate slide": (
         lambda: sweep_phi(RHO, NEAR_DEGENERATE, [180.0]),
-        ValueError, "quasi-probabilities sum to 1.000000, not 1"),
+        DegenerateMeasurementError, NEAR_DEGENERATE_ERROR),
+    # 1e-12 from degenerate, the statistics were rounding: eps(X) came out
+    # as 0.70721282, where it is 1/sqrt(2)
+    "simulated quasi-table of a slide 1e-12 from degenerate": (
+        lambda: simulate_scenario(RHO, SemiweakSlide(0.3, 0.3 + 1e-12), W),
+        DegenerateMeasurementError,
+        "|r_h - r_v| = 1e-12 is below 1e-06: contextual values of order 2.0e+12 would "
+        "amplify rounding into the reconstructed X statistics"),
+    "counts quasi-table at the edge of the mass tolerance": (
+        lambda: mh_from_counts(EDGE_TABLE, EDGE_SLIDE),
+        ValueError, "quasi-probabilities sum to 1.010000, not 1"),
+    "analysed quasi-table at the edge of the mass tolerance": (
+        lambda: analyze_measured(EDGE_TABLE, RHO),
+        ValueError, "quasi-probabilities sum to 1.010000, not 1"),
     "contextual values of an equal-reflectivity slide": (
         lambda: mh_from_counts(joint_distribution(RHO, SLIDE, W),
                                SemiweakSlide.polarisation_independent(0.3)),
@@ -160,6 +193,28 @@ def test_bloch_directions_square_to_the_identity():
         w_ops = projs[:, 0] - projs[:, 1]
         worst = max(worst, float(np.abs(w_ops @ w_ops - np.eye(2)).max()))
     assert worst <= 1e-13
+
+
+def test_the_gap_read_from_contextual_values_passes_every_slide_slide_model_accepts():
+    """mh_tables reads |r_h - r_v| back as 2/|xi_r - xi_t|.  At the
+    smallest gap slide_model accepts, in either order and down to
+    reflectivities of 1e-12 or up to 1 - 1e-12, that reading never falls
+    below MIN_REFLECTIVITY_GAP, so the gate refuses no slide slide_model
+    builds; a hand-built slide a relative 1e-9 inside the gap is refused."""
+    rng = np.random.default_rng(31)
+    base = np.concatenate([rng.uniform(0.0, 1.0 - 2e-6, 20_000),
+                           10.0 ** rng.uniform(-12.0, -5.0, 10_000), [0.0]])
+    for r_h, upward in ((base, 1.0), (1.0 - base, -1.0)):
+        r_v = r_h + upward * MIN_REFLECTIVITY_GAP
+        while (short := np.abs(r_v - r_h) < MIN_REFLECTIVITY_GAP).any():
+            r_v = np.where(short, np.nextafter(r_v, 2.0 * upward), r_v)
+        slides = slide_arrays(r_h, r_v)
+        mh_tables(np.full((len(r_h), 2, 2, 2), 0.125), slides)
+        for i in rng.choice(len(r_h), 20, replace=False).tolist():
+            slide_model(float(r_h[i]), float(r_v[i]))
+    with pytest.raises(DegenerateMeasurementError, match="is below 1e-06"):
+        mh_tables(np.full((1, 2, 2, 2), 0.125),
+                  SemiweakSlide(0.3, 0.3 + MIN_REFLECTIVITY_GAP * (1.0 - 1e-9)))
 
 
 def test_simulated_tables_are_finite_with_unit_mass():

@@ -2,8 +2,8 @@
 
 The reports are part of the package's contract: for fixed inputs they must
 match these files exactly, at the 12 significant digits they print.  The
-files were written by the same ``cli.main`` invocations; the 3600-angle
-sweep is stored gzip-compressed.  The ``verify``
+files were written by the same ``cli.main`` invocations; each mode's report
+is pinned in both formats; the 3600-angle sweep is stored gzip-compressed.  The ``verify``
 reports (300 trials at seed 7, and the default 10 000 trials at seed 42)
 are pinned field by field: their counts, flags and margins exactly, their
 rounding-noise residuals to 1e-12.
@@ -27,6 +27,10 @@ MEASURED = resources.files("jointmeas.data").joinpath("measured_phi180.csv")
                               "--format", "json"]),
     ("golden_analyze.json", ["analyze", "--dist-file", "{measured}", "--format", "json"]),
     ("golden_sweep.csv", ["sweep", "--gamma", "22.5", "--format", "csv"]),
+    ("golden_simulate.csv", ["simulate", "--gamma", "22.5", "--phi", "180",
+                             "--format", "csv"]),
+    ("golden_analyze.csv", ["analyze", "--dist-file", "{measured}", "--format", "csv"]),
+    ("golden_sweep.json", ["sweep", "--gamma", "22.5", "--format", "json"]),
 ])
 def test_cli_report_matches_golden(tmp_path, golden, args):
     out = tmp_path / golden
@@ -34,7 +38,6 @@ def test_cli_report_matches_golden(tmp_path, golden, args):
         argv = [arg.format(measured=measured) for arg in args]
         assert main(argv + ["--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == (DATA / golden).read_text(encoding="utf-8")
-
 
 
 def test_dense_sweep_matches_golden(tmp_path):

@@ -30,6 +30,7 @@ from jointmeas import (
 from jointmeas.estimate import optimal_values
 from jointmeas.qcore import bloch_vectors, failing, run_checks
 from jointmeas.scenario import joint_tables
+from jointmeas.workflow import _scenario_results
 
 TOL = 1e-12
 PHIS = np.arange(90.0, 271.0, 15.0)
@@ -168,6 +169,19 @@ def test_sweep_unknown_estimator_kind():
     rho, slide, _ = reference_scenario()
     with pytest.raises(ValueError, match="unknown estimator kind 'best'"):
         sweep_phi(rho, slide, [180.0], estimators=("simple", "best"))
+
+
+def test_any_tuple_of_kinds_gets_one_kinds_axis():
+    """The statistics pass stacks the kinds asked for on one axis: none give
+    the common sweep columns alone and no report, and a repeated kind
+    repeats its values."""
+    rho, slide, w = reference_scenario()
+    rows = sweep_phi(rho, slide, [0.0, 90.0], estimators=())
+    assert [list(row) for row in rows] == [list(COMMON_COLUMNS)] * 2
+    assert _scenario_results(rho, (), slide=slide, w=w) == []
+    first, second = _scenario_results(rho, ("optimal", "optimal"), slide=slide, w=w)
+    assert first.report == second.report
+    assert first.estimator == second.estimator
 
 
 def test_run_checks_fires_in_loop_order():

@@ -29,8 +29,10 @@ from jointmeas.qcore import (
     as_complex_matrix,
     bloch_vectors,
     commutator_bounds,
+    spreads,
+    xy_statistics,
 )
-from jointmeas.scenario import TRIPLES
+from jointmeas.scenario import TRIPLES, epr_state
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -173,6 +175,51 @@ def test_commutator_bound_reads_off_z():
     states = np.stack([np.diag([1.0, 0.0]), np.eye(2) / 2, np.diag([0.25, 0.75])])
     assert commutator_bounds(pauli("X"), pauli("Y"), states) == pytest.approx(
         [2.0, 0.0, 1.0], abs=1e-12)
+
+
+def fired(check, i):
+    """The message check ``(bad, fire)`` raises at index ``i``."""
+    with pytest.raises(ArithmeticError) as err:
+        check[1](i)
+    return str(err.value)
+
+
+def test_xy_statistics_equal_the_operator_products_bit_for_bit():
+    """Delta X, Delta Y and c read off the state's entries equal the
+    spreads of X (x) 1 and Y (x) 1 and |<[X (x) 1, Y (x) 1]>| that the
+    GEMM and trace path forms, bit for bit, and queue the same checks.
+    The states: G G^dag / tr as verify draws them, rank-1 ones, ones with
+    imaginary parts of 1e-13 on the diagonal (a DensityMatrix allows 1e-12),
+    the source states, and perturbations that push <X (x) 1> or <Y (x) 1>
+    off the real axis or their variances below zero."""
+    x1, y1 = tensor(pauli("X"), pauli("I")), tensor(pauli("Y"), pauli("I"))
+    rng = np.random.default_rng(41)
+    g = rng.normal(size=(3000, 4, 4)) + 1j * rng.normal(size=(3000, 4, 4))
+    g[1000:2000, :, 1:] = 0.0  # rank 1
+    mats = g @ g.conj().swapaxes(-1, -2)
+    mats /= np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
+    diagonal = np.einsum("nii->ni", mats[2000:])
+    diagonal += 1e-13j * rng.uniform(-1.0, 1.0, diagonal.shape)
+    sources = [epr_state(gamma).matrix for gamma in np.linspace(0.0, np.pi, 13)]
+    skew = np.zeros((4, 4, 4), dtype=complex)
+    skew[0, 0, 2] = skew[0, 2, 0] = 1e-9j  # <X (x) 1> gains 2e-9 i
+    skew[1, 0, 2], skew[1, 2, 0] = 1e-9, -1e-9  # <Y (x) 1> gains 2e-9 i
+    skew[2, 0, 2] = skew[2, 2, 0] = 0.6  # <X (x) 1> beyond 1
+    skew[3, 0, 2], skew[3, 2, 0] = -0.6j, 0.6j  # <Y (x) 1> beyond 1
+    mats = np.concatenate([mats, sources, np.eye(4) / 4 + skew])
+    checks, want_checks = [], []
+    got = xy_statistics(mats, checks)
+    want = (spreads(x1, mats, want_checks), spreads(y1, mats, want_checks),
+            commutator_bounds(x1, y1, mats))
+    for got_values, want_values in zip(got, want):
+        assert np.array_equal(got_values, want_values)
+    assert len(checks) == len(want_checks) == 4
+    for check, want_check in zip(checks, want_checks):
+        assert np.array_equal(check[0], want_check[0])
+        assert [fired(check, i) for i in np.flatnonzero(check[0])] == \
+            [fired(want_check, i) for i in np.flatnonzero(want_check[0])]
+    assert [np.flatnonzero(bad).tolist() for bad, _ in checks] == [
+        [3013], [3015], [3014], [3016]]
 
 
 def test_fidelity():
