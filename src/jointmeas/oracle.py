@@ -22,13 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .estimate import quasi_mass_checks
-from .qcore import (
-    SIGMAS,
-    Check,
-    as_operator_array,
-    failing,
-    submit_checks,
-)
+from .qcore import SIGMAS, as_operator_array, run_checks
 
 
 def embed(op: np.ndarray, slots: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
@@ -91,13 +85,7 @@ def _roots(elements: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _far(a: np.ndarray, b: np.ndarray, atol: float) -> np.ndarray:
-    """Per matrix of a stack: does any entry of ``a`` differ from ``b`` by
-    more than ``atol``?"""
-    return (np.abs(a - b) > atol).any(axis=(-2, -1))
-
-
-def naimark_unitaries(povms, checks: list[Check] | None = None) -> np.ndarray:
+def naimark_unitaries(povms) -> np.ndarray:
     """Dilation unitaries ``[N, 4, 4]`` for N binary POVMs ``povms[N, i]`` on
     one qubit.
 
@@ -106,10 +94,9 @@ def naimark_unitaries(povms, checks: list[Check] | None = None) -> np.ndarray:
     i.e. ``[[M_0, -M_1], [M_1, M_0]]`` in ancilla blocks.  It maps
     ``|s>|0>`` to ``sum_i (M_i |s>) |i>``, so measuring the ancilla in its
     basis realises the POVM when the ancilla starts in ``|0>``, and it is
-    unitary because ``M_0`` and ``M_1 = sqrt(1 - E_0)`` commute.  The
-    elements must sum to the identity within 1e-10 and ``U^dag U`` must be
-    the identity within 1e-12, entry by entry; the checks go to ``checks``
-    when given, else they run here.
+    unitary because ``M_0`` and ``M_1 = sqrt(1 - E_0)`` commute.
+    Precondition, unchecked: the elements sum to the identity with spectra
+    in [0, 1], as the closed forms of ``scenario.povm_elements`` do.
     """
     elements = as_operator_array(povms)
     roots = _roots(elements)
@@ -118,21 +105,20 @@ def naimark_unitaries(povms, checks: list[Check] | None = None) -> np.ndarray:
     unitary[:, :, 0, :, 0] = unitary[:, :, 1, :, 1] = roots[:, 0]
     unitary[:, :, 1, :, 0] = roots[:, 1]
     unitary[:, :, 0, :, 1] = -roots[:, 1]
-    unitary = unitary.reshape(-1, 4, 4)
-    gram = unitary.conj().swapaxes(-1, -2) @ unitary
-    submit_checks(checks, [
-        (_far(elements[:, 0] + elements[:, 1], _EYE2, 1e-10),
-         failing(ValueError, lambda i: "POVM elements must sum to the identity")),
-        (_far(gram, np.eye(4), 1e-12),
-         failing(ValueError, lambda i: "dilation completion is not unitary")),
-    ])
-    return unitary
+    return unitary.reshape(-1, 4, 4)
 
 
 def naimark_unitary(povm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Dilation unitary for a binary POVM on one qubit
-    (:func:`naimark_unitaries` for one POVM)."""
-    return naimark_unitaries(np.asarray(povm, dtype=complex)[None])[0]
+    (:func:`naimark_unitaries` for one POVM).  The elements must sum to the
+    identity within 1e-10, and ``U^dag U`` be the identity within 1e-12."""
+    elements = np.asarray(povm, dtype=complex)
+    unitary = naimark_unitaries(elements[None])[0]
+    if (np.abs(elements[0] + elements[1] - _EYE2) > 1e-10).any():
+        raise ValueError("POVM elements must sum to the identity")
+    if (np.abs(unitary.conj().T @ unitary - np.eye(4)) > 1e-12).any():
+        raise ValueError("dilation completion is not unitary")
+    return unitary
 
 
 def w_projectors(n: np.ndarray) -> np.ndarray:
@@ -150,8 +136,8 @@ def _estimates(f: np.ndarray, w_projs: np.ndarray) -> np.ndarray:
             + f[..., 1, None, None] * w_projs[..., 1, :, :])
 
 
-def direct_moments(rho: np.ndarray, w_projs: np.ndarray, f: np.ndarray,
-                   checks: list[Check] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def direct_moments(rho: np.ndarray, w_projs: np.ndarray,
+                   f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Direct operator moments of N two-qubit scenarios.
 
     For states ``rho[N, 4, 4]``, analyser projectors ``w_projs[N, w]``
@@ -159,8 +145,7 @@ def direct_moments(rho: np.ndarray, w_projs: np.ndarray, f: np.ndarray,
     W outcome, returns the Margenau-Hill quasi-tables
     ``<{X_x (x) 1, 1 (x) W_w}>/2`` ``[N, x, w]`` and the RMS inaccuracies
     ``sqrt(<(X (x) 1 - 1 (x) f_k(W))^2>)`` ``[N, K]``, all from traces.
-    Each quasi-table must sum to 1 within 1e-9; the checks go to ``checks``
-    when given, else they run here.
+    Precondition, unchecked: each state has unit trace, the quasi-table's mass.
     """
     w_projs = w_projs[:, None]
     # Tr(rho op) = sum_ab conj(rho^dag[b, a]) op[b, a], a dot product
@@ -169,7 +154,6 @@ def direct_moments(rho: np.ndarray, w_projs: np.ndarray, f: np.ndarray,
     # (X_x (x) 1)(1 (x) W_w) = X_x (x) W_w
     products = _kron(_X_PROJS[:, None], w_projs).reshape(len(rho), 2, 2, 16)
     mh = np.vecdot(rho_dag[:, None], products).real
-    submit_checks(checks, quasi_mass_checks(mh.sum(axis=(1, 2)), 1e-9))
     diff = _X1 - _kron(_EYE2, _estimates(f, w_projs))
     second = np.vecdot(rho_dag, (diff @ diff).reshape(*diff.shape[:-2], 16)).real
     return mh, np.sqrt(np.maximum(second, 0.0))
@@ -178,14 +162,15 @@ def direct_moments(rho: np.ndarray, w_projs: np.ndarray, f: np.ndarray,
 def direct_margenau_hill(rho, w) -> np.ndarray:
     """Margenau-Hill quasi-table ``<{X_x (x) 1, 1 (x) W_w}>/2`` ``[x, w]`` of
     one two-qubit state and analyser direction (:func:`direct_moments` for
-    one scenario and no estimates)."""
+    one scenario and no estimates), which must sum to 1 within 1e-9."""
     mh, _ = direct_moments(as_operator_array(rho)[None], w_projectors(w.vector[None]),
                            np.zeros((1, 0, 2)))
+    run_checks(quasi_mass_checks(mh.sum(axis=(1, 2)), 1e-9))
     return mh[0]
 
 
 def dilated_operators(rho: np.ndarray, povms: np.ndarray, w_projs: np.ndarray,
-                      f: np.ndarray, checks: list[Check] | None = None):
+                      f: np.ndarray):
     """Commuting projective estimators on (q1, q2, ancilla) for N scenarios.
 
     For states ``rho[N, 4, 4]``, the Y POVMs ``povms[N, y]`` behind the
@@ -199,11 +184,10 @@ def dilated_operators(rho: np.ndarray, povms: np.ndarray, w_projs: np.ndarray,
     The Y estimate is the ancilla's Z read back through the dilation
     unitary, ``U^dag (1 (x) Z) U``, one product per scenario.  The dilated
     family it comes from, ``U^dag (1 (x) |i><i|) U``, sums to ``U^dag U``,
-    which :func:`naimark_unitaries` gates at the identity.  The checks go to
-    ``checks`` when given, else they run here.
+    so the POVMs must meet the precondition of :func:`naimark_unitaries`.
     """
     size = len(rho)
-    unitary = naimark_unitaries(povms, checks)
+    unitary = naimark_unitaries(povms)
     y_local = unitary.conj().swapaxes(-1, -2) @ (_ANC_SIGNS[:, None] * unitary)
     # (q1, q2, ancilla) axes of rows and columns: the state is rho (x) |0><0|,
     # x_est is 1 (x) f(W) (x) 1 and y_est is y_local with the identity on q2

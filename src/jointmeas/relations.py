@@ -35,6 +35,7 @@ from .qcore import (
     Check,
     as_operator_array,
     failing,
+    run_checks,
     submit_checks,
 )
 
@@ -124,24 +125,38 @@ def evaluate_relations(eps_a: float, eps_b: float, delta_a: float, delta_b: floa
         scenario=dict(scenario or {}))
 
 
-def gap_weights(x: np.ndarray, checks: list[Check] | None = None) -> np.ndarray:
+def _gap_weight(x: np.ndarray) -> np.ndarray:
+    """``h(x) = (sqrt(1 - x^2) - (1 - x)) / 2`` for an array of ``x`` in [0, 1]."""
+    return 0.5 * (np.sqrt(1.0 - x * x) - (1.0 - x))
+
+
+def gap_weights(x: np.ndarray) -> np.ndarray:
     """``h(x) = (sqrt(1 - x^2) - (1 - x)) / 2`` on [0, 1] for an array of
     ``x``; h(0) = h(1) = 0.
 
     This is the weight by which the Hall left-hand side exceeds the
     averaged-spread one when both estimates are dispersion-optimal
-    (``Delta_est^2 = Delta^2 - eps^2``).  An ``x`` outside [0, 1 + 1e-12]
-    raises ValueError (checks go to ``checks`` when given, else run here).
+    (``Delta_est^2 = Delta^2 - eps^2``).  The first ``x`` outside
+    [0, 1 + 1e-12] raises ValueError.
     """
-    submit_checks(checks, [(~((0.0 <= x) & (x <= 1.0 + 1e-12)), failing(
+    run_checks([(~((0.0 <= x) & (x <= 1.0 + 1e-12)), failing(
         ValueError, lambda i: f"gap weight defined on [0, 1], got {float(x[i])}"))])
-    # a new name, so that a queued check's message reads the unclamped x
-    clamped = np.minimum(x, 1.0)
-    return 0.5 * (np.sqrt(1.0 - clamped * clamped) - (1.0 - clamped))
+    return _gap_weight(np.minimum(x, 1.0))
 
 
-def strength_orderings(eps_a, eps_b, delta_a, delta_b, lhs_hall, lhs_ozawa, lhs_new,
-                       checks: list[Check] | None = None):
+def _gap_ratios(eps_a, eps_b, delta_a, delta_b):
+    """``in_domain`` and the ratios ``eps_b / delta_b``, ``eps_a / delta_a`` the
+    gap weights read: 0 outside the domain, clamped to 1 inside it."""
+    in_domain = (eps_a <= delta_a + 1e-12) & (eps_b <= delta_b + 1e-12)
+
+    def ratio(num, den):
+        x = np.divide(num, den, out=np.zeros_like(num), where=in_domain & (den > 0.0))
+        return np.minimum(x, 1.0)
+
+    return in_domain, ratio(eps_b, delta_b), ratio(eps_a, delta_a)
+
+
+def strength_orderings(eps_a, eps_b, delta_a, delta_b, lhs_hall, lhs_ozawa, lhs_new):
     """The strength ordering of N scenarios from arrays of their relation
     inputs and left-hand sides.
 
@@ -149,23 +164,15 @@ def strength_orderings(eps_a, eps_b, delta_a, delta_b, lhs_hall, lhs_ozawa, lhs_
     inaccuracies within their intrinsic spreads, the closed form's domain)
     and ``gap_residual``: the Hall-minus-new gap under dispersion-optimal
     spreads against its closed form, meaningful where ``in_domain``.
+    Precondition, unchecked: the inputs are non-negative, as statistics are.
     """
     new_le_hall = lhs_new <= lhs_hall + MARGIN_TOL
     new_le_ozawa = lhs_new <= lhs_ozawa + MARGIN_TOL
-    in_domain = (eps_a <= delta_a + 1e-12) & (eps_b <= delta_b + 1e-12)
+    in_domain, x_beta, x_alpha = _gap_ratios(eps_a, eps_b, delta_a, delta_b)
     da_opt = np.sqrt(np.maximum(delta_a ** 2 - eps_a ** 2, 0.0))
     db_opt = np.sqrt(np.maximum(delta_b ** 2 - eps_b ** 2, 0.0))
     _, hall_opt, _, new_opt = relation_lhs(eps_a, eps_b, delta_a, delta_b, da_opt, db_opt)
-
-    def ratio(num, den):
-        # outside the domain the weights are not used, so their x is 0; inside
-        # it, num may exceed den by 1e-12, which gap_weights evaluates as 1
-        x = np.divide(num, den, out=np.zeros_like(num), where=in_domain & (den > 0.0))
-        return np.minimum(x, 1.0)
-
-    h_beta = gap_weights(ratio(eps_b, delta_b), checks)
-    h_alpha = gap_weights(ratio(eps_a, delta_a), checks)
-    closed_form = eps_a * delta_b * h_beta + delta_a * eps_b * h_alpha
+    closed_form = eps_a * delta_b * _gap_weight(x_beta) + delta_a * eps_b * _gap_weight(x_alpha)
     gap_residual = np.abs((hall_opt - new_opt) - closed_form)
     return new_le_hall, new_le_ozawa, in_domain, gap_residual
 
@@ -201,10 +208,13 @@ def strength_comparison(report: RelationReport,
     """
     kind = estimator_kind or report.scenario.get("estimator", "custom")
     applicable = kind == "optimal"
-    new_le_hall, new_le_ozawa, in_domain, gap_residual = strength_orderings(
-        *(np.array([v], dtype=float) for v in (
-            report.eps_a, report.eps_b, report.delta_a, report.delta_b,
-            report.lhs_hall, report.lhs_ozawa, report.lhs_new)))
+    inputs = [np.array([v], dtype=float) for v in (
+        report.eps_a, report.eps_b, report.delta_a, report.delta_b,
+        report.lhs_hall, report.lhs_ozawa, report.lhs_new)]
+    # a report built by hand may give ratios outside the weights' domain
+    for x in _gap_ratios(*inputs[:4])[1:]:
+        gap_weights(x)
+    new_le_hall, new_le_ozawa, in_domain, gap_residual = strength_orderings(*inputs)
     ordering = StrengthOrdering(
         applicable=applicable, new_le_hall=bool(new_le_hall[0]),
         new_le_ozawa=bool(new_le_ozawa[0]),
@@ -320,7 +330,6 @@ def relation_chains(a_est, b_est, a, b, rho,
     if len(dims) != 1:
         raise ValueError(f"operators live on different spaces: dims {sorted(dims)}")
     dim = dims.pop()
-    eye = np.eye(dim)
     # Tr(rho op) = sum_ab rho[a, b] op[b, a] = sum_ba conj(rho^dag[b, a]) op[b, a]
     rho_dag = rho_m.conj().swapaxes(-1, -2).reshape(*rho_m.shape[:-2], dim * dim)
 
@@ -347,7 +356,12 @@ def relation_chains(a_est, b_est, a, b, rho,
         return np.sqrt(np.maximum(ev(_product(op, op)).real, 0.0))
 
     def centred_rms(op):
-        return rms(op - ev(op).real[..., None, None] * eye)
+        # op - m 1: the off-diagonal entries would lose exactly 0
+        m = ev(op).real
+        centred = np.empty((*m.shape, dim, dim), dtype=complex)
+        centred[...] = op
+        centred.reshape(*m.shape, dim * dim)[..., ::dim + 1] -= m[..., None]
+        return rms(centred)
 
     tr_rho = np.trace(rho_m, axis1=-2, axis2=-1)
 

@@ -325,7 +325,7 @@ def dilated_chains(rho: np.ndarray, slide, w_projs: np.ndarray, f: np.ndarray,
     estimates ``f[N, w]`` -- and check every link of the averaged-spread
     derivation on them; the chain's fields are arrays ``[N]``.  The checks
     go to ``checks`` when given, else they run here."""
-    ops = dilated_operators(rho, povm_elements(slide), w_projs, f, checks)
+    ops = dilated_operators(rho, povm_elements(slide), w_projs, f)
     return relation_chains(*ops, checks=checks)
 
 
@@ -430,13 +430,14 @@ def _draw_block(rng: np.random.Generator, first: int, count: int):
     and ``uniform(-2, 2, size=2)`` called in turn on the same stream.
     """
     normals = np.empty((count, 2, 4, 4))
+    standard_normal, random = rng.standard_normal, rng.random
+    low, span = _REFLECTIVITIES[0], _REFLECTIVITIES[1] - _REFLECTIVITIES[0]
     rows = []
     for k in range(count):
-        rng.standard_normal(out=normals[k])
-        u = rng.random(6 if (first + k) % 2 else 4).tolist()
-        while (abs(_scaled(u[0], _REFLECTIVITIES) - _scaled(u[1], _REFLECTIVITIES))
-               < _MIN_REFLECTIVITY_SPLIT):
-            u = u[2:] + rng.random(2).tolist()
+        standard_normal(out=normals[k])
+        u = random(6 if (first + k) & 1 else 4).tolist()
+        while abs((low + span * u[0]) - (low + span * u[1])) < _MIN_REFLECTIVITY_SPLIT:
+            u = u[2:] + random(2).tolist()
         rows.append(u if len(u) == 6 else u + [math.nan, math.nan])
     uniforms = np.array(rows).reshape(count, 6)
     theta = [math.acos(c) for c in _scaled(uniforms[:, 2], _COS_THETA).tolist()]
@@ -466,21 +467,21 @@ def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
         "dispersion": np.abs(eps_opt ** 2 + stats["delta_x_est"][:, opt] ** 2 - delta_a ** 2)}
     new_le_hall, new_le_ozawa, in_domain, gap = strength_orderings(
         eps_opt, stats["eps_y"], delta_a, stats["delta_y"],
-        *(val[:, opt] for val in stats["lhs"][1:]), checks)
+        *(val[:, opt] for val in stats["lhs"][1:]))
     ordered = new_le_hall & new_le_ozawa
     out["ordering_violated"] = ~ordered
     out["gap"] = gap[ordered & in_domain]
 
     w_projs = w_projectors(n)
-    mh_direct, eps_direct = direct_moments(rho, w_projs, stats["f"], checks)
+    mh_direct, eps_direct = direct_moments(rho, w_projs, stats["f"])
     out["oracle"] = np.maximum(np.abs(stats["mh"] - mh_direct).max(axis=(1, 2)),
                                np.abs(stats["eps_x"] - eps_direct).max(axis=1))
 
     chains = dilated_chains(rho, slides, w_projs,
                             np.where(np.isnan(custom), stats["f"][:, opt], custom), checks)
     run_checks(checks)
-    out["chain_min_slack"] = chains.min_slack
-    out["chain_broken"] = ~chains.holds
+    out["chain_min_slack"] = min_slack = chains.min_slack
+    out["chain_broken"] = ~(min_slack >= -MARGIN_TOL)
     out["y_inaccuracy"] = np.abs(chains.eps_b - stats["eps_y"])
     return out
 
@@ -505,11 +506,12 @@ def run_verification(trials: int = 10_000, seed: int = 42) -> VerificationResult
     compare the strength ordering plus its closed-form gap for the optimal
     estimate.
 
-    Trials run in array blocks: each block's raw numbers are drawn trial by
-    trial in the RNG order of a one-trial-at-a-time loop, so a seed gives
-    the same scenarios, and every check of the single-scenario path applies
-    to every trial, raising what the first offending trial raises alone.
-    A negative trial count raises ``ValueError``; zero trials give an empty
+    Trials run in array blocks, drawn trial by trial in the RNG order of a
+    one-trial-at-a-time loop, so a seed gives the same scenarios.  Every
+    trial gets the statistics checks and the chain's commutation gate,
+    raising what the first offending trial raises alone; the gates that
+    cannot fire on drawn scenarios live in the one-scenario views.  A
+    negative trial count raises ``ValueError``; zero trials give an empty
     run, which does not pass.
     """
     if trials < 0:

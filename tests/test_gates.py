@@ -7,7 +7,11 @@ fired.  The first part of this file fires, from public inputs, every gate
 that no other test reached, with the type and message a caller sees.  The
 second part states the invariants that made the deleted gates redundant:
 analyser directions are unit, simulated tables are finite with unit mass,
-and a chain is broken exactly when one of its slacks is.  That the first identity of
+and a chain is broken exactly when one of its slacks is.  It also states
+the invariants that keep the gates moved to the one-scenario views from
+firing on `verify`: the slides' POVMs are complete and their dilations
+unitary, drawn states give quasi-tables of unit mass, and the ratios the
+strength ordering weighs lie in [0, 1].  That the first identity of
 the derivation chain is off by exactly twice the commutator of the
 estimates is stated in `test_relations.py`.
 """
@@ -18,6 +22,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jointmeas import (
     DegenerateMeasurementError,
@@ -27,8 +33,10 @@ from jointmeas import (
     HermitianOperator,
     JointDistribution,
     NumericalCorruptionError,
+    RelationReport,
     SemiweakSlide,
     analyze_measured,
+    bundled_distribution,
     direct_margenau_hill,
     dispersion_check,
     disturbed_observable,
@@ -44,16 +52,23 @@ from jointmeas import (
     simulate_scenario,
     slide_model,
     spread,
+    strength_comparison,
     sweep_phi,
     tensor,
     verify_relation_chain,
 )
 from jointmeas import workflow
 from jointmeas.estimate import mh_tables
-from jointmeas.oracle import w_projectors
-from jointmeas.qcore import bloch_vectors
-from jointmeas.relations import MARGIN_TOL
-from jointmeas.scenario import MIN_REFLECTIVITY_GAP, TRIPLES, joint_tables, slide_arrays
+from jointmeas.oracle import direct_moments, naimark_unitaries, w_projectors
+from jointmeas.qcore import bloch_vectors, xy_statistics
+from jointmeas.relations import MARGIN_TOL, _gap_ratios, gap_weights
+from jointmeas.scenario import (
+    MIN_REFLECTIVITY_GAP,
+    TRIPLES,
+    joint_tables,
+    povm_elements,
+    slide_arrays,
+)
 from jointmeas.workflow import _draw_block, _state_matrices
 
 RHO, SLIDE, W = reference_scenario()
@@ -90,6 +105,19 @@ EDGE_TABLE = JointDistribution(
     provenance="measured",
     metadata={"r_h": 0.5, "r_v": 0.500001, "theta_deg": 45.0, "phi_deg": 330.0})
 
+
+def relaxed_floor_state() -> DensityMatrix:
+    """1/4 on the diagonal, i a at (0, 2) and i b at (1, 3), a = 1.3e6 and
+    b = 1.2e3, Hermitian but for 5e-13 i at (3, 1); a psd floor of 1e7
+    admits its eigenvalues near -a.  <X (x) 1> adds these entries in pairs,
+    and their rounding leaves it an imaginary part of one ulp of 1.3e6."""
+    a, b = 1319681.636282665, 1187.507715727785
+    mat = np.eye(4, dtype=complex) / 4
+    mat[0, 2], mat[2, 0] = 1j * a, -1j * a
+    mat[1, 3], mat[3, 1] = 1j * b, -1j * b + 5e-13j
+    return DensityMatrix(mat, psd_floor=1e7)
+
+
 EDGE_GATES = {
     "density matrix not Hermitian": (
         lambda: DensityMatrix([[0.5, 0.1], [0.2, 0.5]]),
@@ -109,6 +137,14 @@ EDGE_GATES = {
     "dilation of a POVM that is not positive": (
         lambda: naimark_unitary((np.diag([1.5, 0.5]), np.diag([-0.5, 0.5]))),
         ValueError, "dilation completion is not unitary"),
+    # a hand-built report with eps(Y) < 0, whose ratio eps(Y)/Delta Y is -0.5
+    "strength ordering of a report with a negative inaccuracy": (
+        lambda: strength_comparison(RelationReport(0.5, -0.25, 1.0, 0.5, 0.8, 0.4, 1.0,
+                                                   -0.125, 0.5, 0.5, 0.5)),
+        ValueError, "gap weight defined on [0, 1], got -0.5"),
+    "imaginary expectation of a state with a relaxed psd floor": (
+        lambda: analyze_measured(bundled_distribution(180.0), relaxed_floor_state()),
+        NumericalCorruptionError, "expectation has imaginary part 2.328e-10"),
     "counts quasi-table of a near-degenerate slide": (
         lambda: mh_from_counts(joint_distribution(RHO, NEAR_DEGENERATE, W), NEAR_DEGENERATE),
         DegenerateMeasurementError, NEAR_DEGENERATE_ERROR),
@@ -258,3 +294,95 @@ def test_a_negative_chain_slack_always_counts_as_a_broken_chain(monkeypatch):
     assert not result.passed
     assert [line for line in result.summary_lines()[1:-1] if line.endswith(" FAIL")] == [
         "derivation chain: 2 broken links (min slack +nan) FAIL"]
+
+
+def invariant_slides():
+    """120 000 seeded slides: uniform reflectivities, r_h or r_v in {0, 1},
+    r_h = r_v, and the smallest gap slide_model accepts."""
+    rng = np.random.default_rng(37)
+    r_h, r_v = rng.uniform(0.0, 1.0, (2, 120_000))
+    r_h[:10_000] = rng.choice([0.0, 1.0], 10_000)
+    r_v[10_000:20_000] = rng.choice([0.0, 1.0], 10_000)
+    r_v[20_000:30_000] = r_h[20_000:30_000]
+    low = rng.uniform(0.0, 1.0 - 2.0 * MIN_REFLECTIVITY_GAP, 10_000)
+    high = low + MIN_REFLECTIVITY_GAP
+    while (short := high - low < MIN_REFLECTIVITY_GAP).any():
+        high = np.where(short, np.nextafter(high, 2.0), high)
+    r_h[30_000:40_000], r_v[30_000:40_000] = low, high
+    for i in range(30_000, 30_020):
+        slide_model(float(r_h[i]), float(r_v[i]))
+    return slide_arrays(r_h, r_v)
+
+
+def test_slide_povms_are_complete_and_dilate_to_unitaries():
+    """`naimark_unitaries` has no gate: on `verify` and in `dilated_chain`
+    its POVMs are the closed forms of `povm_elements`.  Over 120 000
+    seeded slides their elements sum to the identity within 1e-15 (the
+    gate of `naimark_unitary` allows 1e-10), and ``U^dag U`` is the
+    identity within 1e-14 (the gate allows 1e-12)."""
+    povms = povm_elements(invariant_slides())
+    assert np.abs(povms[:, 0] + povms[:, 1] - np.eye(2)).max() <= 1e-15
+    unitaries = naimark_unitaries(povms)
+    gram = unitaries.conj().swapaxes(-1, -2) @ unitaries
+    assert np.abs(gram - np.eye(4)).max() <= 1e-14
+
+
+def test_drawn_states_give_direct_quasi_tables_of_unit_mass():
+    """`direct_moments` has no mass gate: a quasi-table sums to Tr rho, and
+    over 20 000 drawn `verify` states it sums to 1 within 1e-13 (the gate
+    of `direct_margenau_hill` allows 1e-9)."""
+    for seed in range(20):
+        g, _, angles, _ = _draw_block(np.random.default_rng(seed), 0, 1000)
+        n = bloch_vectors(angles[:, 0], angles[:, 1])
+        mh, _ = direct_moments(_state_matrices(g), w_projectors(n), np.zeros((1000, 0, 2)))
+        assert np.abs(mh.sum(axis=(1, 2)) - 1.0).max() <= 1e-13, seed
+
+
+statistic = st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@given(eps_a=statistic, eps_b=statistic, delta_a=statistic, delta_b=statistic)
+@example(eps_a=0.0, eps_b=0.0, delta_a=0.0, delta_b=0.0)
+@example(eps_a=1.0 + 1e-12, eps_b=5e-13, delta_a=1.0, delta_b=0.0)
+@example(eps_a=1e-12, eps_b=0.0, delta_a=5e-324, delta_b=1.0)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+def test_the_strength_ordering_weighs_ratios_in_the_gap_weights_domain(
+        eps_a, eps_b, delta_a, delta_b):
+    """`strength_orderings` calls no gated `gap_weights`: for any finite
+    non-negative statistics, 0/0 included, the ratios it weighs lie in
+    [0, 1], where the gate passes them.  (A ratio that overflows reads
+    inf, and is clamped to 1.)"""
+    with np.errstate(over="ignore"):
+        _, *ratios = _gap_ratios(*(np.array([v]) for v in (eps_a, eps_b, delta_a, delta_b)))
+    for x in ratios:
+        assert 0.0 <= x[0] <= 1.0
+        gap_weights(x)
+
+
+def test_hermitian_states_give_real_means_of_x_and_y():
+    """`xy_statistics` reads <X (x) 1> and <Y (x) 1> as pairwise sums of
+    rho's entries.  On drawn `verify` states, which are exactly Hermitian,
+    their imaginary parts are 0; on unit-trace states Hermitian only to
+    1e-12 (random, rank-1 and with imaginary diagonals, as a DensityMatrix
+    allows) they stay within 4e-12, so the imaginary-part gate (1e-10)
+    does not fire.  It stays in `xy_statistics` for states with entries
+    of 1e6 and more, which a relaxed psd floor admits (see EDGE_GATES)."""
+    rng = np.random.default_rng(43)
+    drawn = _state_matrices(_draw_block(rng, 0, 3000)[0])
+    g = rng.normal(size=(3000, 4, 4)) + 1j * rng.normal(size=(3000, 4, 4))
+    g[1000:2000, :, 1:] = 0.0  # rank 1
+    skewed = _state_matrices(g)
+    # each entry moves by up to 5e-13, so rho - rho^dag stays within 1e-12
+    skewed += 5e-13 * rng.uniform(0.0, 1.0, skewed.shape) * np.exp(
+        2j * np.pi * rng.uniform(0.0, 1.0, skewed.shape))
+    assert np.abs(skewed - skewed.conj().swapaxes(-1, -2)).max() <= 1e-12
+    for mats, bound in ((drawn, 0.0), (skewed, 4e-12)):
+        flat = mats.reshape(-1, 16)
+        off_top, off_bottom = flat[:, 2] + flat[:, 7], flat[:, 8] + flat[:, 13]
+        # the imaginary parts of <X (x) 1> and <Y (x) 1>
+        assert np.abs((off_top + off_bottom).imag).max() <= bound
+        assert np.abs((off_top - off_bottom).real).max() <= bound
+        checks = []
+        xy_statistics(mats, checks)
+        x_imag, _, y_imag, _ = checks
+        assert not x_imag[0].any() and not y_imag[0].any()

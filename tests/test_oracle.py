@@ -163,9 +163,12 @@ def test_unitarity_gate_rejects_every_family_the_dilated_family_gate_rejected():
     """`dilated_operators` once gated its dilated family
     ``U^dag (1 (x) |i><i|) U``, embedded on (q1, q2, ancilla), at a sum
     within 1e-12 of the identity.  That sum is ``U^dag U`` with the
-    identity on q2, so the unitarity gate of `naimark_unitaries`, at the
-    same 1e-12, flags every POVM the old gate flagged: here 2000 random
-    binary POVMs whose completeness is perturbed by 1e-14 to 1e-10."""
+    identity on q2, so the gates of `naimark_unitary`, the unitarity gate
+    at the same 1e-12, reject every POVM the old gate flagged: here 2000
+    random binary POVMs whose completeness is perturbed by 1e-14 to 1e-10,
+    each passed to the view on its own.  A POVM whose elements miss the
+    identity by more than 1e-10 is rejected by the completeness gate
+    first."""
     rng = np.random.default_rng(2024)
     povms = np.empty((2000, 2, 2, 2), dtype=complex)
     for povm in povms:
@@ -173,18 +176,24 @@ def test_unitarity_gate_rejects_every_family_the_dilated_family_gate_rejected():
         e0 = rot @ np.diag(rng.uniform(0.0, 1.0, 2)) @ rot.conj().T
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         povm[:] = e0, EYE - e0 + 10.0 ** rng.uniform(-14, -10) * (g + g.conj().T) / 2
-    checks = []
-    unitaries = naimark_unitaries(povms, checks)
-    _, (unitarity_flags, fire) = checks
-    with pytest.raises(ValueError, match="dilation completion is not unitary"):
-        fire(0)
+    errors = []
+    for povm in povms:
+        try:
+            naimark_unitary(tuple(povm))
+        except ValueError as err:
+            errors.append(str(err))
+        else:
+            errors.append(None)
+    assert set(errors) == {None, "dilation completion is not unitary",
+                           "POVM elements must sum to the identity"}
+    rejected = np.array([error is not None for error in errors])
     ancilla = [np.kron(EYE, np.diag(d)) for d in ([1.0, 0.0], [0.0, 1.0])]
     family_flags = np.array([
         np.abs(sum(embed(u.conj().T @ proj @ u, (0, 2), (2, 2, 2)) for proj in ancilla)
                - np.eye(8)).max() > 1e-12
-        for u in unitaries])
+        for u in naimark_unitaries(povms)])
     assert 0 < family_flags.sum() < len(povms)
-    assert not (family_flags & ~unitarity_flags).any()
+    assert not (family_flags & ~rejected).any()
 
 
 def test_naimark_estimator_reproduces_weak_y(reference):
