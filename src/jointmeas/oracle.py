@@ -10,8 +10,8 @@ so agreement between the two is a real check.
 The functions take stacks of N scenarios (``naimark_unitary`` and
 ``direct_margenau_hill`` are one-scenario views) and build their operators
 in the factor order (q1, q2) or, dilated, (q1, q2, ancilla), with the
-ancilla in its first basis state: as Kronecker products entry by entry, or
-by writing each factor's block into the full matrix.  Traces
+ancilla in its first basis state, each only on the factors it acts on and
+against the state reduced to them.  Traces
 ``Tr(rho op)`` are dot products of the flattened ``op`` with the flattened
 ``rho^dag``.  ``embed`` places one operator on any slots of a factor layout,
 for references built by hand.
@@ -23,6 +23,7 @@ import numpy as np
 
 from .estimate import quasi_mass_checks
 from .qcore import SIGMAS, as_operator_array, run_checks
+from .relations import _centred
 
 
 def embed(op: np.ndarray, slots: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
@@ -44,28 +45,32 @@ def embed(op: np.ndarray, slots: tuple[int, ...], dims: tuple[int, ...]) -> np.n
     return full.reshape(sizes * 2).transpose([*back, *(back + len(dims))]).reshape(full.shape)
 
 
-def _kron(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of operators ``[d, d]`` or stacks ``[N, d, d]``,
+def _kron(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Kronecker product of two operators ``[d, d]`` or stacks ``[N, d, d]``,
     stacks taken entry by entry."""
-    out = ops[0]
-    for op in ops[1:]:
-        prod = out[..., :, None, :, None] * op[..., None, :, None, :]
-        size = prod.shape[-4] * prod.shape[-3]
-        out = prod.reshape(*prod.shape[:-4], size, size)
-    return out
+    prod = p[..., :, None, :, None] * q[..., None, :, None, :]
+    size = prod.shape[-4] * prod.shape[-3]
+    return prod.reshape(*prod.shape[:-4], size, size)
 
 
 _EYE2 = np.eye(2, dtype=complex)
 _VALUES = np.array([1.0, -1.0])  # +-1 outcome values, +1 first
 # the eigenprojectors X_x of X, +1 first
 _X_PROJS = (SIGMAS[0] + _VALUES[:, None, None] * SIGMAS[1]) / 2
-_X1 = _kron(SIGMAS[1], _EYE2)
+# X and Y on the first of two qubits
+_X1, _Y1 = (_kron(op, _EYE2) for op in SIGMAS[1:3])
 # the diagonal of 1 (x) Z on (system, ancilla): a row sign flip
 _ANC_SIGNS = np.tile(_VALUES, 2)
-# the targets X and Y on qubit 1 of (q1, q2, ancilla)
-_X_DILATED, _Y_DILATED = (_kron(op, _EYE2, _EYE2) for op in SIGMAS[1:3])
-for _op in (_X_PROJS, _X1, _X_DILATED, _Y_DILATED):
+# the targets X and Y on qubit 1, their squares and [X, Y], flattened
+_Q1_OPS = np.stack([*SIGMAS[1:3], *(op @ op for op in SIGMAS[1:3]),
+                    SIGMAS[1] @ SIGMAS[2] - SIGMAS[2] @ SIGMAS[1]]).reshape(5, 4)
+for _op in (_X_PROJS, _X1, _Y1, _Q1_OPS):
     _op.setflags(write=False)
+
+
+def _flat_daggers(mats: np.ndarray) -> np.ndarray:
+    """``mats^dag`` ``[N, 1, d*d]``, whose ``vecdot`` with a flat op is ``Tr(mat op)``."""
+    return mats.conj().swapaxes(-1, -2).reshape(len(mats), 1, -1)
 
 
 def _roots(elements: np.ndarray) -> np.ndarray:
@@ -110,9 +115,12 @@ def naimark_unitaries(povms) -> np.ndarray:
 
 def naimark_unitary(povm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Dilation unitary for a binary POVM on one qubit
-    (:func:`naimark_unitaries` for one POVM).  The elements must sum to the
-    identity within 1e-10, and ``U^dag U`` be the identity within 1e-12."""
+    (:func:`naimark_unitaries` for one POVM).  The POVM must have shape
+    ``(2, 2, 2)``, its elements sum to the identity within 1e-10, and
+    ``U^dag U`` be the identity within 1e-12."""
     elements = np.asarray(povm, dtype=complex)
+    if elements.shape != (2, 2, 2):
+        raise ValueError(f"a binary POVM on one qubit has shape (2, 2, 2), got {elements.shape}")
     unitary = naimark_unitaries(elements[None])[0]
     if (np.abs(elements[0] + elements[1] - _EYE2) > 1e-10).any():
         raise ValueError("POVM elements must sum to the identity")
@@ -148,8 +156,7 @@ def direct_moments(rho: np.ndarray, w_projs: np.ndarray,
     Precondition, unchecked: each state has unit trace, the quasi-table's mass.
     """
     w_projs = w_projs[:, None]
-    # Tr(rho op) = sum_ab conj(rho^dag[b, a]) op[b, a], a dot product
-    rho_dag = rho.conj().swapaxes(-1, -2).reshape(len(rho), 1, 16)
+    rho_dag = _flat_daggers(rho)
     # <{K, L}>/2 = Re Tr(rho K L) for Hermitian rho, K, L, and
     # (X_x (x) 1)(1 (x) W_w) = X_x (x) W_w
     products = _kron(_X_PROJS[:, None], w_projs).reshape(len(rho), 2, 2, 16)
@@ -169,35 +176,51 @@ def direct_margenau_hill(rho, w) -> np.ndarray:
     return mh[0]
 
 
-def dilated_operators(rho: np.ndarray, povms: np.ndarray, w_projs: np.ndarray,
-                      f: np.ndarray):
-    """Commuting projective estimators on (q1, q2, ancilla) for N scenarios.
+def dilated_moments(rho: np.ndarray, povms: np.ndarray, w_projs: np.ndarray,
+                    f: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The moments of the averaged-spread derivation on commuting projective
+    estimators on (q1, q2, ancilla) for N scenarios, each computed on the
+    factors its operators act on, against the state reduced to them.
 
     For states ``rho[N, 4, 4]``, the Y POVMs ``povms[N, y]`` behind the
-    slides, analyser projectors ``w_projs[N, w]`` (:func:`w_projectors`)
-    and X estimates ``f[N, w]``, returns ``(x_est, y_est, x1, y1, state)``:
-    the X estimate ``f(W)`` on qubit 2, the Naimark-dilated Y estimate on
-    (q1, ancilla) with values +-1, the targets X and Y on qubit 1, and the
-    state with the ancilla in ``|0>``; each ``[N, 8, 8]`` or, for x1 and
-    y1, ``[8, 8]``.
-
-    The Y estimate is the ancilla's Z read back through the dilation
-    unitary, ``U^dag (1 (x) Z) U``, one product per scenario.  The dilated
-    family it comes from, ``U^dag (1 (x) |i><i|) U``, sums to ``U^dag U``,
-    so the POVMs must meet the precondition of :func:`naimark_unitaries`.
+    slides, analyser projectors ``w_projs[N, w]`` (:func:`w_projectors`) and
+    X estimates ``f[N, w]``: A = X and B = Y act on qubit 1, ``A_est = f(W)``
+    on qubit 2, and the Naimark-dilated Y estimate ``B_est = U^dag (1 (x) Z)
+    U``, with values +-1, on (q1, ancilla), all against ``rho (x) |0><0|``.
+    Returns arrays ``[N]`` in the order the chain's links take them:
+    ``<[A, B]>``, ``<[A, B_est]>``, ``<[A_est, B]>``, ``<[A_est, B_est]>``,
+    ``max |[A_est, B_est]|`` (the last three 0 by construction, as A_est
+    acts on another factor than B and B_est), eps_a, eps_b and the spreads
+    of A, B, A_est and B_est.  As in :func:`relations.relation_chains`,
+    inaccuracies and estimate spreads are direct products and target
+    spreads come from the squares.  ``X (x) 1`` swaps the q1 index, so
+    ``[A, B_est]`` is two index swaps of B_est.  The POVMs must meet the
+    precondition of :func:`naimark_unitaries`.
     """
     size = len(rho)
     unitary = naimark_unitaries(povms)
-    y_local = unitary.conj().swapaxes(-1, -2) @ (_ANC_SIGNS[:, None] * unitary)
-    # (q1, q2, ancilla) axes of rows and columns: the state is rho (x) |0><0|,
-    # x_est is 1 (x) f(W) (x) 1 and y_est is y_local with the identity on q2
-    state, x_est, y_est = np.zeros((3, size, 2, 2, 2, 2, 2, 2), dtype=complex)
-    state[:, :, :, 0, :, :, 0] = rho.reshape(size, 2, 2, 2, 2)
-    estimate = _estimates(f, w_projs)
-    y_local = y_local.reshape(size, 2, 2, 2, 2)
-    for i in range(2):
-        y_est[:, :, i, :, :, i, :] = y_local
-        for j in range(2):
-            x_est[:, i, :, j, i, :, j] = estimate
-    return (x_est.reshape(size, 8, 8), y_est.reshape(size, 8, 8), _X_DILATED, _Y_DILATED,
-            state.reshape(size, 8, 8))
+    b_est = unitary.conj().swapaxes(-1, -2) @ (_ANC_SIGNS[:, None] * unitary)
+    a_est = _estimates(f, w_projs)
+    parts = rho.reshape(size, 2, 2, 2, 2)
+    rho_1_anc = np.zeros((size, 2, 2, 2, 2), dtype=complex)
+    rho_1_anc[:, :, 0, :, 0] = rho_1 = parts[:, :, 0, :, 0] + parts[:, :, 1, :, 1]
+    rho_dag, rho1_dag, rho2_dag, anc_dag = map(_flat_daggers, (
+        rho, rho_1, parts[:, 0, :, 0] + parts[:, 1, :, 1], rho_1_anc.reshape(size, 4, 4)))
+
+    def ev(state_dag, ops):  # Tr(state op) [k, N] for ops [N, k, d, d] or [N, d, d]
+        return np.vecdot(state_dag, ops.reshape(size, -1, state_dag.shape[-1])).T
+
+    targets, squares, (ev_ab,) = np.split(np.vecdot(rho1_dag, _Q1_OPS).T, [2, 4])
+    m = targets.real
+    # Tr(rho (op - m)^2) = Tr(rho op^2) - 2 m Tr(rho op) + m^2 Tr rho
+    target_seconds = squares - 2.0 * m * targets + m * m * np.trace(rho, axis1=-2, axis2=-1)
+    swapped = b_est.reshape(size, 2, 2, 2, 2)
+    comm = (swapped[:, ::-1] - swapped[:, :, :, ::-1]).reshape(size, 4, 4)
+    ev_b_est, ev_a_be = ev(anc_dag, np.stack([b_est, comm], 1))
+    diff_a, centred_a = _X1 - _kron(_EYE2, a_est), _centred(a_est, ev(rho2_dag, a_est)[0].real)
+    b_diffs = np.stack([_Y1 - b_est, _centred(b_est, ev_b_est.real)], 1)
+    (sq_a,), (sq_b, sq_b_est), (sq_a_est,) = (
+        ev(rho_dag, diff_a @ diff_a), ev(anc_dag, b_diffs @ b_diffs),
+        ev(rho2_dag, centred_a @ centred_a))
+    spreads = np.sqrt(np.maximum(np.real([sq_a, sq_b, *target_seconds, sq_a_est, sq_b_est]), 0.0))
+    return (ev_ab, ev_a_be, *np.zeros((3, size)), *spreads)

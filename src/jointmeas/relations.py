@@ -31,13 +31,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .qcore import (
-    Check,
-    as_operator_array,
-    failing,
-    run_checks,
-    submit_checks,
-)
+from .qcore import as_operator_array, failing, run_checks
 
 
 class RelationViolationError(ValueError):
@@ -150,8 +144,9 @@ def _gap_ratios(eps_a, eps_b, delta_a, delta_b):
     in_domain = (eps_a <= delta_a + 1e-12) & (eps_b <= delta_b + 1e-12)
 
     def ratio(num, den):
-        x = np.divide(num, den, out=np.zeros_like(num), where=in_domain & (den > 0.0))
-        return np.minimum(x, 1.0)
+        # num / den where num < den, else exactly 1, without overflowing
+        return np.divide(num, np.maximum(den, num), out=np.zeros_like(num),
+                         where=in_domain & (den > 0.0))
 
     return in_domain, ratio(eps_b, delta_b), ratio(eps_a, delta_a)
 
@@ -240,7 +235,8 @@ class RelationChain:
     the averaged-spread left-hand side.
 
     The first identity is off by exactly ``2[A_est, B_est]``, which the
-    commutation gate bounds, so ``holds`` reads the six slacks alone.
+    commutation gate bounds, so ``holds`` reads the six slacks alone.  On
+    ``verify``'s dilation (:func:`oracle.dilated_moments`) it is 0 by construction.
 
     Fields are floats for one chain, or arrays ``[N]`` for the N chains of
     :func:`relation_chains` (the four-term fields then hold four arrays).
@@ -301,19 +297,43 @@ def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return p @ q
 
 
-def relation_chains(a_est, b_est, a, b, rho,
-                    checks: list[Check] | None = None) -> RelationChain:
+def _centred(op: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``op - m 1`` for a stack ``op[..., d, d]`` and means ``m[...]``: the
+    off-diagonal entries would lose exactly 0."""
+    dim = op.shape[-1]
+    centred = np.empty((*m.shape, dim, dim), dtype=complex)
+    centred[...] = op
+    centred.reshape(*m.shape, dim * dim)[..., ::dim + 1] -= m[..., None]
+    return centred
+
+
+def _chain_links(ev_ab, ev_a_be, ev_ae_b, ev_ae_be, commutator_residual,
+                 eps_a, eps_b, da, db, da_est, db_est) -> RelationChain:
+    """The chain from the expectations of ``[A, B]``, ``[A, B_est]``,
+    ``[A_est, B]`` and ``[A_est, B_est]``, the residual and the spreads."""
+    # <[A - A_est, B]>, <[A - A_est, B_est]>, <[A, B - B_est]>, <[A_est, B - B_est]>
+    triangle = (np.abs(ev_ab - ev_ae_b), np.abs(ev_a_be - ev_ae_be),
+                np.abs(ev_ab - ev_a_be), np.abs(ev_ae_b - ev_ae_be))
+    schwarz = (2.0 * eps_a * db, 2.0 * eps_a * db_est,
+               2.0 * da * eps_b, 2.0 * da_est * eps_b)
+    return RelationChain(
+        c=np.abs(ev_ab), commutator_residual=commutator_residual,
+        eps_a=eps_a, eps_b=eps_b, delta_a=da, delta_b=db,
+        delta_a_est=da_est, delta_b_est=db_est,
+        triangle_terms=triangle, schwarz_terms=schwarz)
+
+
+def relation_chains(a_est, b_est, a, b, rho) -> RelationChain:
     """Check the averaged-spread relation's derivation link by link for N
     operator sets at once.
 
     Each argument is a stack ``[N, d, d]`` of matrices on one common
     Hilbert space, which may be a dilation of the physical one, or one
     matrix ``[d, d]`` shared by all N; the fields of the result are arrays
-    ``[N]``.  The estimators must commute (precondition, checked to
-    ``COMMUTATION_TOL`` = 5e-13; the checks go to ``checks`` when given,
-    else they run here).  Every commutator link comes by bilinearity from
-    the four commutators ``[A, B]``, ``[A, B_est]``, ``[A_est, B]`` and
-    ``[A_est, B_est]``.
+    ``[N]``.  The estimators must commute (checked to ``COMMUTATION_TOL`` =
+    5e-13 for hand-built sets; ``verify``'s commute by construction).  Every
+    commutator link comes by bilinearity from the four commutators
+    ``[A, B]``, ``[A, B_est]``, ``[A_est, B]`` and ``[A_est, B_est]``.
 
     The inaccuracies and the estimate spreads keep their direct products,
     ``(A - A_est)^2`` and the centred ``(A_est - m)^2``, which hold their
@@ -339,29 +359,18 @@ def relation_chains(a_est, b_est, a, b, rho,
     def ev(op):
         return np.vecdot(rho_dag, op.reshape(*op.shape[:-2], dim * dim))
 
-    def max_abs(op):
-        return np.abs(op).max(axis=(-2, -1))
-
     c_ab, c_a_be, c_ae_b, c_ae_be = (comm(a_m, b_m), comm(a_m, b_est_m),
                                      comm(a_est_m, b_m), comm(a_est_m, b_est_m))
-    commutator_residual = max_abs(c_ae_be)
-    submit_checks(checks, [(commutator_residual > COMMUTATION_TOL, failing(
+    commutator_residual = np.abs(c_ae_be).max(axis=(-2, -1))
+    run_checks([(commutator_residual > COMMUTATION_TOL, failing(
         ValueError, lambda i: f"estimators do not commute (max |[A_est, B_est]| = "
                               f"{commutator_residual[i]:.3e})"))])
-
-    ev_ab, ev_a_be, ev_ae_b, ev_ae_be = map(ev, (c_ab, c_a_be, c_ae_b, c_ae_be))
-    c = np.abs(ev_ab)
 
     def rms(op):
         return np.sqrt(np.maximum(ev(_product(op, op)).real, 0.0))
 
     def centred_rms(op):
-        # op - m 1: the off-diagonal entries would lose exactly 0
-        m = ev(op).real
-        centred = np.empty((*m.shape, dim, dim), dtype=complex)
-        centred[...] = op
-        centred.reshape(*m.shape, dim * dim)[..., ::dim + 1] -= m[..., None]
-        return rms(centred)
+        return rms(_centred(op, ev(op).real))
 
     tr_rho = np.trace(rho_m, axis1=-2, axis2=-1)
 
@@ -372,21 +381,10 @@ def relation_chains(a_est, b_est, a, b, rho,
         second = ev(_product(op, op)) - 2.0 * m * ev_op + m * m * tr_rho
         return np.sqrt(np.maximum(second.real, 0.0))
 
-    da, db = target_spread(a_m), target_spread(b_m)
-    da_est, db_est = centred_rms(a_est_m), centred_rms(b_est_m)
-    eps_a, eps_b = rms(a_m - a_est_m), rms(b_m - b_est_m)
-
-    # <[A - A_est, B]>, <[A - A_est, B_est]>, <[A, B - B_est]>, <[A_est, B - B_est]>
-    triangle = (np.abs(ev_ab - ev_ae_b), np.abs(ev_a_be - ev_ae_be),
-                np.abs(ev_ab - ev_a_be), np.abs(ev_ae_b - ev_ae_be))
-    schwarz = (2.0 * eps_a * db, 2.0 * eps_a * db_est,
-               2.0 * da * eps_b, 2.0 * da_est * eps_b)
-
-    return RelationChain(
-        c=c, commutator_residual=commutator_residual,
-        eps_a=eps_a, eps_b=eps_b, delta_a=da, delta_b=db,
-        delta_a_est=da_est, delta_b_est=db_est,
-        triangle_terms=triangle, schwarz_terms=schwarz)
+    return _chain_links(
+        *map(ev, (c_ab, c_a_be, c_ae_b, c_ae_be)), commutator_residual,
+        rms(a_m - a_est_m), rms(b_m - b_est_m), target_spread(a_m), target_spread(b_m),
+        centred_rms(a_est_m), centred_rms(b_est_m))
 
 
 def chain_item(chains: RelationChain, i: int) -> RelationChain:

@@ -27,7 +27,7 @@ from .estimate import (
     y_inaccuracies,
     y_spreads,
 )
-from .oracle import dilated_operators, direct_moments, w_projectors
+from .oracle import dilated_moments, direct_moments, w_projectors
 from .qcore import (
     SIMULATED_NORM,
     BlochObservable,
@@ -42,8 +42,8 @@ from .relations import (
     RELATION_NAMES,
     RelationChain,
     RelationReport,
+    _chain_links,
     chain_item,
-    relation_chains,
     relation_lhs,
     strength_orderings,
 )
@@ -317,16 +317,14 @@ def random_observable(rng: np.random.Generator) -> BlochObservable:
     return BlochObservable(theta, float(rng.uniform(*_PHI)))
 
 
-def dilated_chains(rho: np.ndarray, slide, w_projs: np.ndarray, f: np.ndarray,
-                   checks: list[Check] | None = None) -> RelationChain:
-    """Build commuting projective estimators on (q1, q2, ancilla) for N
-    scenarios -- states ``rho[N, 4, 4]``, slides (a SemiweakSlide or
-    :class:`SlideArrays`), projectors ``w_projs[N, w]`` of the analysers, X
-    estimates ``f[N, w]`` -- and check every link of the averaged-spread
-    derivation on them; the chain's fields are arrays ``[N]``.  The checks
-    go to ``checks`` when given, else they run here."""
-    ops = dilated_operators(rho, povm_elements(slide), w_projs, f)
-    return relation_chains(*ops, checks=checks)
+def dilated_chains(rho: np.ndarray, slide, w_projs: np.ndarray, f: np.ndarray) -> RelationChain:
+    """Check every link of the averaged-spread derivation on commuting
+    projective estimators on (q1, q2, ancilla) for N scenarios -- states
+    ``rho[N, 4, 4]``, slides (a SemiweakSlide or :class:`SlideArrays`),
+    projectors ``w_projs[N, w]`` of the analysers, X estimates ``f[N, w]``;
+    the chain's fields are arrays ``[N]``.  The moments are computed per
+    factor (:func:`oracle.dilated_moments`): ``commutator_residual`` is 0."""
+    return _chain_links(*dilated_moments(rho, povm_elements(slide), w_projs, f))
 
 
 def dilated_chain(rho: DensityMatrix, slide: SemiweakSlide, w: BlochObservable,
@@ -477,9 +475,9 @@ def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
     out["oracle"] = np.maximum(np.abs(stats["mh"] - mh_direct).max(axis=(1, 2)),
                                np.abs(stats["eps_x"] - eps_direct).max(axis=1))
 
-    chains = dilated_chains(rho, slides, w_projs,
-                            np.where(np.isnan(custom), stats["f"][:, opt], custom), checks)
     run_checks(checks)
+    chains = dilated_chains(rho, slides, w_projs,
+                            np.where(np.isnan(custom), stats["f"][:, opt], custom))
     out["chain_min_slack"] = min_slack = chains.min_slack
     out["chain_broken"] = ~(min_slack >= -MARGIN_TOL)
     out["y_inaccuracy"] = np.abs(chains.eps_b - stats["eps_y"])
@@ -508,9 +506,9 @@ def run_verification(trials: int = 10_000, seed: int = 42) -> VerificationResult
 
     Trials run in array blocks, drawn trial by trial in the RNG order of a
     one-trial-at-a-time loop, so a seed gives the same scenarios.  Every
-    trial gets the statistics checks and the chain's commutation gate,
-    raising what the first offending trial raises alone; the gates that
-    cannot fire on drawn scenarios live in the one-scenario views.  A
+    trial gets the statistics checks, raising what the first offending
+    trial raises alone; the gates that cannot fire on drawn scenarios, the
+    chain's commutation gate among them, live in the one-scenario views.  A
     negative trial count raises ``ValueError``; zero trials give an empty
     run, which does not pass.
     """

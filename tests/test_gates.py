@@ -10,8 +10,9 @@ analyser directions are unit, simulated tables are finite with unit mass,
 and a chain is broken exactly when one of its slacks is.  It also states
 the invariants that keep the gates moved to the one-scenario views from
 firing on `verify`: the slides' POVMs are complete and their dilations
-unitary, drawn states give quasi-tables of unit mass, and the ratios the
-strength ordering weighs lie in [0, 1].  That the first identity of
+unitary, the dilated estimators commute exactly, drawn states give
+quasi-tables of unit mass, and the ratios the strength ordering weighs lie
+in [0, 1].  That the first identity of
 the derivation chain is off by exactly twice the commutator of the
 estimates is stated in `test_relations.py`.
 """
@@ -19,6 +20,7 @@ estimates is stated in `test_relations.py`.
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +72,8 @@ from jointmeas.scenario import (
     slide_arrays,
 )
 from jointmeas.workflow import _draw_block, _state_matrices
+
+from dilation import dilated_operators
 
 RHO, SLIDE, W = reference_scenario()
 X, Y = pauli("X"), pauli("Y")
@@ -276,7 +280,7 @@ def test_a_negative_chain_slack_always_counts_as_a_broken_chain(monkeypatch):
     smallest slack is below -MARGIN_TOL, or NaN, counts as a broken chain.
     `verify`'s count of broken chains therefore also gates the smallest
     slack it prints, which the chain gate no longer tests on its own."""
-    real = workflow.relation_chains
+    real = workflow.dilated_chains
 
     def raised_c(*args, **kwargs):
         chains = real(*args, **kwargs)
@@ -287,7 +291,7 @@ def test_a_negative_chain_slack_always_counts_as_a_broken_chain(monkeypatch):
         return dataclasses.replace(chains, c=c)
 
     assert run_verification(trials=12, seed=9).passed
-    monkeypatch.setattr(workflow, "relation_chains", raised_c)
+    monkeypatch.setattr(workflow, "dilated_chains", raised_c)
     result = run_verification(trials=12, seed=9)
     assert result.chain_violations == 2
     assert not result.chain_min_slack >= -MARGIN_TOL
@@ -349,14 +353,50 @@ statistic = st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_inf
 def test_the_strength_ordering_weighs_ratios_in_the_gap_weights_domain(
         eps_a, eps_b, delta_a, delta_b):
     """`strength_orderings` calls no gated `gap_weights`: for any finite
-    non-negative statistics, 0/0 included, the ratios it weighs lie in
-    [0, 1], where the gate passes them.  (A ratio that overflows reads
-    inf, and is clamped to 1.)"""
-    with np.errstate(over="ignore"):
-        _, *ratios = _gap_ratios(*(np.array([v]) for v in (eps_a, eps_b, delta_a, delta_b)))
+    non-negative statistics, 0/0 and subnormal spreads included, the ratios
+    it weighs lie in [0, 1], where the gate passes them, and no division
+    overflows (a numpy warning fails the suite)."""
+    _, *ratios = _gap_ratios(*(np.array([v]) for v in (eps_a, eps_b, delta_a, delta_b)))
     for x in ratios:
         assert 0.0 <= x[0] <= 1.0
         gap_weights(x)
+
+
+def test_a_subnormal_spread_gives_a_ratio_of_one_without_a_warning():
+    """An inaccuracy of 1e-12 over a subnormal spread is inside the closed
+    form's domain (1e-12 above the spread), so its ratio is clamped to 1;
+    dividing first would overflow to inf.  Run with every warning an error."""
+    report = RelationReport(1e-12, 0.0, 5e-324, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ordering = strength_comparison(report)
+        _, x_beta, x_alpha = _gap_ratios(*(np.array([v]) for v in (1e-12, 0.0, 5e-324, 1.0)))
+    assert (x_beta[0], x_alpha[0]) == (0.0, 1.0)
+    assert ordering.gap_residual == 0.0
+
+
+def test_dilated_estimators_commute_exactly():
+    """`relation_chains` gates the commutation of its estimators, but
+    `verify` takes its chain factor by factor, where A_est acts on qubit 2
+    and B and B_est on (q1, ancilla), so no gate runs there.  Built as full
+    8x8 matrices for 120 000 seeded slides (r_h or r_v in {0, 1} among
+    them), directions and custom X estimates, ``[A_est, B_est]`` and
+    ``[A_est, B]`` are exactly the zero matrix: each entry of the two
+    products is the same single product."""
+    slides = invariant_slides()
+    povms = povm_elements(slides)
+    size = len(povms)
+    rng = np.random.default_rng(41)
+    n = bloch_vectors(np.arccos(rng.uniform(-1.0, 1.0, size)),
+                      rng.uniform(0.0, 2.0 * math.pi, size))
+    f = rng.uniform(-2.0, 2.0, (size, 2))
+    rho = np.broadcast_to(np.eye(4, dtype=complex) / 4, (10_000, 4, 4))
+    for start in range(0, size, 10_000):
+        block = slice(start, start + 10_000)
+        a_est, b_est, _, b, _ = dilated_operators(rho, povms[block], w_projectors(n[block]),
+                                                  f[block])
+        assert not (a_est @ b_est - b_est @ a_est).any()
+        assert not (a_est @ b - b @ a_est).any()
 
 
 def test_hermitian_states_give_real_means_of_x_and_y():

@@ -24,9 +24,11 @@ from jointmeas import (
     projector_pair,
     slide_model,
 )
-from jointmeas.oracle import dilated_operators, direct_moments, naimark_unitaries, w_projectors
+from jointmeas.oracle import direct_moments, naimark_unitaries, w_projectors
 from jointmeas.qcore import _psd_sqrt, bloch_vectors
 from jointmeas.scenario import povm_elements
+
+from dilation import dilated_operators
 
 X = pauli("X").matrix
 Y = pauli("Y").matrix
@@ -159,8 +161,20 @@ def test_naimark_dilates_any_binary_povm(low, high, theta, phi, alpha):
             assert prob == pytest.approx((vec.conj() @ element @ vec).real, abs=1e-12)
 
 
+@pytest.mark.parametrize("povm", [
+    np.stack([0.5 * EYE, 0.5 * EYE, 0.0 * EYE]), EYE, EYE[None],
+    np.stack([0.5 * EYE, 0.5 * EYE])[..., None]])
+def test_naimark_view_rejects_a_povm_of_another_shape(povm):
+    """The one-POVM view takes a pair of 2x2 elements and nothing else: a
+    third element is not dropped, and one matrix is not read as two rows."""
+    with pytest.raises(ValueError) as err:
+        naimark_unitary(povm)
+    assert str(err.value) == (f"a binary POVM on one qubit has shape (2, 2, 2), "
+                              f"got {povm.shape}")
+
+
 def test_unitarity_gate_rejects_every_family_the_dilated_family_gate_rejected():
-    """`dilated_operators` once gated its dilated family
+    """The oracle once gated its dilated family
     ``U^dag (1 (x) |i><i|) U``, embedded on (q1, q2, ancilla), at a sum
     within 1e-12 of the identity.  That sum is ``U^dag U`` with the
     identity on q2, so the gates of `naimark_unitary`, the unitarity gate

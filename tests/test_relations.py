@@ -24,15 +24,18 @@ from jointmeas import (
     verify_relation_chain,
 )
 from jointmeas.estimate import optimal_values
-from jointmeas.oracle import dilated_operators, w_projectors
+from jointmeas.oracle import w_projectors
 from jointmeas.qcore import (
     bloch_vectors,
     commutator_bounds,
     correlations,
     spreads,
 )
-from jointmeas.relations import MDReport, gap_weights, relation_chains
+from jointmeas.relations import COMMUTATION_TOL, MDReport, gap_weights, relation_chains
 from jointmeas.scenario import povm_elements, slide_arrays
+from jointmeas.workflow import _draw_block, _state_matrices, dilated_chains
+
+from dilation import dilated_operators
 
 positive = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -295,14 +298,16 @@ def test_identity_link_is_twice_the_commutation_residual(d):
     func = (vecs * np.cos(3.0 * vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     b_est = func + hermitian(10.0 ** rng.uniform(-16.0, 0.0, size))
     rho = np.eye(d) / d
-    checks = []
-    chains = relation_chains(a_est, b_est, a, b, rho, checks)
+    commutator = np.abs(a_est @ b_est - b_est @ a_est).max(axis=(1, 2))
     residual = identity_residual(a_est, b_est, a, b)
-    np.testing.assert_allclose(residual, 2.0 * chains.commutator_residual, rtol=1e-6,
-                               atol=1e-13)
-    accepted = ~checks[0][0]
+    np.testing.assert_allclose(residual, 2.0 * commutator, rtol=1e-6, atol=1e-13)
+    accepted = commutator <= COMMUTATION_TOL
     assert 0 < accepted.sum() < size
+    chains = relation_chains(a_est[accepted], b_est[accepted], a[accepted], b[accepted], rho)
+    np.testing.assert_array_equal(chains.commutator_residual, commutator[accepted])
     assert residual[accepted].max() <= 1e-12
+    with pytest.raises(ValueError, match="do not commute"):
+        relation_chains(a_est, b_est, a, b, rho)
 
 
 def test_relation_chain_rejects_mixed_dimensions():
@@ -416,8 +421,8 @@ def test_relation_chains_equal_link_by_link_reference(d, shared):
 
 
 def test_relation_chains_equal_reference_on_dilated_operators():
-    """The dilated sets of `run_verification`: shared X1 and Y1, stacked
-    estimators and states on (q1, q2, ancilla)."""
+    """The dilated sets of `run_verification` as full matrices: shared X1
+    and Y1, stacked estimators and states on (q1, q2, ancilla)."""
     rng = np.random.default_rng(11)
     size = 20
     rho = np.stack([random_density(rng, 4) for _ in range(size)])
@@ -444,10 +449,39 @@ def test_dilated_chain_keeps_eps_b_precise_in_the_weak_limit(split):
     slides = slide_arrays(r_h, r_h + split)
     n = bloch_vectors(np.arccos(rng.uniform(-1.0, 1.0, size)),
                       rng.uniform(0.0, 2.0 * math.pi, size))
-    ops = dilated_operators(rho, povm_elements(slides), w_projectors(n),
-                            optimal_values(rho, n))
-    chains = relation_chains(*ops)
+    chains = dilated_chains(rho, slides, w_projectors(n), optimal_values(rho, n))
     assert np.abs(chains.eps_b - np.sqrt(2.0 * slides.kappa)).max() <= 1e-10
+
+
+FACTORED_CASES = ("drawn", "r in {0, 1}", "split 1e-4", "split 1e-6")
+
+
+@pytest.mark.parametrize("case", FACTORED_CASES)
+def test_factored_chain_equals_the_full_dilated_chain(case):
+    """On seeded `verify` blocks (custom X estimates on odd trials, optimal
+    ones on even trials), every field and slack of the chain that
+    `dilated_chains` computes on each operator's own factors equals the
+    chain `relation_chains` takes from full 8x8 matrices within 1e-13:
+    drawn slides, slides with r_h or r_v in {0, 1}, and splits r_v - r_h
+    down to 1e-6.  The commutation residual of both is exactly 0."""
+    seed = FACTORED_CASES.index(case)
+    g, refl, angles, custom = _draw_block(np.random.default_rng(100 + seed), 0, 512)
+    rho = _state_matrices(g)
+    n = bloch_vectors(angles[:, 0], angles[:, 1])
+    f = np.where(np.isnan(custom), optimal_values(rho, n), custom)
+    rng = np.random.default_rng(seed)
+    if case == "r in {0, 1}":
+        refl[np.arange(512), rng.integers(0, 2, 512)] = rng.choice([0.0, 1.0], 512)
+    elif case != "drawn":
+        refl[:, 1] = refl[:, 0] + float(case.split()[1])
+    slides, w_projs = slide_arrays(refl[:, 0], refl[:, 1]), w_projectors(n)
+    got = dilated_chains(rho, slides, w_projs, f)
+    want = relation_chains(*dilated_operators(rho, povm_elements(slides), w_projs, f))
+    for field in dataclasses.fields(got):
+        np.testing.assert_allclose(getattr(got, field.name), getattr(want, field.name),
+                                   rtol=0, atol=1e-13, err_msg=field.name)
+    np.testing.assert_allclose(got.slacks, want.slacks, rtol=0, atol=1e-13)
+    assert not got.commutator_residual.any() and not want.commutator_residual.any()
 
 
 @pytest.mark.parametrize("d", [4, 8])

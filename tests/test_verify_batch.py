@@ -190,9 +190,9 @@ def test_blocks_match_trial_loop(trials, seed, block, monkeypatch):
     chain_estimates = []
     chains = workflow.dilated_chains
 
-    def recording_chains(rho, slide, w_projs, f, checks=None):
+    def recording_chains(rho, slide, w_projs, f):
         chain_estimates.append(f)
-        return chains(rho, slide, w_projs, f, checks)
+        return chains(rho, slide, w_projs, f)
 
     monkeypatch.setattr(workflow, "dilated_chains", recording_chains)
     got = run_verification(trials=trials, seed=seed).to_dict()
