@@ -7,6 +7,8 @@ reconstructs the estimate inaccuracies from the outcome statistics, and
 evaluates four inaccuracy trade-off relations against the commutator bound.
 """
 
+from importlib import import_module as _import_module
+
 from .qcore import (
     DEFAULT_TOLERANCES,
     PROFILES,
@@ -63,19 +65,6 @@ from .oracle import (
     embed,
     naimark_unitary,
 )
-from .dataio import (
-    DataValidationError,
-    bundled_distribution,
-    bundled_state,
-    emit_density_matrix,
-    emit_distribution,
-    emit_report,
-    load_density_matrix,
-    load_distribution,
-    parse_density_matrix,
-    parse_distribution,
-    save_distribution,
-)
 from .workflow import (
     ESTIMATOR_KINDS,
     REFERENCE_GAMMA_DEG,
@@ -96,4 +85,25 @@ from .workflow import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The file-format layer, and with it csv and json, loads on first use:
+# `verify` and the sweeps never read or write a file.  Each access goes to
+# dataio afresh, so a name follows whatever dataio binds it to.
+_DEFERRED = frozenset({
+    "dataio", "DataValidationError", "bundled_distribution", "bundled_state",
+    "emit_density_matrix", "emit_distribution", "emit_report", "load_density_matrix",
+    "load_distribution", "parse_density_matrix", "parse_distribution", "save_distribution"})
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | _DEFERRED)
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not `from . import dataio`: the latter asks this
+    # module for the attribute first and would land here again
+    dataio = _import_module(f"{__name__}.dataio")
+    return dataio if name == "dataio" else getattr(dataio, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _DEFERRED)

@@ -177,22 +177,23 @@ def direct_margenau_hill(rho, w) -> np.ndarray:
 
 
 def dilated_moments(rho: np.ndarray, povms: np.ndarray, w_projs: np.ndarray,
-                    f: np.ndarray) -> tuple[np.ndarray, ...]:
+                    f: np.ndarray, eps_a: np.ndarray) -> tuple[np.ndarray, ...]:
     """The moments of the averaged-spread derivation on commuting projective
     estimators on (q1, q2, ancilla) for N scenarios, each computed on the
     factors its operators act on, against the state reduced to them.
 
     For states ``rho[N, 4, 4]``, the Y POVMs ``povms[N, y]`` behind the
-    slides, analyser projectors ``w_projs[N, w]`` (:func:`w_projectors`) and
-    X estimates ``f[N, w]``: A = X and B = Y act on qubit 1, ``A_est = f(W)``
+    slides, analyser projectors ``w_projs[N, w]`` (:func:`w_projectors`),
+    X estimates ``f[N, w]`` with their inaccuracies ``eps_a[N]`` from
+    :func:`direct_moments`: A = X and B = Y act on qubit 1, ``A_est = f(W)``
     on qubit 2, and the Naimark-dilated Y estimate ``B_est = U^dag (1 (x) Z)
     U``, with values +-1, on (q1, ancilla), all against ``rho (x) |0><0|``.
     Returns arrays ``[N]`` in the order the chain's links take them:
     ``<[A, B]>``, ``<[A, B_est]>``, ``<[A_est, B]>``, ``<[A_est, B_est]>``,
     ``max |[A_est, B_est]|`` (the last three 0 by construction, as A_est
-    acts on another factor than B and B_est), eps_a, eps_b and the spreads
-    of A, B, A_est and B_est.  As in :func:`relations.relation_chains`,
-    inaccuracies and estimate spreads are direct products and target
+    acts on another factor than B and B_est), eps_a as given, eps_b and the
+    spreads of A, B, A_est and B_est.  As in :func:`relations.relation_chains`,
+    eps_b and the estimate spreads are direct products and target
     spreads come from the squares.  ``X (x) 1`` swaps the q1 index, so
     ``[A, B_est]`` is two index swaps of B_est.  The POVMs must meet the
     precondition of :func:`naimark_unitaries`.
@@ -204,8 +205,8 @@ def dilated_moments(rho: np.ndarray, povms: np.ndarray, w_projs: np.ndarray,
     parts = rho.reshape(size, 2, 2, 2, 2)
     rho_1_anc = np.zeros((size, 2, 2, 2, 2), dtype=complex)
     rho_1_anc[:, :, 0, :, 0] = rho_1 = parts[:, :, 0, :, 0] + parts[:, :, 1, :, 1]
-    rho_dag, rho1_dag, rho2_dag, anc_dag = map(_flat_daggers, (
-        rho, rho_1, parts[:, 0, :, 0] + parts[:, 1, :, 1], rho_1_anc.reshape(size, 4, 4)))
+    rho1_dag, rho2_dag, anc_dag = map(_flat_daggers, (
+        rho_1, parts[:, 0, :, 0] + parts[:, 1, :, 1], rho_1_anc.reshape(size, 4, 4)))
 
     def ev(state_dag, ops):  # Tr(state op) [k, N] for ops [N, k, d, d] or [N, d, d]
         return np.vecdot(state_dag, ops.reshape(size, -1, state_dag.shape[-1])).T
@@ -217,10 +218,9 @@ def dilated_moments(rho: np.ndarray, povms: np.ndarray, w_projs: np.ndarray,
     swapped = b_est.reshape(size, 2, 2, 2, 2)
     comm = (swapped[:, ::-1] - swapped[:, :, :, ::-1]).reshape(size, 4, 4)
     ev_b_est, ev_a_be = ev(anc_dag, np.stack([b_est, comm], 1))
-    diff_a, centred_a = _X1 - _kron(_EYE2, a_est), _centred(a_est, ev(rho2_dag, a_est)[0].real)
+    centred_a = _centred(a_est, ev(rho2_dag, a_est)[0].real)
     b_diffs = np.stack([_Y1 - b_est, _centred(b_est, ev_b_est.real)], 1)
-    (sq_a,), (sq_b, sq_b_est), (sq_a_est,) = (
-        ev(rho_dag, diff_a @ diff_a), ev(anc_dag, b_diffs @ b_diffs),
-        ev(rho2_dag, centred_a @ centred_a))
-    spreads = np.sqrt(np.maximum(np.real([sq_a, sq_b, *target_seconds, sq_a_est, sq_b_est]), 0.0))
-    return (ev_ab, ev_a_be, *np.zeros((3, size)), *spreads)
+    (sq_b, sq_b_est), (sq_a_est,) = (
+        ev(anc_dag, b_diffs @ b_diffs), ev(rho2_dag, centred_a @ centred_a))
+    spreads = np.sqrt(np.maximum(np.real([sq_b, *target_seconds, sq_a_est, sq_b_est]), 0.0))
+    return (ev_ab, ev_a_be, *np.zeros((3, size)), eps_a, *spreads)

@@ -317,14 +317,19 @@ def random_observable(rng: np.random.Generator) -> BlochObservable:
     return BlochObservable(theta, float(rng.uniform(*_PHI)))
 
 
-def dilated_chains(rho: np.ndarray, slide, w_projs: np.ndarray, f: np.ndarray) -> RelationChain:
+def dilated_chains(rho: np.ndarray, slide, w_projs: np.ndarray, f: np.ndarray,
+                   eps_a: np.ndarray | None = None) -> RelationChain:
     """Check every link of the averaged-spread derivation on commuting
     projective estimators on (q1, q2, ancilla) for N scenarios -- states
     ``rho[N, 4, 4]``, slides (a SemiweakSlide or :class:`SlideArrays`),
-    projectors ``w_projs[N, w]`` of the analysers, X estimates ``f[N, w]``;
-    the chain's fields are arrays ``[N]``.  The moments are computed per
-    factor (:func:`oracle.dilated_moments`): ``commutator_residual`` is 0."""
-    return _chain_links(*dilated_moments(rho, povm_elements(slide), w_projs, f))
+    projectors ``w_projs[N, w]`` of the analysers, X estimates ``f[N, w]``
+    and their inaccuracies ``eps_a[N]`` (from :func:`oracle.direct_moments`
+    when not given); the chain's fields are arrays ``[N]``.  The moments are
+    computed per factor (:func:`oracle.dilated_moments`):
+    ``commutator_residual`` is 0."""
+    if eps_a is None:
+        eps_a = direct_moments(rho, w_projs, f[:, None])[1][:, 0]
+    return _chain_links(*dilated_moments(rho, povm_elements(slide), w_projs, f, eps_a))
 
 
 def dilated_chain(rho: DensityMatrix, slide: SemiweakSlide, w: BlochObservable,
@@ -471,13 +476,16 @@ def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
     out["gap"] = gap[ordered & in_domain]
 
     w_projs = w_projectors(n)
-    mh_direct, eps_direct = direct_moments(rho, w_projs, stats["f"])
+    # the chain's X estimate is one more column of the oracle's, so its
+    # inaccuracy is formed once
+    chain_f = np.where(np.isnan(custom), stats["f"][:, opt], custom)
+    mh_direct, eps_direct = direct_moments(
+        rho, w_projs, np.concatenate([stats["f"], chain_f[:, None]], axis=1))
     out["oracle"] = np.maximum(np.abs(stats["mh"] - mh_direct).max(axis=(1, 2)),
-                               np.abs(stats["eps_x"] - eps_direct).max(axis=1))
+                               np.abs(stats["eps_x"] - eps_direct[:, :-1]).max(axis=1))
 
     run_checks(checks)
-    chains = dilated_chains(rho, slides, w_projs,
-                            np.where(np.isnan(custom), stats["f"][:, opt], custom))
+    chains = dilated_chains(rho, slides, w_projs, chain_f, eps_direct[:, -1])
     out["chain_min_slack"] = min_slack = chains.min_slack
     out["chain_broken"] = ~(min_slack >= -MARGIN_TOL)
     out["y_inaccuracy"] = np.abs(chains.eps_b - stats["eps_y"])

@@ -180,6 +180,30 @@ def test_block_forms_w_projectors_and_mh_tables_once(monkeypatch):
     assert calls == {"w_projectors": 1, "mh_tables": 1}
 
 
+def test_block_takes_the_chains_inaccuracy_from_the_oracle_pass(monkeypatch):
+    """One block calls `direct_moments` once, with the chain's estimate
+    (custom on odd trials) as an extra column, and hands the chain exactly
+    the eps(X) that `dilated_chains` forms for that estimate on its own."""
+    workflow._reference_flags()  # cached per process: keep its pass out of the record
+    oracle_calls, chain_args = [], []
+    direct, chains = workflow.direct_moments, workflow.dilated_chains
+
+    def counted(*args):
+        oracle_calls.append(args)
+        return direct(*args)
+
+    def recording(rho, slide, w_projs, f, *eps_a):
+        chain_args.append((rho, w_projs, f, eps_a))
+        return chains(rho, slide, w_projs, f, *eps_a)
+
+    monkeypatch.setattr(workflow, "direct_moments", counted)
+    monkeypatch.setattr(workflow, "dilated_chains", recording)
+    run_verification(trials=64, seed=11)
+    [(rho, w_projs, f, (eps_a,))] = chain_args
+    assert len(oracle_calls) == 1
+    np.testing.assert_array_equal(eps_a, direct(rho, w_projs, f[:, None])[1][:, 0])
+
+
 @pytest.mark.parametrize("trials, seed, block", [
     (101, 3, None), (101, 17, None), (101, 42, 33), (1, 5, None), (0, 5, None)])
 def test_blocks_match_trial_loop(trials, seed, block, monkeypatch):
@@ -190,9 +214,9 @@ def test_blocks_match_trial_loop(trials, seed, block, monkeypatch):
     chain_estimates = []
     chains = workflow.dilated_chains
 
-    def recording_chains(rho, slide, w_projs, f):
+    def recording_chains(rho, slide, w_projs, f, *eps_a):
         chain_estimates.append(f)
-        return chains(rho, slide, w_projs, f)
+        return chains(rho, slide, w_projs, f, *eps_a)
 
     monkeypatch.setattr(workflow, "dilated_chains", recording_chains)
     got = run_verification(trials=trials, seed=seed).to_dict()
