@@ -266,15 +266,15 @@ def _report_rows(report) -> list[dict]:
     return [r.to_dict() if hasattr(r, "to_dict") else dict(r) for r in report]
 
 
-def _flatten(row: dict, prefix: str = "") -> dict:
-    flat: dict = {}
+def _csv_leaves(row: dict, prefix: str = ""):
+    """Each leaf of a report row as its dotted name and its value rounded
+    to 12 significant digits, nested dicts first to last."""
     for key, val in row.items():
         name = f"{prefix}{key}"
         if isinstance(val, dict):
-            flat.update(_flatten(val, prefix=f"{name}."))
+            yield from _csv_leaves(val, f"{name}.")
         else:
-            flat[name] = val
-    return flat
+            yield name, _round12(val)
 
 
 # json's spellings of the floats that have no JSON literal
@@ -346,17 +346,12 @@ def emit_report(report, fmt: str = "json") -> str:
     if fmt == "json":
         return _json(rows[0] if len(rows) == 1 else rows, "") + "\n"
     if fmt == "csv":
-        flat_rows = [_flatten(_round12(r)) for r in rows]
-        fields: list[str] = []
-        for row in flat_rows:
-            for key in row:
-                if key not in fields:
-                    fields.append(key)
+        flat_rows = [dict(_csv_leaves(row)) for row in rows]
+        fields = list(dict.fromkeys(key for row in flat_rows for key in row))
         out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for row in flat_rows:
-            writer.writerow({k: row.get(k, "") for k in fields})
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows([row.get(key, "") for key in fields] for row in flat_rows)
         return out.getvalue()
     raise ValueError(f"unknown output format {fmt!r}")
 

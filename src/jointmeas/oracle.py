@@ -193,8 +193,9 @@ def dilated_moments(rho: np.ndarray, povms: np.ndarray, w_projs: np.ndarray,
     ``max |[A_est, B_est]|`` (the last three 0 by construction, as A_est
     acts on another factor than B and B_est), eps_a as given, eps_b and the
     spreads of A, B, A_est and B_est.  As in :func:`relations.relation_chains`,
-    eps_b and the estimate spreads are direct products and target
-    spreads come from the squares.  ``X (x) 1`` swaps the q1 index, so
+    eps_b and the estimate spreads are direct products; the target spreads,
+    which there are centred direct products too, come here from the squares
+    of X and Y on qubit 1.  ``X (x) 1`` swaps the q1 index, so
     ``[A, B_est]`` is two index swaps of B_est.  The POVMs must meet the
     precondition of :func:`naimark_unitaries`.
     """

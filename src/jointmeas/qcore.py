@@ -219,19 +219,29 @@ def projector_pair(op: HermitianOperator) -> tuple[HermitianOperator, HermitianO
 class DensityMatrix:
     """A quantum state: Hermitian, unit trace, eigenvalues above a floor.
 
-    ``psd_floor`` is the magnitude of negative eigenvalue accepted.  States
-    reconstructed from tomography may carry small negative eigenvalues; those
-    are accepted up to the relaxed floor, flagged via ``psd_warning`` below
-    ``-PSD_TOL`` and kept in ``min_eigenvalue``.  The matrix is never altered.
+    ``psd_floor`` is the magnitude of negative eigenvalue accepted, finite
+    and non-negative.  States reconstructed from tomography may carry small
+    negative eigenvalues; those are accepted up to the relaxed floor,
+    flagged via ``psd_warning`` below ``-PSD_TOL`` and kept in
+    ``min_eigenvalue``.  The matrix is never altered.
     """
 
     __slots__ = ("_matrix", "min_eigenvalue", "psd_floor", "psd_warning")
 
     def __init__(self, matrix, *, psd_floor: float = PSD_TOL):
+        if not (math.isfinite(psd_floor) and psd_floor >= 0.0):
+            raise ValueError(f"psd_floor must be finite and non-negative, got {psd_floor}")
         mat = as_complex_matrix(matrix)
-        checks, min_eigs = density_checks(mat[None], psd_floor)
-        run_checks(checks)
-        min_eig = float(min_eigs[0])
+        dev = float(np.max(np.abs(mat - mat.conj().T)))
+        if dev > _HERMITICITY_TOL:
+            raise ValueError(f"density matrix not Hermitian (max deviation {dev:.3e})")
+        tr = complex(np.trace(mat))
+        if abs(tr - 1.0) > _EQUALITY_TOL:
+            raise ValueError(f"density matrix trace {tr:.12g} differs from 1")
+        min_eig = float(np.linalg.eigvalsh(mat)[0])
+        if min_eig < -psd_floor:
+            raise ValueError(f"density matrix has eigenvalue {min_eig:.3e} below "
+                             f"floor -{psd_floor:g}")
         object.__setattr__(self, "_matrix", mat)
         object.__setattr__(self, "min_eigenvalue", min_eig)
         object.__setattr__(self, "psd_floor", psd_floor)
@@ -260,25 +270,6 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim}, min_eig={self.min_eigenvalue:.2e})"
-
-
-def density_checks(mats: np.ndarray, psd_floor: float = PSD_TOL
-                   ) -> tuple[list[Check], np.ndarray]:
-    """Checks of N density matrices ``mats[N, d, d]`` -- Hermitian, unit
-    trace, no eigenvalue below ``-psd_floor`` -- and their smallest
-    eigenvalues ``[N]``."""
-    dev = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    tr = np.trace(mats, axis1=-2, axis2=-1)
-    min_eig = np.linalg.eigvalsh(mats)[:, 0]
-    return [
-        (dev > _HERMITICITY_TOL, failing(
-            ValueError, lambda i: f"density matrix not Hermitian (max deviation {dev[i]:.3e})")),
-        (np.abs(tr - 1.0) > _EQUALITY_TOL, failing(
-            ValueError, lambda i: f"density matrix trace {complex(tr[i]):.12g} differs from 1")),
-        (min_eig < -psd_floor, failing(
-            ValueError, lambda i: f"density matrix has eigenvalue {min_eig[i]:.3e} below "
-                                  f"floor -{psd_floor:g}")),
-    ], min_eig
 
 
 @dataclass(frozen=True)
@@ -342,18 +333,6 @@ def correlations(rho) -> np.ndarray:
     return (flat @ _SIGMA_PAIRS).real.reshape(mat.shape)
 
 
-def _traces(mats: np.ndarray) -> np.ndarray:
-    """Traces of a stack of 2x2 or 4x4 matrices, with the diagonal added in
-    pairs, ``(m00 + m11) + (m22 + m33)``.  That is the order in which
-    numpy's pairwise summation adds four complex entries, so the sums equal
-    ``np.trace``'s bit for bit, without its reduction over a 4-entry axis
-    per matrix, which costs more than the arithmetic on a stack."""
-    diag = [mats[..., k, k] for k in range(mats.shape[-1])]
-    while len(diag) > 1:
-        diag = [left + right for left, right in zip(diag[::2], diag[1::2])]
-    return diag[0]
-
-
 def expectation(op: HermitianOperator, rho: DensityMatrix) -> float:
     """``Tr(rho op)`` as a real number.
 
@@ -375,11 +354,9 @@ def spreads(op: HermitianOperator, mats: np.ndarray,
     not below -1e-12 (checks go to ``checks`` when given, else run here)."""
     if op.dim != mats.shape[-1]:
         raise DimensionMismatchError(f"operator dim {op.dim} vs state dim {mats.shape[-1]}")
-    g = op.matrix
-    # the shared operator acts as one GEMM on the flattened stack
-    mats_g = mats.reshape(-1, op.dim) @ g
-    val = _traces(mats_g.reshape(mats.shape))
-    second = _traces((mats_g @ g).reshape(mats.shape)).real
+    mats_g = mats @ op.matrix
+    val = np.trace(mats_g, axis1=-2, axis2=-1)
+    second = np.trace(mats_g @ op.matrix, axis1=-2, axis2=-1).real
     return _spreads_of_moments(val.real, val.imag, second, checks)
 
 
@@ -407,10 +384,11 @@ def xy_statistics(mats: np.ndarray, checks: list[Check] | None = None
 
     The products :func:`spreads` and :func:`commutator_bounds` form with
     these operators only move entries of rho and scale them by 1, +-i or
-    +-2i, so their traces are the same pairwise sums of entries, bit for
-    bit: ``<X (x) 1> = (r02 + r13) + (r20 + r31)``, ``<Y (x) 1> = (i r02 +
-    i r13) + (-i r20 - i r31)``, both second moments are ``(r00 + r11) +
-    (r22 + r33)`` and ``<[X, Y] (x) 1> = (2i r00 + 2i r11) + (-2i r22 - 2i r33)``.
+    +-2i, and ``np.trace`` adds a 4x4 diagonal in pairs, so their traces are
+    these pairwise sums of entries, bit for bit: ``<X (x) 1> = (r02 + r13)
+    + (r20 + r31)``, ``<Y (x) 1> = (i r02 + i r13) + (-i r20 - i r31)``,
+    both second moments are ``(r00 + r11) + (r22 + r33)`` and
+    ``<[X, Y] (x) 1> = (2i r00 + 2i r11) + (-2i r22 - 2i r33)``.
     """
     flat = mats.reshape(-1, 16)  # entry (row, col) at 4 row + col
     off_top, off_bottom = flat[:, 2] + flat[:, 7], flat[:, 8] + flat[:, 13]
@@ -433,7 +411,7 @@ def commutator_bounds(a: HermitianOperator, b: HermitianOperator,
                       mats: np.ndarray) -> np.ndarray:
     """``c = |<[A, B]>|`` ``[N]`` in N states ``mats[N, d, d]``."""
     comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    return np.abs(_traces((mats.reshape(-1, a.dim) @ comm).reshape(mats.shape)))
+    return np.abs(np.trace(mats @ comm, axis1=-2, axis2=-1))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

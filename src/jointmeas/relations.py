@@ -284,19 +284,6 @@ class RelationChain:
         return self.min_slack >= -MARGIN_TOL
 
 
-def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``p @ q`` for operators ``[d, d]`` or stacks ``[N, d, d]``: an operand
-    shared by the stack is applied as one GEMM over the other's flattened
-    stack, not as one small product per matrix."""
-    if p.ndim == 2 and q.ndim == 3:
-        size, dim, _ = q.shape
-        flat = q.swapaxes(0, 1).reshape(dim, size * dim)
-        return (p @ flat).reshape(dim, size, dim).swapaxes(0, 1)
-    if p.ndim == 3 and q.ndim == 2:
-        return (p.reshape(-1, q.shape[0]) @ q).reshape(p.shape)
-    return p @ q
-
-
 def _centred(op: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``op - m 1`` for a stack ``op[..., d, d]`` and means ``m[...]``: the
     off-diagonal entries would lose exactly 0."""
@@ -325,7 +312,8 @@ def _chain_links(ev_ab, ev_a_be, ev_ae_b, ev_ae_be, commutator_residual,
 
 def relation_chains(a_est, b_est, a, b, rho) -> RelationChain:
     """Check the averaged-spread relation's derivation link by link for N
-    operator sets at once.
+    operator sets at once: the hand-built-operator reference for the
+    factored chain of :func:`oracle.dilated_moments`.
 
     Each argument is a stack ``[N, d, d]`` of matrices on one common
     Hilbert space, which may be a dilation of the physical one, or one
@@ -335,56 +323,41 @@ def relation_chains(a_est, b_est, a, b, rho) -> RelationChain:
     commutator link comes by bilinearity from the four commutators
     ``[A, B]``, ``[A, B_est]``, ``[A_est, B]`` and ``[A_est, B_est]``.
 
-    The inaccuracies and the estimate spreads keep their direct products,
-    ``(A - A_est)^2`` and the centred ``(A_est - m)^2``, which hold their
-    precision in the weak limit.  The target spreads come from the squares,
-    ``Tr(rho A^2) - 2 m Tr(rho A) + m^2 Tr rho`` with ``m = Re Tr(rho A)``,
-    so a shared target costs one ``[d, d]`` product.  A product with a
-    shared operand is one GEMM over the other stack, and each expectation
-    ``Tr(rho op)`` is a dot product of the flattened ``op`` with the
-    flattened ``rho^dag``, formed once; neither assumes that any operator
-    is Hermitian.
+    The inaccuracies and all four spreads are direct products,
+    ``(A - A_est)^2`` and the centred ``(A - m)^2`` with ``m = Re Tr(rho A)``,
+    which hold their precision in the weak limit; each expectation is
+    ``Tr(rho op)``, and none assumes that any operator is Hermitian.
     """
     a_est_m, b_est_m, a_m, b_m, rho_m = map(as_operator_array, (a_est, b_est, a, b, rho))
     dims = {m.shape[-1] for m in (a_est_m, b_est_m, a_m, b_m, rho_m)}
     if len(dims) != 1:
         raise ValueError(f"operators live on different spaces: dims {sorted(dims)}")
-    dim = dims.pop()
-    # Tr(rho op) = sum_ab rho[a, b] op[b, a] = sum_ba conj(rho^dag[b, a]) op[b, a]
-    rho_dag = rho_m.conj().swapaxes(-1, -2).reshape(*rho_m.shape[:-2], dim * dim)
 
     def comm(p, q):
-        return _product(p, q) - _product(q, p)
+        return p @ q - q @ p
 
     def ev(op):
-        return np.vecdot(rho_dag, op.reshape(*op.shape[:-2], dim * dim))
+        return np.trace(rho_m @ op, axis1=-2, axis2=-1)
 
     c_ab, c_a_be, c_ae_b, c_ae_be = (comm(a_m, b_m), comm(a_m, b_est_m),
                                      comm(a_est_m, b_m), comm(a_est_m, b_est_m))
     commutator_residual = np.abs(c_ae_be).max(axis=(-2, -1))
-    run_checks([(commutator_residual > COMMUTATION_TOL, failing(
-        ValueError, lambda i: f"estimators do not commute (max |[A_est, B_est]| = "
-                              f"{commutator_residual[i]:.3e})"))])
+    # one residual for all N sets when both estimators are shared
+    noncommuting = np.flatnonzero(commutator_residual > COMMUTATION_TOL)
+    if noncommuting.size:
+        raise ValueError(f"estimators do not commute (max |[A_est, B_est]| = "
+                         f"{commutator_residual.flat[noncommuting[0]]:.3e})")
 
     def rms(op):
-        return np.sqrt(np.maximum(ev(_product(op, op)).real, 0.0))
+        return np.sqrt(np.maximum(ev(op @ op).real, 0.0))
 
-    def centred_rms(op):
+    def spread(op):
         return rms(_centred(op, ev(op).real))
-
-    tr_rho = np.trace(rho_m, axis1=-2, axis2=-1)
-
-    def target_spread(op):
-        # Tr(rho (op - m)^2) = Tr(rho op^2) - 2 m Tr(rho op) + m^2 Tr rho
-        ev_op = ev(op)
-        m = ev_op.real
-        second = ev(_product(op, op)) - 2.0 * m * ev_op + m * m * tr_rho
-        return np.sqrt(np.maximum(second.real, 0.0))
 
     return _chain_links(
         *map(ev, (c_ab, c_a_be, c_ae_b, c_ae_be)), commutator_residual,
-        rms(a_m - a_est_m), rms(b_m - b_est_m), target_spread(a_m), target_spread(b_m),
-        centred_rms(a_est_m), centred_rms(b_est_m))
+        rms(a_m - a_est_m), rms(b_m - b_est_m), spread(a_m), spread(b_m),
+        spread(a_est_m), spread(b_est_m))
 
 
 def chain_item(chains: RelationChain, i: int) -> RelationChain:

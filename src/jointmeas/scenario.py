@@ -42,7 +42,6 @@ from .qcore import (
     ToleranceProfile,
     correlations,
     failing,
-    run_checks,
     submit_checks,
 )
 
@@ -239,7 +238,17 @@ class JointDistribution:
             raise ValueError("distribution must cover exactly the 8 outcome triples")
         table = np.array([self.entries[key] for key in TRIPLES], dtype=float).reshape(2, 2, 2)
         table.setflags(write=False)
-        run_checks(table_checks(table[None], self.mass_tolerance, self.provenance))
+        flat = table.ravel()
+        finite = np.isfinite(flat)
+        if not finite.all():
+            raise ValueError(f"non-finite probability {flat[~finite][0]} in distribution")
+        low = flat.min()
+        if low < -1e-9:
+            raise ValueError(f"negative probability {low:.3e} in distribution")
+        total = flat.sum()
+        if abs(total - 1.0) > self.mass_tolerance:
+            raise ValueError(f"probabilities sum to {total:.4f}, outside 1 +- "
+                             f"{self.mass_tolerance:g} for {self.provenance} data")
         for key, sigma in (self.sigmas or {}).items():
             if key not in TRIPLES:
                 raise ValueError(f"sigma given for unknown outcome triple {key}")
@@ -265,24 +274,6 @@ class JointDistribution:
         idx = {"m": 0, "y": 1, "w": 2}[axis]
         sums = self.table.sum(axis=tuple(a for a in range(3) if a != idx))
         return dict(zip(OUTCOMES, sums.tolist()))
-
-
-def table_checks(p: np.ndarray, tol: float, provenance: str = "simulated") -> list[Check]:
-    """Checks of tables ``p[N, m, y, w]``: every entry finite, none below
-    -1e-9, and a total mass within ``tol`` of 1."""
-    flat = p.reshape(-1, 8)
-    finite = np.isfinite(flat)
-    with np.errstate(invalid="ignore"):  # +inf and -inf in one table sum to NaN
-        total = flat.sum(axis=1)
-    return [
-        (~finite.all(axis=1), failing(
-            ValueError, lambda i: f"non-finite probability {flat[i][~finite[i]][0]} "
-                                  f"in distribution")),
-        *negative_entry_checks(flat),
-        (np.abs(total - 1.0) > tol, failing(
-            ValueError, lambda i: f"probabilities sum to {total[i]:.4f}, outside 1 +- "
-                                  f"{tol:g} for {provenance} data")),
-    ]
 
 
 def negative_entry_checks(flat: np.ndarray) -> list[Check]:

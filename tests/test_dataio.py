@@ -1,5 +1,7 @@
 """CSV parsing/serialisation for outcome tables, states and reports."""
 
+import csv
+import io
 import json
 import math
 import random
@@ -282,8 +284,9 @@ def test_emit_report_unknown_format():
 
 
 def _round12(value):
-    """The tree copy the json reports went through before they were written
-    in one pass: floats rounded to 12 significant digits, tuples as lists."""
+    """The tree copy the json and csv reports went through before they were
+    written in one pass: floats rounded to 12 significant digits, tuples as
+    lists."""
     if isinstance(value, float):
         return float(f"{value:.12g}")
     if isinstance(value, dict):
@@ -372,3 +375,57 @@ def test_json_reports_match_the_rounded_tree_copy():
         report = (random_report(rng) if case % 3 else
                   [random_report(rng) for _ in range(rng.randrange(4))])
         assert emit_report(report, "json") == old_json_report(report), report
+
+
+def _flatten(row: dict, prefix: str = "") -> dict:
+    """A row of the rounded tree copy with its nested dicts as dotted names."""
+    flat: dict = {}
+    for key, val in row.items():
+        name = f"{prefix}{key}"
+        if isinstance(val, dict):
+            flat.update(_flatten(val, prefix=f"{name}."))
+        else:
+            flat[name] = val
+    return flat
+
+
+def old_csv_report(report) -> str:
+    """emit_report(report, "csv") as csv.DictWriter wrote it from the
+    flattened rows of the rounded tree copy."""
+    rows = [report] if isinstance(report, dict) else [dict(row) for row in report]
+    flat_rows = [_flatten(_round12(row)) for row in rows]
+    fields: list[str] = []
+    for row in flat_rows:
+        for key in row:
+            if key not in fields:
+                fields.append(key)
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    for row in flat_rows:
+        writer.writerow({k: row.get(k, "") for k in fields})
+    return out.getvalue()
+
+
+# dotted names that collide once nested dicts are flattened, in both orders
+COLLIDING = ({"a.b": 1.0, "a": {"b": 2.0}}, {"a": {"b": 2.0}, "a.b": 1.0},
+             {"a": {"b.c": 1.0, "b": {"c": 2.0}}, "a.b.c": (3.0,)})
+
+
+def test_csv_reports_match_the_flattened_tree_copy():
+    """emit_report writes csv from each leaf's dotted name and rounded value;
+    on 20 000 seeded random report dicts and lists (list and tuple leaves,
+    numeric, bool and None keys, strings that need quoting, np.float64 and
+    non-finite floats, rows with disjoint keys, names that collide after
+    flattening) it writes what csv.DictWriter wrote from the flattened rows
+    of the rounded tree copy, byte for byte."""
+    rng = random.Random(2025)
+    for case in range(20_000):
+        report = (random_report(rng) if case % 3 else
+                  [random_report(rng) for _ in range(rng.randrange(4))])
+        if case % 10 == 0:
+            report = [*([report] if isinstance(report, dict) else report),
+                      rng.choice(COLLIDING)]
+        assert emit_report(report, "csv") == old_csv_report(report), report
+    for report in COLLIDING:
+        assert emit_report(report, "csv") == old_csv_report(report)

@@ -204,6 +204,33 @@ EDGE_GATES = {
     "disturbance of a two-qubit observable": (
         lambda: disturbed_observable(SLIDE, tensor(X, Y)),
         DimensionMismatchError, "disturbed_observable acts on single-qubit operators"),
+    "density matrix of trace 1.2": (
+        lambda: DensityMatrix(0.6 * np.eye(2)),
+        ValueError, "density matrix trace 1.2+0j differs from 1"),
+    "density matrix with a negative eigenvalue": (
+        lambda: DensityMatrix(np.diag([1.1, -0.1])),
+        ValueError, "density matrix has eigenvalue -1.000e-01 below floor -1e-10"),
+    # a NaN floor admitted diag(1.5, -0.5); a negative one refused every
+    # state, with the message "below floor --1"
+    "density matrix with a NaN psd floor": (
+        lambda: DensityMatrix(np.diag([1.5, -0.5]), psd_floor=math.nan),
+        ValueError, "psd_floor must be finite and non-negative, got nan"),
+    "density matrix with a negative psd floor": (
+        lambda: DensityMatrix(np.eye(2) / 2, psd_floor=-1),
+        ValueError, "psd_floor must be finite and non-negative, got -1"),
+    "distribution with a NaN entry": (
+        lambda: JointDistribution(dict(zip(TRIPLES, (math.nan, *[1 / 7] * 7)))),
+        ValueError, "non-finite probability nan in distribution"),
+    "distribution with a negative entry": (
+        lambda: JointDistribution(dict(zip(TRIPLES, (-0.01, 0.01, *[1 / 6] * 6)))),
+        ValueError, "negative probability -1.000e-02 in distribution"),
+    "simulated distribution of mass 1.075": (
+        lambda: JointDistribution(dict(zip(TRIPLES, (0.2, *[0.125] * 7)))),
+        ValueError, "probabilities sum to 1.0750, outside 1 +- 1e-10 for simulated data"),
+    "chain on mixed dimensions": (
+        lambda: verify_relation_chain(np.eye(2), np.eye(4), np.eye(4), np.eye(4),
+                                      np.eye(4) / 4),
+        ValueError, "operators live on different spaces: dims [2, 4]"),
 }
 
 

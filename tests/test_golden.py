@@ -6,9 +6,11 @@ files were written by the same ``cli.main`` invocations; each mode's report
 is pinned in both formats; the 3600-angle sweep is stored gzip-compressed.  The ``verify``
 reports (300 trials at seed 7, and the default 10 000 trials at seed 42)
 are pinned field by field: their counts, flags and margins exactly, their
-rounding-noise residuals to 1e-12.
+rounding-noise residuals to 1e-12; the 300-trial report is read back from
+both formats.
 """
 
+import csv
 import gzip
 import json
 from importlib import resources
@@ -78,3 +80,35 @@ def test_verify_report_matches_golden(tmp_path):
 def test_verify_10k_report_matches_golden(tmp_path):
     """The full-size default run: 10 blocks of trials, pinned the same way."""
     assert_verify_report_matches(tmp_path, "golden_verify_10k.json", 10_000, 42)
+
+
+def golden_leaves(tree: dict, prefix: str = ""):
+    """Each leaf of a golden report as the dotted name a csv report gives it."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from golden_leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def test_verify_csv_report_matches_golden(tmp_path):
+    """The verify report as csv, read back with csv.DictReader: one row
+    whose columns are the golden's leaves, with its counts, flags and
+    margins exactly and its rounding-noise residuals to 1e-12."""
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--trials", "300", "--seed", "7", "--format", "csv",
+                 "--out", str(out)]) == 0
+    with out.open(newline="", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    want = dict(golden_leaves(json.loads((DATA / "golden_verify.json").read_text(
+        encoding="utf-8"))))
+    assert row.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, bool):
+            assert row[key] == str(value), key
+        elif isinstance(value, int):
+            assert int(row[key]) == value, key
+        elif key in VERIFY_NOISE:
+            assert abs(float(row[key]) - value) <= 1e-12, key
+        else:
+            assert float(row[key]) == value, key

@@ -503,6 +503,25 @@ def test_relation_chains_raise_reference_error_for_first_noncommuting_set(d):
     assert "do not commute" in str(got.value)
 
 
+@pytest.mark.parametrize("stacked", [("rho",), ()])
+def test_relation_chains_gate_shared_estimators_that_do_not_commute(stacked):
+    """Shared ``[d, d]`` estimators give one commutator for every set: the
+    gate raises its own error for them, with the stack axis on rho alone or
+    on no operand, and an accepted set keeps its field shapes (the residual
+    one value, the expectations one per state)."""
+    x, z = pauli("X").matrix, pauli("Z").matrix
+    rho = np.eye(2) / 2
+    rho = rho[None] if stacked else rho
+    with pytest.raises(ValueError) as err:
+        relation_chains(x, z, x, z, rho)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "estimators do not commute (max |[A_est, B_est]| = 2.000e+00)"
+    chains = relation_chains(z, z, x, z, rho)
+    assert np.shape(chains.c) == ((1,) if stacked else ())
+    assert np.shape(chains.commutator_residual) == ()
+    assert chains.commutator_residual == 0.0
+
+
 def test_md_relation_golden(reference):
     rho, slide, w = reference
     report = evaluate_md_relation(
