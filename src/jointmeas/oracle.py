@@ -8,13 +8,14 @@ that, sharing nothing with the statistics path beyond the basic primitives,
 so agreement between the two is a real check.
 
 The functions take stacks of N scenarios (``naimark_unitary`` and
-``direct_margenau_hill`` are one-scenario views) and build their operators
-in the factor order (q1, q2) or, dilated, (q1, q2, ancilla), with the
-ancilla in its first basis state, each only on the factors it acts on and
-against the state reduced to them.  Traces
-``Tr(rho op)`` are dot products of the flattened ``op`` with the flattened
-``rho^dag``.  ``embed`` places one operator on any slots of a factor layout,
-for references built by hand.
+``direct_margenau_hill`` are one-scenario views) and work in the factor
+order (q1, q2) or, dilated, (q1, q2, ancilla), with the ancilla in its first
+basis state.  Each expectation is taken on the factors its operator acts
+on, against the state reduced to them: the analyser projectors ``W_w`` and
+the X estimates ``f(W)`` on qubit 2 against the 2x2 states ``Tr_1 rho`` and
+``Tr_1((X (x) 1) rho)``, the targets on qubit 1, and the dilated Y
+estimate on (q1, ancilla).  ``embed`` places one operator on any slots of a
+factor layout, for references built by hand.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from .estimate import quasi_mass_checks
 from .qcore import SIGMAS, as_operator_array, run_checks
-from .relations import _centred
 
 
 def embed(op: np.ndarray, slots: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
@@ -45,26 +45,16 @@ def embed(op: np.ndarray, slots: tuple[int, ...], dims: tuple[int, ...]) -> np.n
     return full.reshape(sizes * 2).transpose([*back, *(back + len(dims))]).reshape(full.shape)
 
 
-def _kron(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Kronecker product of two operators ``[d, d]`` or stacks ``[N, d, d]``,
-    stacks taken entry by entry."""
-    prod = p[..., :, None, :, None] * q[..., None, :, None, :]
-    size = prod.shape[-4] * prod.shape[-3]
-    return prod.reshape(*prod.shape[:-4], size, size)
-
-
 _EYE2 = np.eye(2, dtype=complex)
 _VALUES = np.array([1.0, -1.0])  # +-1 outcome values, +1 first
-# the eigenprojectors X_x of X, +1 first
-_X_PROJS = (SIGMAS[0] + _VALUES[:, None, None] * SIGMAS[1]) / 2
-# X and Y on the first of two qubits
-_X1, _Y1 = (_kron(op, _EYE2) for op in SIGMAS[1:3])
+# Y on the first of two qubits
+_Y1 = np.kron(SIGMAS[2], _EYE2)
 # the diagonal of 1 (x) Z on (system, ancilla): a row sign flip
 _ANC_SIGNS = np.tile(_VALUES, 2)
 # the targets X and Y on qubit 1, their squares and [X, Y], flattened
 _Q1_OPS = np.stack([*SIGMAS[1:3], *(op @ op for op in SIGMAS[1:3]),
                     SIGMAS[1] @ SIGMAS[2] - SIGMAS[2] @ SIGMAS[1]]).reshape(5, 4)
-for _op in (_X_PROJS, _X1, _Y1, _Q1_OPS):
+for _op in (_Y1, _Q1_OPS):
     _op.setflags(write=False)
 
 
@@ -137,11 +127,16 @@ def w_projectors(n: np.ndarray) -> np.ndarray:
     return (_EYE2 + _VALUES[:, None, None] * w_ops[:, None]) / 2
 
 
-def _estimates(f: np.ndarray, w_projs: np.ndarray) -> np.ndarray:
-    """The estimates ``f(W) = sum_w f[..., w] W_w`` ``[..., 2, 2]`` of X values
-    ``f[..., w]`` on projectors ``w_projs[..., w, 2, 2]`` broadcast to them."""
-    return (f[..., 0, None, None] * w_projs[..., 0, :, :]
-            + f[..., 1, None, None] * w_projs[..., 1, :, :])
+def _q2_moments(rho: np.ndarray, w_projs: np.ndarray) -> np.ndarray:
+    """``<1 (x) W_w>`` and ``<X (x) W_w>`` ``[N, 2, w]`` of states
+    ``rho[N, 4, 4]`` and analyser projectors ``w_projs[N, w]``: each W_w
+    against the 2x2 states ``Tr_1 rho`` and ``Tr_1((X (x) 1) rho)``, where
+    ``X (x) 1`` swaps the q1 row index.  ``vecdot`` of a Hermitian W_w with a
+    flattened matrix is ``Tr(W_w mat)``."""
+    parts = rho.reshape(-1, 2, 2, 2, 2)
+    reduced = np.stack([parts[:, 0, :, 0] + parts[:, 1, :, 1],
+                        parts[:, 1, :, 0] + parts[:, 0, :, 1]], 1)
+    return np.vecdot(w_projs.reshape(-1, 1, 2, 4), reduced.reshape(-1, 2, 1, 4)).real
 
 
 def direct_moments(rho: np.ndarray, w_projs: np.ndarray,
@@ -151,18 +146,19 @@ def direct_moments(rho: np.ndarray, w_projs: np.ndarray,
     For states ``rho[N, 4, 4]``, analyser projectors ``w_projs[N, w]``
     (:func:`w_projectors`) and K estimates ``f[N, K, w]`` of X read off the
     W outcome, returns the Margenau-Hill quasi-tables
-    ``<{X_x (x) 1, 1 (x) W_w}>/2`` ``[N, x, w]`` and the RMS inaccuracies
-    ``sqrt(<(X (x) 1 - 1 (x) f_k(W))^2>)`` ``[N, K]``, all from traces.
+    ``<{X_x (x) 1, 1 (x) W_w}>/2 = (<1 (x) W_w> + x <X (x) W_w>)/2``
+    ``[N, x, w]`` and the RMS inaccuracies
+    ``sqrt(<(X (x) 1 - 1 (x) f_k(W))^2>)`` ``[N, K]``.  As ``X (x) 1`` and
+    ``1 (x) W_w`` commute, ``X^2 = 1`` and the W_w are orthogonal
+    projectors, the square is ``sum_w (X - f_w)^2 (x) W_w``, whose
+    expectation is ``sum_w (1 + f_w^2) <1 (x) W_w> - 2 f_w <X (x) W_w>``:
+    every moment comes from the 2x2 expectations of :func:`_q2_moments`.
     Precondition, unchecked: each state has unit trace, the quasi-table's mass.
     """
-    w_projs = w_projs[:, None]
-    rho_dag = _flat_daggers(rho)
-    # <{K, L}>/2 = Re Tr(rho K L) for Hermitian rho, K, L, and
-    # (X_x (x) 1)(1 (x) W_w) = X_x (x) W_w
-    products = _kron(_X_PROJS[:, None], w_projs).reshape(len(rho), 2, 2, 16)
-    mh = np.vecdot(rho_dag[:, None], products).real
-    diff = _X1 - _kron(_EYE2, _estimates(f, w_projs))
-    second = np.vecdot(rho_dag, (diff @ diff).reshape(*diff.shape[:-2], 16)).real
+    moments = _q2_moments(rho, w_projs)
+    ones, xs = moments[:, None, 0], moments[:, None, 1]
+    mh = (ones + _VALUES[:, None] * xs) / 2
+    second = ((1.0 + f * f) * ones - 2.0 * f * xs).sum(axis=-1)
     return mh, np.sqrt(np.maximum(second, 0.0))
 
 
@@ -192,22 +188,24 @@ def dilated_moments(rho: np.ndarray, povms: np.ndarray, w_projs: np.ndarray,
     ``<[A, B]>``, ``<[A, B_est]>``, ``<[A_est, B]>``, ``<[A_est, B_est]>``,
     ``max |[A_est, B_est]|`` (the last three 0 by construction, as A_est
     acts on another factor than B and B_est), eps_a as given, eps_b and the
-    spreads of A, B, A_est and B_est.  As in :func:`relations.relation_chains`,
-    eps_b and the estimate spreads are direct products; the target spreads,
-    which there are centred direct products too, come here from the squares
-    of X and Y on qubit 1.  ``X (x) 1`` swaps the q1 index, so
-    ``[A, B_est]`` is two index swaps of B_est.  The POVMs must meet the
-    precondition of :func:`naimark_unitaries`.
+    spreads of A, B, A_est and B_est.  Only eps_b is a direct product,
+    ``(B - B_est)^2``, as in :func:`relations.relation_chains`, where it keeps
+    its precision in the weak limit.  The target spreads come from the
+    squares of X and Y on qubit 1; the spread of A_est is
+    ``sum_w (f_w - m)^2 <W_w>``, with ``m = sum_w f_w <W_w>``, as the W_w
+    are orthogonal projectors; and that of B_est is ``(1 - m)(1 + m)``
+    with ``m = <B_est>``, as ``B_est^2 = 1``.  ``X (x) 1`` swaps the q1
+    index, so ``[A, B_est]`` is two index swaps of B_est.  Preconditions,
+    unchecked: each state has unit trace, and the POVMs meet that of
+    :func:`naimark_unitaries`.
     """
     size = len(rho)
     unitary = naimark_unitaries(povms)
     b_est = unitary.conj().swapaxes(-1, -2) @ (_ANC_SIGNS[:, None] * unitary)
-    a_est = _estimates(f, w_projs)
     parts = rho.reshape(size, 2, 2, 2, 2)
     rho_1_anc = np.zeros((size, 2, 2, 2, 2), dtype=complex)
     rho_1_anc[:, :, 0, :, 0] = rho_1 = parts[:, :, 0, :, 0] + parts[:, :, 1, :, 1]
-    rho1_dag, rho2_dag, anc_dag = map(_flat_daggers, (
-        rho_1, parts[:, 0, :, 0] + parts[:, 1, :, 1], rho_1_anc.reshape(size, 4, 4)))
+    rho1_dag, anc_dag = map(_flat_daggers, (rho_1, rho_1_anc.reshape(size, 4, 4)))
 
     def ev(state_dag, ops):  # Tr(state op) [k, N] for ops [N, k, d, d] or [N, d, d]
         return np.vecdot(state_dag, ops.reshape(size, -1, state_dag.shape[-1])).T
@@ -218,10 +216,12 @@ def dilated_moments(rho: np.ndarray, povms: np.ndarray, w_projs: np.ndarray,
     target_seconds = squares - 2.0 * m * targets + m * m * np.trace(rho, axis1=-2, axis2=-1)
     swapped = b_est.reshape(size, 2, 2, 2, 2)
     comm = (swapped[:, ::-1] - swapped[:, :, :, ::-1]).reshape(size, 4, 4)
-    ev_b_est, ev_a_be = ev(anc_dag, np.stack([b_est, comm], 1))
-    centred_a = _centred(a_est, ev(rho2_dag, a_est)[0].real)
-    b_diffs = np.stack([_Y1 - b_est, _centred(b_est, ev_b_est.real)], 1)
-    (sq_b, sq_b_est), (sq_a_est,) = (
-        ev(anc_dag, b_diffs @ b_diffs), ev(rho2_dag, centred_a @ centred_a))
-    spreads = np.sqrt(np.maximum(np.real([sq_b, *target_seconds, sq_a_est, sq_b_est]), 0.0))
+    diff = _Y1 - b_est
+    ev_b_est, ev_a_be, sq_b = ev(anc_dag, np.stack([b_est, comm, diff @ diff], 1))
+    w_probs = _q2_moments(rho, w_projs)[:, 0]
+    m_a = (f * w_probs).sum(axis=-1)
+    m_b = ev_b_est.real
+    spreads = np.sqrt(np.maximum([
+        sq_b.real, *target_seconds.real, ((f - m_a[:, None]) ** 2 * w_probs).sum(axis=-1),
+        (1.0 - m_b) * (1.0 + m_b)], 0.0))
     return (ev_ab, ev_a_be, *np.zeros((3, size)), eps_a, *spreads)

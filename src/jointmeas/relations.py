@@ -318,7 +318,8 @@ def relation_chains(a_est, b_est, a, b, rho) -> RelationChain:
     Each argument is a stack ``[N, d, d]`` of matrices on one common
     Hilbert space, which may be a dilation of the physical one, or one
     matrix ``[d, d]`` shared by all N; the fields of the result are arrays
-    ``[N]``.  The estimators must commute (checked to ``COMMUTATION_TOL`` =
+    ``[N]``, or 0-d where every operand they read is shared (as
+    :func:`chain_item` reads them).  The estimators must commute (checked to ``COMMUTATION_TOL`` =
     5e-13 for hand-built sets; ``verify``'s commute by construction).  Every
     commutator link comes by bilinearity from the four commutators
     ``[A, B]``, ``[A, B_est]``, ``[A_est, B]`` and ``[A_est, B_est]``.
@@ -361,11 +362,12 @@ def relation_chains(a_est, b_est, a, b, rho) -> RelationChain:
 
 
 def chain_item(chains: RelationChain, i: int) -> RelationChain:
-    """Chain ``i`` of the N chains of :func:`relation_chains`, with floats."""
+    """Chain ``i`` of the N chains of :func:`relation_chains`, with floats; a
+    0-d field, whose operands were all shared, holds for every chain."""
     def item(value):
         if isinstance(value, tuple):
-            return tuple(float(term[i]) for term in value)
-        return float(value[i])
+            return tuple(map(item, value))
+        return float(value[i] if np.ndim(value) else value)
 
     return RelationChain(**{f.name: item(getattr(chains, f.name))
                             for f in fields(RelationChain)})

@@ -4,10 +4,10 @@ The reports are part of the package's contract: for fixed inputs they must
 match these files exactly, at the 12 significant digits they print.  The
 files were written by the same ``cli.main`` invocations; each mode's report
 is pinned in both formats; the 3600-angle sweep is stored gzip-compressed.  The ``verify``
-reports (300 trials at seed 7, and the default 10 000 trials at seed 42)
-are pinned field by field: their counts, flags and margins exactly, their
-rounding-noise residuals to 1e-12; the 300-trial report is read back from
-both formats.
+reports (300 trials at seed 7, 3000 trials at seeds 1, 2, 3 and 42, and the
+default 10 000 trials at seed 42) are pinned field by field: their counts,
+flags and margins exactly, their rounding-noise residuals to 1e-12; the
+300-trial report is read back from both formats.
 """
 
 import csv
@@ -59,12 +59,15 @@ VERIFY_NOISE = ("oracle_max_diff", "y_inaccuracy_max_diff", "dispersion_max_resi
                 "gap_max_residual", "chain_min_slack")
 
 
-def assert_verify_report_matches(tmp_path, golden, trials, seed):
+def assert_verify_report_matches(tmp_path, golden, trials, seed, key=None):
+    """The report of ``verify --trials trials --seed seed`` against a golden,
+    or against the golden's entry ``key`` when it holds several."""
     out = tmp_path / golden
     assert main(["verify", "--trials", str(trials), "--seed", str(seed),
                  "--out", str(out)]) == 0
     got = json.loads(out.read_text(encoding="utf-8"))
     want = json.loads((DATA / golden).read_text(encoding="utf-8"))
+    want = want if key is None else want[key]
     assert got.keys() == want.keys()
     for key, value in want.items():
         if key in VERIFY_NOISE:
@@ -80,6 +83,12 @@ def test_verify_report_matches_golden(tmp_path):
 def test_verify_10k_report_matches_golden(tmp_path):
     """The full-size default run: 10 blocks of trials, pinned the same way."""
     assert_verify_report_matches(tmp_path, "golden_verify_10k.json", 10_000, 42)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 42])
+def test_verify_3000_reports_match_golden(tmp_path, seed):
+    """Three blocks of trials at four seeds, one golden entry per seed."""
+    assert_verify_report_matches(tmp_path, "golden_verify_3000.json", 3000, seed, str(seed))
 
 
 def golden_leaves(tree: dict, prefix: str = ""):

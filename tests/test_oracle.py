@@ -1,5 +1,6 @@
 """Operator-algebra cross-checks: embedding, dilation and direct moments."""
 
+import dataclasses
 import itertools
 import math
 
@@ -24,11 +25,19 @@ from jointmeas import (
     projector_pair,
     slide_model,
 )
+from jointmeas.estimate import optimal_values
 from jointmeas.oracle import direct_moments, naimark_unitaries, w_projectors
 from jointmeas.qcore import _psd_sqrt, bloch_vectors
-from jointmeas.scenario import povm_elements
+from jointmeas.relations import relation_chains
+from jointmeas.scenario import povm_elements, slide_arrays
+from jointmeas.workflow import _draw_block, _state_matrices, dilated_chains
 
-from dilation import dilated_operators
+from dilation import (
+    ANCILLA_Z,
+    dilated_operators,
+    reference_estimate_spreads,
+    reference_moments,
+)
 
 X = pauli("X").matrix
 Y = pauli("Y").matrix
@@ -302,3 +311,77 @@ def test_direct_moments_match_explicit_traces():
                                              + f[i, k, 1] * w_projs[1])
             want = math.sqrt(np.einsum("ab,bc,ca->", rho[i], diff, diff).real)
             assert abs(eps[i, k] - want) <= 1e-13, (i, k)
+
+
+def test_analyser_projectors_are_orthogonal_projectors():
+    """The invariant behind the factored eps(X) and A_est spread, which take
+    ``f(W)^2 = sum_w f_w^2 W_w``: on drawn directions ``W+ W- = 0`` and
+    ``W_w^2 = W_w`` within 1e-15."""
+    _, _, angles, _ = _draw_block(np.random.default_rng(31), 0, 4096)
+    w_projs = w_projectors(bloch_vectors(angles[:, 0], angles[:, 1]))
+    assert np.abs(w_projs[:, 0] @ w_projs[:, 1]).max() <= 1e-15
+    assert np.abs(w_projs @ w_projs - w_projs).max() <= 1e-15
+
+
+@pytest.mark.parametrize("case", ["drawn", "r in {0, 1}"])
+def test_dilated_y_estimate_squares_to_the_identity(case):
+    """The invariant behind the factored B_est spread ``(1 - m)(1 + m)``: on
+    drawn slides, and on slides with r_h or r_v in {0, 1}, the dilated Y
+    estimate ``U^dag (1 (x) Z) U`` squares to the identity within 1e-14."""
+    _, refl, _, _ = _draw_block(np.random.default_rng(32), 0, 4096)
+    if case == "r in {0, 1}":
+        rng = np.random.default_rng(33)
+        refl[np.arange(4096), rng.integers(0, 2, 4096)] = rng.choice([0.0, 1.0], 4096)
+    unitary = naimark_unitaries(povm_elements(slide_arrays(refl[:, 0], refl[:, 1])))
+    b_est = unitary.conj().swapaxes(-1, -2) @ ANCILLA_Z @ unitary
+    assert np.abs(b_est @ b_est - np.eye(4)).max() <= 1e-14
+
+
+ORACLE_CASES = ("drawn", "f+ = f-", "|f| = 2", "r in {0, 1}", "split 1e-6", "near-pure")
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_factored_moments_match_the_whole_space_products(case):
+    """On seeded `verify` blocks (custom X estimates on odd trials, optimal
+    ones on even trials) and edge cases of them, the oracle's factored MH
+    table and eps(X) equal the 4x4 products of `reference_moments`, its
+    estimate spreads the centred 4x4 products, and every field of the
+    factored chain the chain `relation_chains` takes from full 8x8
+    matrices, all within 1e-13.  The edge cases: equal estimates f+ = f-,
+    estimates +-2, slides with r_h or r_v in {0, 1}, a split r_v - r_h of
+    1e-6, and states within 1e-9 of pure."""
+    size = 512
+    seed = ORACLE_CASES.index(case)
+    g, refl, angles, custom = _draw_block(np.random.default_rng(300 + seed), 0, size)
+    rng = np.random.default_rng(seed)
+    rho = _state_matrices(g)
+    if case == "near-pure":
+        psi = rng.normal(size=(size, 4)) + 1j * rng.normal(size=(size, 4))
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        rho = 1e-9 * rho + (1.0 - 1e-9) * psi[:, :, None] * psi[:, None, :].conj()
+    n = bloch_vectors(angles[:, 0], angles[:, 1])
+    optimal = optimal_values(rho, n)
+    f = np.where(np.isnan(custom), optimal, custom)
+    if case == "f+ = f-":
+        f[:, 1] = f[:, 0]
+    elif case == "|f| = 2":
+        f = rng.choice([-2.0, 2.0], (size, 2))
+    elif case == "r in {0, 1}":
+        refl[np.arange(size), rng.integers(0, 2, size)] = rng.choice([0.0, 1.0], size)
+    elif case == "split 1e-6":
+        refl[:, 1] = refl[:, 0] + 1e-6
+    slides, w_projs = slide_arrays(refl[:, 0], refl[:, 1]), w_projectors(n)
+    povms = povm_elements(slides)
+
+    both = np.stack([optimal, f], axis=1)
+    for got, want in zip(direct_moments(rho, w_projs, both),
+                         reference_moments(rho, w_projs, both)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    chains = dilated_chains(rho, slides, w_projs, f)
+    spreads = reference_estimate_spreads(rho, povms, w_projs, f)
+    np.testing.assert_allclose(chains.delta_a_est, spreads[0], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(chains.delta_b_est, spreads[1], rtol=0, atol=1e-13)
+    want = relation_chains(*dilated_operators(rho, povms, w_projs, f))
+    for field in dataclasses.fields(chains):
+        np.testing.assert_allclose(getattr(chains, field.name), getattr(want, field.name),
+                                   rtol=0, atol=1e-13, err_msg=field.name)

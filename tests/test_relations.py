@@ -31,7 +31,13 @@ from jointmeas.qcore import (
     correlations,
     spreads,
 )
-from jointmeas.relations import COMMUTATION_TOL, MDReport, gap_weights, relation_chains
+from jointmeas.relations import (
+    COMMUTATION_TOL,
+    MDReport,
+    chain_item,
+    gap_weights,
+    relation_chains,
+)
 from jointmeas.scenario import povm_elements, slide_arrays
 from jointmeas.workflow import _draw_block, _state_matrices, dilated_chains
 
@@ -609,3 +615,14 @@ def test_shared_operand_gemm_forms_match_per_matrix_forms():
         for field in dataclasses.fields(got):
             np.testing.assert_allclose(getattr(got, field.name), getattr(want, field.name),
                                        rtol=1e-15, atol=1e-15, err_msg=f"{seed} {field.name}")
+
+
+def test_chain_item_reads_a_shared_field_for_every_chain():
+    """With both estimators and both targets one shared matrix, the
+    commutation residual is one value for all N chains: item 1 of three
+    stacked states equals, field for field, the chain of state 1 alone."""
+    x, z = pauli("X").matrix, pauli("Z").matrix
+    rho = np.stack([random_density(np.random.default_rng(seed), 2) for seed in range(3)])
+    chains = relation_chains(z, z, x, z, rho)
+    assert np.shape(chains.commutator_residual) == () and np.shape(chains.c) == (3,)
+    assert chain_item(chains, 1) == verify_relation_chain(z, z, x, z, rho[1])
