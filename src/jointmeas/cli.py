@@ -134,6 +134,8 @@ def _usage_problem(args: argparse.Namespace) -> str | None:
         return "simulate takes a single --phi angle"
     if args.mode == "verify" and args.trials <= 0:
         return "--trials must be positive"
+    if args.mode == "verify" and args.seed < 0:
+        return "--seed must not be negative"
     return None
 
 

@@ -13,9 +13,11 @@ order (q1, q2) or, dilated, (q1, q2, ancilla), with the ancilla in its first
 basis state.  Each expectation is taken on the factors its operator acts
 on, against the state reduced to them: the analyser projectors ``W_w`` and
 the X estimates ``f(W)`` on qubit 2 against the 2x2 states ``Tr_1 rho`` and
-``Tr_1((X (x) 1) rho)``, the targets on qubit 1, and the dilated Y
-estimate on (q1, ancilla).  ``embed`` places one operator on any slots of a
-factor layout, for references built by hand.
+``Tr_1((X (x) 1) rho)``, and the targets and the dilated Y estimate, on
+qubit 1 and on (q1, ancilla), against ``Tr_2 rho``: the (q1, ancilla)
+state ``Tr_2 rho (x) |0><0|`` reads only the ancilla-(0, 0) block of an
+operator.  ``embed`` places one operator on any slots of a factor layout,
+for references built by hand.
 """
 
 from __future__ import annotations
@@ -56,11 +58,6 @@ _Q1_OPS = np.stack([*SIGMAS[1:3], *(op @ op for op in SIGMAS[1:3]),
                     SIGMAS[1] @ SIGMAS[2] - SIGMAS[2] @ SIGMAS[1]]).reshape(5, 4)
 for _op in (_Y1, _Q1_OPS):
     _op.setflags(write=False)
-
-
-def _flat_daggers(mats: np.ndarray) -> np.ndarray:
-    """``mats^dag`` ``[N, 1, d*d]``, whose ``vecdot`` with a flat op is ``Tr(mat op)``."""
-    return mats.conj().swapaxes(-1, -2).reshape(len(mats), 1, -1)
 
 
 def _roots(elements: np.ndarray) -> np.ndarray:
@@ -173,55 +170,49 @@ def direct_margenau_hill(rho, w) -> np.ndarray:
 
 
 def dilated_moments(rho: np.ndarray, povms: np.ndarray, w_projs: np.ndarray,
-                    f: np.ndarray, eps_a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The moments of the averaged-spread derivation on commuting projective
-    estimators on (q1, q2, ancilla) for N scenarios, each computed on the
-    factors its operators act on, against the state reduced to them.
+                    f: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The moments of the averaged-spread derivation on qubit 1 and on
+    (q1, ancilla), for commuting projective estimators on (q1, q2, ancilla).
 
     For states ``rho[N, 4, 4]``, the Y POVMs ``povms[N, y]`` behind the
-    slides, analyser projectors ``w_projs[N, w]`` (:func:`w_projectors`),
-    X estimates ``f[N, w]`` with their inaccuracies ``eps_a[N]`` from
-    :func:`direct_moments`: A = X and B = Y act on qubit 1, ``A_est = f(W)``
+    slides, analyser projectors ``w_projs[N, w]`` (:func:`w_projectors`) and
+    X estimates ``f[N, w]``: A = X and B = Y act on qubit 1, ``A_est = f(W)``
     on qubit 2, and the Naimark-dilated Y estimate ``B_est = U^dag (1 (x) Z)
-    U``, with values +-1, on (q1, ancilla), all against ``rho (x) |0><0|``.
-    Returns arrays ``[N]`` in the order the chain's links take them:
-    ``<[A, B]>``, ``<[A, B_est]>``, ``<[A_est, B]>``, ``<[A_est, B_est]>``,
-    ``max |[A_est, B_est]|`` (the last three 0 by construction, as A_est
-    acts on another factor than B and B_est), eps_a as given, eps_b and the
-    spreads of A, B, A_est and B_est.  Only eps_b is a direct product,
-    ``(B - B_est)^2``, as in :func:`relations.relation_chains`, where it keeps
-    its precision in the weak limit.  The target spreads come from the
-    squares of X and Y on qubit 1; the spread of A_est is
-    ``sum_w (f_w - m)^2 <W_w>``, with ``m = sum_w f_w <W_w>``, as the W_w
-    are orthogonal projectors; and that of B_est is ``(1 - m)(1 + m)``
-    with ``m = <B_est>``, as ``B_est^2 = 1``.  ``X (x) 1`` swaps the q1
-    index, so ``[A, B_est]`` is two index swaps of B_est.  Preconditions,
-    unchecked: each state has unit trace, and the POVMs meet that of
-    :func:`naimark_unitaries`.
+    U``, with values +-1, on (q1, ancilla), whose state ``Tr_2 rho (x)
+    |0><0|`` reads only an operator's ancilla-(0, 0) block, against
+    ``Tr_2 rho``.  Returns arrays ``[N]`` in the order the chain's links
+    take them: ``<[A, B]>``, ``<[A, B_est]>``, eps_b and the spreads of A,
+    B, A_est and B_est.  Only eps_b is a direct product, ``(B - B_est)^2``,
+    as in :func:`relations.relation_chains`, where it keeps its precision in
+    the weak limit.  The target spreads come from the squares of X and Y on
+    qubit 1; the spread of A_est is ``sum_w (f_w - m)^2 <W_w>``, with ``m =
+    sum_w f_w <W_w>``, as the W_w are orthogonal projectors; and that of
+    B_est is ``(1 - m)(1 + m)`` with ``m = <B_est>``, as ``B_est^2 = 1``.
+    ``X (x) 1`` swaps the q1 index of a block, so that of ``[A, B_est]`` is
+    two index swaps of B_est's.  Preconditions, unchecked: each state has
+    unit trace, and the POVMs meet that of :func:`naimark_unitaries`.
     """
     size = len(rho)
     unitary = naimark_unitaries(povms)
     b_est = unitary.conj().swapaxes(-1, -2) @ (_ANC_SIGNS[:, None] * unitary)
+    diff = _Y1 - b_est
     parts = rho.reshape(size, 2, 2, 2, 2)
-    rho_1_anc = np.zeros((size, 2, 2, 2, 2), dtype=complex)
-    rho_1_anc[:, :, 0, :, 0] = rho_1 = parts[:, :, 0, :, 0] + parts[:, :, 1, :, 1]
-    rho1_dag, anc_dag = map(_flat_daggers, (rho_1, rho_1_anc.reshape(size, 4, 4)))
-
-    def ev(state_dag, ops):  # Tr(state op) [k, N] for ops [N, k, d, d] or [N, d, d]
-        return np.vecdot(state_dag, ops.reshape(size, -1, state_dag.shape[-1])).T
-
+    rho_1 = parts[:, :, 0, :, 0] + parts[:, :, 1, :, 1]
+    # vecdot(rho_1^dag, op) of a flattened 2x2 op is Tr(rho_1 op)
+    rho1_dag = rho_1.conj().swapaxes(-1, -2).reshape(size, 1, 4)
     targets, squares, (ev_ab,) = np.split(np.vecdot(rho1_dag, _Q1_OPS).T, [2, 4])
+    # the ancilla-(0, 0) blocks of B_est, [A, B_est] and (B - B_est)^2
+    b_block, sq_block = (op.reshape(size, 2, 2, 2, 2)[:, :, 0, :, 0]
+                         for op in (b_est, diff @ diff))
+    blocks = np.stack([b_block, b_block[:, ::-1] - b_block[:, :, ::-1], sq_block], 1)
+    ev_b_est, ev_a_be, sq_b = np.vecdot(rho1_dag, blocks.reshape(size, 3, 4)).T
     m = targets.real
     # Tr(rho (op - m)^2) = Tr(rho op^2) - 2 m Tr(rho op) + m^2 Tr rho
     target_seconds = squares - 2.0 * m * targets + m * m * np.trace(rho, axis1=-2, axis2=-1)
-    swapped = b_est.reshape(size, 2, 2, 2, 2)
-    comm = (swapped[:, ::-1] - swapped[:, :, :, ::-1]).reshape(size, 4, 4)
-    diff = _Y1 - b_est
-    ev_b_est, ev_a_be, sq_b = ev(anc_dag, np.stack([b_est, comm, diff @ diff], 1))
     w_probs = _q2_moments(rho, w_projs)[:, 0]
     m_a = (f * w_probs).sum(axis=-1)
     m_b = ev_b_est.real
     spreads = np.sqrt(np.maximum([
         sq_b.real, *target_seconds.real, ((f - m_a[:, None]) ** 2 * w_probs).sum(axis=-1),
         (1.0 - m_b) * (1.0 + m_b)], 0.0))
-    return (ev_ab, ev_a_be, *np.zeros((3, size)), eps_a, *spreads)
+    return (ev_ab, ev_a_be, *spreads)

@@ -284,16 +284,6 @@ class RelationChain:
         return self.min_slack >= -MARGIN_TOL
 
 
-def _centred(op: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``op - m 1`` for a stack ``op[..., d, d]`` and means ``m[...]``: the
-    off-diagonal entries would lose exactly 0."""
-    dim = op.shape[-1]
-    centred = np.empty((*m.shape, dim, dim), dtype=complex)
-    centred[...] = op
-    centred.reshape(*m.shape, dim * dim)[..., ::dim + 1] -= m[..., None]
-    return centred
-
-
 def _chain_links(ev_ab, ev_a_be, ev_ae_b, ev_ae_be, commutator_residual,
                  eps_a, eps_b, da, db, da_est, db_est) -> RelationChain:
     """The chain from the expectations of ``[A, B]``, ``[A, B_est]``,
@@ -353,7 +343,7 @@ def relation_chains(a_est, b_est, a, b, rho) -> RelationChain:
         return np.sqrt(np.maximum(ev(op @ op).real, 0.0))
 
     def spread(op):
-        return rms(_centred(op, ev(op).real))
+        return rms(op - ev(op).real[..., None, None] * np.eye(op.shape[-1]))
 
     return _chain_links(
         *map(ev, (c_ab, c_a_be, c_ae_b, c_ae_be)), commutator_residual,

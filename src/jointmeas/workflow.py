@@ -324,12 +324,14 @@ def dilated_chains(rho: np.ndarray, slide, w_projs: np.ndarray, f: np.ndarray,
     ``rho[N, 4, 4]``, slides (a SemiweakSlide or :class:`SlideArrays`),
     projectors ``w_projs[N, w]`` of the analysers, X estimates ``f[N, w]``
     and their inaccuracies ``eps_a[N]`` (from :func:`oracle.direct_moments`
-    when not given); the chain's fields are arrays ``[N]``.  The moments are
-    computed per factor (:func:`oracle.dilated_moments`):
-    ``commutator_residual`` is 0."""
+    when not given); the chain's fields are arrays ``[N]``, with the moments
+    on qubit 1 and (q1, ancilla) from :func:`oracle.dilated_moments`."""
     if eps_a is None:
         eps_a = direct_moments(rho, w_projs, f[:, None])[1][:, 0]
-    return _chain_links(*dilated_moments(rho, povm_elements(slide), w_projs, f, eps_a))
+    ev_ab, ev_a_be, eps_b, *spreads = dilated_moments(rho, povm_elements(slide), w_projs, f)
+    # A_est acts on q2, B and B_est on (q1, ancilla): [A_est, B] and [A_est, B_est] are 0
+    zero = np.zeros(len(rho))
+    return _chain_links(ev_ab, ev_a_be, zero, zero, zero, eps_a, eps_b, *spreads)
 
 
 def dilated_chain(rho: DensityMatrix, slide: SemiweakSlide, w: BlochObservable,
@@ -517,11 +519,13 @@ def run_verification(trials: int = 10_000, seed: int = 42) -> VerificationResult
     trial gets the statistics checks, raising what the first offending
     trial raises alone; the gates that cannot fire on drawn scenarios, the
     chain's commutation gate among them, live in the one-scenario views.  A
-    negative trial count raises ``ValueError``; zero trials give an empty
-    run, which does not pass.
+    negative trial count or seed raises ``ValueError``; zero trials give an
+    empty run, which does not pass.
     """
     if trials < 0:
         raise ValueError(f"trials must not be negative, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must not be negative, got {seed}")
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     blocks = [_verify_block(*_draw_block(rng, first, min(_BLOCK, trials - first)))

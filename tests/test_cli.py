@@ -43,6 +43,12 @@ def test_usage_exit_codes(capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_negative_seed(capsys):
+    """numpy's generator takes no negative seed: a bad flag (exit 2), not bad data."""
+    assert main(["verify", "--seed", "-1", "--trials", "10"]) == 2
+    assert capsys.readouterr().err == "usage error: --seed must not be negative\n"
+
+
 def test_simulate_json_both_estimators(capsys):
     assert main(["simulate", "--gamma", "22.5"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -101,6 +101,14 @@ def test_parse_distribution_keeps_zero_and_empty_sigma():
     assert (1, -1, 1) not in dist.sigmas
     assert parse_distribution(emit_distribution(dist)).sigmas == dist.sigmas
 
+def test_parse_distribution_skips_blank_lines():
+    lines = GOOD_TABLE.splitlines()
+    spaced = "\n".join([lines[0], "", *lines[1:5], "   ", *lines[5:], ""]) + "\n"
+    dist = parse_distribution(spaced)
+    assert dist.entries == parse_distribution(GOOD_TABLE).entries
+    assert dist.metadata == parse_distribution(GOOD_TABLE).metadata
+
+
 def test_parse_distribution_mass_gate():
     scaled = GOOD_TABLE.replace("0.282", "0.582")
     with pytest.raises(DataValidationError, match=r"sum to 1.3004, outside 1 \+- 0.01"):
@@ -143,6 +151,14 @@ def test_parse_density_matrix_roundtrip():
     rho = parse_density_matrix(text)
     assert emit_density_matrix(rho) == text
     assert rho.min_eigenvalue > 0.0
+
+
+def test_parse_density_matrix_skips_blank_and_comment_lines():
+    text = resources.files("jointmeas.data").joinpath("tomographic_state.csv").read_text()
+    lines = text.splitlines()
+    commented = "\n".join(["# a comment", "", *lines[:3], "  ", "  # indented", *lines[3:]])
+    assert np.array_equal(parse_density_matrix(commented).matrix,
+                          parse_density_matrix(text).matrix)
 
 
 def test_bundled_state_against_ideal():

@@ -4,7 +4,8 @@ A census of the suite, the edge battery and `run_verification(50_000)` at
 seeds 1-3 counted how often each queued check and each ``raise`` in
 `qcore`, `scenario`, `estimate`, `relations`, `oracle` and `workflow`
 fired.  The first part of this file fires, from public inputs, every gate
-that no other test reached, with the type and message a caller sees.  The
+that no other test reached, with the type and message a caller sees, and
+so do the `dataio` gates that a line trace of the suite found unreached.  The
 second part states the invariants that made the deleted gates redundant:
 analyser directions are unit, simulated tables are finite with unit mass,
 and a chain is broken exactly when one of its slacks is.  It also states
@@ -18,6 +19,7 @@ estimates is stated in `test_relations.py`.
 """
 
 import dataclasses
+import json
 import math
 import re
 import warnings
@@ -28,6 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointmeas import (
+    DataValidationError,
     DegenerateMeasurementError,
     DensityMatrix,
     DimensionMismatchError,
@@ -42,11 +45,14 @@ from jointmeas import (
     direct_margenau_hill,
     dispersion_check,
     disturbed_observable,
+    emit_report,
     expectation,
     fidelity,
     joint_distribution,
     mh_from_counts,
     naimark_unitary,
+    parse_density_matrix,
+    parse_distribution,
     pauli,
     projector_pair,
     reference_scenario,
@@ -121,6 +127,14 @@ def relaxed_floor_state() -> DensityMatrix:
     mat[1, 3], mat[3, 1] = 1j * b, -1j * b + 5e-13j
     return DensityMatrix(mat, psd_floor=1e7)
 
+
+# reports json cannot write, with json.dumps' own messages
+UNWRITABLE_REPORTS = {
+    "report with a tuple key": (
+        {(1, 2): 1.0}, "keys must be str, int, float, bool or None, not tuple"),
+    "report with an object value": (
+        {"a": object()}, "Object of type object is not JSON serializable"),
+}
 
 EDGE_GATES = {
     "density matrix not Hermitian": (
@@ -231,6 +245,15 @@ EDGE_GATES = {
         lambda: verify_relation_chain(np.eye(2), np.eye(4), np.eye(4), np.eye(4),
                                       np.eye(4) / 4),
         ValueError, "operators live on different spaces: dims [2, 4]"),
+    "outcome table with a sigma that is not a float": (
+        lambda: parse_distribution("m,y,w,p,sigma\n1,1,1,0.125, x \n"),
+        DataValidationError, "line 2: column 'sigma' must be a float or empty"),
+    # the message quotes the field stripped
+    "density matrix with a field that is not a float": (
+        lambda: parse_density_matrix("row,col,re,im\n0,0, abc ,0\n"),
+        DataValidationError, "line 2: could not convert string to float: 'abc'"),
+    **{name: (lambda report=report: emit_report(report), TypeError, message)
+       for name, (report, message) in UNWRITABLE_REPORTS.items()},
 }
 
 
@@ -240,6 +263,14 @@ def test_edge_gate_fires(name):
     with pytest.raises(exc_type, match=f"^{re.escape(message)}$") as err:
         call()
     assert type(err.value) is exc_type
+
+
+@pytest.mark.parametrize("name", list(UNWRITABLE_REPORTS))
+def test_unwritable_report_raises_what_json_raises(name):
+    report, message = UNWRITABLE_REPORTS[name]
+    with pytest.raises(TypeError) as err:
+        json.dumps(report)
+    assert str(err.value) == message
 
 
 def test_bloch_directions_square_to_the_identity():

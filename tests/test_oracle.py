@@ -26,8 +26,8 @@ from jointmeas import (
     slide_model,
 )
 from jointmeas.estimate import optimal_values
-from jointmeas.oracle import direct_moments, naimark_unitaries, w_projectors
-from jointmeas.qcore import _psd_sqrt, bloch_vectors
+from jointmeas.oracle import dilated_moments, direct_moments, naimark_unitaries, w_projectors
+from jointmeas.qcore import SIGMAS, _psd_sqrt, bloch_vectors
 from jointmeas.relations import relation_chains
 from jointmeas.scenario import povm_elements, slide_arrays
 from jointmeas.workflow import _draw_block, _state_matrices, dilated_chains
@@ -385,3 +385,32 @@ def test_factored_moments_match_the_whole_space_products(case):
     for field in dataclasses.fields(chains):
         np.testing.assert_allclose(getattr(chains, field.name), getattr(want, field.name),
                                    rtol=0, atol=1e-13, err_msg=field.name)
+
+
+def test_dilated_moments_match_the_whole_space_products_for_any_binary_povm():
+    """The slides' Y POVMs are diagonal in Y's eigenbasis, where every chain
+    moment is even in <Y> and so blind to a transposed ``Tr_2 rho``.  On
+    binary POVMs ``E_0 = w 1 + r n.s`` with X, Y and Z parts, each moment
+    of `dilated_moments` equals its 8x8 whole-space product within 1e-13."""
+    size = 256
+    rng = np.random.default_rng(41)
+    g, _, angles, custom = _draw_block(rng, 0, size)
+    rho = _state_matrices(g)
+    n = bloch_vectors(angles[:, 0], angles[:, 1])
+    f = np.where(np.isnan(custom), optimal_values(rho, n), custom)
+    axes = rng.normal(size=(size, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    weight = rng.uniform(0.0, 1.0, size)
+    reach = rng.uniform(0.0, 1.0, size) * np.minimum(weight, 1.0 - weight)
+    first = weight[:, None, None] * EYE + reach[:, None, None] * (
+        axes @ SIGMAS[1:].reshape(3, 4)).reshape(size, 2, 2)
+    povms = np.stack([first, EYE - first], axis=1)
+    w_projs = w_projectors(n)
+    a_est, b_est, a, b, state = dilated_operators(rho, povms, w_projs, f)
+    want = relation_chains(a_est, b_est, a, b, state)
+    ev_ab, ev_a_be, *rest = dilated_moments(rho, povms, w_projs, f)
+    for got, op in ((ev_ab, a @ b - b @ a), (ev_a_be, a @ b_est - b_est @ a)):
+        np.testing.assert_allclose(got, np.trace(state @ op, axis1=-2, axis2=-1),
+                                   rtol=0, atol=1e-13)
+    for got, name in zip(rest, ("eps_b", "delta_a", "delta_b", "delta_a_est", "delta_b_est")):
+        np.testing.assert_allclose(got, getattr(want, name), rtol=0, atol=1e-13, err_msg=name)

@@ -426,6 +426,22 @@ def test_relation_chains_equal_link_by_link_reference(d, shared):
     assert_chain_matches_reference(relation_chains(*operands), reference_chain(*operands))
 
 
+def test_relation_chains_centre_on_the_real_part_of_the_mean():
+    """No operand is assumed Hermitian: each spread centres its operator on
+    ``m = Re Tr(rho A)``, as the reference does, also where ``Tr(rho A)`` has
+    an imaginary part, here of 1e-3 or more."""
+    rng = np.random.default_rng(12)
+    a_est, b_est, a, b, rho = chain_operands(rng, 4, 6, ())
+    skew = [np.stack([random_hermitian(rng, 4) for _ in range(6)]) for _ in range(2)]
+    a, b = a + 0.5j * skew[0], b + 0.5j * skew[1]
+    # polynomials in one commuting pair still commute
+    a_est, b_est = a_est + 0.5j * b_est, b_est - 0.3j * a_est
+    for op in (a, b, a_est, b_est):
+        assert np.abs(np.trace(rho @ op, axis1=-2, axis2=-1).imag).min() >= 1e-3
+    operands = (a_est, b_est, a, b, rho)
+    assert_chain_matches_reference(relation_chains(*operands), reference_chain(*operands))
+
+
 def test_relation_chains_equal_reference_on_dilated_operators():
     """The dilated sets of `run_verification` as full matrices: shared X1
     and Y1, stacked estimators and states on (q1, q2, ancilla)."""

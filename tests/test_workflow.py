@@ -210,6 +210,12 @@ def test_run_verification_rejects_negative_trials(trials):
         run_verification(trials=trials, seed=3)
 
 
+def test_run_verification_rejects_a_negative_seed():
+    """Refused with the library's message, not that of numpy's generator."""
+    with pytest.raises(ValueError, match=r"^seed must not be negative, got -1$"):
+        run_verification(trials=10, seed=-1)
+
+
 def test_verification_serialisation_is_deterministic():
     one = run_verification(trials=12, seed=9)
     two = run_verification(trials=12, seed=9)
