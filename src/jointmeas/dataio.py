@@ -107,8 +107,8 @@ def parse_distribution(text: str, provenance: str = "measured",
                 sigma = float(parts[4])
             except ValueError as exc:
                 raise DataValidationError(
-                    f"line {line_no}: column 'sigma' must be a float or empty"
-                ) from exc
+                    f"line {line_no}: column 'sigma' must be a float or empty, "
+                    f"got {parts[4].strip()!r}") from exc
             if not (math.isfinite(sigma) and sigma >= 0.0):
                 raise DataValidationError(
                     f"line {line_no}: sigma must be finite and non-negative, "

@@ -34,6 +34,7 @@ from .qcore import (
     DensityMatrix,
     HermitianOperator,
     NumericalCorruptionError,
+    _row_sums,
     correlations,
     failing,
     pauli,
@@ -199,8 +200,8 @@ def x_inaccuracies(mh: np.ndarray, f: np.ndarray,
     anything more negative marks the input data as inconsistent.  The checks
     of estimate k go to ``checks[k]`` when given, else they run here.
     """
-    eps_sq = ((SIGNS[:, None] - f[:, :, None, :]) ** 2 * mh[:, None]).reshape(
-        -1, 4).sum(axis=1).reshape(len(f), -1)
+    eps_sq = _row_sums(((SIGNS[:, None] - f[:, :, None, :]) ** 2 * mh[:, None]).reshape(
+        -1, 4)).reshape(len(f), -1)
     corrupt, clamped = eps_sq < -1e-9, (eps_sq < 0.0) & (eps_sq >= -1e-9)
     submit_column_checks(checks, [[
         (corrupt[:, k], failing(

@@ -88,6 +88,19 @@ def submit_column_checks(queues: Sequence[list[Check]] | None,
             queue.extend(column)
 
 
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """``rows.sum(axis=1)`` of ``rows[N, k]`` for ``k < 8``, bit for bit.
+
+    numpy adds fewer than 8 entries of a row left to right,
+    ``((r0 + r1) + r2) + ...``.  It adds the rows of the C-ordered
+    transpose in that same order, one whole ``[N]`` column at a time,
+    where ``rows.sum(axis=1)`` runs its inner loop once per row.  From 8
+    entries on, numpy adds a row pairwise instead, so there this would
+    move bits.
+    """
+    return np.add.reduce(np.ascontiguousarray(rows.T))
+
+
 # The exact-arithmetic gates: how far an operator or state may sit from
 # Hermitian, and matrices, traces or real expectations from their targets.
 _HERMITICITY_TOL = 1e-12

@@ -247,7 +247,7 @@ EDGE_GATES = {
         ValueError, "operators live on different spaces: dims [2, 4]"),
     "outcome table with a sigma that is not a float": (
         lambda: parse_distribution("m,y,w,p,sigma\n1,1,1,0.125, x \n"),
-        DataValidationError, "line 2: column 'sigma' must be a float or empty"),
+        DataValidationError, "line 2: column 'sigma' must be a float or empty, got 'x'"),
     # the message quotes the field stripped
     "density matrix with a field that is not a float": (
         lambda: parse_density_matrix("row,col,re,im\n0,0, abc ,0\n"),

@@ -21,6 +21,7 @@ from jointmeas import (
     optimal_estimator,
     pauli,
     projector_pair,
+    random_observable,
     random_slide,
     random_state,
     reference_scenario,
@@ -135,6 +136,33 @@ def test_sweep_row_layout(kinds, size):
     rows[0]["c"] = rows[0]["phi_deg"] = -1.0
     assert rows[1:] == others
     assert len({id(row) for row in rows}) == size
+
+
+# the simulate report field behind each per-kind angle column of a sweep row
+REPORT_FIELDS = {"eps_x": "eps_a", "delta_x_est": "delta_a_est",
+                 "lhs_arthurs_kelly": "lhs_ak", "lhs_hall": "lhs_hall",
+                 "lhs_ozawa": "lhs_ozawa", "lhs_new": "lhs_new"}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sweep_rows_match_simulate_within_1e12(seed):
+    """A sweep row's angle columns agree with ``simulate_scenario`` at the
+    same angle within 1e-12 absolute, on slides at least 0.01 apart.  They
+    need not agree bit for bit: numpy's matrix products behind
+    ``joint_tables``, ``mh_tables`` and ``optimal_values`` take a different
+    path for one direction than for a stack of them."""
+    rng = np.random.default_rng(seed)
+    rho, slide = random_state(rng), random_slide(rng)
+    theta_deg = math.degrees(random_observable(rng).theta)
+    phis = np.linspace(0.0, 360.0, 50, endpoint=False)
+    rows = sweep_phi(rho, slide, phis, theta_deg=theta_deg)
+    for phi, row in zip(phis.tolist(), rows):
+        w = BlochObservable.from_degrees(theta_deg, phi)
+        for kind in ("simple", "optimal"):
+            report = simulate_scenario(rho, slide, w, estimator=kind).report
+            got = [row["delta_y_est"], *(row[f"{col}_{kind}"] for col in REPORT_FIELDS)]
+            want = [report.delta_b_est, *(getattr(report, name) for name in REPORT_FIELDS.values())]
+            assert got == pytest.approx(want, rel=0, abs=TOL), (phi, kind)
 
 
 def test_sweep_empty_grid():
