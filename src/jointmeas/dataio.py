@@ -15,7 +15,6 @@ import json
 import math
 import os
 import warnings
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -358,6 +357,8 @@ def emit_report(report, fmt: str = "json") -> str:
 
 def bundled_distribution(phi_deg: float) -> JointDistribution:
     """Load one of the packaged measured outcome tables by analyser angle."""
+    from importlib import resources  # here: its pathlib/zipfile chain is slow to import
+
     name = f"measured_phi{phi_deg:g}.csv"
     ref = resources.files("jointmeas.data").joinpath(name)
     if not ref.is_file():
@@ -373,5 +374,7 @@ def bundled_distribution(phi_deg: float) -> JointDistribution:
 
 def bundled_state() -> DensityMatrix:
     """Load the packaged tomographic two-qubit state."""
+    from importlib import resources  # see bundled_distribution
+
     ref = resources.files("jointmeas.data").joinpath("tomographic_state.csv")
     return parse_density_matrix(ref.read_text(encoding="utf-8"))

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .qcore import (
     _row_sums,
     correlations,
     failing,
+    frozen_dataclass,
     pauli,
     projector_pair,
     run_checks,
@@ -73,7 +73,7 @@ class UndefinedEstimateError(ValueError):
     """An estimator branch conditions on a zero-probability outcome."""
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Estimator:
     """An estimate of X from the W outcome: ``w -> f(w)``, with a kind tag.
 
@@ -293,7 +293,7 @@ def estimator_spread(dist: JointDistribution, est: Estimator) -> float:
     return float(estimate_spreads(dist.table[None], est.array[None, None])[0, 0])
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class DispersionCheck:
     """The three terms of eps^2 + (Delta X_est)^2 = (Delta X)^2."""
 

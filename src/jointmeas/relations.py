@@ -27,11 +27,11 @@ alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 
 import numpy as np
 
-from .qcore import as_operator_array, failing, run_checks
+from .qcore import as_operator_array, failing, frozen_dataclass, run_checks
 
 
 class RelationViolationError(ValueError):
@@ -47,7 +47,7 @@ COMMUTATION_TOL = 5e-13
 RELATION_NAMES = ("arthurs_kelly", "hall", "ozawa", "new")
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class RelationReport:
     """All four relation left-hand sides against the shared bound c/2."""
 
@@ -172,7 +172,7 @@ def strength_orderings(eps_a, eps_b, delta_a, delta_b, lhs_hall, lhs_ozawa, lhs_
     return new_le_hall, new_le_ozawa, in_domain, gap_residual
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class StrengthOrdering:
     """Ordering of the averaged-spread relation against Hall and Ozawa.
 
@@ -223,7 +223,7 @@ def strength_comparison(report: RelationReport,
     return ordering
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class RelationChain:
     """Every intermediate step of the averaged-spread relation's derivation.
 
@@ -375,7 +375,7 @@ def verify_relation_chain(a_est, b_est, a, b, rho) -> RelationChain:
     return chain_item(relation_chains(*ops), 0)
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class MDReport:
     """Measurement-disturbance relation report.
 

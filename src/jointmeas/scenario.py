@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .qcore import (
     ToleranceProfile,
     correlations,
     failing,
+    frozen_dataclass,
     submit_checks,
 )
 
@@ -69,7 +70,7 @@ _Y_ROW = np.concatenate(tuple(Y_PROJECTORS), axis=1)
 _PAULI_TRACES = SIGMAS.swapaxes(1, 2).reshape(4, 4).T.copy()
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class SlideArrays:
     """N slides in the layout the array kernels read.
 
@@ -118,7 +119,7 @@ def _outcome_index(m: int) -> int:
     return OUTCOMES.index(m)
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class SemiweakSlide:
     """A two-outcome semiweak X measurement on one qubit, fixed by its two
     reflectivities.
@@ -214,7 +215,7 @@ def epr_state(gamma: float) -> DensityMatrix:
     return DensityMatrix.from_pure(vec)
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class JointDistribution:
     """Joint probabilities ``p(m, y, w)`` over the eight +-1 outcome triples.
 

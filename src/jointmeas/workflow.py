@@ -13,7 +13,7 @@ import functools
 import math
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from itertools import repeat
 from operator import setitem
 
@@ -38,6 +38,7 @@ from .qcore import (
     DensityMatrix,
     _row_sums,
     bloch_vectors,
+    frozen_dataclass,
     run_checks,
     xy_statistics,
 )
@@ -78,7 +79,7 @@ def reference_scenario() -> tuple[DensityMatrix, SemiweakSlide, BlochObservable]
             BlochObservable.from_degrees(90.0, 180.0))
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class SimulationResult:
     """One simulated scenario: outcome table, estimator, relations."""
 
@@ -352,7 +353,7 @@ def dilated_chain(rho: DensityMatrix, slide: SemiweakSlide, w: BlochObservable,
                                      est.array[None]), 0)
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class VerificationResult:
     """Aggregate outcome of the randomized suite; `passed` gates exit status."""
 

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import jointmeas
 from jointmeas import dataio
 
@@ -65,6 +67,27 @@ def test_verify_and_sweep_leave_the_file_layer_unloaded():
         "rows = jointmeas.sweep_phi(rho, slide, [0.0, 90.0, 180.0])\n"
         "report([before, loaded(), 'dataio' in vars(jointmeas)])")
     assert got == [[], [], False]
+
+
+def test_the_cli_import_leaves_importlib_resources_unloaded():
+    """`dataio` imports `importlib.resources`, and its pathlib/zipfile
+    chain, only inside the two functions that read the bundled data.  The
+    interpreter runs with `-S`, numpy's directory appended to its path,
+    because `.pth` files that `site` runs may import that module
+    themselves."""
+    src = str(Path(jointmeas.__file__).resolve().parents[1])
+    numpy_dir = str(Path(np.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); sys.path.append({numpy_dir!r})\n"
+            "def loaded(): return 'importlib.resources' in sys.modules\n"
+            "import numpy\n"
+            "after_numpy = loaded()\n"
+            "import jointmeas.cli\n"
+            "after_cli = loaded()\n"
+            "dim = jointmeas.bundled_state().dim\n"
+            "print(after_numpy, after_cli, loaded(), dim)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.split() == ["False", "False", "True", "4"]
 
 
 def test_public_names_are_unchanged():

@@ -257,8 +257,8 @@ def test_tolerance_profiles():
     for name in names:
         assert len({getattr(profile, name) for profile in PROFILES.values()}) > 1, name
     assert PSD_TOL == SIMULATED_NORM == 1e-10
-    with pytest.raises(Exception):
-        PROFILES["default"].tomographic_psd = 1.0  # frozen
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        PROFILES["default"].tomographic_psd = 1.0
 
 
 @pytest.mark.parametrize("field", ["tomographic_psd", "measured_norm"])
