@@ -20,47 +20,25 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
-from inspect import Parameter, Signature
 from operator import attrgetter
 from reprlib import recursive_repr
+from types import FunctionType
 
 import numpy as np
 
 SUPPORTED_DIMS = (2, 4)
 
 
-class _Factory:
-    """The default a signature shows for a ``default_factory`` field."""
-
-    def __repr__(self) -> str:
-        return "<factory>"
-
-
-_FACTORY = _Factory()
+# the default __init__ shows for a default_factory field, as the stdlib shows it
+_FACTORY = type("_Factory", (), {"__repr__": lambda self: "<factory>"})()
 _setattr = object.__setattr__
 _VALUE_METHODS = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
 
 
-def _argument_error(qualname: str, names: tuple[str, ...], required: int,
-                    args: tuple, kwargs: dict) -> TypeError:
-    """The TypeError CPython raises when ``__init__(self, *names)``, whose
-    first ``required`` names have no default, is called with ``args`` and
-    ``kwargs``: the same check first, with the same message."""
-    for key in kwargs:
-        if key not in names:
-            return TypeError(f"{qualname}() got an unexpected keyword argument '{key}'")
-        if names.index(key) < len(args):
-            return TypeError(f"{qualname}() got multiple values for argument '{key}'")
-    if len(args) > len(names):
-        most = len(names) + 1  # self counts
-        takes = (f"from {required + 1} to {most} positional arguments" if required < len(names)
-                 else f"{most} positional argument{'s' if most != 1 else ''}")
-        return TypeError(f"{qualname}() takes {takes} but {len(args) + 1} were given")
-    missing = [repr(name) for name in names[len(args):required] if name not in kwargs]
-    listed = (" and ".join(missing) if len(missing) < 3
-              else ", ".join(missing[:-1]) + ", and " + missing[-1])
-    return TypeError(f"{qualname}() missing {len(missing)} required positional "
-                     f"argument{'s' if len(missing) > 1 else ''}: {listed}")
+def _init_template(self):
+    # the code of every frozen_dataclass __init__, run with globals that bind
+    # _init_fields to its class's field setter
+    return _init_fields(self, locals())  # noqa: F821
 
 
 def frozen_dataclass(cls: type) -> type:
@@ -68,18 +46,20 @@ def frozen_dataclass(cls: type) -> type:
 
     ``dataclass(init=False, repr=False, eq=False)`` records the fields and
     compiles nothing.  The six methods a frozen dataclass would compile from
-    source (``__init__``, ``__repr__``, ``__eq__``, ``__hash__``,
-    ``__setattr__`` and ``__delattr__``) are closures over the field names
-    instead, with the generated methods' behaviour: the same signature,
+    source are built without source instead, with the same signature,
     argument errors, repr, equality, hash and ``FrozenInstanceError``.
-    ``__init__`` takes positional and keyword arguments, defaults and default
-    factories, sets the fields in field order and then calls
-    ``__post_init__``.  It sets them with ``object.__setattr__``, as the
-    generated one does, and not through the instance ``__dict__``: on CPython
-    3.11, reading ``__dict__`` gives the instance a dictionary, after which
-    every attribute read of it runs about twice as slow.  Field options,
-    dataclass bases and own methods of those six names, none of which the
-    package uses, raise TypeError.
+    ``__init__`` is ``_init_template``'s code re-signed by ``CodeType.replace``
+    to take ``self`` and the fields, with their defaults as ``__defaults__``
+    (``<factory>`` for a default factory), so CPython binds each call and
+    words each argument error itself.  Re-signing leaves the bytecode valid
+    because the template's body reads only ``self`` (local slot 0) and
+    globals.  It hands ``locals()`` to the class's field setter, which sets
+    the fields in field order with ``object.__setattr__``, as the generated
+    ``__init__`` does (on CPython 3.11, an instance whose ``__dict__`` was
+    read reads every attribute about twice as slow), calls each default
+    factory and then ``__post_init__``.  Field options, dataclass bases and
+    own methods of those six names, none of which the package uses, raise
+    TypeError.
     """
     if any(name in cls.__dict__ for name in _VALUE_METHODS) or any(
             is_dataclass(base) for base in cls.__mro__[1:]):
@@ -93,47 +73,31 @@ def frozen_dataclass(cls: type) -> type:
         raise TypeError(f"{cls.__name__}: a frozen_dataclass field takes only "
                         f"default or default_factory, and no pseudo-fields")
     names = tuple(f.name for f in flds)
-    defaults = {f.name: f.default for f in flds if f.default is not MISSING}
-    factories = {f.name: f.default_factory for f in flds if f.default_factory is not MISSING}
-    has_default = [name in defaults or name in factories for name in names]
+    has_default = [f.default is not MISSING or f.default_factory is not MISSING for f in flds]
     required = has_default.index(True) if any(has_default) else len(names)
     if not all(has_default[required:]):
         raise TypeError(f"non-default argument {names[has_default.index(False, required)]!r} "
                         f"follows default argument")
-    qualname = f"{cls.__qualname__}.__init__"
-    n = len(names)
-    # for k positional arguments: the fields keywords may give, and those of
-    # them that must be given
-    tails = [names[k:] for k in range(n + 1)]
-    tail_sets = [frozenset(tail) for tail in tails]
-    needed = [frozenset(names[k:required]) for k in range(n + 1)]
+    factories = [(f.name, f.default_factory) for f in flds if f.default_factory is not MISSING]
     has_post_init = hasattr(cls, "__post_init__")
-    values = attrgetter(*names) if n > 1 else (
+    values = attrgetter(*names) if len(names) > 1 else (
         lambda obj: tuple(getattr(obj, name) for name in names))
 
-    def bind_defaults(args: tuple, kwargs: dict) -> None:
-        """Check ``__init__``'s arguments as a generated ``__init__`` would,
-        then add to ``kwargs`` the defaults of the fields after ``args`` that
-        it lacks."""
-        k = len(args)
-        if k > n or not (kwargs.keys() <= tail_sets[k] and needed[k] <= kwargs.keys()):
-            raise _argument_error(qualname, names, required, args, kwargs)
-        for name in names[max(k, required):]:
-            if name not in kwargs:
-                kwargs[name] = defaults[name] if name in defaults else factories[name]()
-
-    def __init__(self, *args, **kwargs):
-        # most calls give every field, by position or by keyword, which the
-        # one set comparison confirms
-        if (kwargs or len(args) != n) and (len(args) > n or kwargs.keys() != tail_sets[len(args)]):
-            bind_defaults(args, kwargs)
-        for name, value in zip(names, args):
-            _setattr(self, name, value)
-        if kwargs:
-            for name in tails[len(args)]:
-                _setattr(self, name, kwargs[name])
+    def init_fields(self, bound):
+        for name in names:
+            _setattr(self, name, bound[name])
+        for name, factory in factories:
+            if bound[name] is _FACTORY:
+                _setattr(self, name, factory())
         if has_post_init:
             self.__post_init__()
+
+    __init__ = FunctionType(
+        _init_template.__code__.replace(co_argcount=len(names) + 1, co_nlocals=len(names) + 1,
+                                        co_varnames=("self", *names), co_name="__init__"),
+        {"_init_fields": init_fields}, None,
+        tuple(_FACTORY if f.default is MISSING else f.default for f in flds[required:]) or None)
+    __init__.__annotations__ = {**{f.name: f.type for f in flds}, "return": None}
 
     @recursive_repr()
     def __repr__(self):
@@ -158,13 +122,6 @@ def frozen_dataclass(cls: type) -> type:
             raise FrozenInstanceError(f"cannot delete field {name!r}")
         super(cls, self).__delattr__(name)
 
-    __init__.__signature__ = Signature(
-        [Parameter("self", Parameter.POSITIONAL_OR_KEYWORD)]
-        + [Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
-                     default=defaults.get(f.name, _FACTORY if f.name in factories
-                                          else Parameter.empty))
-           for f in flds],
-        return_annotation=None)
     for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
         method.__module__ = cls.__module__
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
@@ -419,6 +376,8 @@ class DensityMatrix:
     @classmethod
     def from_pure(cls, statevector) -> "DensityMatrix":
         vec = np.asarray(statevector, dtype=complex).reshape(-1)
+        if not np.all(np.isfinite(vec)):
+            raise ValueError("state vector contains non-finite entries")
         norm = float(np.linalg.norm(vec))
         if norm < 1e-12:
             raise ValueError("state vector has zero norm")

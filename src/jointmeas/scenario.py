@@ -207,8 +207,11 @@ def epr_state(gamma: float) -> DensityMatrix:
     """The entangled source ``cos(gamma)|HV> - sin(gamma)|VH>``.
 
     ``gamma = pi/4`` gives the singlet-weight balance (maximal entanglement,
-    ``<Z (x) I> = 0``); ``gamma = 0`` the product state ``|HV>``.
+    ``<Z (x) I> = 0``); ``gamma = 0`` the product state ``|HV>``.  A
+    non-finite ``gamma`` raises ``ValueError``.
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"source angle gamma must be finite, got {gamma}")
     vec = np.zeros(4, dtype=complex)
     vec[1] = math.cos(gamma)
     vec[2] = -math.sin(gamma)

@@ -463,9 +463,10 @@ def _draw_block(rng: np.random.Generator, first: int, count: int):
 
 
 def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
-                  custom: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-trial results of one block of the randomized suite, computed in
-    array passes; raises what the first offending trial raises alone."""
+                  custom: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block of the randomized suite in array passes: the maxima, minima
+    and counts :func:`run_verification` folds over blocks.  Raises what the
+    first offending trial raises alone."""
     # G G^dag / tr is Hermitian, unit-trace and PSD by construction, so the
     # states need no density check of their own
     rho = _state_matrices(g)
@@ -476,16 +477,15 @@ def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
     opt = ESTIMATOR_KINDS.index("optimal")
     eps_opt, delta_a = stats["eps_x"][:, opt], stats["delta_x"]
 
-    out: dict[str, np.ndarray] = {
-        # [N, kind, relation]
-        "margins": np.stack(stats["lhs"], axis=-1) - (stats["c"] / 2.0)[:, None, None],
-        "dispersion": np.abs(eps_opt ** 2 + stats["delta_x_est"][:, opt] ** 2 - delta_a ** 2)}
+    # [N x kind, relation]
+    margins = (np.stack(stats["lhs"], axis=-1)
+               - (stats["c"] / 2.0)[:, None, None]).reshape(-1, len(RELATION_NAMES))
+    dispersion = np.abs(eps_opt ** 2 + stats["delta_x_est"][:, opt] ** 2 - delta_a ** 2)
     new_le_hall, new_le_ozawa, in_domain, gap = strength_orderings(
         eps_opt, stats["eps_y"], delta_a, stats["delta_y"],
         *(val[:, opt] for val in stats["lhs"][1:]))
     ordered = new_le_hall & new_le_ozawa
-    out["ordering_violated"] = ~ordered
-    out["gap"] = gap[ordered & in_domain]
+    gap = gap[ordered & in_domain]
 
     w_projs = w_projectors(n)
     # the chain's X estimate is one more column of the oracle's, so its
@@ -493,15 +493,18 @@ def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
     chain_f = np.where(np.isnan(custom), stats["f"][:, opt], custom)
     mh_direct, eps_direct = direct_moments(
         rho, w_projs, np.concatenate([stats["f"], chain_f[:, None]], axis=1))
-    out["oracle"] = np.maximum(np.abs(stats["mh"] - mh_direct).max(axis=(1, 2)),
-                               np.abs(stats["eps_x"] - eps_direct[:, :-1]).max(axis=1))
+    oracle = np.maximum(np.abs(stats["mh"] - mh_direct).max(axis=(1, 2)),
+                        np.abs(stats["eps_x"] - eps_direct[:, :-1]).max(axis=1))
 
     run_checks(checks)
     chains = dilated_chains(rho, slides, w_projs, chain_f, eps_direct[:, -1])
-    out["chain_min_slack"] = min_slack = chains.min_slack
-    out["chain_broken"] = ~(min_slack >= -MARGIN_TOL)
-    out["y_inaccuracy"] = np.abs(chains.eps_b - stats["eps_y"])
-    return out
+    y_inaccuracy = np.abs(chains.eps_b - stats["eps_y"])
+    return (np.array([np.max(values, initial=0.0)
+                      for values in (oracle, y_inaccuracy, dispersion, gap)]),
+            np.append(margins.min(axis=0, initial=math.inf),
+                      np.min(chains.min_slack, initial=math.inf)),
+            np.array([*(margins < -MARGIN_TOL).sum(axis=0),
+                      np.sum(~(chains.min_slack >= -MARGIN_TOL)), np.sum(~ordered), gap.size]))
 
 
 @functools.cache
@@ -538,29 +541,27 @@ def run_verification(trials: int = 10_000, seed: int = 42) -> VerificationResult
         raise ValueError(f"seed must not be negative, got {seed}")
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    blocks = [_verify_block(*_draw_block(rng, first, min(_BLOCK, trials - first)))
-              for first in range(0, trials, _BLOCK)]
-
-    def column(key: str) -> np.ndarray:
-        return np.concatenate([block[key] for block in blocks]) if blocks else np.zeros(0)
-
-    margins = column("margins").reshape(-1, len(RELATION_NAMES))
-    negative = (margins < -MARGIN_TOL).sum(axis=0)
-    gaps = column("gap")
+    # each block's maxima, minima and counts (unpacked below), folded as the
+    # blocks run: max, min and sum give the same result in any order
+    most, least = np.zeros(4), np.full(len(RELATION_NAMES) + 1, math.inf)
+    counts = np.zeros(len(RELATION_NAMES) + 3, dtype=np.int64)
+    for first in range(0, trials, _BLOCK):
+        block_most, block_least, block_counts = _verify_block(
+            *_draw_block(rng, first, min(_BLOCK, trials - first)))
+        most, least = np.maximum(most, block_most), np.minimum(least, block_least)
+        counts += block_counts
+    oracle, y_inaccuracy, dispersion, gap_residual = most.tolist()
+    *min_margins, chain_min_slack = least.tolist()
+    *negative, broken, disordered, gaps = counts.tolist()
 
     return VerificationResult(
         trials=trials, seed=seed, elapsed_s=time.perf_counter() - t0,
-        oracle_max_diff=float(np.max(column("oracle"), initial=0.0)),
-        y_inaccuracy_max_diff=float(np.max(column("y_inaccuracy"), initial=0.0)),
-        dispersion_max_residual=float(np.max(column("dispersion"), initial=0.0)),
-        min_margins={name: float(np.min(margins[:, k], initial=math.inf))
-                     for k, name in enumerate(RELATION_NAMES)},
-        violations={name: int(negative[k]) for k, name in enumerate(RELATION_NAMES)
+        oracle_max_diff=oracle, y_inaccuracy_max_diff=y_inaccuracy,
+        dispersion_max_residual=dispersion,
+        min_margins=dict(zip(RELATION_NAMES, min_margins)),
+        violations={name: count for name, count in zip(RELATION_NAMES, negative)
                     if name != "arthurs_kelly"},
-        ak_violations=int(negative[RELATION_NAMES.index("arthurs_kelly")]),
+        ak_violations=negative[RELATION_NAMES.index("arthurs_kelly")],
         reference_satisfied=dict(_reference_flags()),
-        chain_min_slack=float(np.min(column("chain_min_slack"), initial=math.inf)),
-        chain_violations=int(column("chain_broken").sum()),
-        ordering_violations=int(column("ordering_violated").sum()),
-        gap_checked=int(gaps.size),
-        gap_max_residual=float(np.max(gaps, initial=0.0)))
+        chain_min_slack=chain_min_slack, chain_violations=broken,
+        ordering_violations=disordered, gap_checked=gaps, gap_max_residual=gap_residual)

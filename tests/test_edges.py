@@ -15,6 +15,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ GATE_MESSAGES = re.compile("|".join([
     r"probabilities sum to .* for measured data",
     r"quasi-probabilities sum to",
     r"reconstructed eps\^2 = .*: input data is inconsistent",
+    r"source angle gamma must be finite",         # --gamma nan, inf or -inf
 ]))
 
 EDGE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None,
@@ -164,3 +166,15 @@ def test_analyze_edge_tables(state, r_h, gap, theta, phi, estimator, edit, index
     argv = ["analyze", "--estimator", estimator]
     assert_gate_or_finite(*run(argv, {"--dist-file": table_text(p, r_h, r_v, theta, phi),
                                       "--state-file": rho_text}))
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("mode", ["simulate", "sweep"])
+def test_non_finite_source_angle(mode, gamma):
+    """A non-finite --gamma stops at the source-angle gate, with no numpy
+    warning before it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err, reports = run([mode, f"--gamma={gamma}"], {})
+    assert (code, err) == (3, f"data error: source angle gamma must be finite, got {gamma}\n")
+    assert_gate_or_finite(code, err, reports)

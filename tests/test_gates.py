@@ -46,6 +46,7 @@ from jointmeas import (
     dispersion_check,
     disturbed_observable,
     emit_report,
+    epr_state,
     expectation,
     fidelity,
     joint_distribution,
@@ -206,6 +207,17 @@ EDGE_GATES = {
     "zero state vector": (
         lambda: DensityMatrix.from_pure([0.0, 0.0]),
         ValueError, "state vector has zero norm"),
+    # a NaN norm passed the zero-norm gate, and the vector was divided by it
+    "state vector with a NaN amplitude": (
+        lambda: DensityMatrix.from_pure([math.nan, 1.0]),
+        ValueError, "state vector contains non-finite entries"),
+    # the source angle of `simulate --gamma` and `sweep --gamma`: a NaN one
+    # warned in from_pure, an infinite one failed in math.cos with "math
+    # domain error"
+    **{f"EPR state of source angle {gamma}": (
+        lambda gamma=gamma: epr_state(math.radians(gamma)),
+        ValueError, f"source angle gamma must be finite, got {gamma}")
+       for gamma in (math.nan, math.inf, -math.inf)},
     "expectation across dimensions": (
         lambda: expectation(X, DensityMatrix.maximally_mixed(4)),
         DimensionMismatchError, "operator dim 2 vs state dim 4"),

@@ -154,6 +154,12 @@ def test_fields_signature_and_params_match_the_stdlib(cls):
     assert cls.__match_args__ == std.__match_args__
     assert repr(cls.__dataclass_params__) == repr(std.__dataclass_params__)
 
+    def positional(init):
+        code = init.__code__
+        return code.co_argcount, code.co_varnames[:code.co_argcount], repr(init.__defaults__)
+
+    assert positional(cls.__init__) == positional(std.__init__)
+
 
 @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda c: c.__name__)
 def test_repr_equality_and_hash_match_the_stdlib(cls):
