@@ -18,6 +18,7 @@ All container types are immutable values; operations are pure functions.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
 from operator import attrgetter
@@ -32,13 +33,14 @@ SUPPORTED_DIMS = (2, 4)
 # the default __init__ shows for a default_factory field, as the stdlib shows it
 _FACTORY = type("_Factory", (), {"__repr__": lambda self: "<factory>"})()
 _setattr = object.__setattr__
-_VALUE_METHODS = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
+_VALUE_METHODS = ("_init_fields", "__init__", "__repr__", "__eq__", "__hash__", "__setattr__",
+                  "__delattr__")
 
 
 def _init_template(self):
-    # the code of every frozen_dataclass __init__, run with globals that bind
-    # _init_fields to its class's field setter
-    return _init_fields(self, locals())  # noqa: F821
+    # the code of every frozen_dataclass __init__: its class's field setter,
+    # a method, sets the fields from the bound arguments
+    return self._init_fields(locals())
 
 
 def frozen_dataclass(cls: type) -> type:
@@ -53,13 +55,15 @@ def frozen_dataclass(cls: type) -> type:
     (``<factory>`` for a default factory), so CPython binds each call and
     words each argument error itself.  Re-signing leaves the bytecode valid
     because the template's body reads only ``self`` (local slot 0) and
-    globals.  It hands ``locals()`` to the class's field setter, which sets
-    the fields in field order with ``object.__setattr__``, as the generated
-    ``__init__`` does (on CPython 3.11, an instance whose ``__dict__`` was
-    read reads every attribute about twice as slow), calls each default
-    factory and then ``__post_init__``.  Field options, dataclass bases and
-    own methods of those six names, none of which the package uses, raise
-    TypeError.
+    globals.  Its globals are the class's module namespace, as a generated
+    ``__init__``'s are, so ``typing.get_type_hints`` resolves its string
+    annotations.  It hands ``locals()`` to the class's field setter, the
+    method ``_init_fields``, which sets the fields in field order with
+    ``object.__setattr__``, as the generated ``__init__`` does (on CPython
+    3.11, an instance whose ``__dict__`` was read reads every attribute
+    about twice as slow), calls each default factory and then
+    ``__post_init__``.  Field options, dataclass bases and own methods of
+    the names it sets, none of which the package uses, raise TypeError.
     """
     if any(name in cls.__dict__ for name in _VALUE_METHODS) or any(
             is_dataclass(base) for base in cls.__mro__[1:]):
@@ -83,7 +87,7 @@ def frozen_dataclass(cls: type) -> type:
     values = attrgetter(*names) if len(names) > 1 else (
         lambda obj: tuple(getattr(obj, name) for name in names))
 
-    def init_fields(self, bound):
+    def _init_fields(self, bound):
         for name in names:
             _setattr(self, name, bound[name])
         for name, factory in factories:
@@ -95,7 +99,7 @@ def frozen_dataclass(cls: type) -> type:
     __init__ = FunctionType(
         _init_template.__code__.replace(co_argcount=len(names) + 1, co_nlocals=len(names) + 1,
                                         co_varnames=("self", *names), co_name="__init__"),
-        {"_init_fields": init_fields}, None,
+        getattr(sys.modules.get(cls.__module__), "__dict__", {}), None,
         tuple(_FACTORY if f.default is MISSING else f.default for f in flds[required:]) or None)
     __init__.__annotations__ = {**{f.name: f.type for f in flds}, "return": None}
 
@@ -122,7 +126,8 @@ def frozen_dataclass(cls: type) -> type:
             raise FrozenInstanceError(f"cannot delete field {name!r}")
         super(cls, self).__delattr__(name)
 
-    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+    for method in (_init_fields, __init__, __repr__, __eq__, __hash__, __setattr__,
+                   __delattr__):
         method.__module__ = cls.__module__
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
@@ -268,7 +273,29 @@ def as_operator_array(op) -> np.ndarray:
     return mat
 
 
-class HermitianOperator:
+class _FrozenSlots:
+    """Slots set once, by ``__init__`` through ``object.__setattr__``:
+    assigning or deleting an attribute raises ``FrozenInstanceError``, as
+    on a frozen dataclass, and pickle and copy restore the slots through
+    ``__setstate__``, with their arrays read-only again."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        _, slots = state
+        for name, value in slots.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            _setattr(self, name, value)
+
+
+class HermitianOperator(_FrozenSlots):
     """An observable: square, Hermitian within tolerance, dim 2 or 4."""
 
     __slots__ = ("_matrix",)
@@ -334,7 +361,7 @@ def projector_pair(op: HermitianOperator) -> tuple[HermitianOperator, HermitianO
             HermitianOperator((eye - op.matrix) / 2))
 
 
-class DensityMatrix:
+class DensityMatrix(_FrozenSlots):
     """A quantum state: Hermitian, unit trace, eigenvalues above a floor.
 
     ``psd_floor`` is the magnitude of negative eigenvalue accepted, finite

@@ -18,6 +18,7 @@ def test_usage_exit_codes(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["--help"]) == 0
+    assert main(["verify", "--help"]) == 0
     capsys.readouterr()
     # state source must be exactly one of --gamma / --state-file
     assert main(["simulate"]) == 2
@@ -257,6 +258,7 @@ def test_non_finite_state_file_is_data_error(tmp_path, capsys, value):
     (["simulate", "--gamma", "22.5", "--phi", "nan"], "phi"),
     (["simulate", "--gamma", "22.5", "--theta", "nan"], "theta"),
     (["sweep", "--gamma", "22.5", "--phi", "0,inf"], "phi"),
+    (["simulate", "--gamma", "22.5", "--theta", "inf"], "theta"),
 ])
 def test_non_finite_angle_is_data_error(capsys, argv, angle):
     """A non-finite analyser angle exits 3 naming the angle, before numpy

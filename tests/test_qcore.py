@@ -1,7 +1,9 @@
 """Operator and state primitives: algebra, validation, Bloch parametrisation."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -113,6 +115,42 @@ def test_density_matrix_relaxed_floor_flags_warning():
     rho = DensityMatrix(mat, psd_floor=1e-3)
     assert rho.psd_warning
     assert rho.min_eigenvalue == pytest.approx(-5e-4)
+
+
+FROZEN = [
+    pytest.param(DensityMatrix(np.diag([0.50055, 0.5, -5e-5, -5e-4]), psd_floor=1e-3),
+                 ["_matrix", "min_eigenvalue", "psd_floor", "psd_warning"], id="DensityMatrix"),
+    pytest.param(tensor(pauli("X"), pauli("Z")), ["_matrix"], id="HermitianOperator"),
+]
+
+
+@pytest.mark.parametrize("obj, slots", FROZEN)
+def test_states_and_operators_are_frozen(obj, slots):
+    """Assignment and deletion raise as on a frozen dataclass, for a slot or
+    any other name, and leave the value as it was."""
+    before = {name: getattr(obj, name) for name in slots}
+    for name in [*slots, "extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"cannot assign to field '{name}'"):
+            setattr(obj, name, np.eye(2))
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"cannot delete field '{name}'"):
+            delattr(obj, name)
+    assert {name: getattr(obj, name) for name in slots} == before
+    assert not hasattr(obj, "__dict__")
+
+
+@pytest.mark.parametrize("obj, slots", FROZEN)
+def test_states_and_operators_survive_pickle_and_copy(obj, slots):
+    for restored in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+        assert type(restored) is type(obj) and repr(restored) == repr(obj)
+        for name in slots:
+            want, got = getattr(obj, name), getattr(restored, name)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want), name
+        assert not restored.matrix.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            restored._matrix = np.eye(2)
 
 
 @given(theta=angles, phi=angles)

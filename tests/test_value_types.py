@@ -16,6 +16,7 @@ import importlib
 import inspect
 import math
 import pickle
+import sys
 import typing
 from dataclasses import FrozenInstanceError, asdict, field, fields, make_dataclass, replace
 
@@ -47,9 +48,9 @@ from jointmeas.scenario import TRIPLES, SlideArrays
 
 MODULES = ("qcore", "scenario", "estimate", "relations", "oracle", "workflow", "dataio", "cli")
 METHODS = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
-# what dataclass() and the class statement put in a class namespace
-MADE = set(METHODS) | {"__dataclass_fields__", "__dataclass_params__", "__match_args__",
-                       "__dict__", "__weakref__", "__annotations__"}
+# what dataclass(), frozen_dataclass and the class statement put in a class namespace
+MADE = set(METHODS) | {"_init_fields", "__dataclass_fields__", "__dataclass_params__",
+                       "__match_args__", "__dict__", "__weakref__", "__annotations__"}
 
 
 def _samples() -> dict[type, tuple]:
@@ -159,6 +160,11 @@ def test_fields_signature_and_params_match_the_stdlib(cls):
         return code.co_argcount, code.co_varnames[:code.co_argcount], repr(init.__defaults__)
 
     assert positional(cls.__init__) == positional(std.__init__)
+    # the string annotations resolve in the class's module, as the stdlib
+    # __init__'s do
+    assert cls.__init__.__globals__ is vars(sys.modules[cls.__module__])
+    assert typing.get_type_hints(cls.__init__) == {**typing.get_type_hints(cls),
+                                                   "return": type(None)}
 
 
 @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda c: c.__name__)
