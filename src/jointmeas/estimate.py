@@ -41,8 +41,6 @@ from .qcore import (
     projector_pair,
     run_checks,
     spread,
-    submit_checks,
-    submit_column_checks,
     tensor,
 )
 from .scenario import (
@@ -124,15 +122,14 @@ def quasi_mass_checks(total: np.ndarray, atol: float) -> list[Check]:
         ValueError, lambda i: f"quasi-probabilities sum to {total[i]:.6f}, not 1"))]
 
 
-def optimal_values(rho, n: np.ndarray,
-                   checks: list[Check] | None = None) -> np.ndarray:
+def optimal_values(rho, n: np.ndarray, checks: list[Check]) -> np.ndarray:
     """Least-squares X estimates ``f[N, w]`` for N directions ``n[N, 3]``.
 
     ``f(w) = <X (x) W_w> / <1 (x) W_w>``, read off the correlation tensor of
     ``rho``: one DensityMatrix shared by all directions, or N states
     ``[N, 4, 4]``, one per direction.  An outcome with probability
-    <= 1e-12 raises ``UndefinedEstimateError`` (its estimate is NaN when the
-    checks go to ``checks``, else they run here).
+    <= 1e-12 is an ``UndefinedEstimateError`` queued on ``checks``; its
+    estimate is NaN.
     """
     t = correlations(rho).reshape(-1, 4, 4)
     # directions grouped by their state: all N under one, or one under each
@@ -144,7 +141,7 @@ def optimal_values(rho, n: np.ndarray,
 
     den, num = half_moments(0), half_moments(1)
     undefined = den <= 1e-12
-    submit_checks(checks, [
+    checks.extend([
         (undefined[:, k], failing(
             UndefinedEstimateError,
             lambda i, k=k, s=s: f"W outcome {s:+d} has probability {den[i, k]:.3e}"))
@@ -160,7 +157,9 @@ def optimal_estimator(rho: DensityMatrix, w: BlochObservable) -> Estimator:
     for one direction).  Raises ``UndefinedEstimateError`` if an outcome has
     no probability mass.
     """
-    f = optimal_values(rho, w.vector[None])[0]
+    checks: list[Check] = []
+    f = optimal_values(rho, w.vector[None], checks)[0]
+    run_checks(checks)
     return Estimator(dict(zip(OUTCOMES, f.tolist())), kind="optimal")
 
 
@@ -190,7 +189,7 @@ def mh_tables(p: np.ndarray, slide) -> np.ndarray:
 
 
 def x_inaccuracies(mh: np.ndarray, f: np.ndarray,
-                   checks: Sequence[list[Check]] | None = None) -> np.ndarray:
+                   queues: Sequence[list[Check]]) -> np.ndarray:
     """RMS inaccuracies ``eps[N, K]`` of K X estimates ``f[N, K, w]`` of each
     of N scenarios, reconstructed from Margenau-Hill quasi-tables
     ``mh[N, x, w]`` (:func:`mh_tables`), whose mass the caller gates.
@@ -198,19 +197,18 @@ def x_inaccuracies(mh: np.ndarray, f: np.ndarray,
     ``eps^2 = sum_{x,w} (x - f(w))^2 p_MH(x, w)``.  A square in [-1e-9, 0)
     is clamped to zero with a data-quality warning carrying the raw value;
     anything more negative marks the input data as inconsistent.  The checks
-    of estimate k go to ``checks[k]`` when given, else they run here.
+    of estimate k are queued on ``queues[k]``.
     """
     eps_sq = _row_sums(((SIGNS[:, None] - f[:, :, None, :]) ** 2 * mh[:, None]).reshape(
         -1, 4)).reshape(len(f), -1)
     corrupt, clamped = eps_sq < -1e-9, (eps_sq < 0.0) & (eps_sq >= -1e-9)
-    submit_column_checks(checks, [[
-        (corrupt[:, k], failing(
-            NumericalCorruptionError,
-            lambda i, k=k: f"reconstructed eps^2 = {eps_sq[i, k]:.3e}: "
-                           f"input data is inconsistent")),
-        (clamped[:, k], lambda i, k=k: warnings.warn(DataQualityWarning(
-            f"clamping reconstructed eps^2 = {eps_sq[i, k]:.3e} to 0"))),
-    ] for k in range(eps_sq.shape[1])])
+    for k, queue in zip(range(eps_sq.shape[1]), queues, strict=True):
+        queue += [(corrupt[:, k], failing(
+                      NumericalCorruptionError,
+                      lambda i, k=k: f"reconstructed eps^2 = {eps_sq[i, k]:.3e}: "
+                                     f"input data is inconsistent")),
+                  (clamped[:, k], lambda i, k=k: warnings.warn(DataQualityWarning(
+                      f"clamping reconstructed eps^2 = {eps_sq[i, k]:.3e} to 0")))]
     return np.sqrt(np.maximum(eps_sq, 0.0))
 
 
@@ -229,22 +227,21 @@ def _variance_check(var: np.ndarray, what: str) -> Check:
 
 
 def estimate_spreads(p: np.ndarray, f: np.ndarray,
-                     checks: Sequence[list[Check]] | None = None) -> np.ndarray:
+                     queues: Sequence[list[Check]]) -> np.ndarray:
     """Standard deviations ``[N, K]`` of K estimates ``f[N, K, w]`` under the
     w marginals of tables ``p[N, m, y, w]``, normalised by each table's
-    mass.  The checks of estimate k go to ``checks[k]`` when given, else
-    they run here."""
+    mass.  The checks of estimate k are queued on ``queues[k]``."""
     var = _variances((p.reshape(-1, 8) @ _ONTO_W)[:, None], f)
-    submit_column_checks(checks, [[_variance_check(var[:, k], "estimator")]
-                                  for k in range(var.shape[1])])
+    for k, queue in zip(range(var.shape[1]), queues, strict=True):
+        queue.append(_variance_check(var[:, k], "estimator"))
     return np.sqrt(np.maximum(var, 0.0))
 
 
-def y_spreads(p: np.ndarray, checks: list[Check] | None = None) -> np.ndarray:
+def y_spreads(p: np.ndarray, checks: list[Check]) -> np.ndarray:
     """Standard deviations ``[N]`` of the +-1-valued y outcome under tables
     ``p[N, m, y, w]``, normalised by each table's mass."""
     var = _variances(p.reshape(-1, 8) @ _ONTO_Y, SIGNS)
-    submit_checks(checks, [_variance_check(var, "y-outcome")])
+    checks.append(_variance_check(var, "y-outcome"))
     return np.sqrt(np.maximum(var, 0.0))
 
 
@@ -266,7 +263,10 @@ def inaccuracy_x(dist: JointDistribution, slide: SemiweakSlide,
                  est: Estimator) -> float:
     """RMS inaccuracy of the X estimate, reconstructed from the joint table
     (:func:`x_inaccuracies` on :func:`mh_from_counts`, with their checks)."""
-    return float(x_inaccuracies(mh_from_counts(dist, slide)[None], est.array[None, None])[0, 0])
+    checks: list[Check] = []
+    eps = x_inaccuracies(mh_from_counts(dist, slide)[None], est.array[None, None], [checks])
+    run_checks(checks)
+    return float(eps[0, 0])
 
 
 def y_inaccuracies(slide) -> np.ndarray:
@@ -290,7 +290,10 @@ def inaccuracy_y(slide: SemiweakSlide) -> float:
 
 def estimator_spread(dist: JointDistribution, est: Estimator) -> float:
     """Standard deviation of the estimate f(W) under the table's w marginal."""
-    return float(estimate_spreads(dist.table[None], est.array[None, None])[0, 0])
+    checks: list[Check] = []
+    value = estimate_spreads(dist.table[None], est.array[None, None], [checks])
+    run_checks(checks)
+    return float(value[0, 0])
 
 
 @frozen_dataclass

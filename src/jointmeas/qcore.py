@@ -34,7 +34,17 @@ SUPPORTED_DIMS = (2, 4)
 _FACTORY = type("_Factory", (), {"__repr__": lambda self: "<factory>"})()
 _setattr = object.__setattr__
 _VALUE_METHODS = ("_init_fields", "__init__", "__repr__", "__eq__", "__hash__", "__setattr__",
-                  "__delattr__")
+                  "__delattr__", "__setstate__")
+
+
+def _set_frozen(self, state) -> None:
+    """Set a frozen value's attributes, arrays read-only: those a constructor
+    derives, and as ``__setstate__`` those pickle and copy restore (numpy
+    restores arrays writeable) from a ``__dict__`` or ``(None, slots)``."""
+    for name, value in (state[1] if isinstance(state, tuple) else state).items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        _setattr(self, name, value)
 
 
 def _init_template(self):
@@ -62,8 +72,10 @@ def frozen_dataclass(cls: type) -> type:
     ``object.__setattr__``, as the generated ``__init__`` does (on CPython
     3.11, an instance whose ``__dict__`` was read reads every attribute
     about twice as slow), calls each default factory and then
-    ``__post_init__``.  Field options, dataclass bases and own methods of
-    the names it sets, none of which the package uses, raise TypeError.
+    ``__post_init__``.  Pickle and copy restore an instance through
+    ``_set_frozen``, arrays read-only.  Field options, dataclass bases and
+    own methods of the names it sets, none of which the package uses, raise
+    TypeError.
     """
     if any(name in cls.__dict__ for name in _VALUE_METHODS) or any(
             is_dataclass(base) for base in cls.__mro__[1:]):
@@ -131,6 +143,7 @@ def frozen_dataclass(cls: type) -> type:
         method.__module__ = cls.__module__
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
+    cls.__setstate__ = _set_frozen
     params = cls.__dataclass_params__
     params.init = params.repr = params.eq = params.frozen = True
     return cls
@@ -150,7 +163,8 @@ class DataQualityWarning(UserWarning):
 
 # A per-index check of the array kernels: ``bad`` flags the offending indices
 # of a length-N batch and ``fire(i)`` raises (or warns) for index ``i`` with
-# the exception a single-item call would give.
+# the exception a single-item call would give.  A kernel queues its checks
+# on a list its caller passes; only callers run a queue, with run_checks.
 Check = tuple[np.ndarray, Callable[[int], None]]
 
 
@@ -175,27 +189,6 @@ def run_checks(checks: Sequence[Check]) -> None:
         for bad, fire in checks:
             if bad[i]:
                 fire(i)
-
-
-def submit_checks(checks: list[Check] | None, new: Sequence[Check]) -> None:
-    """Queue ``new`` on ``checks`` for the caller to run in its own order, or
-    run them now when no queue is given."""
-    if checks is None:
-        run_checks(new)
-    else:
-        checks.extend(new)
-
-
-def submit_column_checks(queues: Sequence[list[Check]] | None,
-                         columns: Sequence[Sequence[Check]]) -> None:
-    """Queue the checks of each column of a ``[N, K]`` result on its own
-    queue of ``queues``, or run them all now when no queues are given: at
-    each index, column after column."""
-    if queues is None:
-        run_checks([check for column in columns for check in column])
-    else:
-        for queue, column in zip(queues, columns, strict=True):
-            queue.extend(column)
 
 
 def _row_sums(rows: np.ndarray) -> np.ndarray:
@@ -274,10 +267,9 @@ def as_operator_array(op) -> np.ndarray:
 
 
 class _FrozenSlots:
-    """Slots set once, by ``__init__`` through ``object.__setattr__``:
-    assigning or deleting an attribute raises ``FrozenInstanceError``, as
-    on a frozen dataclass, and pickle and copy restore the slots through
-    ``__setstate__``, with their arrays read-only again."""
+    """Slots set once, by ``__init__`` and by pickle and copy, through
+    ``_set_frozen``, arrays read-only: assigning or deleting an attribute
+    raises ``FrozenInstanceError``, as on a frozen dataclass."""
 
     __slots__ = ()
 
@@ -287,12 +279,7 @@ class _FrozenSlots:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __setstate__(self, state):
-        _, slots = state
-        for name, value in slots.items():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            _setattr(self, name, value)
+    __setstate__ = _set_frozen
 
 
 class HermitianOperator(_FrozenSlots):
@@ -305,7 +292,7 @@ class HermitianOperator(_FrozenSlots):
         dev = float(np.max(np.abs(mat - mat.conj().T)))
         if dev > _HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-        object.__setattr__(self, "_matrix", mat)
+        _set_frozen(self, {"_matrix": mat})
 
     @property
     def matrix(self) -> np.ndarray:
@@ -387,10 +374,8 @@ class DensityMatrix(_FrozenSlots):
         if min_eig < -psd_floor:
             raise ValueError(f"density matrix has eigenvalue {min_eig:.3e} below "
                              f"floor -{psd_floor:g}")
-        object.__setattr__(self, "_matrix", mat)
-        object.__setattr__(self, "min_eigenvalue", min_eig)
-        object.__setattr__(self, "psd_floor", psd_floor)
-        object.__setattr__(self, "psd_warning", min_eig < -PSD_TOL)
+        _set_frozen(self, {"_matrix": mat, "min_eigenvalue": min_eig, "psd_floor": psd_floor,
+                           "psd_warning": min_eig < -PSD_TOL})
 
     @property
     def matrix(self) -> np.ndarray:
@@ -425,17 +410,18 @@ class BlochObservable:
 
     ``W = sin(theta) cos(phi) X + sin(theta) sin(phi) Y + cos(theta) Z``.
     ``vector`` is the unit Bloch vector ``(sin t cos p, sin t sin p, cos t)``,
-    computed once by :func:`bloch_vectors` when the observable is built (a
-    non-finite angle raises there); being unit, it makes W square to 1.
+    computed once by :func:`bloch_vectors` when the observable is built (it
+    runs the angle check there); being unit, it makes W square to 1.
     """
 
     theta: float
     phi: float
 
     def __post_init__(self):
-        vector = bloch_vectors(self.theta, self.phi)[0]
-        vector.setflags(write=False)
-        object.__setattr__(self, "vector", vector)
+        checks: list[Check] = []
+        vector = bloch_vectors(self.theta, self.phi, checks)[0]
+        run_checks(checks)
+        _set_frozen(self, {"vector": vector})
 
     @classmethod
     def from_degrees(cls, theta_deg: float, phi_deg: float) -> "BlochObservable":
@@ -453,16 +439,19 @@ class BlochObservable:
         return HermitianOperator(np.tensordot(self.vector, SIGMAS[1:], axes=1))
 
 
-def bloch_vectors(theta, phi) -> np.ndarray:
-    """Unit Bloch vectors, shape (N, 3), for radian angles broadcast to N; the
-    first non-finite angle (theta before phi) raises ``ValueError``."""
+def bloch_vectors(theta, phi, checks: list[Check]) -> np.ndarray:
+    """Unit Bloch vectors, shape (N, 3), for radian angles broadcast to N.  A
+    non-finite angle queues a ``ValueError`` on ``checks`` naming it, theta
+    before phi, and gets the vector of angle 0, whose sine does not warn."""
     theta, phi = np.broadcast_arrays(np.atleast_1d(np.asarray(theta, dtype=float)),
                                      np.atleast_1d(np.asarray(phi, dtype=float)))
     finite = np.isfinite(theta) & np.isfinite(phi)
     if not finite.all():
-        i = int(np.argmin(finite))
-        name, value = ("phi", phi[i]) if np.isfinite(theta[i]) else ("theta", theta[i])
-        raise ValueError(f"analyser angle {name} must be finite, got {value}")
+        bad_theta = ~np.isfinite(theta)
+        name, value = np.where(bad_theta, "theta", "phi"), np.where(bad_theta, theta, phi)
+        checks.append((~finite, failing(
+            ValueError, lambda i: f"analyser angle {name[i]} must be finite, got {value[i]}")))
+        theta, phi = np.where(finite, theta, 0.0), np.where(finite, phi, 0.0)
     st = np.sin(theta)
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
@@ -494,11 +483,10 @@ def expectation(op: HermitianOperator, rho: DensityMatrix) -> float:
     return val.real
 
 
-def spreads(op: HermitianOperator, mats: np.ndarray,
-            checks: list[Check] | None = None) -> np.ndarray:
+def spreads(op: HermitianOperator, mats: np.ndarray, checks: list[Check]) -> np.ndarray:
     """Standard deviations ``sqrt(<G^2> - <G>^2)`` ``[N]`` of one observable
     in N states ``mats[N, d, d]``.  The mean must be real and the variance
-    not below -1e-12 (checks go to ``checks`` when given, else run here)."""
+    not below -1e-12; those checks are queued on ``checks``."""
     if op.dim != mats.shape[-1]:
         raise DimensionMismatchError(f"operator dim {op.dim} vs state dim {mats.shape[-1]}")
     mats_g = mats @ op.matrix
@@ -508,12 +496,12 @@ def spreads(op: HermitianOperator, mats: np.ndarray,
 
 
 def _spreads_of_moments(mean: np.ndarray, mean_imag: np.ndarray, second: np.ndarray,
-                        checks: list[Check] | None) -> np.ndarray:
+                        checks: list[Check]) -> np.ndarray:
     """Standard deviations ``sqrt(second - mean^2)`` ``[N]`` from the real
     and imaginary parts of the first moments and the second moments, with
     the imaginary-part and variance checks of :func:`spreads`."""
     var = second - mean * mean
-    submit_checks(checks, [
+    checks.extend([
         (np.abs(mean_imag) > _EQUALITY_TOL, failing(
             NumericalCorruptionError,
             lambda i: f"expectation has imaginary part {mean_imag[i]:.3e}")),
@@ -523,7 +511,7 @@ def _spreads_of_moments(mean: np.ndarray, mean_imag: np.ndarray, second: np.ndar
     return np.sqrt(np.maximum(var, 0.0))
 
 
-def xy_statistics(mats: np.ndarray, checks: list[Check] | None = None
+def xy_statistics(mats: np.ndarray, checks: list[Check]
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(Delta X, Delta Y, c)`` ``[N]`` in N two-qubit states ``mats[N, 4, 4]``:
     the spreads of ``X (x) 1`` and ``Y (x) 1`` and ``c = |<[X (x) 1, Y (x) 1]>|``,
@@ -550,8 +538,11 @@ def xy_statistics(mats: np.ndarray, checks: list[Check] | None = None
 
 def spread(op: HermitianOperator, rho: DensityMatrix) -> float:
     """Standard deviation ``sqrt(<G^2> - <G>^2)`` of an observable
-    (:func:`spreads` for one state)."""
-    return float(spreads(op, rho.matrix[None])[0])
+    (:func:`spreads` for one state, running its checks)."""
+    checks: list[Check] = []
+    value = spreads(op, rho.matrix[None], checks)
+    run_checks(checks)
+    return float(value[0])
 
 
 def commutator_bounds(a: HermitianOperator, b: HermitianOperator,

@@ -40,10 +40,11 @@ from .qcore import (
     DimensionMismatchError,
     HermitianOperator,
     ToleranceProfile,
+    _set_frozen,
     correlations,
     failing,
     frozen_dataclass,
-    submit_checks,
+    run_checks,
 )
 
 TRANSMITTED = +1
@@ -87,7 +88,7 @@ class SlideArrays:
 
 def slide_arrays(r_h: np.ndarray, r_v: np.ndarray) -> SlideArrays:
     """N slides from reflectivities ``r_h[N]``, ``r_v[N]`` in [0, 1]: the one
-    place their quantities are computed, each by its closed form.
+    place their read-only arrays are computed, each by its closed form.
 
     The Kraus operators are the PSD square roots
     ``m_r = sqrt(r_h) X+ + sqrt(r_v) X-`` and
@@ -106,11 +107,13 @@ def slide_arrays(r_h: np.ndarray, r_v: np.ndarray) -> SlideArrays:
     def kraus(a, b):
         return a[:, None, None] * _X_PLUS + b[:, None, None] * _X_MINUS
 
-    return SlideArrays(
-        kraus=np.stack([kraus(root_th, root_tv), kraus(root_h, root_v)], axis=1),
-        kappa=((root_h - root_v) ** 2 + (root_th - root_tv) ** 2) / 2,
-        xi=None if np.any(r_h == r_v) else np.stack(
-            [-(r_h + r_v) / (r_h - r_v), (2.0 - r_h - r_v) / (r_h - r_v)], axis=1))
+    xi = None if np.any(r_h == r_v) else np.stack(
+        [-(r_h + r_v) / (r_h - r_v), (2.0 - r_h - r_v) / (r_h - r_v)], axis=1)
+    arrays = (np.stack([kraus(root_th, root_tv), kraus(root_h, root_v)], axis=1),
+              ((root_h - root_v) ** 2 + (root_th - root_tv) ** 2) / 2, xi)
+    for values in arrays[:2] if xi is None else arrays:
+        values.setflags(write=False)
+    return SlideArrays(*arrays)
 
 
 def _outcome_index(m: int) -> int:
@@ -137,8 +140,8 @@ class SemiweakSlide:
     def __post_init__(self):
         if not (0.0 <= self.r_h <= 1.0 and 0.0 <= self.r_v <= 1.0):
             raise ValueError("reflectivities must lie in [0, 1]")
-        object.__setattr__(self, "arrays", slide_arrays(
-            np.array([self.r_h], dtype=float), np.array([self.r_v], dtype=float)))
+        _set_frozen(self, {"arrays": slide_arrays(
+            np.array([self.r_h], dtype=float), np.array([self.r_v], dtype=float))})
 
     @property
     def kappa(self) -> float:
@@ -241,7 +244,6 @@ class JointDistribution:
         if set(self.entries) != set(TRIPLES):
             raise ValueError("distribution must cover exactly the 8 outcome triples")
         table = np.array([self.entries[key] for key in TRIPLES], dtype=float).reshape(2, 2, 2)
-        table.setflags(write=False)
         flat = table.ravel()
         finite = np.isfinite(flat)
         if not finite.all():
@@ -259,7 +261,7 @@ class JointDistribution:
             if not (math.isfinite(sigma) and sigma >= 0.0):
                 raise ValueError(f"sigma must be finite and non-negative, got {sigma!r} "
                                  f"for outcome triple {key}")
-        object.__setattr__(self, "table", table)
+        _set_frozen(self, {"table": table})
 
     @property
     def mass_tolerance(self) -> float:
@@ -289,8 +291,7 @@ def negative_entry_checks(flat: np.ndarray) -> list[Check]:
         ValueError, lambda i: f"negative probability {low[i]:.3e} in distribution"))]
 
 
-def joint_tables(rho, slide, n: np.ndarray,
-                 checks: list[Check] | None = None) -> np.ndarray:
+def joint_tables(rho, slide, n: np.ndarray, checks: list[Check]) -> np.ndarray:
     """Joint tables ``p[N, m, y, w]`` for N analyser directions ``n[N, 3]``.
 
     ``p(m, y, w) = Tr(rho (M_m Y_y M_m (x) W_w))`` with
@@ -300,8 +301,8 @@ def joint_tables(rho, slide, n: np.ndarray,
     SemiweakSlide shared by all N directions, or N states ``[N, 4, 4]`` and
     N slides (:class:`SlideArrays`), one per direction.  Each table is
     normalised exactly by its mass ``Tr rho``, so, from inputs checked
-    finite, only its negative-entry check can fail; the checks go to
-    ``checks`` when given, else they run here.
+    finite, only its negative-entry check can fail; it is queued on
+    ``checks``.
     """
     kraus = as_slide_arrays(slide).kraus
     # M_m Y_y for every y as one GEMM against the shared [Y_+ | Y_-], then
@@ -323,7 +324,7 @@ def joint_tables(rho, slide, n: np.ndarray,
     np.subtract(a_0, along, out=p[:, 1::2])
     p /= 2
     p /= p.sum(axis=1, keepdims=True)
-    submit_checks(checks, negative_entry_checks(p))
+    checks.extend(negative_entry_checks(p))
     return p.reshape(-1, 2, 2, 2)
 
 
@@ -333,9 +334,11 @@ def joint_distribution(rho: DensityMatrix, slide: SemiweakSlide,
 
     The slide acts on qubit 1, then Y is measured on the disturbed qubit 1
     while W is measured on qubit 2.  This is :func:`joint_tables` for one
-    direction.
+    direction, running its check.
     """
-    p = joint_tables(rho, slide, w.vector[None])[0]
+    checks: list[Check] = []
+    p = joint_tables(rho, slide, w.vector[None], checks)[0]
+    run_checks(checks)
     meta = {"theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
             "r_h": slide.r_h, "r_v": slide.r_v}
     return JointDistribution(entries=dict(zip(TRIPLES, p.ravel().tolist())),

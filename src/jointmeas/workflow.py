@@ -243,16 +243,16 @@ def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
     for bit: the matrix products behind the tables take another path for
     one direction than for many.  A 3600-angle sweep costs milliseconds
     here; emitting its rows costs over ten times as much (ROADMAP item 3).
-    The checks of the single-scenario path still apply to every angle, and
-    the error raised is the one the first offending angle gives, with the
-    same type and message.
+    Every angle gets the checks of the single-scenario path, its finiteness
+    first, and the error raised is the one the first offending angle gives,
+    with the same type and message.
     """
     phis = np.array([float(phi) for phi in phi_degs])
     if phis.size == 0:
         return []
     checks: list[Check] = []
-    stats = _statistics(rho, slide, bloch_vectors(math.radians(theta_deg), np.radians(phis)),
-                        estimators, checks)
+    n = bloch_vectors(math.radians(theta_deg), np.radians(phis), checks)
+    stats = _statistics(rho, slide, n, estimators, checks)
     run_checks(checks)
     # one state and one slide: these columns hold one value at every angle
     c = float(stats["c"][0])
@@ -472,7 +472,7 @@ def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
     rho = _state_matrices(g)
     checks: list[Check] = []
     slides = slide_arrays(refl[:, 0], refl[:, 1])
-    n = bloch_vectors(angles[:, 0], angles[:, 1])
+    n = bloch_vectors(angles[:, 0], angles[:, 1], checks)
     stats = _statistics(rho, slides, n, ESTIMATOR_KINDS, checks)
     opt = ESTIMATOR_KINDS.index("optimal")
     eps_opt, delta_a = stats["eps_x"][:, opt], stats["delta_x"]

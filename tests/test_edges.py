@@ -178,3 +178,18 @@ def test_non_finite_source_angle(mode, gamma):
         code, err, reports = run([mode, f"--gamma={gamma}"], {})
     assert (code, err) == (3, f"data error: source angle gamma must be finite, got {gamma}\n")
     assert_gate_or_finite(code, err, reports)
+
+
+@pytest.mark.parametrize("phis, message", [
+    ("0,nan", "W outcome +1 has probability 0.000e+00"),
+    ("inf,0", "analyser angle phi must be finite, got inf"),
+])
+def test_a_sweep_stops_at_its_first_offending_angle(phis, message):
+    """At gamma = 0 and theta = 0 the analyser angle 0 gives a W outcome of
+    probability 0: the error is the first offending angle's, whether that
+    is a zero-probability outcome or a non-finite angle, with no numpy
+    warning before it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err, reports = run(["sweep", "--gamma", "0", "--theta", "0", "--phi", phis], {})
+    assert (code, err, reports) == (3, f"data error: {message}\n", None)

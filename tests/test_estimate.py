@@ -152,7 +152,7 @@ def test_spreads_at_reference(reference):
     dist = joint_distribution(rho, slide, w)
     # <W> = 0 and <Y'> = 0 here, so both +-1 spreads are exactly 1
     assert estimator_spread(dist, Estimator.simple()) == pytest.approx(1.0, abs=1e-12)
-    assert y_spreads(dist.table[None]) == pytest.approx([1.0], abs=1e-12)
+    assert y_spreads(dist.table[None], []) == pytest.approx([1.0], abs=1e-12)
     opt = optimal_estimator(rho, w)
     assert estimator_spread(dist, opt) == pytest.approx(SIN45, abs=1e-9)
 

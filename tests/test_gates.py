@@ -18,11 +18,13 @@ the derivation chain is off by exactly twice the commutator of the
 estimates is stated in `test_relations.py`.
 """
 
+import ast
 import dataclasses
 import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,7 +68,7 @@ from jointmeas import (
     tensor,
     verify_relation_chain,
 )
-from jointmeas import workflow
+from jointmeas import UndefinedEstimateError, workflow
 from jointmeas.estimate import mh_tables
 from jointmeas.oracle import direct_moments, naimark_unitaries, w_projectors
 from jointmeas.qcore import bloch_vectors, xy_statistics
@@ -266,6 +268,17 @@ EDGE_GATES = {
         DataValidationError, "line 2: could not convert string to float: 'abc'"),
     **{name: (lambda report=report: emit_report(report), TypeError, message)
        for name, (report, message) in UNWRITABLE_REPORTS.items()},
+    # the finiteness gate of an angle is queued with the statistics checks,
+    # so the first offending angle decides the error, whichever gate it fails
+    # (a NaN second angle used to jump ahead of the first angle's estimate)
+    "sweep whose first angle has a zero-probability outcome": (
+        lambda: sweep_phi(epr_state(0.0), slide_model(0.1244, 0.4645), [0.0, math.nan],
+                          theta_deg=0.0),
+        UndefinedEstimateError, "W outcome +1 has probability 0.000e+00"),
+    "sweep whose first angle is infinite": (
+        lambda: sweep_phi(epr_state(0.0), slide_model(0.1244, 0.4645), [math.inf, 0.0],
+                          theta_deg=0.0),
+        ValueError, "analyser angle phi must be finite, got inf"),
 }
 
 
@@ -299,7 +312,7 @@ def test_bloch_directions_square_to_the_identity():
         large = rng.choice([-1.0, 1.0], (2, size // 2)) * 10.0 ** rng.uniform(0.0, 300.0,
                                                                              (2, size // 2))
         theta, phi = np.concatenate([small, large], axis=1)
-        projs = w_projectors(bloch_vectors(theta, phi))
+        projs = w_projectors(bloch_vectors(theta, phi, []))
         w_ops = projs[:, 0] - projs[:, 1]
         worst = max(worst, float(np.abs(w_ops @ w_ops - np.eye(2)).max()))
     assert worst <= 1e-13
@@ -339,7 +352,7 @@ def test_simulated_tables_are_finite_with_unit_mass():
     rho[::2] = _state_matrices(g[::2, :, :1])
     refl[:1000] = rng.choice([0.0, 1.0], (1000, 2))
     refl[1000:2000, 1] = np.clip(refl[1000:2000, 0] + 1e-6, 0.0, 1.0)
-    n = bloch_vectors(angles[:, 0], angles[:, 1])
+    n = bloch_vectors(angles[:, 0], angles[:, 1], [])
     p = joint_tables(rho, slide_arrays(refl[:, 0], refl[:, 1]), n, [])
     assert np.isfinite(p).all()
     assert np.abs(p.reshape(-1, 8).sum(axis=1) - 1.0).max() <= 1e-14
@@ -407,7 +420,7 @@ def test_drawn_states_give_direct_quasi_tables_of_unit_mass():
     of `direct_margenau_hill` allows 1e-9)."""
     for seed in range(20):
         g, _, angles, _ = _draw_block(np.random.default_rng(seed), 0, 1000)
-        n = bloch_vectors(angles[:, 0], angles[:, 1])
+        n = bloch_vectors(angles[:, 0], angles[:, 1], [])
         mh, _ = direct_moments(_state_matrices(g), w_projectors(n), np.zeros((1000, 0, 2)))
         assert np.abs(mh.sum(axis=(1, 2)) - 1.0).max() <= 1e-13, seed
 
@@ -458,7 +471,7 @@ def test_dilated_estimators_commute_exactly():
     size = len(povms)
     rng = np.random.default_rng(41)
     n = bloch_vectors(np.arccos(rng.uniform(-1.0, 1.0, size)),
-                      rng.uniform(0.0, 2.0 * math.pi, size))
+                      rng.uniform(0.0, 2.0 * math.pi, size), [])
     f = rng.uniform(-2.0, 2.0, (size, 2))
     rho = np.broadcast_to(np.eye(4, dtype=complex) / 4, (10_000, 4, 4))
     for start in range(0, size, 10_000):
@@ -496,3 +509,33 @@ def test_hermitian_states_give_real_means_of_x_and_y():
         xy_statistics(mats, checks)
         x_imag, _, y_imag, _ = checks
         assert not x_imag[0].any() and not y_imag[0].any()
+
+
+def test_kernels_queue_their_checks_and_only_callers_run_them():
+    """One route for the per-index gates: a kernel queues its checks on the
+    list its caller passes, and only callers run a queue.  So no ``checks``
+    or ``queues`` parameter has a default (a None default used to select
+    running at once), no function taking one calls `run_checks`, and the
+    queue-or-run helpers `submit_checks` and `submit_column_checks` are
+    gone."""
+    defined = set()
+    for path in sorted(Path(workflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            where = f"{path.name}:{node.lineno} {getattr(node, 'name', '<lambda>')}"
+            defined.add(getattr(node, "name", None))
+            args = node.args
+            positional = args.posonlyargs + args.args
+            with_default = {a.arg for a in positional[len(positional) - len(args.defaults):]}
+            with_default |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                             if d is not None}
+            queues = {a.arg for a in positional + args.kwonlyargs} & {"checks", "queues"}
+            assert not queues & with_default, where
+            if queues:
+                called = {call.func.id if isinstance(call.func, ast.Name)
+                          else getattr(call.func, "attr", None)
+                          for call in ast.walk(node) if isinstance(call, ast.Call)}
+                assert "run_checks" not in called, where
+    assert "run_checks" in defined
+    assert not defined & {"submit_checks", "submit_column_checks"}

@@ -292,7 +292,7 @@ def test_direct_moments_match_explicit_traces():
     rho = g @ g.conj().swapaxes(-1, -2)
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
     n = bloch_vectors(np.arccos(rng.uniform(-1.0, 1.0, size)),
-                      rng.uniform(0.0, 2.0 * math.pi, size))
+                      rng.uniform(0.0, 2.0 * math.pi, size), [])
     f = rng.uniform(-2.0, 2.0, (size, k_count, 2))
     mh, eps = direct_moments(rho, w_projectors(n), f)
     assert mh.shape == (size, 2, 2) and eps.shape == (size, k_count)
@@ -318,7 +318,7 @@ def test_analyser_projectors_are_orthogonal_projectors():
     ``f(W)^2 = sum_w f_w^2 W_w``: on drawn directions ``W+ W- = 0`` and
     ``W_w^2 = W_w`` within 1e-15."""
     _, _, angles, _ = _draw_block(np.random.default_rng(31), 0, 4096)
-    w_projs = w_projectors(bloch_vectors(angles[:, 0], angles[:, 1]))
+    w_projs = w_projectors(bloch_vectors(angles[:, 0], angles[:, 1], []))
     assert np.abs(w_projs[:, 0] @ w_projs[:, 1]).max() <= 1e-15
     assert np.abs(w_projs @ w_projs - w_projs).max() <= 1e-15
 
@@ -359,8 +359,8 @@ def test_factored_moments_match_the_whole_space_products(case):
         psi = rng.normal(size=(size, 4)) + 1j * rng.normal(size=(size, 4))
         psi /= np.linalg.norm(psi, axis=1)[:, None]
         rho = 1e-9 * rho + (1.0 - 1e-9) * psi[:, :, None] * psi[:, None, :].conj()
-    n = bloch_vectors(angles[:, 0], angles[:, 1])
-    optimal = optimal_values(rho, n)
+    n = bloch_vectors(angles[:, 0], angles[:, 1], [])
+    optimal = optimal_values(rho, n, [])
     f = np.where(np.isnan(custom), optimal, custom)
     if case == "f+ = f-":
         f[:, 1] = f[:, 0]
@@ -396,8 +396,8 @@ def test_dilated_moments_match_the_whole_space_products_for_any_binary_povm():
     rng = np.random.default_rng(41)
     g, _, angles, custom = _draw_block(rng, 0, size)
     rho = _state_matrices(g)
-    n = bloch_vectors(angles[:, 0], angles[:, 1])
-    f = np.where(np.isnan(custom), optimal_values(rho, n), custom)
+    n = bloch_vectors(angles[:, 0], angles[:, 1], [])
+    f = np.where(np.isnan(custom), optimal_values(rho, n, []), custom)
     axes = rng.normal(size=(size, 3))
     axes /= np.linalg.norm(axes, axis=1)[:, None]
     weight = rng.uniform(0.0, 1.0, size)

@@ -187,7 +187,7 @@ def test_bloch_observable_vector_is_computed_once():
     w = BlochObservable.from_degrees(60.0, 30.0)
     assert w.vector is w.vector
     assert not w.vector.flags.writeable
-    assert np.array_equal(w.vector, bloch_vectors(w.theta, w.phi)[0])
+    assert np.array_equal(w.vector, bloch_vectors(w.theta, w.phi, [])[0])
     # the derived vector stays out of equality and the field list
     assert w == BlochObservable(w.theta, w.phi)
     assert [f.name for f in dataclasses.fields(w)] == ["theta", "phi"]

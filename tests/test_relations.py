@@ -451,7 +451,7 @@ def test_relation_chains_equal_reference_on_dilated_operators():
     r_h = rng.uniform(0.02, 0.49, size)
     slides = slide_arrays(r_h, r_h + rng.uniform(0.01, 0.49, size))
     n = bloch_vectors(np.arccos(rng.uniform(-1.0, 1.0, size)),
-                      rng.uniform(0.0, 2.0 * math.pi, size))
+                      rng.uniform(0.0, 2.0 * math.pi, size), [])
     ops = dilated_operators(rho, povm_elements(slides), w_projectors(n),
                             rng.uniform(-2.0, 2.0, (size, 2)))
     assert [op.shape for op in ops] == [(size, 8, 8), (size, 8, 8), (8, 8), (8, 8),
@@ -470,8 +470,8 @@ def test_dilated_chain_keeps_eps_b_precise_in_the_weak_limit(split):
     r_h = rng.uniform(0.02, 0.97, size)
     slides = slide_arrays(r_h, r_h + split)
     n = bloch_vectors(np.arccos(rng.uniform(-1.0, 1.0, size)),
-                      rng.uniform(0.0, 2.0 * math.pi, size))
-    chains = dilated_chains(rho, slides, w_projectors(n), optimal_values(rho, n))
+                      rng.uniform(0.0, 2.0 * math.pi, size), [])
+    chains = dilated_chains(rho, slides, w_projectors(n), optimal_values(rho, n, []))
     assert np.abs(chains.eps_b - np.sqrt(2.0 * slides.kappa)).max() <= 1e-10
 
 
@@ -489,8 +489,8 @@ def test_factored_chain_equals_the_full_dilated_chain(case):
     seed = FACTORED_CASES.index(case)
     g, refl, angles, custom = _draw_block(np.random.default_rng(100 + seed), 0, 512)
     rho = _state_matrices(g)
-    n = bloch_vectors(angles[:, 0], angles[:, 1])
-    f = np.where(np.isnan(custom), optimal_values(rho, n), custom)
+    n = bloch_vectors(angles[:, 0], angles[:, 1], [])
+    f = np.where(np.isnan(custom), optimal_values(rho, n, []), custom)
     rng = np.random.default_rng(seed)
     if case == "r in {0, 1}":
         refl[np.arange(512), rng.integers(0, 2, 512)] = rng.choice([0.0, 1.0], 512)
@@ -618,7 +618,7 @@ def test_shared_operand_gemm_forms_match_per_matrix_forms():
             g = op.matrix
             want = [math.sqrt(max(np.trace(m @ g @ g).real - np.trace(m @ g).real ** 2, 0.0))
                     for m in mats]
-            np.testing.assert_allclose(spreads(op, mats), want, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(spreads(op, mats, []), want, rtol=0, atol=1e-15)
         comm = a.matrix @ b.matrix - b.matrix @ a.matrix
         want = [abs(np.trace(m @ comm)) for m in mats]
         np.testing.assert_allclose(commutator_bounds(a, b, mats), want, rtol=0, atol=1e-15)

@@ -7,7 +7,8 @@ built by `make_dataclass` from its fields and the rest of its namespace
 hash, frozenness, `replace`, `asdict`, pickling and copying, argument
 errors and the `__post_init__` gates must all come out the same.  A guard
 checks that no dataclass of the package carries methods compiled from
-generated source.
+generated source.  Their arrays, and those of the states and operators,
+stay read-only through pickle and copy.
 """
 
 import copy
@@ -20,12 +21,15 @@ import sys
 import typing
 from dataclasses import FrozenInstanceError, asdict, field, fields, make_dataclass, replace
 
+import numpy as np
 import pytest
 
 from jointmeas import (
     BlochObservable,
+    DensityMatrix,
     DispersionCheck,
     Estimator,
+    HermitianOperator,
     JointDistribution,
     MDReport,
     RelationChain,
@@ -37,20 +41,22 @@ from jointmeas import (
     VerificationResult,
     dilated_chain,
     evaluate_md_relation,
+    pauli,
     reference_scenario,
     run_verification,
     simulate_scenario,
     slide_model,
     strength_comparison,
 )
-from jointmeas.qcore import frozen_dataclass
+from jointmeas.qcore import _FrozenSlots, frozen_dataclass
 from jointmeas.scenario import TRIPLES, SlideArrays
 
 MODULES = ("qcore", "scenario", "estimate", "relations", "oracle", "workflow", "dataio", "cli")
 METHODS = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
 # what dataclass(), frozen_dataclass and the class statement put in a class namespace
-MADE = set(METHODS) | {"_init_fields", "__dataclass_fields__", "__dataclass_params__",
-                       "__match_args__", "__dict__", "__weakref__", "__annotations__"}
+MADE = set(METHODS) | {"_init_fields", "__setstate__", "__dataclass_fields__",
+                       "__dataclass_params__", "__match_args__", "__dict__", "__weakref__",
+                       "__annotations__"}
 
 
 def _samples() -> dict[type, tuple]:
@@ -319,4 +325,49 @@ def test_a_field_without_default_after_one_with_is_refused_as_by_the_stdlib():
     with pytest.raises(TypeError) as ours:
         frozen_dataclass(_declare(dict(namespace)))
     assert str(ours.value) == str(std.value) == "non-default argument 'y' follows default argument"
+
+
+
+ROUND_TRIPS = {
+    "built": lambda value: value,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+# a state and an operator, whose slots are restored by the same function
+SLOTTED = {DensityMatrix: DensityMatrix.maximally_mixed(2), HermitianOperator: pauli("X")}
+HOLDS_ARRAYS = {BlochObservable, SlideArrays, SemiweakSlide, JointDistribution,
+                SimulationResult, *SLOTTED}
+
+
+def arrays_in(value) -> list:
+    """Every array reachable from ``value`` through the attributes of frozen
+    values and the items of dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, _FrozenSlots):
+        items = [getattr(value, name) for name in type(value).__slots__]
+    elif dataclasses.is_dataclass(value):
+        items = vars(value).values()
+    elif isinstance(value, dict):
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:
+        return []
+    return [array for item in items for array in arrays_in(item)]
+
+
+@pytest.mark.parametrize("trip", list(ROUND_TRIPS))
+@pytest.mark.parametrize("cls", VALUE_TYPES + list(SLOTTED), ids=lambda c: c.__name__)
+def test_arrays_are_read_only_when_built_and_after_pickle_and_copy(cls, trip):
+    """A frozen value's arrays are read-only, as built and as pickle, copy
+    and deepcopy restore them: numpy unpickles and deep-copies arrays
+    writeable, so a restored value used to be changeable in place, and a
+    slide's arrays were writeable even as built (writing into its Kraus
+    operators changed every later joint table of the slide)."""
+    for sample in SAMPLES[cls] if cls in SAMPLES else [SLOTTED[cls]]:
+        arrays = arrays_in(ROUND_TRIPS[trip](sample))
+        assert bool(arrays) == (cls in HOLDS_ARRAYS)
+        assert not any(array.flags.writeable for array in arrays), cls.__name__
 

@@ -115,7 +115,7 @@ def loop_verification(trials, seed):
             eps_a = eps_stats[kind] = inaccuracy_x(dist, slide, est)
             d_est = estimator_spread(dist, est)
             report = evaluate_relations(
-                eps_a, eps_b, delta_a, delta_b, d_est, float(y_spreads(dist.table[None])[0]),
+                eps_a, eps_b, delta_a, delta_b, d_est, float(y_spreads(dist.table[None], [])[0]),
                 float(commutator_bounds(X1, Y1, rho.matrix[None])[0]),
                 scenario={"estimator": kind})
             for name, margin in report.margins().items():
@@ -292,7 +292,7 @@ def test_block_raises_first_offending_trials_error(monkeypatch):
     W outcome has no probability and its optimal estimate is undefined."""
     build = workflow._state_matrices
     _, _, angles, _ = workflow._draw_block(np.random.default_rng(1), 0, 12)
-    n = bloch_vectors(angles[:, 0], angles[:, 1])
+    n = bloch_vectors(angles[:, 0], angles[:, 1], [])
 
     def zero_outcome(g):
         mats = build(g).copy()

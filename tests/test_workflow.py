@@ -295,7 +295,7 @@ def loop_report(rho, slide, w, dist, kind, info=None):
         eps_a=inaccuracy_x(dist, slide, est), eps_b=inaccuracy_y(slide),
         delta_a=spread(X1, rho), delta_b=spread(Y1, rho),
         delta_a_est=estimator_spread(dist, est),
-        delta_b_est=float(y_spreads(dist.table[None])[0]),
+        delta_b_est=float(y_spreads(dist.table[None], [])[0]),
         c=float(commutator_bounds(X1, Y1, rho.matrix[None])[0]),
         scenario={"source": dist.provenance, "estimator": kind,
                   "theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
