@@ -166,9 +166,9 @@ def _matrix_entry(parts: list[str]) -> tuple[int, int, float, float]:
     return int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])
 
 
-def parse_density_matrix(text: str, dim: int = 4,
+def parse_density_matrix(text: str,
                          tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> DensityMatrix:
-    """Parse ``row,col,re,im`` CSV into a validated DensityMatrix.
+    """Parse ``row,col,re,im`` CSV into a validated two-qubit DensityMatrix.
 
     Tomographic reconstructions are noisy, so the gates here are looser than
     the exact-arithmetic ones: Hermiticity within 1e-6 (then symmetrised),
@@ -177,8 +177,8 @@ def parse_density_matrix(text: str, dim: int = 4,
     ``-qcore.PSD_TOL`` are the DensityMatrix's own; a flagged state is kept and
     warned about.
     """
-    # entry (row, col) at row * dim + col, None until its line is read
-    values: list[complex | None] = [None] * (dim * dim)
+    # entry (row, col) at 4 * row + col, None until its line is read
+    values: list[complex | None] = [None] * 16
     found = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -204,19 +204,17 @@ def parse_density_matrix(text: str, dim: int = 4,
             raise DataValidationError(
                 f"line {line_no}: entry ({row},{col}) is not finite: re={parts[2].strip()!r}, "
                 f"im={parts[3].strip()!r}")
-        if not (0 <= row < dim and 0 <= col < dim):
+        if not (0 <= row < 4 and 0 <= col < 4):
             raise DataValidationError(
-                f"line {line_no}: index ({row},{col}) outside a {dim}x{dim} matrix"
+                f"line {line_no}: index ({row},{col}) outside a 4x4 matrix"
             )
-        if values[row * dim + col] is not None:
+        if values[4 * row + col] is not None:
             raise DataValidationError(f"line {line_no}: duplicate entry ({row},{col})")
-        values[row * dim + col] = complex(re, im)
+        values[4 * row + col] = complex(re, im)
         found += 1
-    if found != dim * dim:
-        raise DataValidationError(
-            f"expected {dim * dim} matrix entries, found {found}"
-        )
-    mat = np.array(values, dtype=complex).reshape(dim, dim)
+    if found != 16:
+        raise DataValidationError(f"expected 16 matrix entries, found {found}")
+    mat = np.array(values, dtype=complex).reshape(4, 4)
     herm_err = float(np.max(np.abs(mat - mat.conj().T)))
     if herm_err > 1e-6:
         raise DataValidationError(
@@ -239,12 +237,12 @@ def parse_density_matrix(text: str, dim: int = 4,
     return rho
 
 
-def load_density_matrix(path: str | os.PathLike, dim: int = 4,
+def load_density_matrix(path: str | os.PathLike,
                         tolerances: ToleranceProfile = DEFAULT_TOLERANCES) -> DensityMatrix:
     """Read a density-matrix CSV; a leading UTF-8 byte-order mark is
     skipped."""
     with open(path, encoding="utf-8-sig") as fh:
-        return parse_density_matrix(fh.read(), dim=dim, tolerances=tolerances)
+        return parse_density_matrix(fh.read(), tolerances=tolerances)
 
 
 def emit_density_matrix(rho: DensityMatrix) -> str:

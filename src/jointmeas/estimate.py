@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -188,27 +187,21 @@ def mh_tables(p: np.ndarray, slide) -> np.ndarray:
     return (p.reshape(len(to_mh), -1, 8) @ to_mh).reshape(-1, 2, 2)
 
 
-def x_inaccuracies(mh: np.ndarray, f: np.ndarray,
-                   queues: Sequence[list[Check]]) -> np.ndarray:
-    """RMS inaccuracies ``eps[N, K]`` of K X estimates ``f[N, K, w]`` of each
-    of N scenarios, reconstructed from Margenau-Hill quasi-tables
-    ``mh[N, x, w]`` (:func:`mh_tables`), whose mass the caller gates.
+def x_inaccuracies(mh: np.ndarray, f: np.ndarray, checks: list[Check]) -> np.ndarray:
+    """RMS inaccuracies ``eps[N]`` of X estimates ``f[N, w]`` of N scenarios,
+    reconstructed from Margenau-Hill quasi-tables ``mh[N, x, w]``
+    (:func:`mh_tables`), whose mass the caller gates.
 
     ``eps^2 = sum_{x,w} (x - f(w))^2 p_MH(x, w)``.  A square in [-1e-9, 0)
     is clamped to zero with a data-quality warning carrying the raw value;
-    anything more negative marks the input data as inconsistent.  The checks
-    of estimate k are queued on ``queues[k]``.
+    anything more negative marks the input data as inconsistent.
     """
-    eps_sq = _row_sums(((SIGNS[:, None] - f[:, :, None, :]) ** 2 * mh[:, None]).reshape(
-        -1, 4)).reshape(len(f), -1)
-    corrupt, clamped = eps_sq < -1e-9, (eps_sq < 0.0) & (eps_sq >= -1e-9)
-    for k, queue in zip(range(eps_sq.shape[1]), queues, strict=True):
-        queue += [(corrupt[:, k], failing(
-                      NumericalCorruptionError,
-                      lambda i, k=k: f"reconstructed eps^2 = {eps_sq[i, k]:.3e}: "
-                                     f"input data is inconsistent")),
-                  (clamped[:, k], lambda i, k=k: warnings.warn(DataQualityWarning(
-                      f"clamping reconstructed eps^2 = {eps_sq[i, k]:.3e} to 0")))]
+    eps_sq = _row_sums(((SIGNS[:, None] - f[:, None, :]) ** 2 * mh).reshape(-1, 4))
+    checks += [(eps_sq < -1e-9, failing(
+                   NumericalCorruptionError, lambda i: f"reconstructed eps^2 = {eps_sq[i]:.3e}: "
+                                                       f"input data is inconsistent")),
+               ((eps_sq < 0.0) & (eps_sq >= -1e-9), lambda i: warnings.warn(DataQualityWarning(
+                   f"clamping reconstructed eps^2 = {eps_sq[i]:.3e} to 0")))]
     return np.sqrt(np.maximum(eps_sq, 0.0))
 
 
@@ -226,14 +219,11 @@ def _variance_check(var: np.ndarray, what: str) -> Check:
         NumericalCorruptionError, lambda i: f"{what} variance {var[i]:.3e} negative"))
 
 
-def estimate_spreads(p: np.ndarray, f: np.ndarray,
-                     queues: Sequence[list[Check]]) -> np.ndarray:
-    """Standard deviations ``[N, K]`` of K estimates ``f[N, K, w]`` under the
-    w marginals of tables ``p[N, m, y, w]``, normalised by each table's
-    mass.  The checks of estimate k are queued on ``queues[k]``."""
-    var = _variances((p.reshape(-1, 8) @ _ONTO_W)[:, None], f)
-    for k, queue in zip(range(var.shape[1]), queues, strict=True):
-        queue.append(_variance_check(var[:, k], "estimator"))
+def estimate_spreads(p: np.ndarray, f: np.ndarray, checks: list[Check]) -> np.ndarray:
+    """Standard deviations ``[N]`` of estimates ``f[N, w]`` under the w
+    marginals of tables ``p[N, m, y, w]``, normalised by each table's mass."""
+    var = _variances(p.reshape(-1, 8) @ _ONTO_W, f)
+    checks.append(_variance_check(var, "estimator"))
     return np.sqrt(np.maximum(var, 0.0))
 
 
@@ -264,9 +254,9 @@ def inaccuracy_x(dist: JointDistribution, slide: SemiweakSlide,
     """RMS inaccuracy of the X estimate, reconstructed from the joint table
     (:func:`x_inaccuracies` on :func:`mh_from_counts`, with their checks)."""
     checks: list[Check] = []
-    eps = x_inaccuracies(mh_from_counts(dist, slide)[None], est.array[None, None], [checks])
+    eps = x_inaccuracies(mh_from_counts(dist, slide)[None], est.array[None], checks)
     run_checks(checks)
-    return float(eps[0, 0])
+    return float(eps[0])
 
 
 def y_inaccuracies(slide) -> np.ndarray:
@@ -291,9 +281,9 @@ def inaccuracy_y(slide: SemiweakSlide) -> float:
 def estimator_spread(dist: JointDistribution, est: Estimator) -> float:
     """Standard deviation of the estimate f(W) under the table's w marginal."""
     checks: list[Check] = []
-    value = estimate_spreads(dist.table[None], est.array[None, None], [checks])
+    value = estimate_spreads(dist.table[None], est.array[None], checks)
     run_checks(checks)
-    return float(value[0, 0])
+    return float(value[0])
 
 
 @frozen_dataclass

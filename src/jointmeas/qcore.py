@@ -38,12 +38,14 @@ _VALUE_METHODS = ("_init_fields", "__init__", "__repr__", "__eq__", "__hash__", 
 
 
 def _set_frozen(self, state) -> None:
-    """Set a frozen value's attributes, arrays read-only: those a constructor
-    derives, and as ``__setstate__`` those pickle and copy restore (numpy
-    restores arrays writeable) from a ``__dict__`` or ``(None, slots)``."""
+    """Set a frozen value's attributes, arrays read-only in place, also those
+    inside a tuple: those a constructor derives, and as ``__setstate__``
+    those pickle and copy restore (numpy restores arrays writeable) from a
+    ``__dict__`` or ``(None, slots)``."""
     for name, value in (state[1] if isinstance(state, tuple) else state).items():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
+        for array in value if isinstance(value, tuple) else (value,):
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
         _setattr(self, name, value)
 
 

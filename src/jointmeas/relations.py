@@ -31,7 +31,7 @@ from dataclasses import field, fields
 
 import numpy as np
 
-from .qcore import as_operator_array, failing, frozen_dataclass, run_checks
+from .qcore import _set_frozen, as_operator_array, failing, frozen_dataclass, run_checks
 
 
 class RelationViolationError(ValueError):
@@ -252,6 +252,10 @@ class RelationChain:
     delta_b_est: float
     triangle_terms: tuple[float, float, float, float]
     schwarz_terms: tuple[float, float, float, float]
+
+    def __post_init__(self):
+        # an array-form chain's arrays are read-only as built, as after pickle
+        _set_frozen(self, {f.name: getattr(self, f.name) for f in fields(self)})
 
     @property
     def bound(self) -> float:

@@ -163,19 +163,16 @@ def _statistics(rho, slides, n: np.ndarray, kinds, checks: list[Check],
     spread_checks = [(per_scenario(bad), fire) for bad, fire in spread_checks]
     mh = mh_tables(p, slides)
     mass_checks = quasi_mass_checks(_row_sums(mh.reshape(-1, 4)), atol)
-    # each kind's checks, queued in the order of a pass over that kind alone
-    queues: list[list[Check]] = [[] for _ in kinds]
     f = np.empty((size, len(kinds), 2))
-    for k, (kind, queue) in enumerate(zip(kinds, queues)):
-        f[:, k] = SIGNS if kind == "simple" else optimal_values(rho, n, queue)
-    for queue in queues:
-        queue += mass_checks
-    eps_a = x_inaccuracies(mh, f, queues)
-    for queue in queues:
-        queue += spread_checks
-    delta_a_est = estimate_spreads(p, f, queues)
-    for queue in queues:
-        checks += queue + y_est_checks
+    eps_a, delta_a_est = np.empty((2, size, len(kinds)))
+    # each kind's checks, queued in the order of a pass over that kind alone
+    for k, kind in enumerate(kinds):
+        f[:, k] = SIGNS if kind == "simple" else optimal_values(rho, n, checks)
+        checks += mass_checks
+        eps_a[:, k] = x_inaccuracies(mh, f[:, k], checks)
+        checks += spread_checks
+        delta_a_est[:, k] = estimate_spreads(p, f[:, k], checks)
+        checks += y_est_checks
     return {"p": p, "mh": mh, "eps_y": eps_b, "delta_x": delta_a, "delta_y": delta_b,
             "delta_y_est": delta_b_est, "c": c, "f": f, "eps_x": eps_a,
             "delta_x_est": delta_a_est,

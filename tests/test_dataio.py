@@ -241,9 +241,6 @@ def test_parse_density_matrix_structure_errors():
         parse_density_matrix("0,0,0.5,0\n0,0,0.5,0\n")
     with pytest.raises(DataValidationError, match="expected row,col,re,im"):
         parse_density_matrix("0,0,1\n")
-    # other dimensions work through the dim parameter
-    rho = parse_density_matrix("0,0,0.5,0\n0,1,0,0\n1,0,0,0\n1,1,0.5,0\n", dim=2)
-    assert rho.dim == 2
 
 
 

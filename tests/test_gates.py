@@ -513,11 +513,11 @@ def test_hermitian_states_give_real_means_of_x_and_y():
 
 def test_kernels_queue_their_checks_and_only_callers_run_them():
     """One route for the per-index gates: a kernel queues its checks on the
-    list its caller passes, and only callers run a queue.  So no ``checks``
-    or ``queues`` parameter has a default (a None default used to select
-    running at once), no function taking one calls `run_checks`, and the
-    queue-or-run helpers `submit_checks` and `submit_column_checks` are
-    gone."""
+    one list its caller passes, and only callers run a queue.  So the queue
+    parameter is named ``checks`` and has no default (a None default used to
+    select running at once, and ``queues`` took one list per estimator
+    kind), no function taking one calls `run_checks`, and the queue-or-run
+    helpers `submit_checks` and `submit_column_checks` are gone."""
     defined = set()
     for path in sorted(Path(workflow.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -530,9 +530,13 @@ def test_kernels_queue_their_checks_and_only_callers_run_them():
             with_default = {a.arg for a in positional[len(positional) - len(args.defaults):]}
             with_default |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
                              if d is not None}
-            queues = {a.arg for a in positional + args.kwonlyargs} & {"checks", "queues"}
-            assert not queues & with_default, where
-            if queues:
+            names = {a.arg for a in positional + args.kwonlyargs}
+            assert "queues" not in names, where
+            for a in positional + args.kwonlyargs:
+                if a.annotation is not None and "Check" in ast.unparse(a.annotation):
+                    assert a.arg == "checks", where
+            if "checks" in names:
+                assert "checks" not in with_default, where
                 called = {call.func.id if isinstance(call.func, ast.Name)
                           else getattr(call.func, "attr", None)
                           for call in ast.walk(node) if isinstance(call, ast.Call)}

@@ -78,7 +78,7 @@ def test_x_inaccuracies_add_the_four_terms_left_to_right(size, kinds):
     ``(x - f(w))^2 p_MH(x, w)`` over (x, w) = (+,+), (+,-), (-,+), (-,-)."""
     mh = spread_rows(3, size, 4, signed=False).reshape(size, 2, 2)
     f = np.random.default_rng([4, size, kinds]).uniform(-2.0, 2.0, (size, kinds, 2))
-    got = x_inaccuracies(mh, f, [[] for _ in range(kinds)])
+    got = np.stack([x_inaccuracies(mh, f[:, k], []) for k in range(kinds)], axis=1)
     want, moved = [], 0
     for mh_row, f_row in zip(mh.tolist(), f.tolist()):
         for f_k in f_row:

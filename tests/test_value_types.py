@@ -48,8 +48,10 @@ from jointmeas import (
     slide_model,
     strength_comparison,
 )
+from jointmeas.oracle import w_projectors
 from jointmeas.qcore import _FrozenSlots, frozen_dataclass
-from jointmeas.scenario import TRIPLES, SlideArrays
+from jointmeas.scenario import TRIPLES, SlideArrays, slide_arrays
+from jointmeas.workflow import dilated_chains
 
 MODULES = ("qcore", "scenario", "estimate", "relations", "oracle", "workflow", "dataio", "cli")
 METHODS = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
@@ -358,16 +360,38 @@ def arrays_in(value) -> list:
     return [array for item in items for array in arrays_in(item)]
 
 
+def _array_chain() -> RelationChain:
+    """Three chains in one, from ``dilated_chains``: its fields, and the
+    items of its two tuple fields, are arrays ``[3]``."""
+    rho = reference_scenario()[0].matrix
+    n = np.array([BlochObservable(theta, phi).vector
+                  for theta, phi in ((1.5, 3.1), (0.4, 1.0), (2.0, 5.0))])
+    slides = slide_arrays(np.array([0.1244, 0.2, 0.7]), np.array([0.4645, 0.6, 0.3]))
+    return dilated_chains(np.stack([rho] * 3), slides, w_projectors(n),
+                          np.array([[1.0, -1.0], [0.5, -0.3], [0.63, -0.64]]))
+
+
+# each input's samples and whether they hold arrays: the value types, the
+# slotted values and an array-form chain
+READ_ONLY_INPUTS = {
+    **{cls.__name__: (SAMPLES[cls], cls in HOLDS_ARRAYS) for cls in VALUE_TYPES},
+    **{cls.__name__: ([value], True) for cls, value in SLOTTED.items()},
+    "RelationChainArrays": ([_array_chain()], True),
+}
+
+
 @pytest.mark.parametrize("trip", list(ROUND_TRIPS))
-@pytest.mark.parametrize("cls", VALUE_TYPES + list(SLOTTED), ids=lambda c: c.__name__)
-def test_arrays_are_read_only_when_built_and_after_pickle_and_copy(cls, trip):
+@pytest.mark.parametrize("name", list(READ_ONLY_INPUTS))
+def test_arrays_are_read_only_when_built_and_after_pickle_and_copy(name, trip):
     """A frozen value's arrays are read-only, as built and as pickle, copy
     and deepcopy restore them: numpy unpickles and deep-copies arrays
     writeable, so a restored value used to be changeable in place, and a
     slide's arrays were writeable even as built (writing into its Kraus
-    operators changed every later joint table of the slide)."""
-    for sample in SAMPLES[cls] if cls in SAMPLES else [SLOTTED[cls]]:
+    operators changed every later joint table of the slide).  An array-form
+    chain's arrays were writeable as built, and those in its tuples after
+    pickle and copy too."""
+    samples, holds_arrays = READ_ONLY_INPUTS[name]
+    for sample in samples:
         arrays = arrays_in(ROUND_TRIPS[trip](sample))
-        assert bool(arrays) == (cls in HOLDS_ARRAYS)
-        assert not any(array.flags.writeable for array in arrays), cls.__name__
-
+        assert bool(arrays) == holds_arrays
+        assert not any(array.flags.writeable for array in arrays), name
