@@ -39,7 +39,9 @@ from .qcore import (
     pauli,
     projector_pair,
     run_checks,
+    run_kernel,
     spread,
+    state_stack,
     tensor,
 )
 from .scenario import (
@@ -51,7 +53,7 @@ from .scenario import (
     DegenerateMeasurementError,
     JointDistribution,
     SemiweakSlide,
-    as_slide_arrays,
+    SlideArrays,
     joint_distribution,
     reflectivity_gap_error,
 )
@@ -121,16 +123,16 @@ def quasi_mass_checks(total: np.ndarray, atol: float) -> list[Check]:
         ValueError, lambda i: f"quasi-probabilities sum to {total[i]:.6f}, not 1"))]
 
 
-def optimal_values(rho, n: np.ndarray, checks: list[Check]) -> np.ndarray:
+def optimal_values(rho: np.ndarray, n: np.ndarray, checks: list[Check]) -> np.ndarray:
     """Least-squares X estimates ``f[N, w]`` for N directions ``n[N, 3]``.
 
-    ``f(w) = <X (x) W_w> / <1 (x) W_w>``, read off the correlation tensor of
-    ``rho``: one DensityMatrix shared by all directions, or N states
-    ``[N, 4, 4]``, one per direction.  An outcome with probability
+    ``f(w) = <X (x) W_w> / <1 (x) W_w>``, read off the correlation tensors
+    of the states ``rho[1, 4, 4]``, shared by all directions, or
+    ``rho[N, 4, 4]``, one per direction.  An outcome with probability
     <= 1e-12 is an ``UndefinedEstimateError`` queued on ``checks``; its
     estimate is NaN.
     """
-    t = correlations(rho).reshape(-1, 4, 4)
+    t = correlations(rho)
     # directions grouped by their state: all N under one, or one under each
     groups = n.reshape(len(t), -1, 3)
 
@@ -156,23 +158,21 @@ def optimal_estimator(rho: DensityMatrix, w: BlochObservable) -> Estimator:
     for one direction).  Raises ``UndefinedEstimateError`` if an outcome has
     no probability mass.
     """
-    checks: list[Check] = []
-    f = optimal_values(rho, w.vector[None], checks)[0]
-    run_checks(checks)
+    f = run_kernel(optimal_values, state_stack(rho), w.vector[None])[0]
     return Estimator(dict(zip(OUTCOMES, f.tolist())), kind="optimal")
 
 
-def mh_tables(p: np.ndarray, slide) -> np.ndarray:
+def mh_tables(p: np.ndarray, slides: SlideArrays) -> np.ndarray:
     """Margenau-Hill quasi-tables ``p_MH[N, x, w]`` of tables ``p[N, m, y, w]``:
-    ``p_MH(x, w) = sum_{m,y} (1 + x xi_m)/2 p(m, y, w)``, for one
-    SemiweakSlide shared by all tables or N slides (:class:`SlideArrays`).
+    ``p_MH(x, w) = sum_{m,y} (1 + x xi_m)/2 p(m, y, w)``, for ``slides``
+    (N = 1) shared by all tables, or one slide per table.
 
     Raises ``DegenerateMeasurementError`` at once for a slide without
     contextual values (``r_h == r_v``), or with :func:`slide_model`'s
     message for one whose ``|r_h - r_v| = 2/|xi_r - xi_t|`` is below
     ``MIN_REFLECTIVITY_GAP``, where rounding decides the quasi-tables.
     """
-    xi = as_slide_arrays(slide).xi
+    xi = slides.xi
     if xi is None:
         raise DegenerateMeasurementError(
             "slide has r_h == r_v; contextual values are undefined")
@@ -244,7 +244,7 @@ def mh_from_counts(dist: JointDistribution, slide: SemiweakSlide) -> np.ndarray:
     the source table's total mass, so the sum check follows the source
     provenance.
     """
-    mh = mh_tables(dist.table[None], slide)[0]
+    mh = mh_tables(dist.table[None], slide.arrays)[0]
     run_checks(quasi_mass_checks(mh.sum()[None], dist.mass_tolerance + 1e-12))
     return mh
 
@@ -253,37 +253,31 @@ def inaccuracy_x(dist: JointDistribution, slide: SemiweakSlide,
                  est: Estimator) -> float:
     """RMS inaccuracy of the X estimate, reconstructed from the joint table
     (:func:`x_inaccuracies` on :func:`mh_from_counts`, with their checks)."""
-    checks: list[Check] = []
-    eps = x_inaccuracies(mh_from_counts(dist, slide)[None], est.array[None], checks)
-    run_checks(checks)
-    return float(eps[0])
+    return float(run_kernel(x_inaccuracies, mh_from_counts(dist, slide)[None],
+                            est.array[None])[0])
 
 
-def y_inaccuracies(slide) -> np.ndarray:
-    """RMS inaccuracies ``[N]`` of the semiweak Y measurement behind N slides
-    (a SemiweakSlide or :class:`SlideArrays`), by their closed form
-    ``sqrt(2 kappa)``.
+def y_inaccuracies(slides: SlideArrays) -> np.ndarray:
+    """RMS inaccuracies ``[N]`` of the semiweak Y measurement behind N slides,
+    by their closed form ``sqrt(2 kappa)``.
 
     This is the MH mean-square difference ``sum (y - y')^2 p_MH(y, y')``
     between the target Y and the effective POVM behind the slide; the test
     suite checks that identity, and ``verify`` compares the value with the
     one its dilated projective estimate gives.
     """
-    return np.sqrt(2.0 * as_slide_arrays(slide).kappa)
+    return np.sqrt(2.0 * slides.kappa)
 
 
 def inaccuracy_y(slide: SemiweakSlide) -> float:
     """RMS inaccuracy of the semiweak Y measurement: sqrt(2 kappa)
     (:func:`y_inaccuracies` for one slide)."""
-    return float(y_inaccuracies(slide)[0])
+    return float(y_inaccuracies(slide.arrays)[0])
 
 
 def estimator_spread(dist: JointDistribution, est: Estimator) -> float:
     """Standard deviation of the estimate f(W) under the table's w marginal."""
-    checks: list[Check] = []
-    value = estimate_spreads(dist.table[None], est.array[None], checks)
-    run_checks(checks)
-    return float(value[0])
+    return float(run_kernel(estimate_spreads, dist.table[None], est.array[None])[0])
 
 
 @frozen_dataclass

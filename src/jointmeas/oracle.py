@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .estimate import quasi_mass_checks
-from .qcore import SIGMAS, as_operator_array, run_checks
+from .qcore import SIGMAS, run_checks, state_stack
 
 
 def embed(op: np.ndarray, slots: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
@@ -77,7 +77,7 @@ def _roots(elements: np.ndarray) -> np.ndarray:
     return roots
 
 
-def naimark_unitaries(povms) -> np.ndarray:
+def naimark_unitaries(povms: np.ndarray) -> np.ndarray:
     """Dilation unitaries ``[N, 4, 4]`` for N binary POVMs ``povms[N, i]`` on
     one qubit.
 
@@ -90,8 +90,7 @@ def naimark_unitaries(povms) -> np.ndarray:
     Precondition, unchecked: the elements sum to the identity with spectra
     in [0, 1], as the closed forms of ``scenario.povm_elements`` do.
     """
-    elements = as_operator_array(povms)
-    roots = _roots(elements)
+    roots = _roots(povms)
     # ancilla blocks (row a, column a') of the (system, ancilla) axes
     unitary = np.empty((len(roots), 2, 2, 2, 2), dtype=complex)
     unitary[:, :, 0, :, 0] = unitary[:, :, 1, :, 1] = roots[:, 0]
@@ -163,8 +162,7 @@ def direct_margenau_hill(rho, w) -> np.ndarray:
     """Margenau-Hill quasi-table ``<{X_x (x) 1, 1 (x) W_w}>/2`` ``[x, w]`` of
     one two-qubit state and analyser direction (:func:`direct_moments` for
     one scenario and no estimates), which must sum to 1 within 1e-9."""
-    mh, _ = direct_moments(as_operator_array(rho)[None], w_projectors(w.vector[None]),
-                           np.zeros((1, 0, 2)))
+    mh, _ = direct_moments(state_stack(rho), w_projectors(w.vector[None]), np.zeros((1, 0, 2)))
     run_checks(quasi_mass_checks(mh.sum(axis=(1, 2)), 1e-9))
     return mh[0]
 

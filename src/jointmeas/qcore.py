@@ -166,7 +166,8 @@ class DataQualityWarning(UserWarning):
 # A per-index check of the array kernels: ``bad`` flags the offending indices
 # of a length-N batch and ``fire(i)`` raises (or warns) for index ``i`` with
 # the exception a single-item call would give.  A kernel queues its checks
-# on a list its caller passes; only callers run a queue, with run_checks.
+# on a list its caller passes; only callers run a queue, with run_checks, or
+# through run_kernel.
 Check = tuple[np.ndarray, Callable[[int], None]]
 
 
@@ -191,6 +192,15 @@ def run_checks(checks: Sequence[Check]) -> None:
         for bad, fire in checks:
             if bad[i]:
                 fire(i)
+
+
+def run_kernel(kernel: Callable, *args, **kwargs):
+    """``kernel(*args, checks, **kwargs)`` on a new queue, whose checks are
+    then run: how a view runs the one kernel it wraps."""
+    checks: list[Check] = []
+    value = kernel(*args, checks=checks, **kwargs)
+    run_checks(checks)
+    return value
 
 
 def _row_sums(rows: np.ndarray) -> np.ndarray:
@@ -420,10 +430,7 @@ class BlochObservable:
     phi: float
 
     def __post_init__(self):
-        checks: list[Check] = []
-        vector = bloch_vectors(self.theta, self.phi, checks)[0]
-        run_checks(checks)
-        _set_frozen(self, {"vector": vector})
+        _set_frozen(self, {"vector": run_kernel(bloch_vectors, self.theta, self.phi)[0]})
 
     @classmethod
     def from_degrees(cls, theta_deg: float, phi_deg: float) -> "BlochObservable":
@@ -458,17 +465,21 @@ def bloch_vectors(theta, phi, checks: list[Check]) -> np.ndarray:
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-def correlations(rho) -> np.ndarray:
-    """Correlation tensor ``T[j, k] = Tr(rho s_j (x) s_k)`` of a two-qubit
-    state, ``s = (1, X, Y, Z)``; real because rho is Hermitian.  ``rho`` is
-    a DensityMatrix, giving ``T[4, 4]``, or a stack of validated matrices
-    ``[N, 4, 4]``, giving ``T[N, 4, 4]``."""
-    mat = getattr(rho, "matrix", rho)
-    if mat.shape[-2:] != (4, 4):
-        raise DimensionMismatchError(
-            f"correlations need a two-qubit state, got dim {mat.shape[-1]}")
-    flat = mat.swapaxes(-1, -2).reshape(-1, 16)
-    return (flat @ _SIGMA_PAIRS).real.reshape(mat.shape)
+def state_stack(rho) -> np.ndarray:
+    """A two-qubit state (a DensityMatrix, or a matrix) as the ``[1, 4, 4]``
+    stack the array kernels read: the one gate that a state is two-qubit."""
+    mat = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    if mat.shape != (4, 4):
+        raise DimensionMismatchError(f"expected a two-qubit state, got shape {mat.shape}")
+    return mat[None]
+
+
+def correlations(rho: np.ndarray) -> np.ndarray:
+    """Correlation tensors ``T[N, j, k] = Tr(rho s_j (x) s_k)`` of two-qubit
+    states ``rho[N, 4, 4]``, ``s = (1, X, Y, Z)``; real because each state
+    is Hermitian."""
+    flat = rho.swapaxes(-1, -2).reshape(-1, 16)
+    return (flat @ _SIGMA_PAIRS).real.reshape(rho.shape)
 
 
 def expectation(op: HermitianOperator, rho: DensityMatrix) -> float:
@@ -541,10 +552,7 @@ def xy_statistics(mats: np.ndarray, checks: list[Check]
 def spread(op: HermitianOperator, rho: DensityMatrix) -> float:
     """Standard deviation ``sqrt(<G^2> - <G>^2)`` of an observable
     (:func:`spreads` for one state, running its checks)."""
-    checks: list[Check] = []
-    value = spreads(op, rho.matrix[None], checks)
-    run_checks(checks)
-    return float(value[0])
+    return float(run_kernel(spreads, op, rho.matrix[None])[0])
 
 
 def commutator_bounds(a: HermitianOperator, b: HermitianOperator,

@@ -199,13 +199,17 @@ def strength_comparison(report: RelationReport,
     For optimal estimates the orderings ``lhs_new <= lhs_hall`` and
     ``lhs_new <= lhs_ozawa`` are asserted (violation raises
     ``RelationViolationError``); otherwise a not-applicable result carrying
-    the observed gaps is returned.
+    the observed gaps is returned.  A non-finite field it reads raises
+    ValueError.
     """
     kind = estimator_kind or report.scenario.get("estimator", "custom")
     applicable = kind == "optimal"
-    inputs = [np.array([v], dtype=float) for v in (
-        report.eps_a, report.eps_b, report.delta_a, report.delta_b,
-        report.lhs_hall, report.lhs_ozawa, report.lhs_new)]
+    inputs = []
+    for name in ("eps_a", "eps_b", "delta_a", "delta_b", "lhs_hall", "lhs_ozawa", "lhs_new"):
+        value = getattr(report, name)
+        if not math.isfinite(value):
+            raise ValueError(f"report field {name} must be finite, got {value}")
+        inputs.append(np.array([value], dtype=float))
     # a report built by hand may give ratios outside the weights' domain
     for x in _gap_ratios(*inputs[:4])[1:]:
         gap_weights(x)
@@ -425,10 +429,12 @@ def evaluate_md_relation(report: RelationReport, kappa: float) -> MDReport:
     The slide channel contracts Y to ``Y' = (1 - kappa) Y``, so its RMS
     disturbance is ``eta(Y) = sqrt(<(Y' - Y)^2>) = kappa`` and the disturbed
     spread is ``Delta(Y') = (1 - kappa) Delta Y``, both in closed form; every
-    other input is read off the report.  The relation is universal for
-    estimates read off qubit 2, so a violation marks numerical corruption
-    and raises.
+    other input is read off the report.  A ``kappa`` outside [0, 1] raises
+    ValueError.  The relation is universal for estimates read off qubit 2,
+    so a violation marks numerical corruption and raises.
     """
+    if not 0.0 <= kappa <= 1.0:
+        raise ValueError(f"slide strength kappa must lie in [0, 1], got {kappa}")
     md = MDReport(
         eps_a=report.eps_a, eta_b=kappa, delta_a=report.delta_a,
         delta_a_est=report.delta_a_est, delta_b=report.delta_b,

@@ -44,7 +44,8 @@ from .qcore import (
     correlations,
     failing,
     frozen_dataclass,
-    run_checks,
+    run_kernel,
+    state_stack,
 )
 
 TRANSMITTED = +1
@@ -291,20 +292,20 @@ def negative_entry_checks(flat: np.ndarray) -> list[Check]:
         ValueError, lambda i: f"negative probability {low[i]:.3e} in distribution"))]
 
 
-def joint_tables(rho, slide, n: np.ndarray, checks: list[Check]) -> np.ndarray:
+def joint_tables(rho: np.ndarray, slides: SlideArrays, n: np.ndarray,
+                 checks: list[Check]) -> np.ndarray:
     """Joint tables ``p[N, m, y, w]`` for N analyser directions ``n[N, 3]``.
 
     ``p(m, y, w) = Tr(rho (M_m Y_y M_m (x) W_w))`` with
     ``W_w = (s_0 + w n.s)/2``, so every table is linear in
     ``A[m, y, k] = Tr(rho (M_m Y_y M_m (x) s_k))``, built from the slide's
-    Kraus operators.  ``rho`` and ``slide`` are one DensityMatrix and one
-    SemiweakSlide shared by all N directions, or N states ``[N, 4, 4]`` and
-    N slides (:class:`SlideArrays`), one per direction.  Each table is
-    normalised exactly by its mass ``Tr rho``, so, from inputs checked
-    finite, only its negative-entry check can fail; it is queued on
+    Kraus operators.  The states ``rho[1, 4, 4]`` and ``slides`` (N = 1) are
+    shared by all N directions, or there are N of each, one per direction.
+    Each table is normalised exactly by its mass ``Tr rho``, so, from inputs
+    checked finite, only its negative-entry check can fail; it is queued on
     ``checks``.
     """
-    kraus = as_slide_arrays(slide).kraus
+    kraus = slides.kraus
     # M_m Y_y for every y as one GEMM against the shared [Y_+ | Y_-], then
     # the probes M_m Y_y M_m as one product per slide and outcome pair
     kraus_y = (kraus.reshape(-1, 2) @ _Y_ROW).reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
@@ -336,27 +337,18 @@ def joint_distribution(rho: DensityMatrix, slide: SemiweakSlide,
     while W is measured on qubit 2.  This is :func:`joint_tables` for one
     direction, running its check.
     """
-    checks: list[Check] = []
-    p = joint_tables(rho, slide, w.vector[None], checks)[0]
-    run_checks(checks)
+    p = run_kernel(joint_tables, state_stack(rho), slide.arrays, w.vector[None])[0]
     meta = {"theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
             "r_h": slide.r_h, "r_v": slide.r_v}
     return JointDistribution(entries=dict(zip(TRIPLES, p.ravel().tolist())),
                              provenance="simulated", metadata=meta)
 
 
-def as_slide_arrays(slide) -> SlideArrays:
-    """The :class:`SlideArrays` of a SemiweakSlide (N = 1), or ``slide``
-    itself when it already is one."""
-    return getattr(slide, "arrays", slide)
-
-
-def povm_elements(slide) -> np.ndarray:
-    """POVMs ``Upsilon[N, y]`` of the Y measurement behind N slides (a
-    SemiweakSlide or :class:`SlideArrays`), by their closed form
-    ``(1 +- (1 - kappa) Y)/2``; that it equals the Kraus sum
+def povm_elements(slides: SlideArrays) -> np.ndarray:
+    """POVMs ``Upsilon[N, y]`` of the Y measurement behind N slides, by their
+    closed form ``(1 +- (1 - kappa) Y)/2``; that it equals the Kraus sum
     ``sum_m M_m Y_y M_m`` is checked in the test suite."""
-    contrast = (1 - as_slide_arrays(slide).kappa)[:, None, None, None]
+    contrast = (1 - slides.kappa)[:, None, None, None]
     return 0.5 * (SIGMAS[0] + contrast * SIGNS[:, None, None] * SIGMAS[2])
 
 

@@ -40,6 +40,8 @@ from .qcore import (
     bloch_vectors,
     frozen_dataclass,
     run_checks,
+    run_kernel,
+    state_stack,
     xy_statistics,
 )
 from .relations import (
@@ -57,6 +59,7 @@ from .scenario import (
     SIGNS,
     JointDistribution,
     SemiweakSlide,
+    SlideArrays,
     epr_state,
     joint_distribution,
     joint_tables,
@@ -121,18 +124,18 @@ def analyze_measured(dist: JointDistribution, rho: DensityMatrix,
     return _scenario_results(rho, (estimator,), dist=dist, slide=slide, w=w)[0].report
 
 
-def _statistics(rho, slides, n: np.ndarray, kinds, checks: list[Check],
-                p: np.ndarray | None = None,
+def _statistics(rho: np.ndarray, slides: SlideArrays, n: np.ndarray, kinds,
+                checks: list[Check], p: np.ndarray | None = None,
                 atol: float = SIMULATED_NORM + 1e-12) -> dict:
     """The statistics group of N scenarios in one array pass: states
-    ``rho`` (one DensityMatrix shared by all, or ``[N, 4, 4]``), slides (one
-    SemiweakSlide or :class:`SlideArrays`), directions ``n[N, 3]`` and the
-    measured tables ``p[N, m, y, w]``, whose quasi-tables must sum to 1
-    within ``atol``, or else simulated ones.  Returns ``p``, their
-    Margenau-Hill tables mh ``[N, x, w]``, arrays ``[N]``: eps_y, delta_x,
-    delta_y, delta_y_est and c, and, along an axis of the K estimator
-    ``kinds``, f ``[N, K, w]``, eps_x and delta_x_est ``[N, K]`` and lhs, the
-    four left-hand sides ``[N, K]`` in RELATION_NAMES order.
+    ``rho[N, 4, 4]``, ``slides``, directions ``n[N, 3]`` and the measured
+    tables ``p[N, m, y, w]``, whose quasi-tables must sum to 1 within
+    ``atol``, or else simulated ones; a ``[1]`` state or slide is shared by
+    all N.  Returns ``p``, their Margenau-Hill tables mh ``[N, x, w]``,
+    arrays ``[N]``: eps_y, delta_x, delta_y, delta_y_est and c, and, along
+    an axis of the K estimator ``kinds``, f ``[N, K, w]``, eps_x and
+    delta_x_est ``[N, K]`` and lhs, the four left-hand sides ``[N, K]`` in
+    RELATION_NAMES order.
 
     The checks are queued on ``checks`` in one order per scenario: the table
     checks, then for each kind f, the mh mass, eps(X), Delta X, Delta Y,
@@ -147,7 +150,6 @@ def _statistics(rho, slides, n: np.ndarray, kinds, checks: list[Check],
     size = len(n)
     if p is None:
         p = joint_tables(rho, slides, n, checks)
-    mats = rho.matrix[None] if isinstance(rho, DensityMatrix) else rho
 
     def per_scenario(values: np.ndarray) -> np.ndarray:
         # the [1] values of a shared state or slide, at each of the N indices
@@ -155,7 +157,7 @@ def _statistics(rho, slides, n: np.ndarray, kinds, checks: list[Check],
 
     spread_checks: list[Check] = []
     y_est_checks: list[Check] = []
-    delta_a, delta_b, c = map(per_scenario, xy_statistics(mats, spread_checks))
+    delta_a, delta_b, c = map(per_scenario, xy_statistics(rho, spread_checks))
     eps_b = per_scenario(y_inaccuracies(slides))
     delta_b_est = y_spreads(p, y_est_checks)
     # a shared state's flags are set at every index or at none, so run_checks
@@ -198,10 +200,8 @@ def _scenario_results(rho: DensityMatrix, kinds, *,
         if w is None:
             w = BlochObservable.from_degrees(_meta_float(dist, "theta_deg"),
                                              _meta_float(dist, "phi_deg"))
-    checks: list[Check] = []
-    stats = _statistics(rho, slide, w.vector[None], kinds, checks, p=dist.table[None],
-                        atol=dist.mass_tolerance + 1e-12)
-    run_checks(checks)
+    stats = run_kernel(_statistics, state_stack(rho), slide.arrays, w.vector[None], kinds,
+                       p=dist.table[None], atol=dist.mass_tolerance + 1e-12)
     eps_b, delta_a, delta_b, delta_b_est, c = (
         float(stats[key][0]) for key in ("eps_y", "delta_x", "delta_y", "delta_y_est", "c"))
     results = []
@@ -244,12 +244,13 @@ def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
     first, and the error raised is the one the first offending angle gives,
     with the same type and message.
     """
+    mats = state_stack(rho)
     phis = np.array([float(phi) for phi in phi_degs])
     if phis.size == 0:
         return []
     checks: list[Check] = []
     n = bloch_vectors(math.radians(theta_deg), np.radians(phis), checks)
-    stats = _statistics(rho, slide, n, estimators, checks)
+    stats = _statistics(mats, slide.arrays, n, estimators, checks)
     run_checks(checks)
     # one state and one slide: these columns hold one value at every angle
     c = float(stats["c"][0])
@@ -324,18 +325,18 @@ def random_observable(rng: np.random.Generator) -> BlochObservable:
     return BlochObservable(theta, float(rng.uniform(*_PHI)))
 
 
-def dilated_chains(rho: np.ndarray, slide, w_projs: np.ndarray, f: np.ndarray,
+def dilated_chains(rho: np.ndarray, slides: SlideArrays, w_projs: np.ndarray, f: np.ndarray,
                    eps_a: np.ndarray | None = None) -> RelationChain:
     """Check every link of the averaged-spread derivation on commuting
     projective estimators on (q1, q2, ancilla) for N scenarios -- states
-    ``rho[N, 4, 4]``, slides (a SemiweakSlide or :class:`SlideArrays`),
+    ``rho[N, 4, 4]``, N ``slides`` (one per state: a slide is not shared),
     projectors ``w_projs[N, w]`` of the analysers, X estimates ``f[N, w]``
     and their inaccuracies ``eps_a[N]`` (from :func:`oracle.direct_moments`
     when not given); the chain's fields are arrays ``[N]``, with the moments
     on qubit 1 and (q1, ancilla) from :func:`oracle.dilated_moments`."""
     if eps_a is None:
         eps_a = direct_moments(rho, w_projs, f[:, None])[1][:, 0]
-    ev_ab, ev_a_be, eps_b, *spreads = dilated_moments(rho, povm_elements(slide), w_projs, f)
+    ev_ab, ev_a_be, eps_b, *spreads = dilated_moments(rho, povm_elements(slides), w_projs, f)
     # A_est acts on q2, B and B_est on (q1, ancilla): [A_est, B] and [A_est, B_est] are 0
     zero = np.zeros(len(rho))
     return _chain_links(ev_ab, ev_a_be, zero, zero, zero, eps_a, eps_b, *spreads)
@@ -346,8 +347,8 @@ def dilated_chain(rho: DensityMatrix, slide: SemiweakSlide, w: BlochObservable,
     """Build commuting projective estimators on (q1, q2, ancilla) and check
     every link of the averaged-spread derivation on them
     (:func:`dilated_chains` for one scenario)."""
-    return chain_item(dilated_chains(rho.matrix[None], slide, w_projectors(w.vector[None]),
-                                     est.array[None]), 0)
+    return chain_item(dilated_chains(state_stack(rho), slide.arrays,
+                                     w_projectors(w.vector[None]), est.array[None]), 0)
 
 
 @frozen_dataclass

@@ -44,16 +44,19 @@ from jointmeas import (
     SemiweakSlide,
     analyze_measured,
     bundled_distribution,
+    dilated_chain,
     direct_margenau_hill,
     dispersion_check,
     disturbed_observable,
     emit_report,
     epr_state,
+    evaluate_md_relation,
     expectation,
     fidelity,
     joint_distribution,
     mh_from_counts,
     naimark_unitary,
+    optimal_estimator,
     parse_density_matrix,
     parse_distribution,
     pauli,
@@ -131,6 +134,20 @@ def relaxed_floor_state() -> DensityMatrix:
     return DensityMatrix(mat, psd_floor=1e7)
 
 
+# each entry point that needs a two-qubit state, called with a one-qubit one:
+# the state gate, not a reshape inside a kernel, refuses it
+ONE_QUBIT = DensityMatrix(np.eye(2) / 2)
+TWO_QUBIT_ENTRY_POINTS = {
+    "simulate_scenario": lambda: simulate_scenario(ONE_QUBIT, SLIDE, W),
+    "analyze_measured": lambda: analyze_measured(bundled_distribution(180.0), ONE_QUBIT),
+    "sweep_phi": lambda: sweep_phi(ONE_QUBIT, SLIDE, [180.0]),
+    "joint_distribution": lambda: joint_distribution(ONE_QUBIT, SLIDE, W),
+    "optimal_estimator": lambda: optimal_estimator(ONE_QUBIT, W),
+    "dispersion_check": lambda: dispersion_check(ONE_QUBIT, SLIDE, W, Estimator.simple()),
+    "dilated_chain": lambda: dilated_chain(ONE_QUBIT, SLIDE, W, Estimator.simple()),
+    "direct_margenau_hill": lambda: direct_margenau_hill(ONE_QUBIT, W),
+}
+
 # reports json cannot write, with json.dumps' own messages
 UNWRITABLE_REPORTS = {
     "report with a tuple key": (
@@ -163,6 +180,24 @@ EDGE_GATES = {
         lambda: strength_comparison(RelationReport(0.5, -0.25, 1.0, 0.5, 0.8, 0.4, 1.0,
                                                    -0.125, 0.5, 0.5, 0.5)),
         ValueError, "gap weight defined on [0, 1], got -0.5"),
+    # a hand-built report's non-finite field: a NaN eps(X) was read as a gap
+    # ratio of 0 and the ordering passed; an infinite spread warned
+    "strength ordering of a report with a NaN inaccuracy": (
+        lambda: strength_comparison(RelationReport(math.nan, 0.1, 1.0, 1.0, 1.0, 1.0, 1.0,
+                                                   0.0, 0.0, 0.0, 0.0), "optimal"),
+        ValueError, "report field eps_a must be finite, got nan"),
+    "strength ordering of a report with an infinite spread": (
+        lambda: strength_comparison(RelationReport(0.5, 0.1, math.inf, 1.0, 1.0, 1.0, 1.0,
+                                                   0.05, 0.6, 0.6, 0.6), "optimal"),
+        ValueError, "report field delta_a must be finite, got inf"),
+    # a NaN kappa raised the relation-violation error, and 1.5 passed
+    **{f"measurement-disturbance relation at kappa {kappa}": (
+        lambda kappa=kappa: evaluate_md_relation(simulate_scenario(RHO, SLIDE, W).report, kappa),
+        ValueError, f"slide strength kappa must lie in [0, 1], got {kappa}")
+       for kappa in (math.nan, 1.5, -0.25)},
+    **{f"{name} of a one-qubit state": (
+        call, DimensionMismatchError, "expected a two-qubit state, got shape (2, 2)")
+       for name, call in TWO_QUBIT_ENTRY_POINTS.items()},
     "imaginary expectation of a state with a relaxed psd floor": (
         lambda: analyze_measured(bundled_distribution(180.0), relaxed_floor_state()),
         NumericalCorruptionError, "expectation has imaginary part 2.328e-10"),
@@ -337,7 +372,7 @@ def test_the_gap_read_from_contextual_values_passes_every_slide_slide_model_acce
             slide_model(float(r_h[i]), float(r_v[i]))
     with pytest.raises(DegenerateMeasurementError, match="is below 1e-06"):
         mh_tables(np.full((1, 2, 2, 2), 0.125),
-                  SemiweakSlide(0.3, 0.3 + MIN_REFLECTIVITY_GAP * (1.0 - 1e-9)))
+                  SemiweakSlide(0.3, 0.3 + MIN_REFLECTIVITY_GAP * (1.0 - 1e-9)).arrays)
 
 
 def test_simulated_tables_are_finite_with_unit_mass():

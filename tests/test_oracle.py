@@ -96,7 +96,7 @@ def test_embed_rejects_bad_slots():
 
 def test_naimark_unitary_realises_povm(reference):
     _, slide, _ = reference
-    povm = tuple(povm_elements(slide)[0])
+    povm = tuple(povm_elements(slide.arrays)[0])
     unitary = naimark_unitary(povm)
     assert np.allclose(unitary.conj().T @ unitary, np.eye(4), atol=1e-12)
     rng = np.random.default_rng(5)
@@ -224,7 +224,7 @@ def test_naimark_estimator_reproduces_weak_y(reference):
     sqrt(2 kappa) on any input state; its Margenau-Hill mean square
     sum (k - l)^2 <{Y_k, Y_est,l}>/2 against Y is that same 2 kappa."""
     _, slide, w = reference
-    povms = povm_elements(slide)
+    povms = povm_elements(slide.arrays)
     y_projs = [np.kron(p.matrix, np.eye(4)) for p in projector_pair(pauli("Y"))]
 
     y_up = np.array([1.0, 1.0j]) / math.sqrt(2)

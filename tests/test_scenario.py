@@ -121,7 +121,7 @@ def test_closed_forms_follow_from_kraus_operators(r_h, r_v):
 
     y_projs = [op.matrix for op in projector_pair(pauli("Y"))]
     upsilon = [m_t @ y @ m_t + m_r @ y @ m_r for y in y_projs]
-    for kraus_sum, element in zip(upsilon, povm_elements(slide)[0]):
+    for kraus_sum, element in zip(upsilon, povm_elements(slide.arrays)[0]):
         assert np.abs(kraus_sum - element).max() <= 1e-12
 
     # MH mean square against the reference state 1/2:
@@ -166,7 +166,7 @@ def test_polarisation_independent_slide():
     with pytest.raises(DegenerateMeasurementError):
         slide.xi(TRANSMITTED)
     # no disturbance at all: the effective measurement is projective Y
-    up, down = povm_elements(slide)[0]
+    up, down = povm_elements(slide.arrays)[0]
     y_op = pauli("Y").matrix
     assert np.allclose(up, (np.eye(2) + y_op) / 2, atol=1e-12)
     assert np.allclose(down, (np.eye(2) - y_op) / 2, atol=1e-12)
@@ -283,7 +283,7 @@ def test_accepted_sigmas_survive_emit_and_parse():
 
 def test_povm_elements_golden(reference):
     _, slide, _ = reference
-    up, down = povm_elements(slide)[0]
+    up, down = povm_elements(slide.arrays)[0]
     y_op = pauli("Y").matrix
     want = 0.5 * np.eye(2) + 0.5 * (1 - KAPPA) * y_op
     assert np.allclose(up, want, atol=1e-12)

@@ -77,7 +77,7 @@ def embedded_chain(rho, slide, w, est):
     a = embed(pauli("X").matrix, (0,), dims)
     b = embed(pauli("Y").matrix, (0,), dims)
     a_est = embed(est.as_operator(w).matrix, (1,), dims)
-    unitary = naimark_unitary(tuple(povm_elements(slide)[0]))
+    unitary = naimark_unitary(tuple(povm_elements(slide.arrays)[0]))
     # ancilla projectors on (q1, ancilla), back-rotated by the dilation
     y_plus, y_minus = (unitary.conj().T @ np.kron(np.eye(2), np.diag(d)) @ unitary
                        for d in ([1.0, 0.0], [0.0, 1.0]))
@@ -277,7 +277,7 @@ def test_naimark_view_raises_where_the_batched_kernel_does_not_gate(reference):
     POVMs of its slides.  The one-POVM view gates what a caller passes, and
     for a good POVM it returns the kernel's unitary, bit for bit."""
     _, slide, _ = reference
-    good = povm_elements(slide)[0]
+    good = povm_elements(slide.arrays)[0]
     bad = np.stack([0.5 * np.eye(2), 0.3 * np.eye(2)]).astype(complex)
     with pytest.raises(ValueError, match="^POVM elements must sum to the identity$"):
         naimark_unitary(tuple(bad))
