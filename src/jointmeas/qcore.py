@@ -49,6 +49,12 @@ def _set_frozen(self, state) -> None:
         _setattr(self, name, value)
 
 
+def _freeze_fields(self) -> None:
+    """The ``__post_init__`` of a frozen value whose fields hold arrays: they
+    are read-only as built, as after pickle or copy."""
+    _set_frozen(self, {f.name: getattr(self, f.name) for f in fields(self)})
+
+
 def _init_template(self):
     # the code of every frozen_dataclass __init__: its class's field setter,
     # a method, sets the fields from the bound arguments

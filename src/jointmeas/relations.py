@@ -31,7 +31,7 @@ from dataclasses import field, fields
 
 import numpy as np
 
-from .qcore import _set_frozen, as_operator_array, failing, frozen_dataclass, run_checks
+from .qcore import _freeze_fields, as_operator_array, failing, frozen_dataclass, run_checks
 
 
 class RelationViolationError(ValueError):
@@ -257,9 +257,7 @@ class RelationChain:
     triangle_terms: tuple[float, float, float, float]
     schwarz_terms: tuple[float, float, float, float]
 
-    def __post_init__(self):
-        # an array-form chain's arrays are read-only as built, as after pickle
-        _set_frozen(self, {f.name: getattr(self, f.name) for f in fields(self)})
+    __post_init__ = _freeze_fields
 
     @property
     def bound(self) -> float:

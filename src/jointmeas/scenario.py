@@ -40,6 +40,7 @@ from .qcore import (
     DimensionMismatchError,
     HermitianOperator,
     ToleranceProfile,
+    _freeze_fields,
     _set_frozen,
     correlations,
     failing,
@@ -86,10 +87,12 @@ class SlideArrays:
     kappa: np.ndarray
     xi: np.ndarray | None
 
+    __post_init__ = _freeze_fields
+
 
 def slide_arrays(r_h: np.ndarray, r_v: np.ndarray) -> SlideArrays:
     """N slides from reflectivities ``r_h[N]``, ``r_v[N]`` in [0, 1]: the one
-    place their read-only arrays are computed, each by its closed form.
+    place their arrays are computed, each by its closed form.
 
     The Kraus operators are the PSD square roots
     ``m_r = sqrt(r_h) X+ + sqrt(r_v) X-`` and
@@ -110,11 +113,8 @@ def slide_arrays(r_h: np.ndarray, r_v: np.ndarray) -> SlideArrays:
 
     xi = None if np.any(r_h == r_v) else np.stack(
         [-(r_h + r_v) / (r_h - r_v), (2.0 - r_h - r_v) / (r_h - r_v)], axis=1)
-    arrays = (np.stack([kraus(root_th, root_tv), kraus(root_h, root_v)], axis=1),
-              ((root_h - root_v) ** 2 + (root_th - root_tv) ** 2) / 2, xi)
-    for values in arrays[:2] if xi is None else arrays:
-        values.setflags(write=False)
-    return SlideArrays(*arrays)
+    return SlideArrays(np.stack([kraus(root_th, root_tv), kraus(root_h, root_v)], axis=1),
+                       ((root_h - root_v) ** 2 + (root_th - root_tv) ** 2) / 2, xi)
 
 
 def _outcome_index(m: int) -> int:

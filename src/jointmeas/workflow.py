@@ -96,14 +96,15 @@ def simulate_scenario(rho: DensityMatrix, slide: SemiweakSlide, w: BlochObservab
                       estimator: str = "optimal",
                       scenario_info: dict | None = None) -> SimulationResult:
     """Simulate the joint measurement and evaluate all four relations."""
-    return _scenario_results(rho, (estimator,), slide=slide, w=w,
-                             scenario_info=scenario_info)[0]
+    return _scenario_results(rho, (estimator,), joint_distribution(rho, slide, w),
+                             slide=slide, w=w, scenario_info=scenario_info)[0]
 
 
 def _meta_float(dist: JointDistribution, key: str) -> float:
     if key not in dist.metadata:
         raise ValueError(
-            f"outcome table lacks {key!r} metadata; pass the value explicitly")
+            f"outcome table lacks {key!r} metadata; add a '# {key}=<value>' line to "
+            f"the table, or give analyze_measured its slide and w")
     try:
         return float(dist.metadata[key])
     except ValueError as exc:
@@ -121,25 +122,24 @@ def analyze_measured(dist: JointDistribution, rho: DensityMatrix,
     spreads and the commutator bound come from the tomographic state.  The
     slide reflectivities and the W angles default to the table's metadata.
     """
-    return _scenario_results(rho, (estimator,), dist=dist, slide=slide, w=w)[0].report
+    return _scenario_results(rho, (estimator,), dist, slide=slide, w=w)[0].report
 
 
-def _statistics(rho: np.ndarray, slides: SlideArrays, n: np.ndarray, kinds,
-                checks: list[Check], p: np.ndarray | None = None,
-                atol: float = SIMULATED_NORM + 1e-12) -> dict:
+def _statistics(rho: np.ndarray, slides: SlideArrays, n: np.ndarray, p: np.ndarray, kinds,
+                checks: list[Check], atol: float = SIMULATED_NORM + 1e-12) -> dict:
     """The statistics group of N scenarios in one array pass: states
-    ``rho[N, 4, 4]``, ``slides``, directions ``n[N, 3]`` and the measured
-    tables ``p[N, m, y, w]``, whose quasi-tables must sum to 1 within
-    ``atol``, or else simulated ones; a ``[1]`` state or slide is shared by
-    all N.  Returns ``p``, their Margenau-Hill tables mh ``[N, x, w]``,
+    ``rho[N, 4, 4]``, ``slides``, directions ``n[N, 3]`` and the outcome
+    tables ``p[N, m, y, w]``, simulated or measured, whose quasi-tables must
+    sum to 1 within ``atol``; a ``[1]`` state or slide is shared by all N.
+    Returns ``p``, their Margenau-Hill tables mh ``[N, x, w]``,
     arrays ``[N]``: eps_y, delta_x, delta_y, delta_y_est and c, and, along
     an axis of the K estimator ``kinds``, f ``[N, K, w]``, eps_x and
     delta_x_est ``[N, K]`` and lhs, the four left-hand sides ``[N, K]`` in
     RELATION_NAMES order.
 
-    The checks are queued on ``checks`` in one order per scenario: the table
-    checks, then for each kind f, the mh mass, eps(X), Delta X, Delta Y,
-    Delta_est(X) and Delta_est(Y).  The relation inputs need no gate of
+    The checks are queued on ``checks`` in one order per scenario, after
+    the table checks its caller queued: for each kind f, the mh mass,
+    eps(X), Delta X, Delta Y, Delta_est(X) and Delta_est(Y).  The relation inputs need no gate of
     their own: once the tables are finite, each is ``sqrt(max(., 0))`` or
     ``abs(.)`` of gated finite values, or ``sqrt(2 kappa)``.  A shared state
     is reduced once, at N = 1, and its values and check flags are broadcast.
@@ -148,8 +148,6 @@ def _statistics(rho: np.ndarray, slides: SlideArrays, n: np.ndarray, kinds,
         if kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {kind!r} (use 'simple' or 'optimal')")
     size = len(n)
-    if p is None:
-        p = joint_tables(rho, slides, n, checks)
 
     def per_scenario(values: np.ndarray) -> np.ndarray:
         # the [1] values of a shared state or slide, at each of the N indices
@@ -182,26 +180,20 @@ def _statistics(rho: np.ndarray, slides: SlideArrays, n: np.ndarray, kinds,
                                 delta_a_est, delta_b_est[:, None])}
 
 
-def _scenario_results(rho: DensityMatrix, kinds, *,
-                      dist: JointDistribution | None = None,
+def _scenario_results(rho: DensityMatrix, kinds, dist: JointDistribution, *,
                       slide: SemiweakSlide | None = None,
                       w: BlochObservable | None = None,
                       scenario_info: dict | None = None) -> list[SimulationResult]:
     """One scenario's results for each estimator kind in ``kinds``, from one
-    :func:`_statistics` pass: :func:`simulate_scenario` when ``dist`` is
-    None (the table is simulated from ``slide`` and ``w``), else
-    :func:`analyze_measured` (``slide`` and ``w`` default to the table's
-    metadata)."""
-    if dist is None:
-        dist = joint_distribution(rho, slide, w)
-    else:
-        if slide is None:
-            slide = slide_model(_meta_float(dist, "r_h"), _meta_float(dist, "r_v"))
-        if w is None:
-            w = BlochObservable.from_degrees(_meta_float(dist, "theta_deg"),
-                                             _meta_float(dist, "phi_deg"))
-    stats = run_kernel(_statistics, state_stack(rho), slide.arrays, w.vector[None], kinds,
-                       p=dist.table[None], atol=dist.mass_tolerance + 1e-12)
+    :func:`_statistics` pass over the outcome table ``dist``, simulated or
+    measured; ``slide`` and ``w`` default to the table's metadata."""
+    if slide is None:
+        slide = slide_model(_meta_float(dist, "r_h"), _meta_float(dist, "r_v"))
+    if w is None:
+        w = BlochObservable.from_degrees(_meta_float(dist, "theta_deg"),
+                                         _meta_float(dist, "phi_deg"))
+    stats = run_kernel(_statistics, state_stack(rho), slide.arrays, w.vector[None],
+                       dist.table[None], kinds, atol=dist.mass_tolerance + 1e-12)
     eps_b, delta_a, delta_b, delta_b_est, c = (
         float(stats[key][0]) for key in ("eps_y", "delta_x", "delta_y", "delta_y_est", "c"))
     results = []
@@ -250,7 +242,8 @@ def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
         return []
     checks: list[Check] = []
     n = bloch_vectors(math.radians(theta_deg), np.radians(phis), checks)
-    stats = _statistics(mats, slide.arrays, n, estimators, checks)
+    p = joint_tables(mats, slide.arrays, n, checks)
+    stats = _statistics(mats, slide.arrays, n, p, estimators, checks)
     run_checks(checks)
     # one state and one slide: these columns hold one value at every angle
     c = float(stats["c"][0])
@@ -326,16 +319,14 @@ def random_observable(rng: np.random.Generator) -> BlochObservable:
 
 
 def dilated_chains(rho: np.ndarray, slides: SlideArrays, w_projs: np.ndarray, f: np.ndarray,
-                   eps_a: np.ndarray | None = None) -> RelationChain:
+                   eps_a: np.ndarray) -> RelationChain:
     """Check every link of the averaged-spread derivation on commuting
     projective estimators on (q1, q2, ancilla) for N scenarios -- states
     ``rho[N, 4, 4]``, N ``slides`` (one per state: a slide is not shared),
     projectors ``w_projs[N, w]`` of the analysers, X estimates ``f[N, w]``
-    and their inaccuracies ``eps_a[N]`` (from :func:`oracle.direct_moments`
-    when not given); the chain's fields are arrays ``[N]``, with the moments
+    and their inaccuracies ``eps_a[N]``, as :func:`oracle.direct_moments`
+    gives them; the chain's fields are arrays ``[N]``, with the moments
     on qubit 1 and (q1, ancilla) from :func:`oracle.dilated_moments`."""
-    if eps_a is None:
-        eps_a = direct_moments(rho, w_projs, f[:, None])[1][:, 0]
     ev_ab, ev_a_be, eps_b, *spreads = dilated_moments(rho, povm_elements(slides), w_projs, f)
     # A_est acts on q2, B and B_est on (q1, ancilla): [A_est, B] and [A_est, B_est] are 0
     zero = np.zeros(len(rho))
@@ -347,8 +338,9 @@ def dilated_chain(rho: DensityMatrix, slide: SemiweakSlide, w: BlochObservable,
     """Build commuting projective estimators on (q1, q2, ancilla) and check
     every link of the averaged-spread derivation on them
     (:func:`dilated_chains` for one scenario)."""
-    return chain_item(dilated_chains(state_stack(rho), slide.arrays,
-                                     w_projectors(w.vector[None]), est.array[None]), 0)
+    mats, w_projs, f = state_stack(rho), w_projectors(w.vector[None]), est.array[None]
+    eps_a = direct_moments(mats, w_projs, f[:, None])[1][:, 0]
+    return chain_item(dilated_chains(mats, slide.arrays, w_projs, f, eps_a), 0)
 
 
 @frozen_dataclass
@@ -471,7 +463,8 @@ def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
     checks: list[Check] = []
     slides = slide_arrays(refl[:, 0], refl[:, 1])
     n = bloch_vectors(angles[:, 0], angles[:, 1], checks)
-    stats = _statistics(rho, slides, n, ESTIMATOR_KINDS, checks)
+    p = joint_tables(rho, slides, n, checks)
+    stats = _statistics(rho, slides, n, p, ESTIMATOR_KINDS, checks)
     opt = ESTIMATOR_KINDS.index("optimal")
     eps_opt, delta_a = stats["eps_x"][:, opt], stats["delta_x"]
 

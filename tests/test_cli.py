@@ -219,6 +219,17 @@ def test_analyze_rejects_inconsistent_table(tmp_path, capsys):
     assert "data error" in err and "1.4381" in err
 
 
+def test_analyze_of_a_table_without_metadata_names_the_missing_line(tmp_path, capsys):
+    """The CLI has no flag for the reflectivities, so the error names the
+    table line that supplies one."""
+    dist_file = tmp_path / "bare.csv"
+    dist_file.write_text("".join(line for line in measured_table("measured_phi180.csv")
+                                 .splitlines(keepends=True) if not line.startswith("#")))
+    assert main(["analyze", "--dist-file", str(dist_file)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "lacks 'r_h'" in err and "'# r_h=<value>'" in err
+
+
 def test_analyze_missing_file(capsys):
     assert main(["analyze", "--dist-file", "/nonexistent/t.csv"]) == 3
     assert "data error" in capsys.readouterr().err

@@ -30,7 +30,7 @@ from jointmeas import (
 )
 from jointmeas.estimate import optimal_values
 from jointmeas.qcore import bloch_vectors, failing, run_checks
-from jointmeas.scenario import joint_tables
+from jointmeas.scenario import joint_distribution, joint_tables
 from jointmeas.workflow import _scenario_results
 
 TOL = 1e-12
@@ -206,8 +206,9 @@ def test_any_tuple_of_kinds_gets_one_kinds_axis():
     rho, slide, w = reference_scenario()
     rows = sweep_phi(rho, slide, [0.0, 90.0], estimators=())
     assert [list(row) for row in rows] == [list(COMMON_COLUMNS)] * 2
-    assert _scenario_results(rho, (), slide=slide, w=w) == []
-    first, second = _scenario_results(rho, ("optimal", "optimal"), slide=slide, w=w)
+    dist = joint_distribution(rho, slide, w)
+    assert _scenario_results(rho, (), dist, slide=slide, w=w) == []
+    first, second = _scenario_results(rho, ("optimal", "optimal"), dist, slide=slide, w=w)
     assert first.report == second.report
     assert first.estimator == second.estimator
 

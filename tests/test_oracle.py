@@ -377,7 +377,8 @@ def test_factored_moments_match_the_whole_space_products(case):
     for got, want in zip(direct_moments(rho, w_projs, both),
                          reference_moments(rho, w_projs, both)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
-    chains = dilated_chains(rho, slides, w_projs, f)
+    chains = dilated_chains(rho, slides, w_projs, f,
+                            direct_moments(rho, w_projs, f[:, None])[1][:, 0])
     spreads = reference_estimate_spreads(rho, povms, w_projs, f)
     np.testing.assert_allclose(chains.delta_a_est, spreads[0], rtol=0, atol=1e-13)
     np.testing.assert_allclose(chains.delta_b_est, spreads[1], rtol=0, atol=1e-13)

@@ -24,7 +24,7 @@ from jointmeas import (
     verify_relation_chain,
 )
 from jointmeas.estimate import optimal_values
-from jointmeas.oracle import w_projectors
+from jointmeas.oracle import direct_moments, w_projectors
 from jointmeas.qcore import (
     bloch_vectors,
     commutator_bounds,
@@ -471,7 +471,9 @@ def test_dilated_chain_keeps_eps_b_precise_in_the_weak_limit(split):
     slides = slide_arrays(r_h, r_h + split)
     n = bloch_vectors(np.arccos(rng.uniform(-1.0, 1.0, size)),
                       rng.uniform(0.0, 2.0 * math.pi, size), [])
-    chains = dilated_chains(rho, slides, w_projectors(n), optimal_values(rho, n, []))
+    w_projs, f = w_projectors(n), optimal_values(rho, n, [])
+    chains = dilated_chains(rho, slides, w_projs, f,
+                            direct_moments(rho, w_projs, f[:, None])[1][:, 0])
     assert np.abs(chains.eps_b - np.sqrt(2.0 * slides.kappa)).max() <= 1e-10
 
 
@@ -497,7 +499,8 @@ def test_factored_chain_equals_the_full_dilated_chain(case):
     elif case != "drawn":
         refl[:, 1] = refl[:, 0] + float(case.split()[1])
     slides, w_projs = slide_arrays(refl[:, 0], refl[:, 1]), w_projectors(n)
-    got = dilated_chains(rho, slides, w_projs, f)
+    got = dilated_chains(rho, slides, w_projs, f,
+                         direct_moments(rho, w_projs, f[:, None])[1][:, 0])
     want = relation_chains(*dilated_operators(rho, povm_elements(slides), w_projs, f))
     for field in dataclasses.fields(got):
         np.testing.assert_allclose(getattr(got, field.name), getattr(want, field.name),

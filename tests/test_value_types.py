@@ -48,7 +48,7 @@ from jointmeas import (
     slide_model,
     strength_comparison,
 )
-from jointmeas.oracle import w_projectors
+from jointmeas.oracle import direct_moments, w_projectors
 from jointmeas.qcore import _FrozenSlots, frozen_dataclass
 from jointmeas.scenario import TRIPLES, SlideArrays, slide_arrays
 from jointmeas.workflow import dilated_chains
@@ -367,8 +367,17 @@ def _array_chain() -> RelationChain:
     n = np.array([BlochObservable(theta, phi).vector
                   for theta, phi in ((1.5, 3.1), (0.4, 1.0), (2.0, 5.0))])
     slides = slide_arrays(np.array([0.1244, 0.2, 0.7]), np.array([0.4645, 0.6, 0.3]))
-    return dilated_chains(np.stack([rho] * 3), slides, w_projectors(n),
-                          np.array([[1.0, -1.0], [0.5, -0.3], [0.63, -0.64]]))
+    rho, w_projs = np.stack([rho] * 3), w_projectors(n)
+    f = np.array([[1.0, -1.0], [0.5, -0.3], [0.63, -0.64]])
+    return dilated_chains(rho, slides, w_projs, f,
+                          direct_moments(rho, w_projs, f[:, None])[1][:, 0])
+
+
+def _built_slide_arrays() -> SlideArrays:
+    """A ``SlideArrays`` built directly, from writeable copies of a slide's
+    arrays rather than by ``slide_arrays``."""
+    arrays = reference_scenario()[1].arrays
+    return SlideArrays(arrays.kraus.copy(), arrays.kappa.copy(), arrays.xi.copy())
 
 
 # each input's samples and whether they hold arrays: the value types, the
@@ -377,6 +386,7 @@ READ_ONLY_INPUTS = {
     **{cls.__name__: (SAMPLES[cls], cls in HOLDS_ARRAYS) for cls in VALUE_TYPES},
     **{cls.__name__: ([value], True) for cls, value in SLOTTED.items()},
     "RelationChainArrays": ([_array_chain()], True),
+    "SlideArraysBuiltDirectly": ([_built_slide_arrays()], True),
 }
 
 

@@ -308,8 +308,8 @@ def test_shared_pass_equals_per_kind_simulation():
     for trial in range(24):
         rho, slide, w = random_state(rng), random_slide(rng), random_observable(rng)
         kinds = KIND_ORDERS[trial % len(KIND_ORDERS)]
-        shared = _scenario_results(rho, kinds, slide=slide, w=w, scenario_info=info)
         dist = joint_distribution(rho, slide, w)
+        shared = _scenario_results(rho, kinds, dist, slide=slide, w=w, scenario_info=info)
         assert [r.report.to_dict() for r in shared] == \
             [simulate_scenario(rho, slide, w, estimator=k, scenario_info=info).report.to_dict()
              for k in kinds] == \
@@ -325,7 +325,7 @@ def test_shared_pass_equals_per_kind_analysis():
         dist = bundled_distribution(phi)
         w = BlochObservable.from_degrees(90.0, phi)
         for kinds in KIND_ORDERS:
-            shared = [r.report.to_dict() for r in _scenario_results(rho, kinds, dist=dist)]
+            shared = [r.report.to_dict() for r in _scenario_results(rho, kinds, dist)]
             assert shared == [analyze_measured(dist, rho, estimator=k).to_dict()
                               for k in kinds]
             assert shared == [loop_report(rho, slide, w, dist, k).to_dict() for k in kinds]
@@ -352,7 +352,7 @@ def test_shared_pass_raises_what_the_first_kind_raised():
         UndefinedEstimateError,
         lambda: [loop_report(rho, slide, w, dist, k) for k in kinds],
         lambda: [simulate_scenario(rho, slide, w, estimator=k) for k in kinds],
-        lambda: _scenario_results(rho, kinds, slide=slide, w=w),
+        lambda: _scenario_results(rho, kinds, dist, slide=slide, w=w),
     ) == {"W outcome +1 has probability 0.000e+00"}
     assert main(["simulate", "--gamma", "0", "--theta", "0", "--phi", "0"]) == 3
 
@@ -368,7 +368,7 @@ def test_shared_pass_raises_what_the_first_kind_raised():
         NumericalCorruptionError,
         lambda: [loop_report(rho, slide, w, dist, k) for k in kinds],
         lambda: [analyze_measured(dist, rho, estimator=k) for k in kinds],
-        lambda: _scenario_results(rho, kinds, dist=dist),
+        lambda: _scenario_results(rho, kinds, dist),
     )
     assert len(messages) == 1 and messages.pop().startswith("reconstructed eps^2")
 
@@ -412,7 +412,7 @@ def test_checks_run_in_one_order():
     rho = DensityMatrix(np.kron(bloch_state([1.0, 0.0, 0.0]), np.eye(2) / 2))
     assert raised(
         NumericalCorruptionError,
-        lambda: _scenario_results(rho, ("simple", "optimal"), dist=dist),
+        lambda: _scenario_results(rho, ("simple", "optimal"), dist),
     ) == {"y-outcome variance -1.600e-09 negative"}
     assert raised(
         NumericalCorruptionError,
