@@ -123,16 +123,15 @@ def quasi_mass_checks(total: np.ndarray, atol: float) -> list[Check]:
         ValueError, lambda i: f"quasi-probabilities sum to {total[i]:.6f}, not 1"))]
 
 
-def optimal_values(rho: np.ndarray, n: np.ndarray, checks: list[Check]) -> np.ndarray:
+def optimal_values(t: np.ndarray, n: np.ndarray, checks: list[Check]) -> np.ndarray:
     """Least-squares X estimates ``f[N, w]`` for N directions ``n[N, 3]``.
 
     ``f(w) = <X (x) W_w> / <1 (x) W_w>``, read off the correlation tensors
-    of the states ``rho[1, 4, 4]``, shared by all directions, or
-    ``rho[N, 4, 4]``, one per direction.  An outcome with probability
-    <= 1e-12 is an ``UndefinedEstimateError`` queued on ``checks``; its
-    estimate is NaN.
+    ``t[1, 4, 4]`` of one state, shared by all directions, or
+    ``t[N, 4, 4]``, one per direction (:func:`qcore.correlations`).  An
+    outcome with probability <= 1e-12 is an ``UndefinedEstimateError``
+    queued on ``checks``; its estimate is NaN.
     """
-    t = correlations(rho)
     # directions grouped by their state: all N under one, or one under each
     groups = n.reshape(len(t), -1, 3)
 
@@ -158,7 +157,7 @@ def optimal_estimator(rho: DensityMatrix, w: BlochObservable) -> Estimator:
     for one direction).  Raises ``UndefinedEstimateError`` if an outcome has
     no probability mass.
     """
-    f = run_kernel(optimal_values, state_stack(rho), w.vector[None])[0]
+    f = run_kernel(optimal_values, correlations(state_stack(rho)), w.vector[None])[0]
     return Estimator(dict(zip(OUTCOMES, f.tolist())), kind="optimal")
 
 
@@ -205,34 +204,34 @@ def x_inaccuracies(mh: np.ndarray, f: np.ndarray, checks: list[Check]) -> np.nda
     return np.sqrt(np.maximum(eps_sq, 0.0))
 
 
-def _variances(marginals: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Variances of two-outcome ``values[..., k]`` under the marginals
-    ``marginals[..., k]``, normalised by their mass; the two broadcast."""
-    p0, p1, v0, v1 = marginals[..., 0], marginals[..., 1], values[..., 0], values[..., 1]
+def _spreads(probs: np.ndarray, values: np.ndarray, what: str, checks: list[Check]) -> np.ndarray:
+    """Standard deviations of two-outcome ``values[..., k]`` under the
+    marginals ``probs[..., k]``, normalised by their mass; the two
+    broadcast.  A variance below -1e-12 is queued on ``checks``."""
+    p0, p1, v0, v1 = probs[..., 0], probs[..., 1], values[..., 0], values[..., 1]
     total = p0 + p1
     mean = (v0 * p0 + v1 * p1) / total
-    return (v0 ** 2 * p0 + v1 ** 2 * p1) / total - mean * mean
-
-
-def _variance_check(var: np.ndarray, what: str) -> Check:
-    return (var < -1e-12, failing(
-        NumericalCorruptionError, lambda i: f"{what} variance {var[i]:.3e} negative"))
-
-
-def estimate_spreads(p: np.ndarray, f: np.ndarray, checks: list[Check]) -> np.ndarray:
-    """Standard deviations ``[N]`` of estimates ``f[N, w]`` under the w
-    marginals of tables ``p[N, m, y, w]``, normalised by each table's mass."""
-    var = _variances(p.reshape(-1, 8) @ _ONTO_W, f)
-    checks.append(_variance_check(var, "estimator"))
+    var = (v0 ** 2 * p0 + v1 ** 2 * p1) / total - mean * mean
+    checks.append((var < -1e-12, failing(
+        NumericalCorruptionError, lambda i: f"{what} variance {var[i]:.3e} negative")))
     return np.sqrt(np.maximum(var, 0.0))
+
+
+def w_marginals(p: np.ndarray) -> np.ndarray:
+    """The w marginals ``[N, w]`` of tables ``p[N, m, y, w]``."""
+    return p.reshape(-1, 8) @ _ONTO_W
+
+
+def estimate_spreads(marginals: np.ndarray, f: np.ndarray, checks: list[Check]) -> np.ndarray:
+    """Standard deviations ``[N]`` of estimates ``f[N, w]`` under the w
+    ``marginals[N, w]`` of N tables, normalised by each table's mass."""
+    return _spreads(marginals, f, "estimator", checks)
 
 
 def y_spreads(p: np.ndarray, checks: list[Check]) -> np.ndarray:
     """Standard deviations ``[N]`` of the +-1-valued y outcome under tables
     ``p[N, m, y, w]``, normalised by each table's mass."""
-    var = _variances(p.reshape(-1, 8) @ _ONTO_Y, SIGNS)
-    checks.append(_variance_check(var, "y-outcome"))
-    return np.sqrt(np.maximum(var, 0.0))
+    return _spreads(p.reshape(-1, 8) @ _ONTO_Y, SIGNS, "y-outcome", checks)
 
 
 def mh_from_counts(dist: JointDistribution, slide: SemiweakSlide) -> np.ndarray:
@@ -277,7 +276,7 @@ def inaccuracy_y(slide: SemiweakSlide) -> float:
 
 def estimator_spread(dist: JointDistribution, est: Estimator) -> float:
     """Standard deviation of the estimate f(W) under the table's w marginal."""
-    return float(run_kernel(estimate_spreads, dist.table[None], est.array[None])[0])
+    return float(run_kernel(estimate_spreads, w_marginals(dist.table), est.array[None])[0])
 
 
 @frozen_dataclass

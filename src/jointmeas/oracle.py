@@ -123,35 +123,33 @@ def w_projectors(n: np.ndarray) -> np.ndarray:
     return (_EYE2 + _VALUES[:, None, None] * w_ops[:, None]) / 2
 
 
-def _q2_moments(rho: np.ndarray, w_projs: np.ndarray) -> np.ndarray:
+def w_moments(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
     """``<1 (x) W_w>`` and ``<X (x) W_w>`` ``[N, 2, w]`` of states
-    ``rho[N, 4, 4]`` and analyser projectors ``w_projs[N, w]``: each W_w
-    against the 2x2 states ``Tr_1 rho`` and ``Tr_1((X (x) 1) rho)``, where
-    ``X (x) 1`` swaps the q1 row index.  ``vecdot`` of a Hermitian W_w with a
-    flattened matrix is ``Tr(W_w mat)``."""
+    ``rho[N, 4, 4]`` and analyser directions ``n[N, 3]``: each projector
+    W_w (:func:`w_projectors`) against the 2x2 states ``Tr_1 rho`` and
+    ``Tr_1((X (x) 1) rho)``, where ``X (x) 1`` swaps the q1 row index.
+    ``vecdot`` of a Hermitian W_w with a flattened matrix is ``Tr(W_w mat)``.
+    One pass serves :func:`direct_moments` and :func:`dilated_moments`."""
     parts = rho.reshape(-1, 2, 2, 2, 2)
     reduced = np.stack([parts[:, 0, :, 0] + parts[:, 1, :, 1],
                         parts[:, 1, :, 0] + parts[:, 0, :, 1]], 1)
-    return np.vecdot(w_projs.reshape(-1, 1, 2, 4), reduced.reshape(-1, 2, 1, 4)).real
+    return np.vecdot(w_projectors(n).reshape(-1, 1, 2, 4), reduced.reshape(-1, 2, 1, 4)).real
 
 
-def direct_moments(rho: np.ndarray, w_projs: np.ndarray,
-                   f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def direct_moments(moments: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Direct operator moments of N two-qubit scenarios.
 
-    For states ``rho[N, 4, 4]``, analyser projectors ``w_projs[N, w]``
-    (:func:`w_projectors`) and K estimates ``f[N, K, w]`` of X read off the
-    W outcome, returns the Margenau-Hill quasi-tables
-    ``<{X_x (x) 1, 1 (x) W_w}>/2 = (<1 (x) W_w> + x <X (x) W_w>)/2``
-    ``[N, x, w]`` and the RMS inaccuracies
+    For the W moments ``moments[N, 2, w]`` of the states (:func:`w_moments`)
+    and K estimates ``f[N, K, w]`` of X read off the W outcome, returns the
+    Margenau-Hill quasi-tables ``<{X_x (x) 1, 1 (x) W_w}>/2 = (<1 (x) W_w>
+    + x <X (x) W_w>)/2`` ``[N, x, w]`` and the RMS inaccuracies
     ``sqrt(<(X (x) 1 - 1 (x) f_k(W))^2>)`` ``[N, K]``.  As ``X (x) 1`` and
     ``1 (x) W_w`` commute, ``X^2 = 1`` and the W_w are orthogonal
     projectors, the square is ``sum_w (X - f_w)^2 (x) W_w``, whose
     expectation is ``sum_w (1 + f_w^2) <1 (x) W_w> - 2 f_w <X (x) W_w>``:
-    every moment comes from the 2x2 expectations of :func:`_q2_moments`.
-    Precondition, unchecked: each state has unit trace, the quasi-table's mass.
+    every moment comes from those 2x2 expectations.  Precondition,
+    unchecked: each state has unit trace, the quasi-table's mass.
     """
-    moments = _q2_moments(rho, w_projs)
     ones, xs = moments[:, None, 0], moments[:, None, 1]
     mh = (ones + _VALUES[:, None] * xs) / 2
     second = ((1.0 + f * f) * ones - 2.0 * f * xs).sum(axis=-1)
@@ -162,33 +160,34 @@ def direct_margenau_hill(rho, w) -> np.ndarray:
     """Margenau-Hill quasi-table ``<{X_x (x) 1, 1 (x) W_w}>/2`` ``[x, w]`` of
     one two-qubit state and analyser direction (:func:`direct_moments` for
     one scenario and no estimates), which must sum to 1 within 1e-9."""
-    mh, _ = direct_moments(state_stack(rho), w_projectors(w.vector[None]), np.zeros((1, 0, 2)))
+    mh, _ = direct_moments(w_moments(state_stack(rho), w.vector[None]), np.zeros((1, 0, 2)))
     run_checks(quasi_mass_checks(mh.sum(axis=(1, 2)), 1e-9))
     return mh[0]
 
 
-def dilated_moments(rho: np.ndarray, povms: np.ndarray, w_projs: np.ndarray,
+def dilated_moments(rho: np.ndarray, povms: np.ndarray, moments: np.ndarray,
                     f: np.ndarray) -> tuple[np.ndarray, ...]:
     """The moments of the averaged-spread derivation on qubit 1 and on
     (q1, ancilla), for commuting projective estimators on (q1, q2, ancilla).
 
     For states ``rho[N, 4, 4]``, the Y POVMs ``povms[N, y]`` behind the
-    slides, analyser projectors ``w_projs[N, w]`` (:func:`w_projectors`) and
-    X estimates ``f[N, w]``: A = X and B = Y act on qubit 1, ``A_est = f(W)``
-    on qubit 2, and the Naimark-dilated Y estimate ``B_est = U^dag (1 (x) Z)
-    U``, with values +-1, on (q1, ancilla), whose state ``Tr_2 rho (x)
-    |0><0|`` reads only an operator's ancilla-(0, 0) block, against
-    ``Tr_2 rho``.  Returns arrays ``[N]`` in the order the chain's links
-    take them: ``<[A, B]>``, ``<[A, B_est]>``, eps_b and the spreads of A,
-    B, A_est and B_est.  Only eps_b is a direct product, ``(B - B_est)^2``,
-    as in :func:`relations.relation_chains`, where it keeps its precision in
-    the weak limit.  The target spreads come from the squares of X and Y on
-    qubit 1; the spread of A_est is ``sum_w (f_w - m)^2 <W_w>``, with ``m =
-    sum_w f_w <W_w>``, as the W_w are orthogonal projectors; and that of
-    B_est is ``(1 - m)(1 + m)`` with ``m = <B_est>``, as ``B_est^2 = 1``.
-    ``X (x) 1`` swaps the q1 index of a block, so that of ``[A, B_est]`` is
-    two index swaps of B_est's.  Preconditions, unchecked: each state has
-    unit trace, and the POVMs meet that of :func:`naimark_unitaries`.
+    slides, the W moments ``moments[N, 2, w]`` (:func:`w_moments`; it reads
+    ``<1 (x) W_w>``) and X estimates ``f[N, w]``: A = X and B = Y act on
+    qubit 1, ``A_est = f(W)`` on qubit 2, and the Naimark-dilated Y estimate
+    ``B_est = U^dag (1 (x) Z) U``, with values +-1, on (q1, ancilla), whose
+    state ``Tr_2 rho (x) |0><0|`` reads only an operator's ancilla-(0, 0)
+    block, against ``Tr_2 rho``.  Returns arrays ``[N]`` in the order the
+    chain's links take them: ``<[A, B]>``, ``<[A, B_est]>``, eps_b and the
+    spreads of A, B, A_est and B_est.  Only eps_b is a direct product,
+    ``(B - B_est)^2``, as in :func:`relations.relation_chains`, where it
+    keeps its precision in the weak limit.  The target spreads come from the
+    squares of X and Y on qubit 1; the spread of A_est is
+    ``sum_w (f_w - m)^2 <W_w>``, with ``m = sum_w f_w <W_w>``, as the W_w
+    are orthogonal projectors; and that of B_est is ``(1 - m)(1 + m)`` with
+    ``m = <B_est>``, as ``B_est^2 = 1``.  ``X (x) 1`` swaps the q1 index of
+    a block, so that of ``[A, B_est]`` is two index swaps of B_est's.
+    Preconditions, unchecked: each state has unit trace, and the POVMs meet
+    that of :func:`naimark_unitaries`.
     """
     size = len(rho)
     unitary = naimark_unitaries(povms)
@@ -207,10 +206,9 @@ def dilated_moments(rho: np.ndarray, povms: np.ndarray, w_projs: np.ndarray,
     m = targets.real
     # Tr(rho (op - m)^2) = Tr(rho op^2) - 2 m Tr(rho op) + m^2 Tr rho
     target_seconds = squares - 2.0 * m * targets + m * m * np.trace(rho, axis1=-2, axis2=-1)
-    w_probs = _q2_moments(rho, w_projs)[:, 0]
-    m_a = (f * w_probs).sum(axis=-1)
+    m_a = (f * moments[:, 0]).sum(axis=-1)
     m_b = ev_b_est.real
     spreads = np.sqrt(np.maximum([
-        sq_b.real, *target_seconds.real, ((f - m_a[:, None]) ** 2 * w_probs).sum(axis=-1),
-        (1.0 - m_b) * (1.0 + m_b)], 0.0))
+        sq_b.real, *target_seconds.real,
+        ((f - m_a[:, None]) ** 2 * moments[:, 0]).sum(axis=-1), (1.0 - m_b) * (1.0 + m_b)], 0.0))
     return (ev_ab, ev_a_be, *spreads)

@@ -292,27 +292,27 @@ def negative_entry_checks(flat: np.ndarray) -> list[Check]:
         ValueError, lambda i: f"negative probability {low[i]:.3e} in distribution"))]
 
 
-def joint_tables(rho: np.ndarray, slides: SlideArrays, n: np.ndarray,
+def joint_tables(t: np.ndarray, slides: SlideArrays, n: np.ndarray,
                  checks: list[Check]) -> np.ndarray:
     """Joint tables ``p[N, m, y, w]`` for N analyser directions ``n[N, 3]``.
 
     ``p(m, y, w) = Tr(rho (M_m Y_y M_m (x) W_w))`` with
     ``W_w = (s_0 + w n.s)/2``, so every table is linear in
-    ``A[m, y, k] = Tr(rho (M_m Y_y M_m (x) s_k))``, built from the slide's
-    Kraus operators.  The states ``rho[1, 4, 4]`` and ``slides`` (N = 1) are
-    shared by all N directions, or there are N of each, one per direction.
-    Each table is normalised exactly by its mass ``Tr rho``, so, from inputs
-    checked finite, only its negative-entry check can fail; it is queued on
-    ``checks``.
+    ``A[m, y, k] = Tr(rho (M_m Y_y M_m (x) s_k))``, from the slide's Kraus
+    operators and the states' correlation tensors ``t[1, 4, 4]``
+    (:func:`qcore.correlations`), shared with ``slides`` (N = 1) by all N
+    directions, or N of each, one per direction.  Each table is normalised
+    exactly by its mass ``Tr rho``, so, from inputs checked finite, only its
+    negative-entry check can fail; it is queued on ``checks``.
     """
     kraus = slides.kraus
     # M_m Y_y for every y as one GEMM against the shared [Y_+ | Y_-], then
-    # the probes M_m Y_y M_m as one product per slide and outcome pair
+    # the probes M_m Y_y M_m as one [M_m Y_+; M_m Y_-] @ M_m per slide and m
     kraus_y = (kraus.reshape(-1, 2) @ _Y_ROW).reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
-    probes = kraus_y @ kraus[:, :, None]
+    probes = kraus_y.reshape(-1, 2, 4, 2) @ kraus
     # Pauli components Tr(probe s_j)/2 of each probe, then A = c T
-    coef = (probes.reshape(-1, 4) @ _PAULI_TRACES).real.reshape(*probes.shape[:-2], 4) / 2
-    a = coef @ correlations(rho)[..., None, :, :]
+    coef = (probes.reshape(-1, 4) @ _PAULI_TRACES).real.reshape(-1, 2, 2, 4) / 2
+    a = coef @ t[..., None, :, :]
     # p(m, y, w) = (A[m, y, 0] + w n.A[m, y, 1:]) / 2, with (m, y) flattened;
     # the directions are grouped by their A: all N under one shared A, or
     # one under each of N
@@ -337,7 +337,7 @@ def joint_distribution(rho: DensityMatrix, slide: SemiweakSlide,
     while W is measured on qubit 2.  This is :func:`joint_tables` for one
     direction, running its check.
     """
-    p = run_kernel(joint_tables, state_stack(rho), slide.arrays, w.vector[None])[0]
+    p = run_kernel(joint_tables, correlations(state_stack(rho)), slide.arrays, w.vector[None])[0]
     meta = {"theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
             "r_h": slide.r_h, "r_v": slide.r_v}
     return JointDistribution(entries=dict(zip(TRIPLES, p.ravel().tolist())),

@@ -26,11 +26,12 @@ from .estimate import (
     mh_tables,
     optimal_values,
     quasi_mass_checks,
+    w_marginals,
     x_inaccuracies,
     y_inaccuracies,
     y_spreads,
 )
-from .oracle import dilated_moments, direct_moments, w_projectors
+from .oracle import dilated_moments, direct_moments, w_moments
 from .qcore import (
     SIMULATED_NORM,
     BlochObservable,
@@ -38,6 +39,7 @@ from .qcore import (
     DensityMatrix,
     _row_sums,
     bloch_vectors,
+    correlations,
     frozen_dataclass,
     run_checks,
     run_kernel,
@@ -125,17 +127,18 @@ def analyze_measured(dist: JointDistribution, rho: DensityMatrix,
     return _scenario_results(rho, (estimator,), dist, slide=slide, w=w)[0].report
 
 
-def _statistics(rho: np.ndarray, slides: SlideArrays, n: np.ndarray, p: np.ndarray, kinds,
-                checks: list[Check], atol: float = SIMULATED_NORM + 1e-12) -> dict:
+def _statistics(rho: np.ndarray, t: np.ndarray, slides: SlideArrays, n: np.ndarray,
+                p: np.ndarray, kinds, checks: list[Check],
+                atol: float = SIMULATED_NORM + 1e-12) -> dict:
     """The statistics group of N scenarios in one array pass: states
-    ``rho[N, 4, 4]``, ``slides``, directions ``n[N, 3]`` and the outcome
-    tables ``p[N, m, y, w]``, simulated or measured, whose quasi-tables must
-    sum to 1 within ``atol``; a ``[1]`` state or slide is shared by all N.
-    Returns ``p``, their Margenau-Hill tables mh ``[N, x, w]``,
-    arrays ``[N]``: eps_y, delta_x, delta_y, delta_y_est and c, and, along
-    an axis of the K estimator ``kinds``, f ``[N, K, w]``, eps_x and
-    delta_x_est ``[N, K]`` and lhs, the four left-hand sides ``[N, K]`` in
-    RELATION_NAMES order.
+    ``rho[N, 4, 4]`` and their correlation tensors ``t``, ``slides``,
+    directions ``n[N, 3]`` and the outcome tables ``p[N, m, y, w]``,
+    simulated or measured, whose quasi-tables must sum to 1 within ``atol``;
+    a ``[1]`` state or slide is shared by all N.  Returns their
+    Margenau-Hill tables mh ``[N, x, w]``, arrays ``[N]``: eps_y, delta_x,
+    delta_y, delta_y_est and c, and, along an axis of the K estimator
+    ``kinds``, f ``[N, K, w]``, eps_x and delta_x_est ``[N, K]`` and lhs,
+    the four left-hand sides ``[N, K]`` in RELATION_NAMES order.
 
     The checks are queued on ``checks`` in one order per scenario, after
     the table checks its caller queued: for each kind f, the mh mass,
@@ -161,21 +164,20 @@ def _statistics(rho: np.ndarray, slides: SlideArrays, n: np.ndarray, p: np.ndarr
     # a shared state's flags are set at every index or at none, so run_checks
     # fires them at index 0, the one index their [1] values have
     spread_checks = [(per_scenario(bad), fire) for bad, fire in spread_checks]
-    mh = mh_tables(p, slides)
+    mh, marginals = mh_tables(p, slides), w_marginals(p)
     mass_checks = quasi_mass_checks(_row_sums(mh.reshape(-1, 4)), atol)
     f = np.empty((size, len(kinds), 2))
     eps_a, delta_a_est = np.empty((2, size, len(kinds)))
     # each kind's checks, queued in the order of a pass over that kind alone
     for k, kind in enumerate(kinds):
-        f[:, k] = SIGNS if kind == "simple" else optimal_values(rho, n, checks)
+        f[:, k] = SIGNS if kind == "simple" else optimal_values(t, n, checks)
         checks += mass_checks
         eps_a[:, k] = x_inaccuracies(mh, f[:, k], checks)
         checks += spread_checks
-        delta_a_est[:, k] = estimate_spreads(p, f[:, k], checks)
+        delta_a_est[:, k] = estimate_spreads(marginals, f[:, k], checks)
         checks += y_est_checks
-    return {"p": p, "mh": mh, "eps_y": eps_b, "delta_x": delta_a, "delta_y": delta_b,
-            "delta_y_est": delta_b_est, "c": c, "f": f, "eps_x": eps_a,
-            "delta_x_est": delta_a_est,
+    return {"mh": mh, "eps_y": eps_b, "delta_x": delta_a, "delta_y": delta_b, "c": c,
+            "delta_y_est": delta_b_est, "f": f, "eps_x": eps_a, "delta_x_est": delta_a_est,
             "lhs": relation_lhs(eps_a, eps_b[:, None], delta_a[:, None], delta_b[:, None],
                                 delta_a_est, delta_b_est[:, None])}
 
@@ -192,7 +194,8 @@ def _scenario_results(rho: DensityMatrix, kinds, dist: JointDistribution, *,
     if w is None:
         w = BlochObservable.from_degrees(_meta_float(dist, "theta_deg"),
                                          _meta_float(dist, "phi_deg"))
-    stats = run_kernel(_statistics, state_stack(rho), slide.arrays, w.vector[None],
+    mats = state_stack(rho)
+    stats = run_kernel(_statistics, mats, correlations(mats), slide.arrays, w.vector[None],
                        dist.table[None], kinds, atol=dist.mass_tolerance + 1e-12)
     eps_b, delta_a, delta_b, delta_b_est, c = (
         float(stats[key][0]) for key in ("eps_y", "delta_x", "delta_y", "delta_y_est", "c"))
@@ -241,9 +244,9 @@ def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
     if phis.size == 0:
         return []
     checks: list[Check] = []
-    n = bloch_vectors(math.radians(theta_deg), np.radians(phis), checks)
-    p = joint_tables(mats, slide.arrays, n, checks)
-    stats = _statistics(mats, slide.arrays, n, p, estimators, checks)
+    n, t = bloch_vectors(math.radians(theta_deg), np.radians(phis), checks), correlations(mats)
+    p = joint_tables(t, slide.arrays, n, checks)
+    stats = _statistics(mats, t, slide.arrays, n, p, estimators, checks)
     run_checks(checks)
     # one state and one slide: these columns hold one value at every angle
     c = float(stats["c"][0])
@@ -318,16 +321,16 @@ def random_observable(rng: np.random.Generator) -> BlochObservable:
     return BlochObservable(theta, float(rng.uniform(*_PHI)))
 
 
-def dilated_chains(rho: np.ndarray, slides: SlideArrays, w_projs: np.ndarray, f: np.ndarray,
+def dilated_chains(rho: np.ndarray, slides: SlideArrays, moments: np.ndarray, f: np.ndarray,
                    eps_a: np.ndarray) -> RelationChain:
     """Check every link of the averaged-spread derivation on commuting
     projective estimators on (q1, q2, ancilla) for N scenarios -- states
     ``rho[N, 4, 4]``, N ``slides`` (one per state: a slide is not shared),
-    projectors ``w_projs[N, w]`` of the analysers, X estimates ``f[N, w]``
-    and their inaccuracies ``eps_a[N]``, as :func:`oracle.direct_moments`
-    gives them; the chain's fields are arrays ``[N]``, with the moments
-    on qubit 1 and (q1, ancilla) from :func:`oracle.dilated_moments`."""
-    ev_ab, ev_a_be, eps_b, *spreads = dilated_moments(rho, povm_elements(slides), w_projs, f)
+    the W moments ``moments[N, 2, w]`` (:func:`oracle.w_moments`), X
+    estimates ``f[N, w]`` and their inaccuracies ``eps_a[N]``, as
+    :func:`oracle.direct_moments` gives them; the chain's fields are arrays
+    ``[N]``, with the moments on q1 and (q1, ancilla) from :func:`oracle.dilated_moments`."""
+    ev_ab, ev_a_be, eps_b, *spreads = dilated_moments(rho, povm_elements(slides), moments, f)
     # A_est acts on q2, B and B_est on (q1, ancilla): [A_est, B] and [A_est, B_est] are 0
     zero = np.zeros(len(rho))
     return _chain_links(ev_ab, ev_a_be, zero, zero, zero, eps_a, eps_b, *spreads)
@@ -338,9 +341,10 @@ def dilated_chain(rho: DensityMatrix, slide: SemiweakSlide, w: BlochObservable,
     """Build commuting projective estimators on (q1, q2, ancilla) and check
     every link of the averaged-spread derivation on them
     (:func:`dilated_chains` for one scenario)."""
-    mats, w_projs, f = state_stack(rho), w_projectors(w.vector[None]), est.array[None]
-    eps_a = direct_moments(mats, w_projs, f[:, None])[1][:, 0]
-    return chain_item(dilated_chains(mats, slide.arrays, w_projs, f, eps_a), 0)
+    mats, f = state_stack(rho), est.array[None]
+    moments = w_moments(mats, w.vector[None])
+    eps_a = direct_moments(moments, f[:, None])[1][:, 0]
+    return chain_item(dilated_chains(mats, slide.arrays, moments, f, eps_a), 0)
 
 
 @frozen_dataclass
@@ -461,10 +465,10 @@ def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
     # states need no density check of their own
     rho = _state_matrices(g)
     checks: list[Check] = []
-    slides = slide_arrays(refl[:, 0], refl[:, 1])
+    t, slides = correlations(rho), slide_arrays(refl[:, 0], refl[:, 1])
     n = bloch_vectors(angles[:, 0], angles[:, 1], checks)
-    p = joint_tables(rho, slides, n, checks)
-    stats = _statistics(rho, slides, n, p, ESTIMATOR_KINDS, checks)
+    p = joint_tables(t, slides, n, checks)
+    stats = _statistics(rho, t, slides, n, p, ESTIMATOR_KINDS, checks)
     opt = ESTIMATOR_KINDS.index("optimal")
     eps_opt, delta_a = stats["eps_x"][:, opt], stats["delta_x"]
 
@@ -478,24 +482,23 @@ def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
     ordered = new_le_hall & new_le_ozawa
     gap = gap[ordered & in_domain]
 
-    w_projs = w_projectors(n)
-    # the chain's X estimate is one more column of the oracle's, so its
-    # inaccuracy is formed once
+    # one W-moment pass serves the oracle and the chain, whose X estimate is
+    # one more column of the oracle's, so its inaccuracy is formed once
+    moments = w_moments(rho, n)
     chain_f = np.where(np.isnan(custom), stats["f"][:, opt], custom)
     mh_direct, eps_direct = direct_moments(
-        rho, w_projs, np.concatenate([stats["f"], chain_f[:, None]], axis=1))
+        moments, np.concatenate([stats["f"], chain_f[:, None]], axis=1))
     oracle = np.maximum(np.abs(stats["mh"] - mh_direct).max(axis=(1, 2)),
                         np.abs(stats["eps_x"] - eps_direct[:, :-1]).max(axis=1))
 
     run_checks(checks)
-    chains = dilated_chains(rho, slides, w_projs, chain_f, eps_direct[:, -1])
-    y_inaccuracy = np.abs(chains.eps_b - stats["eps_y"])
+    chains = dilated_chains(rho, slides, moments, chain_f, eps_direct[:, -1])
+    y_inaccuracy, slack = np.abs(chains.eps_b - stats["eps_y"]), chains.min_slack
     return (np.array([np.max(values, initial=0.0)
                       for values in (oracle, y_inaccuracy, dispersion, gap)]),
-            np.append(margins.min(axis=0, initial=math.inf),
-                      np.min(chains.min_slack, initial=math.inf)),
+            np.append(margins.min(axis=0, initial=math.inf), np.min(slack, initial=math.inf)),
             np.array([*(margins < -MARGIN_TOL).sum(axis=0),
-                      np.sum(~(chains.min_slack >= -MARGIN_TOL)), np.sum(~ordered), gap.size]))
+                      np.sum(~(slack >= -MARGIN_TOL)), np.sum(~ordered), gap.size]))
 
 
 @functools.cache

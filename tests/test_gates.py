@@ -73,8 +73,8 @@ from jointmeas import (
 )
 from jointmeas import UndefinedEstimateError, workflow
 from jointmeas.estimate import mh_tables
-from jointmeas.oracle import direct_moments, naimark_unitaries, w_projectors
-from jointmeas.qcore import bloch_vectors, xy_statistics
+from jointmeas.oracle import direct_moments, naimark_unitaries, w_moments, w_projectors
+from jointmeas.qcore import bloch_vectors, correlations, xy_statistics
 from jointmeas.relations import MARGIN_TOL, _gap_ratios, gap_weights
 from jointmeas.scenario import (
     MIN_REFLECTIVITY_GAP,
@@ -388,7 +388,7 @@ def test_simulated_tables_are_finite_with_unit_mass():
     refl[:1000] = rng.choice([0.0, 1.0], (1000, 2))
     refl[1000:2000, 1] = np.clip(refl[1000:2000, 0] + 1e-6, 0.0, 1.0)
     n = bloch_vectors(angles[:, 0], angles[:, 1], [])
-    p = joint_tables(rho, slide_arrays(refl[:, 0], refl[:, 1]), n, [])
+    p = joint_tables(correlations(rho), slide_arrays(refl[:, 0], refl[:, 1]), n, [])
     assert np.isfinite(p).all()
     assert np.abs(p.reshape(-1, 8).sum(axis=1) - 1.0).max() <= 1e-14
 
@@ -456,7 +456,7 @@ def test_drawn_states_give_direct_quasi_tables_of_unit_mass():
     for seed in range(20):
         g, _, angles, _ = _draw_block(np.random.default_rng(seed), 0, 1000)
         n = bloch_vectors(angles[:, 0], angles[:, 1], [])
-        mh, _ = direct_moments(_state_matrices(g), w_projectors(n), np.zeros((1000, 0, 2)))
+        mh, _ = direct_moments(w_moments(_state_matrices(g), n), np.zeros((1000, 0, 2)))
         assert np.abs(mh.sum(axis=(1, 2)) - 1.0).max() <= 1e-13, seed
 
 

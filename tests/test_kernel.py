@@ -29,7 +29,7 @@ from jointmeas import (
     sweep_phi,
 )
 from jointmeas.estimate import optimal_values
-from jointmeas.qcore import bloch_vectors, failing, run_checks
+from jointmeas.qcore import bloch_vectors, correlations, failing, run_checks
 from jointmeas.scenario import joint_distribution, joint_tables
 from jointmeas.workflow import _scenario_results
 
@@ -89,8 +89,8 @@ def test_kernel_matches_loop_reference(seed, theta_deg):
     rng = np.random.default_rng(seed)
     rho, slide = random_state(rng), random_slide(rng)
     n = bloch_vectors(math.radians(theta_deg), np.radians(PHIS), [])
-    tables = joint_tables(rho.matrix[None], slide.arrays, n, [])
-    values = optimal_values(rho.matrix[None], n, [])
+    tables = joint_tables(correlations(rho.matrix[None]), slide.arrays, n, [])
+    values = optimal_values(correlations(rho.matrix[None]), n, [])
     rows = sweep_phi(rho, slide, PHIS, theta_deg=theta_deg)
     assert [row["phi_deg"] for row in rows] == PHIS.tolist()
     for idx, (phi, row) in enumerate(zip(PHIS, rows)):

@@ -26,8 +26,14 @@ from jointmeas import (
     slide_model,
 )
 from jointmeas.estimate import optimal_values
-from jointmeas.oracle import dilated_moments, direct_moments, naimark_unitaries, w_projectors
-from jointmeas.qcore import SIGMAS, _psd_sqrt, bloch_vectors
+from jointmeas.oracle import (
+    dilated_moments,
+    direct_moments,
+    naimark_unitaries,
+    w_moments,
+    w_projectors,
+)
+from jointmeas.qcore import SIGMAS, _psd_sqrt, bloch_vectors, correlations
 from jointmeas.relations import relation_chains
 from jointmeas.scenario import povm_elements, slide_arrays
 from jointmeas.workflow import _draw_block, _state_matrices, dilated_chains
@@ -264,7 +270,7 @@ def test_counts_path_agrees_with_operator_path(gamma, r_h, r_v, f_plus, f_minus)
     est = Estimator.custom(f_plus, f_minus)
 
     dist = joint_distribution(rho, slide, w)
-    mh, eps = direct_moments(rho.matrix[None], w_projectors(w.vector[None]),
+    mh, eps = direct_moments(w_moments(rho.matrix[None], w.vector[None]),
                              est.array[None, None])
     np.testing.assert_allclose(mh_from_counts(dist, slide), mh[0], rtol=0, atol=1e-12)
     assert inaccuracy_x(dist, slide, est) == pytest.approx(eps[0, 0], abs=1e-12)
@@ -276,7 +282,7 @@ def test_optimal_estimate_agreement(reference):
     rho, slide, w = reference
     est = optimal_estimator(rho, w)
     dist = joint_distribution(rho, slide, w)
-    _, eps = direct_moments(rho.matrix[None], w_projectors(w.vector[None]),
+    _, eps = direct_moments(w_moments(rho.matrix[None], w.vector[None]),
                             est.array[None, None])
     assert inaccuracy_x(dist, slide, est) == pytest.approx(eps[0, 0], abs=1e-14)
 
@@ -294,7 +300,7 @@ def test_direct_moments_match_explicit_traces():
     n = bloch_vectors(np.arccos(rng.uniform(-1.0, 1.0, size)),
                       rng.uniform(0.0, 2.0 * math.pi, size), [])
     f = rng.uniform(-2.0, 2.0, (size, k_count, 2))
-    mh, eps = direct_moments(rho, w_projectors(n), f)
+    mh, eps = direct_moments(w_moments(rho, n), f)
     assert mh.shape == (size, 2, 2) and eps.shape == (size, k_count)
 
     x_projs = [(EYE + s * X) / 2 for s in (1.0, -1.0)]
@@ -360,7 +366,7 @@ def test_factored_moments_match_the_whole_space_products(case):
         psi /= np.linalg.norm(psi, axis=1)[:, None]
         rho = 1e-9 * rho + (1.0 - 1e-9) * psi[:, :, None] * psi[:, None, :].conj()
     n = bloch_vectors(angles[:, 0], angles[:, 1], [])
-    optimal = optimal_values(rho, n, [])
+    optimal = optimal_values(correlations(rho), n, [])
     f = np.where(np.isnan(custom), optimal, custom)
     if case == "f+ = f-":
         f[:, 1] = f[:, 0]
@@ -371,14 +377,14 @@ def test_factored_moments_match_the_whole_space_products(case):
     elif case == "split 1e-6":
         refl[:, 1] = refl[:, 0] + 1e-6
     slides, w_projs = slide_arrays(refl[:, 0], refl[:, 1]), w_projectors(n)
-    povms = povm_elements(slides)
+    povms, moments = povm_elements(slides), w_moments(rho, n)
 
     both = np.stack([optimal, f], axis=1)
-    for got, want in zip(direct_moments(rho, w_projs, both),
+    for got, want in zip(direct_moments(moments, both),
                          reference_moments(rho, w_projs, both)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
-    chains = dilated_chains(rho, slides, w_projs, f,
-                            direct_moments(rho, w_projs, f[:, None])[1][:, 0])
+    chains = dilated_chains(rho, slides, moments, f,
+                            direct_moments(moments, f[:, None])[1][:, 0])
     spreads = reference_estimate_spreads(rho, povms, w_projs, f)
     np.testing.assert_allclose(chains.delta_a_est, spreads[0], rtol=0, atol=1e-13)
     np.testing.assert_allclose(chains.delta_b_est, spreads[1], rtol=0, atol=1e-13)
@@ -398,7 +404,7 @@ def test_dilated_moments_match_the_whole_space_products_for_any_binary_povm():
     g, _, angles, custom = _draw_block(rng, 0, size)
     rho = _state_matrices(g)
     n = bloch_vectors(angles[:, 0], angles[:, 1], [])
-    f = np.where(np.isnan(custom), optimal_values(rho, n, []), custom)
+    f = np.where(np.isnan(custom), optimal_values(correlations(rho), n, []), custom)
     axes = rng.normal(size=(size, 3))
     axes /= np.linalg.norm(axes, axis=1)[:, None]
     weight = rng.uniform(0.0, 1.0, size)
@@ -409,7 +415,7 @@ def test_dilated_moments_match_the_whole_space_products_for_any_binary_povm():
     w_projs = w_projectors(n)
     a_est, b_est, a, b, state = dilated_operators(rho, povms, w_projs, f)
     want = relation_chains(a_est, b_est, a, b, state)
-    ev_ab, ev_a_be, *rest = dilated_moments(rho, povms, w_projs, f)
+    ev_ab, ev_a_be, *rest = dilated_moments(rho, povms, w_moments(rho, n), f)
     for got, op in ((ev_ab, a @ b - b @ a), (ev_a_be, a @ b_est - b_est @ a)):
         np.testing.assert_allclose(got, np.trace(state @ op, axis1=-2, axis2=-1),
                                    rtol=0, atol=1e-13)

@@ -24,7 +24,7 @@ from jointmeas import (
     verify_relation_chain,
 )
 from jointmeas.estimate import optimal_values
-from jointmeas.oracle import direct_moments, w_projectors
+from jointmeas.oracle import direct_moments, w_moments, w_projectors
 from jointmeas.qcore import (
     bloch_vectors,
     commutator_bounds,
@@ -471,9 +471,9 @@ def test_dilated_chain_keeps_eps_b_precise_in_the_weak_limit(split):
     slides = slide_arrays(r_h, r_h + split)
     n = bloch_vectors(np.arccos(rng.uniform(-1.0, 1.0, size)),
                       rng.uniform(0.0, 2.0 * math.pi, size), [])
-    w_projs, f = w_projectors(n), optimal_values(rho, n, [])
-    chains = dilated_chains(rho, slides, w_projs, f,
-                            direct_moments(rho, w_projs, f[:, None])[1][:, 0])
+    moments, f = w_moments(rho, n), optimal_values(correlations(rho), n, [])
+    chains = dilated_chains(rho, slides, moments, f,
+                            direct_moments(moments, f[:, None])[1][:, 0])
     assert np.abs(chains.eps_b - np.sqrt(2.0 * slides.kappa)).max() <= 1e-10
 
 
@@ -492,15 +492,16 @@ def test_factored_chain_equals_the_full_dilated_chain(case):
     g, refl, angles, custom = _draw_block(np.random.default_rng(100 + seed), 0, 512)
     rho = _state_matrices(g)
     n = bloch_vectors(angles[:, 0], angles[:, 1], [])
-    f = np.where(np.isnan(custom), optimal_values(rho, n, []), custom)
+    f = np.where(np.isnan(custom), optimal_values(correlations(rho), n, []), custom)
     rng = np.random.default_rng(seed)
     if case == "r in {0, 1}":
         refl[np.arange(512), rng.integers(0, 2, 512)] = rng.choice([0.0, 1.0], 512)
     elif case != "drawn":
         refl[:, 1] = refl[:, 0] + float(case.split()[1])
     slides, w_projs = slide_arrays(refl[:, 0], refl[:, 1]), w_projectors(n)
-    got = dilated_chains(rho, slides, w_projs, f,
-                         direct_moments(rho, w_projs, f[:, None])[1][:, 0])
+    moments = w_moments(rho, n)
+    got = dilated_chains(rho, slides, moments, f,
+                         direct_moments(moments, f[:, None])[1][:, 0])
     want = relation_chains(*dilated_operators(rho, povm_elements(slides), w_projs, f))
     for field in dataclasses.fields(got):
         np.testing.assert_allclose(getattr(got, field.name), getattr(want, field.name),

@@ -29,7 +29,7 @@ from jointmeas import (
     slide_model,
     tensor,
 )
-from jointmeas.oracle import direct_moments, w_projectors
+from jointmeas.oracle import direct_moments, w_moments
 from jointmeas.scenario import MIN_REFLECTIVITY_GAP, povm_elements
 
 R_H, R_V = 0.1244, 0.4645
@@ -154,7 +154,7 @@ def test_reflectivity_gap_threshold(r):
     rho, w = epr_state(math.radians(22.5)), BlochObservable.from_degrees(37.0, 123.0)
     for kind in ("simple", "optimal"):
         result = simulate_scenario(rho, slide, w, estimator=kind)
-        _, direct = direct_moments(rho.matrix[None], w_projectors(w.vector[None]),
+        _, direct = direct_moments(w_moments(rho.matrix[None], w.vector[None]),
                                    result.estimator.array[None, None])
         assert abs(result.report.eps_a - direct[0, 0]) <= 1e-9
 

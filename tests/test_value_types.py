@@ -48,7 +48,7 @@ from jointmeas import (
     slide_model,
     strength_comparison,
 )
-from jointmeas.oracle import direct_moments, w_projectors
+from jointmeas.oracle import direct_moments, w_moments
 from jointmeas.qcore import _FrozenSlots, frozen_dataclass
 from jointmeas.scenario import TRIPLES, SlideArrays, slide_arrays
 from jointmeas.workflow import dilated_chains
@@ -367,10 +367,11 @@ def _array_chain() -> RelationChain:
     n = np.array([BlochObservable(theta, phi).vector
                   for theta, phi in ((1.5, 3.1), (0.4, 1.0), (2.0, 5.0))])
     slides = slide_arrays(np.array([0.1244, 0.2, 0.7]), np.array([0.4645, 0.6, 0.3]))
-    rho, w_projs = np.stack([rho] * 3), w_projectors(n)
+    rho = np.stack([rho] * 3)
+    moments = w_moments(rho, n)
     f = np.array([[1.0, -1.0], [0.5, -0.3], [0.63, -0.64]])
-    return dilated_chains(rho, slides, w_projs, f,
-                          direct_moments(rho, w_projs, f[:, None])[1][:, 0])
+    return dilated_chains(rho, slides, moments, f,
+                          direct_moments(moments, f[:, None])[1][:, 0])
 
 
 def _built_slide_arrays() -> SlideArrays:

@@ -42,7 +42,7 @@ from jointmeas import (
     tensor,
     verify_relation_chain,
 )
-from jointmeas import estimate, oracle, workflow
+from jointmeas import estimate, oracle, qcore, scenario, workflow
 from jointmeas.estimate import estimator_spread, y_spreads
 from jointmeas.oracle import naimark_unitaries
 from jointmeas.qcore import SIGMAS, bloch_vectors, commutator_bounds
@@ -161,11 +161,15 @@ COUNTS = ("violations", "ak_violations", "chain_violations", "ordering_violation
 
 
 def test_block_forms_w_projectors_and_mh_tables_once(monkeypatch):
-    """One block forms its analyser projectors once, for the oracle and the
-    chain, and its Margenau-Hill tables once, for eps(X) of both kinds and
-    the oracle comparison."""
+    """One block forms each quantity that several of its passes read once:
+    its analyser projectors and W moments, for the oracle and the chain;
+    its Margenau-Hill tables, for eps(X) of both kinds and the oracle
+    comparison; its correlation tensors, for the tables and the optimal
+    estimate; and its w marginals, for the estimate spreads of both kinds.
+    Each counts the calls through every module that holds the name."""
     workflow._reference_flags()  # cached per process: keep its pass out of the count
-    calls = {"w_projectors": 0, "mh_tables": 0}
+    names = ("w_projectors", "mh_tables", "correlations", "w_moments", "w_marginals")
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, function):
         def counted(*args, **kwargs):
@@ -173,11 +177,14 @@ def test_block_forms_w_projectors_and_mh_tables_once(monkeypatch):
             return function(*args, **kwargs)
         return counted
 
-    for module, name in ((oracle, "w_projectors"), (workflow, "w_projectors"),
-                         (estimate, "mh_tables"), (workflow, "mh_tables")):
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for name in names:
+        holders = [module for module in (qcore, scenario, estimate, oracle, workflow)
+                   if name in vars(module)]
+        wrapper = counting(name, getattr(holders[0], name)) if holders else None
+        for module in holders:
+            monkeypatch.setattr(module, name, wrapper)
     run_verification(trials=7, seed=3)
-    assert calls == {"w_projectors": 1, "mh_tables": 1}
+    assert calls == dict.fromkeys(names, 1)
 
 
 def test_block_takes_the_chains_inaccuracy_from_the_oracle_pass(monkeypatch):
@@ -192,16 +199,16 @@ def test_block_takes_the_chains_inaccuracy_from_the_oracle_pass(monkeypatch):
         oracle_calls.append(args)
         return direct(*args)
 
-    def recording(rho, slide, w_projs, f, *eps_a):
-        chain_args.append((rho, w_projs, f, eps_a))
-        return chains(rho, slide, w_projs, f, *eps_a)
+    def recording(rho, slide, moments, f, *eps_a):
+        chain_args.append((rho, moments, f, eps_a))
+        return chains(rho, slide, moments, f, *eps_a)
 
     monkeypatch.setattr(workflow, "direct_moments", counted)
     monkeypatch.setattr(workflow, "dilated_chains", recording)
     run_verification(trials=64, seed=11)
-    [(rho, w_projs, f, (eps_a,))] = chain_args
+    [(rho, moments, f, (eps_a,))] = chain_args
     assert len(oracle_calls) == 1
-    np.testing.assert_array_equal(eps_a, direct(rho, w_projs, f[:, None])[1][:, 0])
+    np.testing.assert_array_equal(eps_a, direct(moments, f[:, None])[1][:, 0])
 
 
 @pytest.mark.parametrize("trials, seed, block", [
@@ -214,9 +221,9 @@ def test_blocks_match_trial_loop(trials, seed, block, monkeypatch):
     chain_estimates = []
     chains = workflow.dilated_chains
 
-    def recording_chains(rho, slide, w_projs, f, *eps_a):
+    def recording_chains(rho, slide, moments, f, *eps_a):
         chain_estimates.append(f)
-        return chains(rho, slide, w_projs, f, *eps_a)
+        return chains(rho, slide, moments, f, *eps_a)
 
     monkeypatch.setattr(workflow, "dilated_chains", recording_chains)
     got = run_verification(trials=trials, seed=seed).to_dict()
