@@ -40,9 +40,7 @@ report = RelationReport(
     eps_a=mid["eps_x_optimal"], eps_b=mid["eps_y"],
     delta_a=mid["delta_x"], delta_b=mid["delta_y"],
     delta_a_est=mid["delta_x_est_optimal"], delta_b_est=mid["delta_y_est"],
-    c=mid["c"], lhs_ak=mid["lhs_arthurs_kelly_optimal"],
-    lhs_hall=mid["lhs_hall_optimal"], lhs_ozawa=mid["lhs_ozawa_optimal"],
-    lhs_new=mid["lhs_new_optimal"], scenario={"estimator": "optimal"})
+    c=mid["c"], scenario={"estimator": "optimal"})
 ordering = strength_comparison(report, "optimal")
 print(f"\nat phi = 180 deg: hall - new = {ordering.hall_gap:.6f}, "
       f"ozawa - new = {ordering.ozawa_gap:.6f}")

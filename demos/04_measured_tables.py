@@ -41,7 +41,7 @@ print("\nmeasured vs simulated at phi = 180 deg:")
 dist = bundled_distribution(180.0)
 for kind in ("simple", "optimal"):
     meas = analyze_measured(dist, rho, estimator=kind)
-    sim = simulate_scenario(rho, slide, w, estimator=kind).report
+    sim = simulate_scenario(rho, slide, w, estimator=kind)
     worst = max(abs(meas.lhs_ak - sim.lhs_ak),
                 abs(meas.lhs_hall - sim.lhs_hall),
                 abs(meas.lhs_ozawa - sim.lhs_ozawa),

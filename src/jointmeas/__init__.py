@@ -70,7 +70,6 @@ from .workflow import (
     REFERENCE_GAMMA_DEG,
     REFERENCE_R_H,
     REFERENCE_R_V,
-    SimulationResult,
     VerificationResult,
     analyze_measured,
     dilated_chain,

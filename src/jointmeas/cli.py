@@ -163,11 +163,11 @@ def _run_simulate(args: argparse.Namespace) -> int:
     slide = slide_model(args.r_h, args.r_v)
     w = BlochObservable.from_degrees(args.theta_deg, args.phi_degs[0])
     info = {} if args.gamma_deg is None else {"gamma_deg": args.gamma_deg}
-    results = _scenario_results(rho, _kinds(args), joint_distribution(rho, slide, w),
-                                slide=slide, w=w, scenario_info=info)
+    dist = joint_distribution(rho, slide, w)
+    reports = _scenario_results(rho, _kinds(args), dist, slide=slide, w=w, scenario_info=info)
     if args.dist_file:
-        save_distribution(results[0].distribution, args.dist_file)
-    _emit(args, emit_report([r.report for r in results], args.format))
+        save_distribution(dist, args.dist_file)
+    _emit(args, emit_report(reports, args.format))
     return EXIT_OK
 
 
@@ -176,8 +176,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
                              tolerances=PROFILES[args.tolerance_profile])
     rho = (load_density_matrix(args.state_file, tolerances=PROFILES[args.tolerance_profile])
            if args.state_file is not None else bundled_state())
-    results = _scenario_results(rho, _kinds(args), dist)
-    _emit(args, emit_report([r.report for r in results], args.format))
+    _emit(args, emit_report(_scenario_results(rho, _kinds(args), dist), args.format))
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .qcore import DEFAULT_TOLERANCES, DataQualityWarning, DensityMatrix, ToleranceProfile
-from .scenario import JointDistribution
+from .scenario import TRIPLES, JointDistribution
 
 
 class DataValidationError(ValueError):
@@ -147,12 +147,12 @@ def emit_distribution(dist: JointDistribution) -> str:
     for key in sorted(dist.metadata):
         out.write(f"# {key}={dist.metadata[key]}\n")
     out.write("m,y,w,p,sigma\n")
-    for key in sorted(dist.entries, reverse=True):
+    for key, p in zip(TRIPLES, dist.table.ravel().tolist()):
         m, y, w = key
         sigma = ""
         if dist.sigmas and key in dist.sigmas:
             sigma = _fmt(dist.sigmas[key])
-        out.write(f"{m},{y},{w},{_fmt(dist.entries[key])},{sigma}\n")
+        out.write(f"{m},{y},{w},{_fmt(p)},{sigma}\n")
     return out.getvalue()
 
 

@@ -45,11 +45,15 @@ MARGIN_TOL = 1e-9
 COMMUTATION_TOL = 5e-13
 
 RELATION_NAMES = ("arthurs_kelly", "hall", "ozawa", "new")
+# the relations that hold for every estimate: Arthurs-Kelly holds only for
+# jointly unbiased ones
+UNIVERSAL_RELATIONS = tuple(name for name in RELATION_NAMES if name != "arthurs_kelly")
 
 
 @frozen_dataclass
 class RelationReport:
-    """All four relation left-hand sides against the shared bound c/2."""
+    """The seven statistics of one scenario, whose four relation left-hand
+    sides it reads against the shared bound c/2."""
 
     eps_a: float
     eps_b: float
@@ -58,10 +62,6 @@ class RelationReport:
     delta_a_est: float
     delta_b_est: float
     c: float
-    lhs_ak: float
-    lhs_hall: float
-    lhs_ozawa: float
-    lhs_new: float
     scenario: dict = field(default_factory=dict)
 
     @property
@@ -71,8 +71,25 @@ class RelationReport:
     @property
     def lhs(self) -> dict[str, float]:
         """The four left-hand sides by relation name, in RELATION_NAMES order."""
-        return dict(zip(RELATION_NAMES,
-                        (self.lhs_ak, self.lhs_hall, self.lhs_ozawa, self.lhs_new)))
+        return dict(zip(RELATION_NAMES, relation_lhs(
+            self.eps_a, self.eps_b, self.delta_a, self.delta_b,
+            self.delta_a_est, self.delta_b_est)))
+
+    @property
+    def lhs_ak(self) -> float:
+        return self.lhs["arthurs_kelly"]
+
+    @property
+    def lhs_hall(self) -> float:
+        return self.lhs["hall"]
+
+    @property
+    def lhs_ozawa(self) -> float:
+        return self.lhs["ozawa"]
+
+    @property
+    def lhs_new(self) -> float:
+        return self.lhs["new"]
 
     @property
     def satisfied(self) -> dict[str, bool]:
@@ -114,9 +131,7 @@ def evaluate_relations(eps_a: float, eps_b: float, delta_a: float, delta_b: floa
     for name, val in inputs.items():
         if not (math.isfinite(val) and val >= 0.0):
             raise ValueError(f"{name} must be finite and non-negative, got {val}")
-    return RelationReport(
-        *inputs.values(), *relation_lhs(eps_a, eps_b, delta_a, delta_b, delta_a_est, delta_b_est),
-        scenario=dict(scenario or {}))
+    return RelationReport(*inputs.values(), scenario=dict(scenario or {}))
 
 
 def _gap_weight(x: np.ndarray) -> np.ndarray:

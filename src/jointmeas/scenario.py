@@ -57,6 +57,7 @@ OUTCOMES = (+1, -1)
 # the outcome values, TRIPLES the (m, y, w) keys of a flattened p[m, y, w].
 SIGNS = np.array(OUTCOMES, dtype=float)
 TRIPLES = tuple(itertools.product(OUTCOMES, repeat=3))
+_TRIPLE_INDEX = {key: i for i, key in enumerate(TRIPLES)}
 
 
 class DegenerateMeasurementError(ValueError):
@@ -271,7 +272,7 @@ class JointDistribution:
                 else self.tolerances.measured_norm)
 
     def prob(self, m: int, y: int, w: int) -> float:
-        return self.entries[(m, y, w)]
+        return float(self.table.flat[_TRIPLE_INDEX[(m, y, w)]])
 
     def total(self) -> float:
         return float(self.table.sum())

@@ -20,7 +20,6 @@ from operator import setitem
 import numpy as np
 
 from .estimate import (
-    DispersionCheck,
     Estimator,
     estimate_spreads,
     mh_tables,
@@ -49,6 +48,7 @@ from .qcore import (
 from .relations import (
     MARGIN_TOL,
     RELATION_NAMES,
+    UNIVERSAL_RELATIONS,
     RelationChain,
     RelationReport,
     _chain_links,
@@ -57,7 +57,6 @@ from .relations import (
     strength_orderings,
 )
 from .scenario import (
-    OUTCOMES,
     SIGNS,
     JointDistribution,
     SemiweakSlide,
@@ -84,19 +83,9 @@ def reference_scenario() -> tuple[DensityMatrix, SemiweakSlide, BlochObservable]
             BlochObservable.from_degrees(90.0, 180.0))
 
 
-@frozen_dataclass
-class SimulationResult:
-    """One simulated scenario: outcome table, estimator, relations."""
-
-    report: RelationReport
-    distribution: JointDistribution
-    estimator: Estimator
-    dispersion: DispersionCheck
-
-
 def simulate_scenario(rho: DensityMatrix, slide: SemiweakSlide, w: BlochObservable,
                       estimator: str = "optimal",
-                      scenario_info: dict | None = None) -> SimulationResult:
+                      scenario_info: dict | None = None) -> RelationReport:
     """Simulate the joint measurement and evaluate all four relations."""
     return _scenario_results(rho, (estimator,), joint_distribution(rho, slide, w),
                              slide=slide, w=w, scenario_info=scenario_info)[0]
@@ -124,7 +113,7 @@ def analyze_measured(dist: JointDistribution, rho: DensityMatrix,
     spreads and the commutator bound come from the tomographic state.  The
     slide reflectivities and the W angles default to the table's metadata.
     """
-    return _scenario_results(rho, (estimator,), dist, slide=slide, w=w)[0].report
+    return _scenario_results(rho, (estimator,), dist, slide=slide, w=w)[0]
 
 
 def _statistics(rho: np.ndarray, t: np.ndarray, slides: SlideArrays, n: np.ndarray,
@@ -185,8 +174,8 @@ def _statistics(rho: np.ndarray, t: np.ndarray, slides: SlideArrays, n: np.ndarr
 def _scenario_results(rho: DensityMatrix, kinds, dist: JointDistribution, *,
                       slide: SemiweakSlide | None = None,
                       w: BlochObservable | None = None,
-                      scenario_info: dict | None = None) -> list[SimulationResult]:
-    """One scenario's results for each estimator kind in ``kinds``, from one
+                      scenario_info: dict | None = None) -> list[RelationReport]:
+    """One scenario's report for each estimator kind in ``kinds``, from one
     :func:`_statistics` pass over the outcome table ``dist``, simulated or
     measured; ``slide`` and ``w`` default to the table's metadata."""
     if slide is None:
@@ -199,20 +188,13 @@ def _scenario_results(rho: DensityMatrix, kinds, dist: JointDistribution, *,
                        dist.table[None], kinds, atol=dist.mass_tolerance + 1e-12)
     eps_b, delta_a, delta_b, delta_b_est, c = (
         float(stats[key][0]) for key in ("eps_y", "delta_x", "delta_y", "delta_y_est", "c"))
-    results = []
-    for kind, f, eps_a, delta_a_est, *lhs in zip(
-            kinds, *(stats[key][0].tolist() for key in ("f", "eps_x", "delta_x_est")),
-            *(val[0].tolist() for val in stats["lhs"])):
-        report = RelationReport(
-            eps_a, eps_b, delta_a, delta_b, delta_a_est, delta_b_est, c, *lhs,
-            scenario={"source": dist.provenance, "estimator": kind,
-                      "theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
-                      "r_h": slide.r_h, "r_v": slide.r_v, **(scenario_info or {})})
-        results.append(SimulationResult(
-            report=report, distribution=dist,
-            estimator=Estimator(dict(zip(OUTCOMES, f)), kind=kind),
-            dispersion=DispersionCheck(eps_a ** 2, delta_a_est ** 2, delta_a ** 2)))
-    return results
+    return [RelationReport(
+                eps_a, eps_b, delta_a, delta_b, delta_a_est, delta_b_est, c,
+                scenario={"source": dist.provenance, "estimator": kind,
+                          "theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
+                          "r_h": slide.r_h, "r_v": slide.r_v, **(scenario_info or {})})
+            for kind, eps_a, delta_a_est in zip(
+                kinds, *(stats[key][0].tolist() for key in ("eps_x", "delta_x_est")))]
 
 
 def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
@@ -369,17 +351,16 @@ class VerificationResult:
 
     @property
     def reference_ok(self) -> bool:
-        """The reference scenario must break AK and satisfy the other three."""
+        """The reference scenario must break AK and satisfy the universal relations."""
         sat = self.reference_satisfied
         return (not sat.get("arthurs_kelly", True)
-                and sat.get("hall", False) and sat.get("ozawa", False)
-                and sat.get("new", False))
+                and all(sat.get(name, False) for name in UNIVERSAL_RELATIONS))
 
     def _gates(self) -> list[tuple[str, bool]]:
         """Each gate of the battery as its summary line and whether it
         holds, in summary order."""
         sat = self.reference_satisfied
-        others = all(sat.get(k, False) for k in ("hall", "ozawa", "new"))
+        others = all(sat.get(name, False) for name in UNIVERSAL_RELATIONS)
         return [
             (f"statistics vs direct operator values: max |diff| = "
              f"{self.oracle_max_diff:.3e} (limit 1e-9)", self.oracle_max_diff <= 1e-9),
@@ -391,7 +372,7 @@ class VerificationResult:
              self.dispersion_max_residual <= 1e-9),
             *((f"{name}: {self.violations[name]} violations "
                f"(worst margin {self.min_margins[name]:+.6f})", self.violations[name] == 0)
-              for name in ("hall", "ozawa", "new")),
+              for name in UNIVERSAL_RELATIONS),
             (f"arthurs_kelly: {self.ak_violations} scenarios below the bound "
              f"(violations expected)", self.ak_violations > 0),
             (f"reference scenario: arthurs_kelly "
@@ -506,8 +487,7 @@ def _reference_flags() -> tuple[tuple[str, bool], ...]:
     """The reference scenario's relation flags with the optimal estimate,
     simulated once per process; :func:`run_verification` gives each result
     its own dict of them."""
-    return tuple(simulate_scenario(*reference_scenario(),
-                                   estimator="optimal").report.satisfied.items())
+    return tuple(simulate_scenario(*reference_scenario(), estimator="optimal").satisfied.items())
 
 
 def run_verification(trials: int = 10_000, seed: int = 42) -> VerificationResult:
@@ -554,7 +534,7 @@ def run_verification(trials: int = 10_000, seed: int = 42) -> VerificationResult
         dispersion_max_residual=dispersion,
         min_margins=dict(zip(RELATION_NAMES, min_margins)),
         violations={name: count for name, count in zip(RELATION_NAMES, negative)
-                    if name != "arthurs_kelly"},
+                    if name in UNIVERSAL_RELATIONS},
         ak_violations=negative[RELATION_NAMES.index("arthurs_kelly")],
         reference_satisfied=dict(_reference_flags()),
         chain_min_slack=chain_min_slack, chain_violations=broken,

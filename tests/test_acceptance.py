@@ -100,7 +100,7 @@ def test_criterion_6_reference_and_measured(criterion):
     """The reference scenario and the packaged measured table reproduce the
     recorded relation values."""
     rho_i, slide, w = reference_scenario()
-    ideal = simulate_scenario(rho_i, slide, w, estimator="optimal").report
+    ideal = simulate_scenario(rho_i, slide, w, estimator="optimal")
     ideal_ok = (abs(ideal.lhs_ak - 0.2737) < 5e-4
                 and ideal.lhs_ak < ideal.bound
                 and not ideal.satisfied["arthurs_kelly"])
@@ -112,7 +112,7 @@ def test_criterion_6_reference_and_measured(criterion):
     theory_diffs = {}
     for kind in ("optimal", "simple"):
         meas = analyze_measured(dist, rho_t, estimator=kind)
-        theory = simulate_scenario(rho_t, slide, w, estimator=kind).report
+        theory = simulate_scenario(rho_t, slide, w, estimator=kind)
         theory_diffs[kind] = max(
             abs(meas.lhs_ak - theory.lhs_ak),
             abs(meas.lhs_hall - theory.lhs_hall),

@@ -145,6 +145,21 @@ def test_save_and_load_distribution(tmp_path):
     assert again.sigmas == dist.sigmas
 
 
+def test_prob_and_written_table_read_the_table_every_analysis_reads(tmp_path):
+    """Editing ``entries`` in place (a dict field stays editable) moves
+    neither ``prob()`` nor the written file away from ``table``."""
+    dist = parse_distribution(GOOD_TABLE)
+    text = emit_distribution(dist)
+    dist.entries[(1, 1, 1)] = 0.5
+    assert dist.prob(1, 1, 1) == float(dist.table[0, 0, 0]) == 0.282
+    path = tmp_path / "table.csv"
+    save_distribution(dist, path)
+    assert path.read_text(encoding="utf-8") == text
+    assert "\n1,1,1,0.282,0.002\n" in text
+    with pytest.raises(KeyError, match=r"\(0, 1, 1\)"):
+        dist.prob(0, 1, 1)
+
+
 def test_parse_density_matrix_roundtrip():
     text = resources.files("jointmeas.data").joinpath(
         "tomographic_state.csv").read_text()

@@ -177,22 +177,21 @@ EDGE_GATES = {
         ValueError, "dilation completion is not unitary"),
     # a hand-built report with eps(Y) < 0, whose ratio eps(Y)/Delta Y is -0.5
     "strength ordering of a report with a negative inaccuracy": (
-        lambda: strength_comparison(RelationReport(0.5, -0.25, 1.0, 0.5, 0.8, 0.4, 1.0,
-                                                   -0.125, 0.5, 0.5, 0.5)),
+        lambda: strength_comparison(RelationReport(0.5, -0.25, 1.0, 0.5, 0.8, 0.4, 1.0)),
         ValueError, "gap weight defined on [0, 1], got -0.5"),
     # a hand-built report's non-finite field: a NaN eps(X) was read as a gap
     # ratio of 0 and the ordering passed; an infinite spread warned
     "strength ordering of a report with a NaN inaccuracy": (
-        lambda: strength_comparison(RelationReport(math.nan, 0.1, 1.0, 1.0, 1.0, 1.0, 1.0,
-                                                   0.0, 0.0, 0.0, 0.0), "optimal"),
+        lambda: strength_comparison(RelationReport(math.nan, 0.1, 1.0, 1.0, 1.0, 1.0, 1.0),
+                                    "optimal"),
         ValueError, "report field eps_a must be finite, got nan"),
     "strength ordering of a report with an infinite spread": (
-        lambda: strength_comparison(RelationReport(0.5, 0.1, math.inf, 1.0, 1.0, 1.0, 1.0,
-                                                   0.05, 0.6, 0.6, 0.6), "optimal"),
+        lambda: strength_comparison(RelationReport(0.5, 0.1, math.inf, 1.0, 1.0, 1.0, 1.0),
+                                    "optimal"),
         ValueError, "report field delta_a must be finite, got inf"),
     # a NaN kappa raised the relation-violation error, and 1.5 passed
     **{f"measurement-disturbance relation at kappa {kappa}": (
-        lambda kappa=kappa: evaluate_md_relation(simulate_scenario(RHO, SLIDE, W).report, kappa),
+        lambda kappa=kappa: evaluate_md_relation(simulate_scenario(RHO, SLIDE, W), kappa),
         ValueError, f"slide strength kappa must lie in [0, 1], got {kappa}")
        for kappa in (math.nan, 1.5, -0.25)},
     **{f"{name} of a one-qubit state": (
@@ -484,7 +483,7 @@ def test_a_subnormal_spread_gives_a_ratio_of_one_without_a_warning():
     """An inaccuracy of 1e-12 over a subnormal spread is inside the closed
     form's domain (1e-12 above the spread), so its ratio is clamped to 1;
     dividing first would overflow to inf.  Run with every warning an error."""
-    report = RelationReport(1e-12, 0.0, 5e-324, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    report = RelationReport(1e-12, 0.0, 5e-324, 1.0, 0.0, 0.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ordering = strength_comparison(report)

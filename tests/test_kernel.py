@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from jointmeas import (
+    ESTIMATOR_KINDS,
     OUTCOMES,
     BlochObservable,
     DensityMatrix,
+    RelationReport,
     UndefinedEstimateError,
     epr_state,
     optimal_estimator,
@@ -29,9 +31,17 @@ from jointmeas import (
     sweep_phi,
 )
 from jointmeas.estimate import optimal_values
-from jointmeas.qcore import bloch_vectors, correlations, failing, run_checks
+from jointmeas.qcore import (
+    bloch_vectors,
+    correlations,
+    failing,
+    run_checks,
+    run_kernel,
+    state_stack,
+)
+from jointmeas.relations import RELATION_NAMES
 from jointmeas.scenario import joint_distribution, joint_tables
-from jointmeas.workflow import _scenario_results
+from jointmeas.workflow import _scenario_results, _statistics
 
 TOL = 1e-12
 PHIS = np.arange(90.0, 271.0, 15.0)
@@ -128,7 +138,7 @@ def test_sweep_row_layout(kinds, size):
     assert all(row["theta_deg"] == theta_deg for row in rows)
     for idx in range(0, size, max(1, size // 12)):
         report = simulate_scenario(rho, slide, BlochObservable.from_degrees(theta_deg, phis[idx]),
-                                   estimator=kinds[0]).report
+                                   estimator=kinds[0])
         want = (report.c, report.bound, report.delta_a, report.delta_b, report.eps_b)
         assert tuple(rows[idx][key] for key in ("c", "bound", "delta_x", "delta_y", "eps_y")) \
             == want, idx
@@ -159,7 +169,7 @@ def test_sweep_rows_match_simulate_within_1e12(seed):
     for phi, row in zip(phis.tolist(), rows):
         w = BlochObservable.from_degrees(theta_deg, phi)
         for kind in ("simple", "optimal"):
-            report = simulate_scenario(rho, slide, w, estimator=kind).report
+            report = simulate_scenario(rho, slide, w, estimator=kind)
             got = [row["delta_y_est"], *(row[f"{col}_{kind}"] for col in REPORT_FIELDS)]
             want = [report.delta_b_est, *(getattr(report, name) for name in REPORT_FIELDS.values())]
             assert got == pytest.approx(want, rel=0, abs=TOL), (phi, kind)
@@ -199,6 +209,41 @@ def test_sweep_unknown_estimator_kind():
         sweep_phi(rho, slide, [180.0], estimators=("simple", "best"))
 
 
+def hexes(values) -> list[str]:
+    return [float(value).hex() for value in values]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_report_lhs_equals_the_statistics_pass_bit_for_bit(seed):
+    """A report reads its four left-hand sides from its seven statistics
+    with the operations the statistics pass applies to its columns, so
+    each kind's simulated report holds the pass's ``lhs`` to the bit."""
+    rng = np.random.default_rng(seed)
+    rho, slide, w = random_state(rng), random_slide(rng), random_observable(rng)
+    mats = state_stack(rho)
+    stats = run_kernel(_statistics, mats, correlations(mats), slide.arrays, w.vector[None],
+                       joint_distribution(rho, slide, w).table[None], ESTIMATOR_KINDS)
+    for k, kind in enumerate(ESTIMATOR_KINDS):
+        report = simulate_scenario(rho, slide, w, estimator=kind)
+        assert hexes(report.lhs.values()) == hexes(val[0, k] for val in stats["lhs"]), kind
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_report_from_a_sweep_row_reproduces_its_lhs_columns(seed):
+    """The seven statistics of a sweep row give a report whose left-hand
+    sides are the row's four lhs columns, bit for bit."""
+    rng = np.random.default_rng(seed)
+    rho, slide = random_state(rng), random_slide(rng)
+    theta_deg = math.degrees(random_observable(rng).theta)
+    for row in sweep_phi(rho, slide, np.linspace(0.0, 360.0, 13), theta_deg=theta_deg):
+        for kind in ESTIMATOR_KINDS:
+            report = RelationReport(
+                row[f"eps_x_{kind}"], row["eps_y"], row["delta_x"], row["delta_y"],
+                row[f"delta_x_est_{kind}"], row["delta_y_est"], row["c"])
+            assert hexes(report.lhs.values()) == \
+                hexes(row[f"lhs_{name}_{kind}"] for name in RELATION_NAMES), (row["phi_deg"], kind)
+
+
 def test_any_tuple_of_kinds_gets_one_kinds_axis():
     """The statistics pass stacks the kinds asked for on one axis: none give
     the common sweep columns alone and no report, and a repeated kind
@@ -209,8 +254,7 @@ def test_any_tuple_of_kinds_gets_one_kinds_axis():
     dist = joint_distribution(rho, slide, w)
     assert _scenario_results(rho, (), dist, slide=slide, w=w) == []
     first, second = _scenario_results(rho, ("optimal", "optimal"), dist, slide=slide, w=w)
-    assert first.report == second.report
-    assert first.estimator == second.estimator
+    assert first == second
 
 
 def test_run_checks_fires_in_loop_order():

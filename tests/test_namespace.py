@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "DispersionCheck", "ESTIMATOR_KINDS", "Estimator", "HermitianOperator",
     "JointDistribution", "MDReport", "NumericalCorruptionError", "OUTCOMES", "PROFILES",
     "REFERENCE_GAMMA_DEG", "REFERENCE_R_H", "REFERENCE_R_V", "REFLECTED", "RelationChain",
-    "RelationReport", "RelationViolationError", "SemiweakSlide", "SimulationResult",
+    "RelationReport", "RelationViolationError", "SemiweakSlide",
     "StrengthOrdering", "TRANSMITTED", "ToleranceProfile", "UndefinedEstimateError",
     "VerificationResult", "analyze_measured", "bundled_distribution", "bundled_state",
     "dataio", "dilated_chain", "direct_margenau_hill", "dispersion_check",

@@ -551,7 +551,7 @@ def test_relation_chains_gate_shared_estimators_that_do_not_commute(stacked):
 def test_md_relation_golden(reference):
     rho, slide, w = reference
     report = evaluate_md_relation(
-        simulate_scenario(rho, slide, w, estimator="optimal").report, slide.kappa)
+        simulate_scenario(rho, slide, w, estimator="optimal"), slide.kappa)
     assert report.eta_b == pytest.approx(slide.kappa, abs=1e-12)
     assert report.lhs == pytest.approx(0.7445400235376382, abs=1e-12)
     assert report.delta_b_disturbed == pytest.approx(1 - slide.kappa, abs=1e-12)
@@ -567,7 +567,7 @@ def test_md_relation_reads_the_relation_report(reference):
     """Every MD input but eta(Y) and Delta(Y') is the report's own value;
     a report that breaks the relation raises."""
     rho, slide, w = reference
-    rep = simulate_scenario(rho, slide, w, estimator="simple").report
+    rep = simulate_scenario(rho, slide, w, estimator="simple")
     kappa = slide.kappa
     assert evaluate_md_relation(rep, kappa) == MDReport(
         eps_a=rep.eps_a, eta_b=kappa, delta_a=rep.delta_a, delta_a_est=rep.delta_a_est,
@@ -588,7 +588,7 @@ def test_md_disturbance_equals_kappa(gamma, r_h, r_v):
     rho = epr_state(gamma)
     w = BlochObservable.from_degrees(90, 180)
     report = evaluate_md_relation(
-        simulate_scenario(rho, slide, w, estimator="simple").report, slide.kappa)
+        simulate_scenario(rho, slide, w, estimator="simple"), slide.kappa)
     diff = np.kron(disturbed_observable(slide, pauli("Y")).matrix - pauli("Y").matrix,
                    np.eye(2))
     eta = math.sqrt(np.trace(rho.matrix @ diff @ diff).real)

@@ -1,7 +1,7 @@
 """The frozen value types: `qcore.frozen_dataclass` in place of
 `@dataclass(frozen=True)`.
 
-Each of the 13 types is checked against a stdlib frozen dataclass twin
+Each of the 12 types is checked against a stdlib frozen dataclass twin
 built by `make_dataclass` from its fields and the rest of its namespace
 (`__post_init__`, properties, methods): fields, signature, repr, equality,
 hash, frozenness, `replace`, `asdict`, pickling and copying, argument
@@ -35,12 +35,14 @@ from jointmeas import (
     RelationChain,
     RelationReport,
     SemiweakSlide,
-    SimulationResult,
     StrengthOrdering,
     ToleranceProfile,
     VerificationResult,
     dilated_chain,
+    dispersion_check,
     evaluate_md_relation,
+    joint_distribution,
+    optimal_estimator,
     pauli,
     reference_scenario,
     run_verification,
@@ -65,23 +67,26 @@ def _samples() -> dict[type, tuple]:
     """Two unequal instances of each value type, from the package's own calls."""
     rho, slide, w = reference_scenario()
     other_slide = slide_model(0.2, 0.6)
+    other_w = BlochObservable(0.4, 1.0)
     sim = simulate_scenario(rho, slide, w)
-    other = simulate_scenario(rho, other_slide, BlochObservable(0.4, 1.0), estimator="simple")
+    other = simulate_scenario(rho, other_slide, other_w, estimator="simple")
+    est, other_est = optimal_estimator(rho, w), Estimator.simple()
     return {
         ToleranceProfile: (ToleranceProfile(), ToleranceProfile(measured_norm=0.05)),
         BlochObservable: (w, BlochObservable(0.4, 1.0)),
         SlideArrays: (slide.arrays, other_slide.arrays),
         SemiweakSlide: (slide, other_slide),
-        JointDistribution: (sim.distribution, other.distribution),
-        Estimator: (sim.estimator, other.estimator),
-        DispersionCheck: (sim.dispersion, other.dispersion),
-        RelationReport: (sim.report, other.report),
-        StrengthOrdering: (strength_comparison(sim.report), strength_comparison(other.report)),
-        RelationChain: (dilated_chain(rho, slide, w, sim.estimator),
-                        dilated_chain(rho, other_slide, w, other.estimator)),
-        MDReport: (evaluate_md_relation(sim.report, slide.kappa),
-                   evaluate_md_relation(other.report, other_slide.kappa)),
-        SimulationResult: (sim, other),
+        JointDistribution: (joint_distribution(rho, slide, w),
+                            joint_distribution(rho, other_slide, other_w)),
+        Estimator: (est, other_est),
+        DispersionCheck: (dispersion_check(rho, slide, w, est),
+                          dispersion_check(rho, other_slide, other_w, other_est)),
+        RelationReport: (sim, other),
+        StrengthOrdering: (strength_comparison(sim), strength_comparison(other)),
+        RelationChain: (dilated_chain(rho, slide, w, est),
+                        dilated_chain(rho, other_slide, w, other_est)),
+        MDReport: (evaluate_md_relation(sim, slide.kappa),
+                   evaluate_md_relation(other, other_slide.kappa)),
         VerificationResult: (run_verification(4, 1), run_verification(4, 2)),
     }
 
@@ -132,7 +137,7 @@ def test_every_dataclass_of_the_package_is_covered():
              for obj in vars(importlib.import_module(f"jointmeas.{name}")).values()
              if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
     assert found == set(VALUE_TYPES)
-    assert len(found) == 13
+    assert len(found) == 12
 
 
 @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda c: c.__name__)
@@ -338,8 +343,7 @@ ROUND_TRIPS = {
 }
 # a state and an operator, whose slots are restored by the same function
 SLOTTED = {DensityMatrix: DensityMatrix.maximally_mixed(2), HermitianOperator: pauli("X")}
-HOLDS_ARRAYS = {BlochObservable, SlideArrays, SemiweakSlide, JointDistribution,
-                SimulationResult, *SLOTTED}
+HOLDS_ARRAYS = {BlochObservable, SlideArrays, SemiweakSlide, JointDistribution, *SLOTTED}
 
 
 def arrays_in(value) -> list:

@@ -18,6 +18,7 @@ from jointmeas import (
     bundled_distribution,
     bundled_state,
     dilated_chain,
+    dispersion_check,
     epr_state,
     estimator_spread,
     evaluate_relations,
@@ -60,14 +61,14 @@ def test_estimator_kinds():
     assert Estimator.simple().kind == "simple"
     assert optimal_estimator(rho, w).kind == "optimal"
     for kind in ("simple", "optimal"):
-        assert simulate_scenario(rho, slide, w, estimator=kind).estimator.kind == kind
+        assert simulate_scenario(rho, slide, w, estimator=kind).scenario["estimator"] == kind
     with pytest.raises(ValueError, match="unknown estimator kind 'fancy'"):
         simulate_scenario(rho, slide, w, estimator="fancy")
 
 
 def test_simulate_reference_optimal_goldens():
-    result = simulate_scenario(*reference_scenario(), estimator="optimal")
-    rep = result.report
+    rho, slide, w = reference_scenario()
+    rep = simulate_scenario(rho, slide, w, estimator="optimal")
     assert rep.eps_a == pytest.approx(EPS_OPT, abs=1e-12)
     assert rep.eps_b == pytest.approx(EPS_B, abs=1e-12)
     assert rep.c == pytest.approx(math.sqrt(2), abs=1e-12)
@@ -77,17 +78,18 @@ def test_simulate_reference_optimal_goldens():
     assert rep.lhs_new == pytest.approx(1.037392207058092, abs=1e-12)
     assert rep.satisfied == {"arthurs_kelly": False, "hall": True,
                              "ozawa": True, "new": True}
-    assert abs(result.dispersion.residual) < 1e-12
-    assert result.report.scenario["estimator"] == "optimal"
-    assert result.distribution.provenance == "simulated"
+    assert abs(dispersion_check(rho, slide, w, optimal_estimator(rho, w)).residual) < 1e-12
+    assert rep.scenario["estimator"] == "optimal"
+    assert joint_distribution(rho, slide, w).provenance == "simulated"
 
 
 def test_simulate_reference_simple_golden():
-    result = simulate_scenario(*reference_scenario(), estimator="simple")
-    assert result.report.eps_a == pytest.approx(0.7653668647301793, abs=1e-12)
-    assert result.report.delta_a_est == pytest.approx(1.0, abs=1e-12)
+    rho, slide, w = reference_scenario()
+    result = simulate_scenario(rho, slide, w, estimator="simple")
+    assert result.eps_a == pytest.approx(0.7653668647301793, abs=1e-12)
+    assert result.delta_a_est == pytest.approx(1.0, abs=1e-12)
     # the plain w -> w readout is not dispersion-optimal here
-    assert result.dispersion.residual > 0.5
+    assert dispersion_check(rho, slide, w, Estimator.simple()).residual > 0.5
 
 
 def test_analyze_measured_goldens():
@@ -192,7 +194,7 @@ def test_run_verification_small():
 def test_reference_flags_are_a_fresh_dict_per_result():
     """The reference flags are simulated once per process, but each result
     owns its dict: mutating one does not reach the next call."""
-    want = simulate_scenario(*reference_scenario(), estimator="optimal").report.satisfied
+    want = simulate_scenario(*reference_scenario(), estimator="optimal").satisfied
     first = run_verification(trials=2, seed=4)
     second = run_verification(trials=0, seed=4)
     assert first.reference_satisfied == second.reference_satisfied == want
@@ -310,12 +312,11 @@ def test_shared_pass_equals_per_kind_simulation():
         kinds = KIND_ORDERS[trial % len(KIND_ORDERS)]
         dist = joint_distribution(rho, slide, w)
         shared = _scenario_results(rho, kinds, dist, slide=slide, w=w, scenario_info=info)
-        assert [r.report.to_dict() for r in shared] == \
-            [simulate_scenario(rho, slide, w, estimator=k, scenario_info=info).report.to_dict()
+        assert [r.to_dict() for r in shared] == \
+            [simulate_scenario(rho, slide, w, estimator=k, scenario_info=info).to_dict()
              for k in kinds] == \
             [loop_report(rho, slide, w, dist, k, info).to_dict() for k in kinds]
-        assert [r.estimator.kind for r in shared] == list(kinds)
-        assert all(r.distribution is shared[0].distribution for r in shared)
+        assert [r.scenario["estimator"] for r in shared] == list(kinds)
 
 
 def test_shared_pass_equals_per_kind_analysis():
@@ -325,7 +326,7 @@ def test_shared_pass_equals_per_kind_analysis():
         dist = bundled_distribution(phi)
         w = BlochObservable.from_degrees(90.0, phi)
         for kinds in KIND_ORDERS:
-            shared = [r.report.to_dict() for r in _scenario_results(rho, kinds, dist)]
+            shared = [r.to_dict() for r in _scenario_results(rho, kinds, dist)]
             assert shared == [analyze_measured(dist, rho, estimator=k).to_dict()
                               for k in kinds]
             assert shared == [loop_report(rho, slide, w, dist, k).to_dict() for k in kinds]

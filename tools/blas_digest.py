@@ -71,6 +71,7 @@ GOLDEN_INVOCATIONS = {
 }
 VERIFY_SEEDS = (1, 2, 3, 42)
 SWEEP_SEEDS = (1, 2, 3)
+VIEWS_SEED = 2024
 
 
 def cpu_flags() -> set[str]:
@@ -162,19 +163,27 @@ def child() -> dict[str, str]:
             theta = jm.random_observable(rng).theta_deg
             rows.append(jm.sweep_phi(rho, slide, np.linspace(0.0, 360.0, 37), theta))
         out[f"sweep_phi rows, seed {seed}"] = digest(rows)
-    rng = np.random.default_rng(2024)
+    out[f"one-scenario views, seed {VIEWS_SEED}"] = digest(scenario_views(VIEWS_SEED, 20))
+    return out
+
+
+def scenario_views(seed: int, count: int) -> list:
+    """The one-scenario views' outputs on ``count`` seeded random scenarios."""
+    import numpy as np
+
+    import jointmeas as jm
+
+    rng = np.random.default_rng(seed)
     views = []
-    for _ in range(20):
+    for _ in range(count):
         rho, slide, w = jm.random_state(rng), jm.random_slide(rng), jm.random_observable(rng)
         est = jm.Estimator.custom(*rng.uniform(-2.0, 2.0, size=2))
         dist = jm.joint_distribution(rho, slide, w)
         views += [dist.table, jm.optimal_estimator(rho, w).array,
                   jm.estimator_spread(dist, est), jm.direct_margenau_hill(rho, w),
                   jm.dilated_chain(rho, slide, w, est),
-                  *(jm.simulate_scenario(rho, slide, w, kind).report for kind in
-                    ("simple", "optimal"))]
-    out["one-scenario views, seed 2024"] = digest(views)
-    return out
+                  *(jm.simulate_scenario(rho, slide, w, kind) for kind in ("simple", "optimal"))]
+    return views
 
 
 def main(argv: list[str] | None = None) -> int:
