@@ -64,27 +64,22 @@ class DegenerateMeasurementError(ValueError):
     """The slide carries no X information (r_h == r_v); xi undefined."""
 
 
-# X eigenprojectors X+ and X-, and the Y projectors Y_y in OUTCOMES order
+# X eigenprojectors X+ and X-, the two terms of a Kraus operator
 _X_PLUS = (SIGMAS[0] + SIGMAS[1]) / 2
 _X_MINUS = (SIGMAS[0] - SIGMAS[1]) / 2
-Y_PROJECTORS = (SIGMAS[0] + SIGNS[:, None, None] * SIGMAS[2]) / 2
-# [Y_+ | Y_-] side by side, and Tr(op s_j) = sum_ab op[a, b] s_j[b, a] as
-# the product of a flattened op with row ab, column j
-_Y_ROW = np.concatenate(tuple(Y_PROJECTORS), axis=1)
-_PAULI_TRACES = SIGMAS.swapaxes(1, 2).reshape(4, 4).T.copy()
 
 
 @frozen_dataclass
 class SlideArrays:
     """N slides in the layout the array kernels read.
 
-    ``kraus[N, m]`` and ``xi[N, m]`` hold the Kraus operators and the
-    contextual values in OUTCOMES order (transmitted first); ``xi`` is None
-    when a slide is polarisation independent (``r_h == r_v``) and so has
-    none.
+    ``amplitudes[N, m, 2]`` holds the amplitudes ``(a, b)`` of each Kraus
+    operator ``M_m = a X+ + b X-`` and ``xi[N, m]`` the contextual values,
+    both in OUTCOMES order (transmitted first); ``xi`` is None when a slide
+    is polarisation independent (``r_h == r_v``) and so has none.
     """
 
-    kraus: np.ndarray
+    amplitudes: np.ndarray
     kappa: np.ndarray
     xi: np.ndarray | None
 
@@ -95,9 +90,9 @@ def slide_arrays(r_h: np.ndarray, r_v: np.ndarray) -> SlideArrays:
     """N slides from reflectivities ``r_h[N]``, ``r_v[N]`` in [0, 1]: the one
     place their arrays are computed, each by its closed form.
 
-    The Kraus operators are the PSD square roots
-    ``m_r = sqrt(r_h) X+ + sqrt(r_v) X-`` and
-    ``m_t = sqrt(t_h) X+ + sqrt(t_v) X-`` (``t = 1 - r``), the decoherence
+    A slide is its amplitudes ``(a, b)``, those of its PSD Kraus operators
+    ``M_m = a X+ + b X-``: ``(sqrt(t_h), sqrt(t_v))`` transmitted and
+    ``(sqrt(r_h), sqrt(r_v))`` reflected (``t = 1 - r``).  The decoherence
     strength is ``kappa = 1 - sqrt(r_h r_v) - sqrt(t_h t_v)`` and the
     contextual values are ``xi_r = (2 - r_h - r_v)/(r_h - r_v)`` and
     ``xi_t = -(r_h + r_v)/(r_h - r_v)`` (Dressel & Jordan, PRA 85, 022123
@@ -108,13 +103,9 @@ def slide_arrays(r_h: np.ndarray, r_v: np.ndarray) -> SlideArrays:
     """
     root_h, root_v = np.sqrt(r_h), np.sqrt(r_v)
     root_th, root_tv = np.sqrt(1 - r_h), np.sqrt(1 - r_v)
-
-    def kraus(a, b):
-        return a[:, None, None] * _X_PLUS + b[:, None, None] * _X_MINUS
-
     xi = None if np.any(r_h == r_v) else np.stack(
         [-(r_h + r_v) / (r_h - r_v), (2.0 - r_h - r_v) / (r_h - r_v)], axis=1)
-    return SlideArrays(np.stack([kraus(root_th, root_tv), kraus(root_h, root_v)], axis=1),
+    return SlideArrays(np.stack([root_th, root_tv, root_h, root_v], axis=1).reshape(-1, 2, 2),
                        ((root_h - root_v) ** 2 + (root_th - root_tv) ** 2) / 2, xi)
 
 
@@ -130,9 +121,9 @@ class SemiweakSlide:
     reflectivities.
 
     Everything else is read from the N = 1 :class:`SlideArrays` in
-    ``arrays``: the Hermitian PSD Kraus operators ``kraus(m)``, the
-    decoherence strength ``kappa = 1 - sqrt(r_h r_v) - sqrt(t_h t_v)`` and
-    the contextual values ``xi(m)``, which a polarisation-independent slide
+    ``arrays``: the Hermitian PSD Kraus operators ``kraus(m)``, built from
+    their amplitudes on demand, the decoherence strength ``kappa`` and the
+    contextual values ``xi(m)``, which a polarisation-independent slide
     (``r_h == r_v``) lacks: it has no X information to invert.
     """
 
@@ -161,7 +152,8 @@ class SemiweakSlide:
         return float(self.arrays.xi[0, _outcome_index(m)])
 
     def kraus(self, m: int) -> HermitianOperator:
-        return HermitianOperator(self.arrays.kraus[0, _outcome_index(m)])
+        a, b = self.arrays.amplitudes[0, _outcome_index(m)]
+        return HermitianOperator(a * _X_PLUS + b * _X_MINUS)
 
     @classmethod
     def polarisation_independent(cls, r: float) -> "SemiweakSlide":
@@ -299,21 +291,22 @@ def joint_tables(t: np.ndarray, slides: SlideArrays, n: np.ndarray,
 
     ``p(m, y, w) = Tr(rho (M_m Y_y M_m (x) W_w))`` with
     ``W_w = (s_0 + w n.s)/2``, so every table is linear in
-    ``A[m, y, k] = Tr(rho (M_m Y_y M_m (x) s_k))``, from the slide's Kraus
-    operators and the states' correlation tensors ``t[1, 4, 4]``
+    ``A[m, y, k] = Tr(rho (M_m Y_y M_m (x) s_k))``.  The slide's amplitudes
+    give each probe in closed form,
+    ``M_m Y_y M_m = ((a^2 + b^2) s_0 + (a^2 - b^2) s_1 + 2 y a b s_2)/4``,
+    so ``A[m, y] = c_0 T[0] + c_1 T[1] + c_2y T[2]``, summed elementwise in
+    that order over rows of the states' correlation tensors ``t[1, 4, 4]``
     (:func:`qcore.correlations`), shared with ``slides`` (N = 1) by all N
     directions, or N of each, one per direction.  Each table is normalised
     exactly by its mass ``Tr rho``, so, from inputs checked finite, only its
     negative-entry check can fail; it is queued on ``checks``.
     """
-    kraus = slides.kraus
-    # M_m Y_y for every y as one GEMM against the shared [Y_+ | Y_-], then
-    # the probes M_m Y_y M_m as one [M_m Y_+; M_m Y_-] @ M_m per slide and m
-    kraus_y = (kraus.reshape(-1, 2) @ _Y_ROW).reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
-    probes = kraus_y.reshape(-1, 2, 4, 2) @ kraus
-    # Pauli components Tr(probe s_j)/2 of each probe, then A = c T
-    coef = (probes.reshape(-1, 4) @ _PAULI_TRACES).real.reshape(-1, 2, 2, 4) / 2
-    a = coef @ t[..., None, :, :]
+    # amplitudes (h, v) and tensor rows broadcast to [N, m, y, k]
+    amp = slides.amplitudes[..., None, None]
+    h, v = amp[:, :, 0], amp[:, :, 1]
+    t_0, t_1, t_2 = (t[:, None, None, j] for j in range(3))
+    hh, vv = h * h, v * v
+    a = (hh + vv) / 4 * t_0 + (hh - vv) / 4 * t_1 + h * v / 2 * SIGNS[:, None] * t_2
     # p(m, y, w) = (A[m, y, 0] + w n.A[m, y, 1:]) / 2, with (m, y) flattened;
     # the directions are grouped by their A: all N under one shared A, or
     # one under each of N

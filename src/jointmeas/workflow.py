@@ -126,8 +126,7 @@ def _statistics(rho: np.ndarray, t: np.ndarray, slides: SlideArrays, n: np.ndarr
     a ``[1]`` state or slide is shared by all N.  Returns their
     Margenau-Hill tables mh ``[N, x, w]``, arrays ``[N]``: eps_y, delta_x,
     delta_y, delta_y_est and c, and, along an axis of the K estimator
-    ``kinds``, f ``[N, K, w]``, eps_x and delta_x_est ``[N, K]`` and lhs,
-    the four left-hand sides ``[N, K]`` in RELATION_NAMES order.
+    ``kinds``, f ``[N, K, w]``, eps_x and delta_x_est ``[N, K]``.
 
     The checks are queued on ``checks`` in one order per scenario, after
     the table checks its caller queued: for each kind f, the mh mass,
@@ -166,9 +165,14 @@ def _statistics(rho: np.ndarray, t: np.ndarray, slides: SlideArrays, n: np.ndarr
         delta_a_est[:, k] = estimate_spreads(marginals, f[:, k], checks)
         checks += y_est_checks
     return {"mh": mh, "eps_y": eps_b, "delta_x": delta_a, "delta_y": delta_b, "c": c,
-            "delta_y_est": delta_b_est, "f": f, "eps_x": eps_a, "delta_x_est": delta_a_est,
-            "lhs": relation_lhs(eps_a, eps_b[:, None], delta_a[:, None], delta_b[:, None],
-                                delta_a_est, delta_b_est[:, None])}
+            "delta_y_est": delta_b_est, "f": f, "eps_x": eps_a, "delta_x_est": delta_a_est}
+
+
+def _statistics_lhs(stats: dict) -> tuple:
+    """The four left-hand sides ``[N, K]``, in RELATION_NAMES order, of the
+    columns of a :func:`_statistics` pass."""
+    return relation_lhs(stats["eps_x"], *(stats[key][:, None] for key in (
+        "eps_y", "delta_x", "delta_y")), stats["delta_x_est"], stats["delta_y_est"][:, None])
 
 
 def _scenario_results(rho: DensityMatrix, kinds, dist: JointDistribution, *,
@@ -236,13 +240,13 @@ def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
                 **{key: float(stats[key][0]) for key in ("delta_x", "delta_y", "eps_y")}}
     columns = {"phi_deg": phis, "delta_y_est": stats["delta_y_est"]}
     eps_a, d_est = stats["eps_x"], stats["delta_x_est"]
-    rss = np.sqrt(eps_a ** 2 + d_est ** 2)
+    rss, lhs = np.sqrt(eps_a ** 2 + d_est ** 2), _statistics_lhs(stats)
     for k, kind in enumerate(estimators):
         columns.update({
             f"eps_x_{kind}": eps_a[:, k], f"delta_x_est_{kind}": d_est[:, k],
             f"dispersion_rss_{kind}": rss[:, k],
             **{f"lhs_{name}_{kind}": val[:, k]
-               for name, val in zip(RELATION_NAMES, stats["lhs"])}})
+               for name, val in zip(RELATION_NAMES, lhs)}})
     template.update(dict.fromkeys(columns))
     rows = [template.copy() for _ in range(phis.size)]
     for key, values in columns.items():
@@ -451,15 +455,15 @@ def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
     p = joint_tables(t, slides, n, checks)
     stats = _statistics(rho, t, slides, n, p, ESTIMATOR_KINDS, checks)
     opt = ESTIMATOR_KINDS.index("optimal")
-    eps_opt, delta_a = stats["eps_x"][:, opt], stats["delta_x"]
+    eps_opt, delta_a, lhs = stats["eps_x"][:, opt], stats["delta_x"], _statistics_lhs(stats)
 
     # [N x kind, relation]
-    margins = (np.stack(stats["lhs"], axis=-1)
+    margins = (np.stack(lhs, axis=-1)
                - (stats["c"] / 2.0)[:, None, None]).reshape(-1, len(RELATION_NAMES))
     dispersion = np.abs(eps_opt ** 2 + stats["delta_x_est"][:, opt] ** 2 - delta_a ** 2)
     new_le_hall, new_le_ozawa, in_domain, gap = strength_orderings(
         eps_opt, stats["eps_y"], delta_a, stats["delta_y"],
-        *(val[:, opt] for val in stats["lhs"][1:]))
+        *(val[:, opt] for val in lhs[1:]))
     ordered = new_le_hall & new_le_ozawa
     gap = gap[ordered & in_domain]
 

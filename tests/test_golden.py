@@ -13,11 +13,14 @@ flags and margins exactly, their rounding-noise residuals to 1e-12; the
 import csv
 import gzip
 import json
+import math
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from jointmeas import BlochObservable, epr_state
 from jointmeas.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -52,6 +55,37 @@ def test_dense_sweep_matches_golden(tmp_path):
                  "--out", str(out)]) == 0
     want = gzip.decompress((DATA / "golden_sweep_3600.csv.gz").read_bytes())
     assert out.read_bytes() == want
+
+
+def test_dense_golden_cell_at_271_8_is_eps_rounded_below_its_tie():
+    """The dense golden's ``eps_x_simple`` at phi = 271.8 deg is the exact
+    eps(X) of the package's own float inputs, rounded to 12 digits.
+
+    For an exact table, eps(X)^2 of the estimate f(w) = w is
+    ``<(X (x) 1 - 1 (x) W)^2> = (1 + |n|^2) Tr rho - 2 Re Tr[rho X (x) W]``,
+    whatever the slide.  Taken in exact rationals from the floats of
+    ``epr_state`` and ``BlochObservable``, it lies just below the square of
+    the 12-digit tie ``1.429832690035``, so the cell rounds down; a table
+    whose rounding carries eps past the tie would print ...004."""
+    rho = [[(Fraction(z.real), Fraction(z.imag)) for z in row]
+           for row in epr_state(math.radians(22.5)).matrix.tolist()]
+    n_x, n_y, n_z = map(Fraction, BlochObservable.from_degrees(90.0, 271.8).vector.tolist())
+    # W = n.s as (real, imaginary) entries, and X (x) W, whose entry (j, i)
+    # is W's entry of the other qubit-1 index
+    w = [[(n_z, 0), (n_x, -n_y)], [(n_x, n_y), (-n_z, 0)]]
+    x_w = [[w[j % 2][i % 2] if j // 2 != i // 2 else (0, 0) for i in range(4)]
+           for j in range(4)]
+    trace = sum(rho[i][i][0] for i in range(4))
+    # Re sum_ij rho[i][j] (X (x) W)[j][i]
+    re_tr = sum(rho[i][j][0] * x_w[j][i][0] - rho[i][j][1] * x_w[j][i][1]
+                for i in range(4) for j in range(4))
+    eps_sq = (1 + n_x * n_x + n_y * n_y + n_z * n_z) * trace - 2 * re_tr
+    tie = Fraction("1.429832690035")
+    assert Fraction("1.42983269003") ** 2 < eps_sq < tie * tie
+    rows = gzip.decompress((DATA / "golden_sweep_3600.csv.gz").read_bytes()).decode().splitlines()
+    row = dict(zip(rows[0].split(","), rows[2719].split(",")))
+    assert (row["phi_deg"], row["eps_x_simple"]) == ("271.8", "1.42983269003")
+
 
 # verify report fields that are rounding noise of near-zero residuals: they
 # move with any change of summation order, so they are pinned to 1e-12

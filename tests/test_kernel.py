@@ -1,8 +1,9 @@
 """The batched statistics kernel against a per-angle loop reference.
 
 The reference below evaluates every quantity one angle at a time from
-operator traces ``Tr(rho (M_m Y_y M_m (x) W_w))`` built from the slide's
-Kraus operators, the way the single-scenario path did before the kernel.
+operator traces ``Tr(rho (M_m Y_y M_m (x) W_w))``, with Kraus operators
+built from the slide's reflectivities, the way the single-scenario path did
+before the kernel, which reads the probes ``M_m Y_y M_m`` in closed form.
 Summation order differs from the kernel's, so values agree to 1e-12, not
 bit for bit.
 """
@@ -39,8 +40,8 @@ from jointmeas.qcore import (
     run_kernel,
     state_stack,
 )
-from jointmeas.relations import RELATION_NAMES
-from jointmeas.scenario import joint_distribution, joint_tables
+from jointmeas.relations import RELATION_NAMES, relation_lhs
+from jointmeas.scenario import SemiweakSlide, joint_distribution, joint_tables, slide_arrays
 from jointmeas.workflow import _scenario_results, _statistics
 
 TOL = 1e-12
@@ -52,10 +53,13 @@ def loop_tables(rho, slide, w):
     y_projs = projector_pair(pauli("Y"))
     w_projs = projector_pair(w.as_operator())
     x1 = np.kron(pauli("X").matrix, np.eye(2))
+    x_plus, x_minus = (op.matrix for op in projector_pair(pauli("X")))
+    # the (h, v) weights of M_m^2, transmitted first as in OUTCOMES
+    weights = np.array([1.0 - slide.r_h, 1.0 - slide.r_v, slide.r_h, slide.r_v])
     p = np.zeros((2, 2, 2))
     f = np.zeros(2)
-    for i, m in enumerate(OUTCOMES):
-        km = slide.kraus(m).matrix
+    for i, (a, b) in enumerate(np.sqrt(weights).reshape(2, 2).tolist()):
+        km = a * x_plus + b * x_minus
         for j in range(2):
             probe = km @ y_projs[j].matrix @ km
             for k in range(2):
@@ -109,6 +113,39 @@ def test_kernel_matches_loop_reference(seed, theta_deg):
         np.testing.assert_allclose(values[idx], f_opt, rtol=0, atol=TOL)
         for name, val in want.items():
             assert row[name] == pytest.approx(val, abs=TOL), (phi, name)
+
+
+# slides with a reflectivity at 0 or 1, equal ones among them
+EDGE_SLIDES = [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0), (0.0, 0.37), (0.37, 1.0)]
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("seed", [3, 8])
+def test_tables_match_loop_reference_at_edge_and_per_direction_slides(seed, shared):
+    """The tables of slides with reflectivities at 0 and 1, and of random
+    ones, match the Kraus-operator loop: with one state and slide shared by
+    every direction, as in a sweep, and with one state and slide per
+    direction, as in a verify block."""
+    rng = np.random.default_rng(seed)
+    refl = np.concatenate([EDGE_SLIDES, rng.uniform(0.0, 1.0, (6, 2))])
+    size = len(refl) * (len(PHIS) if shared else 1)
+    rhos = [random_state(rng) for _ in range(1 if shared else size)]
+    ws = [random_observable(rng) for _ in range(size)]
+    n = np.stack([w.vector for w in ws])
+    t = correlations(np.stack([rho.matrix for rho in rhos]))
+    if shared:
+        per_slide = len(PHIS)
+        tables = np.concatenate([
+            joint_tables(t, SemiweakSlide(*pair).arrays, n[i * per_slide:(i + 1) * per_slide], [])
+            for i, pair in enumerate(refl.tolist())])
+    else:
+        per_slide = 1
+        tables = joint_tables(t, slide_arrays(refl[:, 0], refl[:, 1]), n, [])
+    assert tables.shape == (size, 2, 2, 2)
+    for idx in range(size):
+        slide = SemiweakSlide(*refl[idx // per_slide].tolist())
+        p, _ = loop_tables(rhos[0 if shared else idx], slide, ws[idx])
+        np.testing.assert_allclose(tables[idx], p, rtol=0, atol=TOL)
 
 
 # the documented column order of a sweep row
@@ -217,15 +254,20 @@ def hexes(values) -> list[str]:
 def test_report_lhs_equals_the_statistics_pass_bit_for_bit(seed):
     """A report reads its four left-hand sides from its seven statistics
     with the operations the statistics pass applies to its columns, so
-    each kind's simulated report holds the pass's ``lhs`` to the bit."""
+    each kind's simulated report holds, to the bit, the left-hand sides
+    that ``relation_lhs`` forms on the pass's columns, as a sweep and a
+    verify block form them."""
     rng = np.random.default_rng(seed)
     rho, slide, w = random_state(rng), random_slide(rng), random_observable(rng)
     mats = state_stack(rho)
     stats = run_kernel(_statistics, mats, correlations(mats), slide.arrays, w.vector[None],
                        joint_distribution(rho, slide, w).table[None], ESTIMATOR_KINDS)
+    lhs = relation_lhs(stats["eps_x"], stats["eps_y"][:, None], stats["delta_x"][:, None],
+                       stats["delta_y"][:, None], stats["delta_x_est"],
+                       stats["delta_y_est"][:, None])
     for k, kind in enumerate(ESTIMATOR_KINDS):
         report = simulate_scenario(rho, slide, w, estimator=kind)
-        assert hexes(report.lhs.values()) == hexes(val[0, k] for val in stats["lhs"]), kind
+        assert hexes(report.lhs.values()) == hexes(val[0, k] for val in lhs), kind
 
 
 @pytest.mark.parametrize("seed", range(4))

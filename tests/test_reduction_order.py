@@ -3,9 +3,7 @@
 The kernel writes its 4-entry sums and its 8-entry minimum as arithmetic
 on whole ``[N]`` columns, in the order numpy's own row reductions use, and
 keeps numpy's pairwise sum for the 8-entry table mass, so that every
-reported float keeps its bits.  The joint tables stack the two Y outcomes
-of each probe product into one matrix product, which is checked bit for
-bit against one product per outcome pair.  Each site is checked here against plain
+reported float keeps its bits.  Each site is checked here against plain
 Python float arithmetic in its stated order, on seeded rows whose
 magnitudes spread over 1e-8 to 1e8, where a different order changes the
 last bits of many rows.  A failure names the site that moved.
@@ -19,7 +17,7 @@ import pytest
 
 from jointmeas.estimate import x_inaccuracies
 from jointmeas.qcore import _row_sums
-from jointmeas.scenario import _Y_ROW, SIGNS, negative_entry_checks, slide_arrays
+from jointmeas.scenario import SIGNS, negative_entry_checks
 
 SIZES = [1, 2, 7, 720]
 
@@ -105,21 +103,3 @@ def test_negative_entry_check_takes_the_row_minimum(size):
     for i in np.flatnonzero(bad)[:20].tolist():
         with pytest.raises(ValueError, match=re.escape(f"negative probability {lows[i]:.3e} in")):
             fire(i)
-
-
-@pytest.mark.parametrize("size", [1, 3000])
-def test_stacked_probe_products_equal_one_product_per_outcome_pair(size):
-    """``scenario.joint_tables`` forms the probes ``M_m Y_y M_m`` as one
-    ``[M_m Y_+; M_m Y_-] @ M_m`` product per slide and m.  Each entry has
-    the bits of the product ``(M_m Y_y) @ M_m`` taken for each (m, y) on
-    its own, on seeded slides, every third of them with one reflectivity at
-    0 and the other at 1."""
-    rng = np.random.default_rng([6, size])
-    refl = rng.uniform(0.0, 1.0, (size, 2))
-    refl[::3] = rng.permuted(np.tile([0.0, 1.0], (len(refl[::3]), 1)), axis=1)
-    kraus = slide_arrays(refl[:, 0], refl[:, 1]).kraus
-    kraus_y = (kraus.reshape(-1, 2) @ _Y_ROW).reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
-    stacked = (kraus_y.reshape(-1, 2, 4, 2) @ kraus).reshape(kraus_y.shape)
-    per_pair = kraus_y @ kraus[:, :, None]
-    assert stacked.tobytes() == per_pair.tobytes()
-    assert {0.0, 1.0} & set(refl.ravel().tolist()) == {0.0, 1.0}

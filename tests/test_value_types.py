@@ -382,7 +382,7 @@ def _built_slide_arrays() -> SlideArrays:
     """A ``SlideArrays`` built directly, from writeable copies of a slide's
     arrays rather than by ``slide_arrays``."""
     arrays = reference_scenario()[1].arrays
-    return SlideArrays(arrays.kraus.copy(), arrays.kappa.copy(), arrays.xi.copy())
+    return SlideArrays(arrays.amplitudes.copy(), arrays.kappa.copy(), arrays.xi.copy())
 
 
 # each input's samples and whether they hold arrays: the value types, the
