@@ -73,40 +73,49 @@ _X_MINUS = (SIGMAS[0] - SIGMAS[1]) / 2
 class SlideArrays:
     """N slides in the layout the array kernels read.
 
-    ``amplitudes[N, m, 2]`` holds the amplitudes ``(a, b)`` of each Kraus
-    operator ``M_m = a X+ + b X-`` and ``xi[N, m]`` the contextual values,
-    both in OUTCOMES order (transmitted first); ``xi`` is None when a slide
-    is polarisation independent (``r_h == r_v``) and so has none.
+    ``probes[N, m, y, 3]`` holds the Pauli coefficients ``(c_0, c_1, c_2)``
+    of each probe ``M_m Y_y M_m = c_0 s_0 + c_1 s_1 + c_2 s_2`` and
+    ``xi[N, m]`` the contextual values, both in OUTCOMES order (transmitted
+    first); ``xi`` is None when a slide is polarisation independent
+    (``r_h == r_v``) and so has none.
     """
 
-    amplitudes: np.ndarray
+    probes: np.ndarray
     kappa: np.ndarray
     xi: np.ndarray | None
 
     __post_init__ = _freeze_fields
 
 
+def _amplitudes(r_h, r_v) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes ``a[m]``, ``b[m]`` of ``M_m = a X+ + b X-``, in OUTCOMES order."""
+    return np.sqrt([1 - r_h, r_h]), np.sqrt([1 - r_v, r_v])
+
+
 def slide_arrays(r_h: np.ndarray, r_v: np.ndarray) -> SlideArrays:
     """N slides from reflectivities ``r_h[N]``, ``r_v[N]`` in [0, 1]: the one
     place their arrays are computed, each by its closed form.
 
-    A slide is its amplitudes ``(a, b)``, those of its PSD Kraus operators
-    ``M_m = a X+ + b X-``: ``(sqrt(t_h), sqrt(t_v))`` transmitted and
-    ``(sqrt(r_h), sqrt(r_v))`` reflected (``t = 1 - r``).  The decoherence
-    strength is ``kappa = 1 - sqrt(r_h r_v) - sqrt(t_h t_v)`` and the
-    contextual values are ``xi_r = (2 - r_h - r_v)/(r_h - r_v)`` and
+    From the Kraus amplitudes ``(a, b)`` (:func:`_amplitudes`, ``t = 1 - r``)
+    the probes are ``M_m Y_y M_m = ((a^2 + b^2) s_0 + (a^2 - b^2) s_1 +
+    2 y a b s_2)/4``, the decoherence strength is
+    ``kappa = 1 - sqrt(r_h r_v) - sqrt(t_h t_v)`` and the contextual values
+    are ``xi_r = (2 - r_h - r_v)/(r_h - r_v)`` and
     ``xi_t = -(r_h + r_v)/(r_h - r_v)`` (Dressel & Jordan, PRA 85, 022123
     (2012)).  Their identities are checked in the test suite.  kappa is
     evaluated as the equal sum of squares
     ``((sqrt(r_h) - sqrt(r_v))^2 + (sqrt(t_h) - sqrt(t_v))^2)/2``, which
     keeps its relative precision as ``r_h`` approaches ``r_v``.
     """
-    root_h, root_v = np.sqrt(r_h), np.sqrt(r_v)
-    root_th, root_tv = np.sqrt(1 - r_h), np.sqrt(1 - r_v)
-    xi = None if np.any(r_h == r_v) else np.stack(
-        [-(r_h + r_v) / (r_h - r_v), (2.0 - r_h - r_v) / (r_h - r_v)], axis=1)
-    return SlideArrays(np.stack([root_th, root_tv, root_h, root_v], axis=1).reshape(-1, 2, 2),
-                       ((root_h - root_v) ** 2 + (root_th - root_tv) ** 2) / 2, xi)
+    a, b = _amplitudes(r_h, r_v)
+    aa, bb, ab = a * a, b * b, a * b / 2
+    # filled as [k, y, m, N] columns, read as [N, m, y, k]
+    probes = np.empty((3, 2, *a.shape))
+    probes[0], probes[1] = (aa + bb) / 4, (aa - bb) / 4
+    probes[2, 0], probes[2, 1] = ab, -ab
+    xi = None if np.any(r_h == r_v) else (
+        np.array([-(r_h + r_v), 2.0 - r_h - r_v]) / (r_h - r_v)).T
+    return SlideArrays(probes.T, ((a[1] - b[1]) ** 2 + (a[0] - b[0]) ** 2) / 2, xi)
 
 
 def _outcome_index(m: int) -> int:
@@ -120,11 +129,11 @@ class SemiweakSlide:
     """A two-outcome semiweak X measurement on one qubit, fixed by its two
     reflectivities.
 
-    Everything else is read from the N = 1 :class:`SlideArrays` in
-    ``arrays``: the Hermitian PSD Kraus operators ``kraus(m)``, built from
-    their amplitudes on demand, the decoherence strength ``kappa`` and the
-    contextual values ``xi(m)``, which a polarisation-independent slide
-    (``r_h == r_v``) lacks: it has no X information to invert.
+    The Hermitian PSD Kraus operators ``kraus(m)`` are built from the
+    reflectivities on demand.  Everything else is read from the N = 1
+    :class:`SlideArrays` in ``arrays``: the decoherence strength ``kappa``
+    and the contextual values ``xi(m)``, which a polarisation-independent
+    slide (``r_h == r_v``) lacks: it has no X information to invert.
     """
 
     r_h: float
@@ -152,8 +161,9 @@ class SemiweakSlide:
         return float(self.arrays.xi[0, _outcome_index(m)])
 
     def kraus(self, m: int) -> HermitianOperator:
-        a, b = self.arrays.amplitudes[0, _outcome_index(m)]
-        return HermitianOperator(a * _X_PLUS + b * _X_MINUS)
+        a, b = _amplitudes(self.r_h, self.r_v)
+        k = _outcome_index(m)
+        return HermitianOperator(a[k] * _X_PLUS + b[k] * _X_MINUS)
 
     @classmethod
     def polarisation_independent(cls, r: float) -> "SemiweakSlide":
@@ -164,8 +174,7 @@ class SemiweakSlide:
 # The smallest |r_h - r_v| slide_model accepts.  The contextual values grow
 # as 2/|r_h - r_v| and amplify the rounding of the joint table into the
 # reconstructed eps(X) by about 1e-16/|r_h - r_v|: on reflectivities across
-# [0, 1] that is up to 1.6e-10 at this gap, and below 5e-7 the
-# reconstructed quasi-table's mass starts to miss its 1e-10 gate.
+# [0, 1] that is up to 1.6e-10 at this gap.
 MIN_REFLECTIVITY_GAP = 1e-6
 
 
@@ -291,32 +300,28 @@ def joint_tables(t: np.ndarray, slides: SlideArrays, n: np.ndarray,
 
     ``p(m, y, w) = Tr(rho (M_m Y_y M_m (x) W_w))`` with
     ``W_w = (s_0 + w n.s)/2``, so every table is linear in
-    ``A[m, y, k] = Tr(rho (M_m Y_y M_m (x) s_k))``.  The slide's amplitudes
-    give each probe in closed form,
-    ``M_m Y_y M_m = ((a^2 + b^2) s_0 + (a^2 - b^2) s_1 + 2 y a b s_2)/4``,
-    so ``A[m, y] = c_0 T[0] + c_1 T[1] + c_2y T[2]``, summed elementwise in
-    that order over rows of the states' correlation tensors ``t[1, 4, 4]``
+    ``A[m, y, k] = Tr(rho (M_m Y_y M_m (x) s_k))``.  The slide's probe
+    coefficients give ``A[m, y] = c_0 T[0] + c_1 T[1] + c_2 T[2]`` over
+    rows of the states' correlation tensors ``t[1, 4, 4]``
     (:func:`qcore.correlations`), shared with ``slides`` (N = 1) by all N
-    directions, or N of each, one per direction.  Each table is normalised
-    exactly by its mass ``Tr rho``, so, from inputs checked finite, only its
-    negative-entry check can fail; it is queued on ``checks``.
+    directions, or N of each, one per direction, and
+    ``n.A[m, y, 1:] = n_0 A_1 + n_1 A_2 + n_2 A_3``: elementwise sums in
+    that order, whose bits depend on neither N nor the BLAS kernel.  Each
+    table is normalised exactly by its mass ``Tr rho``, so, from inputs
+    checked finite, only its negative-entry check can fail; it is queued
+    on ``checks``.
     """
-    # amplitudes (h, v) and tensor rows broadcast to [N, m, y, k]
-    amp = slides.amplitudes[..., None, None]
-    h, v = amp[:, :, 0], amp[:, :, 1]
-    t_0, t_1, t_2 = (t[:, None, None, j] for j in range(3))
-    hh, vv = h * h, v * v
-    a = (hh + vv) / 4 * t_0 + (hh - vv) / 4 * t_1 + h * v / 2 * SIGNS[:, None] * t_2
-    # p(m, y, w) = (A[m, y, 0] + w n.A[m, y, 1:]) / 2, with (m, y) flattened;
-    # the directions are grouped by their A: all N under one shared A, or
-    # one under each of N
-    a_n = a[..., 1:].reshape(-1, 4, 3)
-    along = (n.reshape(len(a_n), -1, 3) @ a_n.swapaxes(-1, -2)).reshape(-1, 4)
-    # the w = +1 and w = -1 entries, written as two [N, 4] blocks of columns
-    a_0 = a[..., 0].reshape(-1, 4)
-    p = np.empty((len(along), 8))
-    np.add(a_0, along, out=p[:, 0::2])
-    np.subtract(a_0, along, out=p[:, 1::2])
+    # A broadcast to [N, m, y, k], then laid out as [k, (m, y), N] columns
+    c = slides.probes[..., None]
+    a = (c[..., 0, :] * t[:, None, None, 0] + c[..., 1, :] * t[:, None, None, 1]
+         + c[..., 2, :] * t[:, None, None, 2]).reshape(-1, 4, 4).T
+    # p(m, y, w) = (A[m, y, 0] + w n.A[m, y, 1:]) / 2, written as two [N, 4]
+    # blocks of columns, w = +1 then w = -1
+    n_0, n_1, n_2 = n.T
+    along = (n_0 * a[1] + n_1 * a[2] + n_2 * a[3]).T
+    p = np.empty((len(n), 8))
+    np.add(a[0].T, along, out=p[:, 0::2])
+    np.subtract(a[0].T, along, out=p[:, 1::2])
     p /= 2
     p /= p.sum(axis=1, keepdims=True)
     checks.extend(negative_entry_checks(p))

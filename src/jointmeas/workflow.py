@@ -24,7 +24,6 @@ from .estimate import (
     estimate_spreads,
     mh_tables,
     optimal_values,
-    quasi_mass_checks,
     w_marginals,
     x_inaccuracies,
     y_inaccuracies,
@@ -32,11 +31,9 @@ from .estimate import (
 )
 from .oracle import dilated_moments, direct_moments, w_moments
 from .qcore import (
-    SIMULATED_NORM,
     BlochObservable,
     Check,
     DensityMatrix,
-    _row_sums,
     bloch_vectors,
     correlations,
     frozen_dataclass,
@@ -117,23 +114,23 @@ def analyze_measured(dist: JointDistribution, rho: DensityMatrix,
 
 
 def _statistics(rho: np.ndarray, t: np.ndarray, slides: SlideArrays, n: np.ndarray,
-                p: np.ndarray, kinds, checks: list[Check],
-                atol: float = SIMULATED_NORM + 1e-12) -> dict:
+                p: np.ndarray, kinds, checks: list[Check]) -> dict:
     """The statistics group of N scenarios in one array pass: states
     ``rho[N, 4, 4]`` and their correlation tensors ``t``, ``slides``,
     directions ``n[N, 3]`` and the outcome tables ``p[N, m, y, w]``,
-    simulated or measured, whose quasi-tables must sum to 1 within ``atol``;
-    a ``[1]`` state or slide is shared by all N.  Returns their
-    Margenau-Hill tables mh ``[N, x, w]``, arrays ``[N]``: eps_y, delta_x,
-    delta_y, delta_y_est and c, and, along an axis of the K estimator
-    ``kinds``, f ``[N, K, w]``, eps_x and delta_x_est ``[N, K]``.
+    simulated or measured; a ``[1]`` state or slide is shared by all N.
+    Returns their Margenau-Hill tables mh ``[N, x, w]``, arrays ``[N]``:
+    eps_y, delta_x, delta_y, delta_y_est and c, and, along an axis of the
+    K estimator ``kinds``, f ``[N, K, w]``, eps_x and delta_x_est ``[N, K]``.
 
     The checks are queued on ``checks`` in one order per scenario, after
-    the table checks its caller queued: for each kind f, the mh mass,
-    eps(X), Delta X, Delta Y, Delta_est(X) and Delta_est(Y).  The relation inputs need no gate of
-    their own: once the tables are finite, each is ``sqrt(max(., 0))`` or
-    ``abs(.)`` of gated finite values, or ``sqrt(2 kappa)``.  A shared state
-    is reduced once, at N = 1, and its values and check flags are broadcast.
+    the table checks its caller queued: for each kind f, eps(X), Delta X,
+    Delta Y, Delta_est(X) and Delta_est(Y).  The quasi-tables need no mass
+    gate: each sums to its table's mass to an ulp (:func:`mh_tables`), and
+    the caller gated that.  The relation inputs need no gate of their own:
+    once the tables are finite, each is ``sqrt(max(., 0))`` or ``abs(.)``
+    of gated finite values, or ``sqrt(2 kappa)``.  A shared state is
+    reduced once, at N = 1, and its values and check flags are broadcast.
     """
     for kind in kinds:
         if kind not in ESTIMATOR_KINDS:
@@ -153,13 +150,11 @@ def _statistics(rho: np.ndarray, t: np.ndarray, slides: SlideArrays, n: np.ndarr
     # fires them at index 0, the one index their [1] values have
     spread_checks = [(per_scenario(bad), fire) for bad, fire in spread_checks]
     mh, marginals = mh_tables(p, slides), w_marginals(p)
-    mass_checks = quasi_mass_checks(_row_sums(mh.reshape(-1, 4)), atol)
     f = np.empty((size, len(kinds), 2))
     eps_a, delta_a_est = np.empty((2, size, len(kinds)))
     # each kind's checks, queued in the order of a pass over that kind alone
     for k, kind in enumerate(kinds):
         f[:, k] = SIGNS if kind == "simple" else optimal_values(t, n, checks)
-        checks += mass_checks
         eps_a[:, k] = x_inaccuracies(mh, f[:, k], checks)
         checks += spread_checks
         delta_a_est[:, k] = estimate_spreads(marginals, f[:, k], checks)
@@ -189,7 +184,7 @@ def _scenario_results(rho: DensityMatrix, kinds, dist: JointDistribution, *,
                                          _meta_float(dist, "phi_deg"))
     mats = state_stack(rho)
     stats = run_kernel(_statistics, mats, correlations(mats), slide.arrays, w.vector[None],
-                       dist.table[None], kinds, atol=dist.mass_tolerance + 1e-12)
+                       dist.table[None], kinds)
     eps_b, delta_a, delta_b, delta_b_est, c = (
         float(stats[key][0]) for key in ("eps_y", "delta_x", "delta_y", "delta_y_est", "c"))
     return [RelationReport(
@@ -217,10 +212,9 @@ def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
     eps_y hold one value at every angle; they are taken once into a
     template row, and each row is one copy of it.  The angle columns are
     then set one column at a time, from one ``tolist()`` each.  A row
-    matches :func:`simulate_scenario` at its angle to about 1e-13, not bit
-    for bit: the matrix products behind the tables take another path for
-    one direction than for many.  A 3600-angle sweep costs milliseconds
-    here; emitting its rows costs over ten times as much (ROADMAP item 3).
+    equals :func:`simulate_scenario` at its angle bit for bit.  A
+    3600-angle sweep costs milliseconds here; emitting its rows costs over
+    ten times as much (ROADMAP item 3).
     Every angle gets the checks of the single-scenario path, its finiteness
     first, and the error raised is the one the first offending angle gives,
     with the same type and message.

@@ -42,7 +42,7 @@ def pairwise_eight(c) -> float:
 
 @pytest.mark.parametrize("size", SIZES)
 def test_row_sums_add_four_entries_left_to_right(size):
-    """``qcore._row_sums``, behind the quasi-table mass of ``_statistics``,
+    """``qcore._row_sums``, behind eps(X)^2 in ``x_inaccuracies``,
     is ``((r0 + r1) + r2) + r3`` in every row, as numpy's ``sum(axis=1)``."""
     rows = spread_rows(1, size, 4)
     got = _row_sums(rows)
