@@ -19,12 +19,14 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .qcore import DEFAULT_TOLERANCES, DataQualityWarning, DensityMatrix, ToleranceProfile
+from .qcore import (
+    DEFAULT_TOLERANCES,
+    DataQualityWarning,
+    DataValidationError,
+    DensityMatrix,
+    ToleranceProfile,
+)
 from .scenario import TRIPLES, JointDistribution
-
-
-class DataValidationError(ValueError):
-    """A file parsed cleanly but its contents fail a physical sanity gate."""
 
 
 def _fmt(x: float) -> str:

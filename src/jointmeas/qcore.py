@@ -165,6 +165,10 @@ class NumericalCorruptionError(ArithmeticError):
     """A quantity that must be real/non-negative came out otherwise."""
 
 
+class DataValidationError(ValueError):
+    """A file parsed cleanly but its contents fail a physical sanity gate."""
+
+
 class DataQualityWarning(UserWarning):
     """Measured data forced a clamp or floor; carries the raw value."""
 

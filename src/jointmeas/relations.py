@@ -53,7 +53,9 @@ UNIVERSAL_RELATIONS = tuple(name for name in RELATION_NAMES if name != "arthurs_
 @frozen_dataclass
 class RelationReport:
     """The seven statistics of one scenario, whose four relation left-hand
-    sides it reads against the shared bound c/2."""
+    sides it reads against the shared bound c/2.  Fields are floats, or the
+    columns of a statistics pass over N scenarios and K estimator kinds:
+    eps_a and delta_a_est ``[K, N]``, the other five ``[N]``."""
 
     eps_a: float
     eps_b: float
@@ -101,10 +103,8 @@ class RelationReport:
     def to_dict(self) -> dict:
         return {
             "scenario": dict(self.scenario),
-            "inputs": {"eps_a": self.eps_a, "eps_b": self.eps_b,
-                       "delta_a": self.delta_a, "delta_b": self.delta_b,
-                       "delta_a_est": self.delta_a_est,
-                       "delta_b_est": self.delta_b_est, "c": self.c},
+            "inputs": {f.name: getattr(self, f.name) for f in fields(self)
+                       if f.name != "scenario"},
             "bound": self.bound,
             "lhs": self.lhs,
             "satisfied": self.satisfied,

@@ -33,6 +33,7 @@ from .oracle import dilated_moments, direct_moments, w_moments
 from .qcore import (
     BlochObservable,
     Check,
+    DataValidationError,
     DensityMatrix,
     bloch_vectors,
     correlations,
@@ -50,7 +51,6 @@ from .relations import (
     RelationReport,
     _chain_links,
     chain_item,
-    relation_lhs,
     strength_orderings,
 )
 from .scenario import (
@@ -90,14 +90,14 @@ def simulate_scenario(rho: DensityMatrix, slide: SemiweakSlide, w: BlochObservab
 
 def _meta_float(dist: JointDistribution, key: str) -> float:
     if key not in dist.metadata:
-        raise ValueError(
+        raise DataValidationError(
             f"outcome table lacks {key!r} metadata; add a '# {key}=<value>' line to "
             f"the table, or give analyze_measured its slide and w")
     try:
         return float(dist.metadata[key])
     except ValueError as exc:
-        raise ValueError(f"outcome table metadata {key!r} must be a number, "
-                         f"got {dist.metadata[key]!r}") from exc
+        raise DataValidationError(f"outcome table metadata {key!r} must be a number, "
+                                  f"got {dist.metadata[key]!r}") from exc
 
 
 def analyze_measured(dist: JointDistribution, rho: DensityMatrix,
@@ -114,14 +114,14 @@ def analyze_measured(dist: JointDistribution, rho: DensityMatrix,
 
 
 def _statistics(rho: np.ndarray, t: np.ndarray, slides: SlideArrays, n: np.ndarray,
-                p: np.ndarray, kinds, checks: list[Check]) -> dict:
+                p: np.ndarray, kinds, checks: list[Check]) -> tuple:
     """The statistics group of N scenarios in one array pass: states
     ``rho[N, 4, 4]`` and their correlation tensors ``t``, ``slides``,
     directions ``n[N, 3]`` and the outcome tables ``p[N, m, y, w]``,
     simulated or measured; a ``[1]`` state or slide is shared by all N.
-    Returns their Margenau-Hill tables mh ``[N, x, w]``, arrays ``[N]``:
-    eps_y, delta_x, delta_y, delta_y_est and c, and, along an axis of the
-    K estimator ``kinds``, f ``[N, K, w]``, eps_x and delta_x_est ``[N, K]``.
+    Returns ``(report, mh, f)``: a :class:`RelationReport` of columns, eps(X)
+    and Delta_est(X) ``[K, N]`` over the K ``kinds``, the other five ``[N]``,
+    the Margenau-Hill tables mh ``[N, x, w]`` and the X estimates f ``[N, K, w]``.
 
     The checks are queued on ``checks`` in one order per scenario, after
     the table checks its caller queued: for each kind f, eps(X), Delta X,
@@ -151,23 +151,15 @@ def _statistics(rho: np.ndarray, t: np.ndarray, slides: SlideArrays, n: np.ndarr
     spread_checks = [(per_scenario(bad), fire) for bad, fire in spread_checks]
     mh, marginals = mh_tables(p, slides), w_marginals(p)
     f = np.empty((size, len(kinds), 2))
-    eps_a, delta_a_est = np.empty((2, size, len(kinds)))
+    eps_a, delta_a_est = np.empty((2, len(kinds), size))
     # each kind's checks, queued in the order of a pass over that kind alone
     for k, kind in enumerate(kinds):
         f[:, k] = SIGNS if kind == "simple" else optimal_values(t, n, checks)
-        eps_a[:, k] = x_inaccuracies(mh, f[:, k], checks)
+        eps_a[k] = x_inaccuracies(mh, f[:, k], checks)
         checks += spread_checks
-        delta_a_est[:, k] = estimate_spreads(marginals, f[:, k], checks)
+        delta_a_est[k] = estimate_spreads(marginals, f[:, k], checks)
         checks += y_est_checks
-    return {"mh": mh, "eps_y": eps_b, "delta_x": delta_a, "delta_y": delta_b, "c": c,
-            "delta_y_est": delta_b_est, "f": f, "eps_x": eps_a, "delta_x_est": delta_a_est}
-
-
-def _statistics_lhs(stats: dict) -> tuple:
-    """The four left-hand sides ``[N, K]``, in RELATION_NAMES order, of the
-    columns of a :func:`_statistics` pass."""
-    return relation_lhs(stats["eps_x"], *(stats[key][:, None] for key in (
-        "eps_y", "delta_x", "delta_y")), stats["delta_x_est"], stats["delta_y_est"][:, None])
+    return RelationReport(eps_a, eps_b, delta_a, delta_b, delta_a_est, delta_b_est, c), mh, f
 
 
 def _scenario_results(rho: DensityMatrix, kinds, dist: JointDistribution, *,
@@ -183,17 +175,16 @@ def _scenario_results(rho: DensityMatrix, kinds, dist: JointDistribution, *,
         w = BlochObservable.from_degrees(_meta_float(dist, "theta_deg"),
                                          _meta_float(dist, "phi_deg"))
     mats = state_stack(rho)
-    stats = run_kernel(_statistics, mats, correlations(mats), slide.arrays, w.vector[None],
-                       dist.table[None], kinds)
-    eps_b, delta_a, delta_b, delta_b_est, c = (
-        float(stats[key][0]) for key in ("eps_y", "delta_x", "delta_y", "delta_y_est", "c"))
+    report = run_kernel(_statistics, mats, correlations(mats), slide.arrays, w.vector[None],
+                        dist.table[None], kinds)[0]
     return [RelationReport(
-                eps_a, eps_b, delta_a, delta_b, delta_a_est, delta_b_est, c,
-                scenario={"source": dist.provenance, "estimator": kind,
-                          "theta_deg": w.theta_deg, "phi_deg": w.phi_deg,
-                          "r_h": slide.r_h, "r_v": slide.r_v, **(scenario_info or {})})
-            for kind, eps_a, delta_a_est in zip(
-                kinds, *(stats[key][0].tolist() for key in ("eps_x", "delta_x_est")))]
+                float(report.eps_a[k, 0]), float(report.eps_b[0]), float(report.delta_a[0]),
+                float(report.delta_b[0]), float(report.delta_a_est[k, 0]),
+                float(report.delta_b_est[0]), float(report.c[0]),
+                {"source": dist.provenance, "estimator": kind, "theta_deg": w.theta_deg,
+                 "phi_deg": w.phi_deg, "r_h": slide.r_h, "r_v": slide.r_v,
+                 **(scenario_info or {})})
+            for k, kind in enumerate(kinds)]
 
 
 def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
@@ -226,21 +217,18 @@ def sweep_phi(rho: DensityMatrix, slide: SemiweakSlide, phi_degs,
     checks: list[Check] = []
     n, t = bloch_vectors(math.radians(theta_deg), np.radians(phis), checks), correlations(mats)
     p = joint_tables(t, slide.arrays, n, checks)
-    stats = _statistics(mats, t, slide.arrays, n, p, estimators, checks)
+    report = _statistics(mats, t, slide.arrays, n, p, estimators, checks)[0]
     run_checks(checks)
     # one state and one slide: these columns hold one value at every angle
-    c = float(stats["c"][0])
-    template = {"phi_deg": None, "theta_deg": float(theta_deg), "c": c, "bound": c / 2.0,
-                **{key: float(stats[key][0]) for key in ("delta_x", "delta_y", "eps_y")}}
-    columns = {"phi_deg": phis, "delta_y_est": stats["delta_y_est"]}
-    eps_a, d_est = stats["eps_x"], stats["delta_x_est"]
-    rss, lhs = np.sqrt(eps_a ** 2 + d_est ** 2), _statistics_lhs(stats)
+    template = {"phi_deg": None, "theta_deg": float(theta_deg), "c": float(report.c[0]),
+                "bound": float(report.bound[0]), "delta_x": float(report.delta_a[0]),
+                "delta_y": float(report.delta_b[0]), "eps_y": float(report.eps_b[0])}
+    columns = {"phi_deg": phis, "delta_y_est": report.delta_b_est}
+    eps_a, d_est, lhs = report.eps_a, report.delta_a_est, report.lhs
     for k, kind in enumerate(estimators):
-        columns.update({
-            f"eps_x_{kind}": eps_a[:, k], f"delta_x_est_{kind}": d_est[:, k],
-            f"dispersion_rss_{kind}": rss[:, k],
-            **{f"lhs_{name}_{kind}": val[:, k]
-               for name, val in zip(RELATION_NAMES, lhs)}})
+        columns.update({f"eps_x_{kind}": eps_a[k], f"delta_x_est_{kind}": d_est[k],
+                        f"dispersion_rss_{kind}": np.sqrt(eps_a[k] ** 2 + d_est[k] ** 2),
+                        **{f"lhs_{name}_{kind}": val[k] for name, val in lhs.items()}})
     template.update(dict.fromkeys(columns))
     rows = [template.copy() for _ in range(phis.size)]
     for key, values in columns.items():
@@ -447,36 +435,34 @@ def _verify_block(g: np.ndarray, refl: np.ndarray, angles: np.ndarray,
     t, slides = correlations(rho), slide_arrays(refl[:, 0], refl[:, 1])
     n = bloch_vectors(angles[:, 0], angles[:, 1], checks)
     p = joint_tables(t, slides, n, checks)
-    stats = _statistics(rho, t, slides, n, p, ESTIMATOR_KINDS, checks)
+    report, mh, f = _statistics(rho, t, slides, n, p, ESTIMATOR_KINDS, checks)
     opt = ESTIMATOR_KINDS.index("optimal")
-    eps_opt, delta_a, lhs = stats["eps_x"][:, opt], stats["delta_x"], _statistics_lhs(stats)
+    eps_opt, delta_a, lhs = report.eps_a[opt], report.delta_a, report.lhs
 
-    # [N x kind, relation]
-    margins = (np.stack(lhs, axis=-1)
-               - (stats["c"] / 2.0)[:, None, None]).reshape(-1, len(RELATION_NAMES))
-    dispersion = np.abs(eps_opt ** 2 + stats["delta_x_est"][:, opt] ** 2 - delta_a ** 2)
+    # [relation, kind, N]
+    margins = np.stack(list(lhs.values())) - report.bound
+    dispersion = np.abs(eps_opt ** 2 + report.delta_a_est[opt] ** 2 - delta_a ** 2)
     new_le_hall, new_le_ozawa, in_domain, gap = strength_orderings(
-        eps_opt, stats["eps_y"], delta_a, stats["delta_y"],
-        *(val[:, opt] for val in lhs[1:]))
+        eps_opt, report.eps_b, delta_a, report.delta_b,
+        *(lhs[name][opt] for name in UNIVERSAL_RELATIONS))
     ordered = new_le_hall & new_le_ozawa
     gap = gap[ordered & in_domain]
 
     # one W-moment pass serves the oracle and the chain, whose X estimate is
     # one more column of the oracle's, so its inaccuracy is formed once
     moments = w_moments(rho, n)
-    chain_f = np.where(np.isnan(custom), stats["f"][:, opt], custom)
-    mh_direct, eps_direct = direct_moments(
-        moments, np.concatenate([stats["f"], chain_f[:, None]], axis=1))
-    oracle = np.maximum(np.abs(stats["mh"] - mh_direct).max(axis=(1, 2)),
-                        np.abs(stats["eps_x"] - eps_direct[:, :-1]).max(axis=1))
+    chain_f = np.where(np.isnan(custom), f[:, opt], custom)
+    mh_direct, eps_direct = direct_moments(moments, np.concatenate([f, chain_f[:, None]], axis=1))
+    oracle = np.maximum(np.abs(mh - mh_direct).max(axis=(1, 2)),
+                        np.abs(report.eps_a.T - eps_direct[:, :-1]).max(axis=1))
 
     run_checks(checks)
     chains = dilated_chains(rho, slides, moments, chain_f, eps_direct[:, -1])
-    y_inaccuracy, slack = np.abs(chains.eps_b - stats["eps_y"]), chains.min_slack
+    y_inaccuracy, slack = np.abs(chains.eps_b - report.eps_b), chains.min_slack
     return (np.array([np.max(values, initial=0.0)
                       for values in (oracle, y_inaccuracy, dispersion, gap)]),
-            np.append(margins.min(axis=0, initial=math.inf), np.min(slack, initial=math.inf)),
-            np.array([*(margins < -MARGIN_TOL).sum(axis=0),
+            np.append(margins.min(axis=(1, 2), initial=math.inf), np.min(slack, initial=math.inf)),
+            np.array([*(margins < -MARGIN_TOL).sum(axis=(1, 2)),
                       np.sum(~(slack >= -MARGIN_TOL)), np.sum(~ordered), gap.size]))
 
 

@@ -40,9 +40,15 @@ from jointmeas.qcore import (
     run_kernel,
     state_stack,
 )
-from jointmeas.relations import RELATION_NAMES, relation_lhs
-from jointmeas.scenario import SemiweakSlide, joint_distribution, joint_tables, slide_arrays
-from jointmeas.workflow import _scenario_results, _statistics
+from jointmeas.relations import RELATION_NAMES
+from jointmeas.scenario import (
+    SemiweakSlide,
+    joint_distribution,
+    joint_tables,
+    slide_arrays,
+    slide_model,
+)
+from jointmeas.workflow import _draw_block, _scenario_results, _state_matrices, _statistics
 
 TOL = 1e-12
 PHIS = np.arange(90.0, 271.0, 15.0)
@@ -211,6 +217,33 @@ def test_sweep_rows_equal_simulate_bit_for_bit(seed):
             assert list(map(float.hex, got)) == list(map(float.hex, want)), (phi, kind)
 
 
+STATISTICS = ("eps_a", "eps_b", "delta_a", "delta_b", "delta_a_est", "delta_b_est", "c")
+
+
+def test_verify_block_items_equal_simulate_bit_for_bit():
+    """With a state, a slide and a direction of its own for each scenario,
+    as a verify block lays them out, report (k, i) of the statistics pass
+    equals ``simulate_scenario`` of trial i, given the same state matrix,
+    slide and W, bit for bit in all seven statistics and both kinds."""
+    g, refl, angles, _ = _draw_block(np.random.default_rng(7), 0, 500)
+    rho, checks = _state_matrices(g), []
+    t, slides = correlations(rho), slide_arrays(refl[:, 0], refl[:, 1])
+    n = bloch_vectors(angles[:, 0], angles[:, 1], checks)
+    report = _statistics(rho, t, slides, n, joint_tables(t, slides, n, checks),
+                         ESTIMATOR_KINDS, checks)[0]
+    run_checks(checks)
+    # each statistic [K, N], an [N] column at every kind
+    columns = [np.broadcast_to(getattr(report, name), (len(ESTIMATOR_KINDS), len(rho)))
+               for name in STATISTICS]
+    for i in range(len(rho)):
+        scenario = (DensityMatrix(rho[i]), slide_model(*refl[i].tolist()),
+                    BlochObservable(*angles[i].tolist()))
+        for k, kind in enumerate(ESTIMATOR_KINDS):
+            want = simulate_scenario(*scenario, estimator=kind)
+            assert [float.hex(float(column[k, i])) for column in columns] == \
+                [float.hex(getattr(want, name)) for name in STATISTICS], (i, kind)
+
+
 def test_sweep_empty_grid():
     rho, slide, _ = reference_scenario()
     assert sweep_phi(rho, slide, []) == []
@@ -252,21 +285,19 @@ def hexes(values) -> list[str]:
 @pytest.mark.parametrize("seed", range(4))
 def test_report_lhs_equals_the_statistics_pass_bit_for_bit(seed):
     """A report reads its four left-hand sides from its seven statistics
-    with the operations the statistics pass applies to its columns, so
-    each kind's simulated report holds, to the bit, the left-hand sides
-    that ``relation_lhs`` forms on the pass's columns, as a sweep and a
-    verify block form them."""
+    with the same operations on floats as on columns, so each kind's
+    simulated report holds, to the bit, the left-hand sides ``[K, N]`` of
+    the statistics pass's report of columns, as a sweep and a verify block
+    read them."""
     rng = np.random.default_rng(seed)
     rho, slide, w = random_state(rng), random_slide(rng), random_observable(rng)
     mats = state_stack(rho)
-    stats = run_kernel(_statistics, mats, correlations(mats), slide.arrays, w.vector[None],
-                       joint_distribution(rho, slide, w).table[None], ESTIMATOR_KINDS)
-    lhs = relation_lhs(stats["eps_x"], stats["eps_y"][:, None], stats["delta_x"][:, None],
-                       stats["delta_y"][:, None], stats["delta_x_est"],
-                       stats["delta_y_est"][:, None])
+    columns = run_kernel(_statistics, mats, correlations(mats), slide.arrays, w.vector[None],
+                         joint_distribution(rho, slide, w).table[None], ESTIMATOR_KINDS)[0]
     for k, kind in enumerate(ESTIMATOR_KINDS):
         report = simulate_scenario(rho, slide, w, estimator=kind)
-        assert hexes(report.lhs.values()) == hexes(val[0, k] for val in lhs), kind
+        assert hexes(report.lhs.values()) == \
+            hexes(val[k, 0] for val in columns.lhs.values()), kind
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -9,6 +9,7 @@ import pytest
 
 from jointmeas import (
     BlochObservable,
+    DataValidationError,
     DensityMatrix,
     Estimator,
     JointDistribution,
@@ -119,6 +120,22 @@ def test_analyze_measured_requires_metadata():
     _, slide, w = reference_scenario()
     rep = analyze_measured(stripped, bundled_state(), slide=slide, w=w)
     assert rep.eps_a == pytest.approx(0.7453168224141986, abs=1e-12)
+
+
+@pytest.mark.parametrize("metadata, message", [
+    ({}, "outcome table lacks 'r_h' metadata; add a '# r_h=<value>' line to the table, "
+         "or give analyze_measured its slide and w"),
+    ({"r_h": "0.1244", "r_v": "abc"}, "outcome table metadata 'r_v' must be a number, "
+                                      "got 'abc'"),
+])
+def test_unusable_metadata_is_a_data_validation_error(metadata, message):
+    """A table whose metadata lacks a value, or holds one that is not a
+    number, fails its validation as a parse error does: with the typed
+    error of the file-format layer."""
+    dist = dataclasses.replace(bundled_distribution(180.0), metadata=metadata)
+    with pytest.raises(DataValidationError) as excinfo:
+        analyze_measured(dist, bundled_state())
+    assert str(excinfo.value) == message
 
 
 def test_sweep_rows_and_ordering():
